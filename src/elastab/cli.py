@@ -59,7 +59,12 @@ def _canon(obj):
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(_canon(payload), indent=2, sort_keys=True) + "\n")
+    """Write strict JSON; a non-finite value is an error and writes nothing."""
+    try:
+        text = json.dumps(_canon(payload), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ElastabError(f"{path.name} not written: {exc}") from exc
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -250,10 +255,15 @@ def greens_report(
 
 
 def _run_greens(args) -> int:
+    params = (args.omega, args.rho, args.mu, args.lam, args.ell)
+    if not all(math.isfinite(x) for x in params):
+        raise ConfigError("greens-verify needs finite omega, rho, mu, lam and ell")
     if args.omega <= 0 or args.rho <= 0 or args.mu <= 0 or args.lam < 0 or args.ell <= 0:
         raise ConfigError("greens-verify needs omega, rho, mu, ell > 0 and lam >= 0")
     if args.grid_n < 8:
         raise ConfigError("grid size too small (need >= 8 cells per axis)")
+    if args.n_sources < 1:
+        raise ConfigError("greens-verify needs at least one source (--n-sources >= 1)")
     out_dir = Path(args.out_dir)
     manifest = _Manifest(
         "greens-verify",

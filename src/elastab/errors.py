@@ -29,14 +29,6 @@ class SingularityError(ElastabError):
     """Kernel evaluated at (or convolved through) the source point without a rule."""
 
 
-class AccuracyError(ElastabError):
-    """A quadrature or audit failed to reach its accuracy contract."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class MeshError(ElastabError):
     """Degenerate mesh parameters or a singular element Jacobian."""
 

@@ -159,6 +159,37 @@ class TestGreensCommand:
         assert main(["greens-verify", "--omega", "-1.0", "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--omega", "nan"],
+            ["--omega", "inf"],
+            ["--omega", "1.0", "--lam", "nan"],
+            ["--omega", "1.0", "--rho", "inf"],
+            ["--omega", "1.0", "--mu", "nan"],
+            ["--omega", "1.0", "--ell", "inf"],
+            ["--omega", "1.0", "--n-sources", "0"],
+        ],
+        ids=["omega-nan", "omega-inf", "lam-nan", "rho-inf", "mu-nan", "ell-inf", "no-sources"],
+    )
+    def test_invalid_input_exits_2_without_report(self, flags, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert main(["greens-verify", *flags, "--grid-n", "8", "--out-dir", str(out)]) == 2
+        assert not (out / "greens_report.json").exists()
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_exits_1_without_report(self, tmp_path, capsys):
+        # finite inputs whose ratios overflow (omega^2 = 1e200 * ...)
+        out = tmp_path / "g"
+        code = main(["greens-verify", "--omega", "1e100", "--grid-n", "8", "--n-sources", "1",
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert not (out / "greens_report.json").exists()
+        err = capsys.readouterr().err
+        assert "not JSON compliant" in err and "Traceback" not in err
+
 
 class TestFemSweepCommand:
     def test_rows_and_manifest(self, tmp_path):

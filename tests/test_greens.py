@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from elastab import greens
 from elastab.errors import SingularityError
@@ -202,6 +203,26 @@ class TestConvolution:
         u_gen = greens.convolve(src, RHO, MU, LAM, 2.0, targets=grid.nodes)
         assert np.abs(u_grid - u_gen).max() / np.abs(u_grid).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("omega", [0.0, 2.0])
+    @pytest.mark.parametrize("kernel", ["scalar", "elastic", "total"])
+    def test_fft_path_matches_pairwise_oracle(self, kernel, omega, n):
+        # odd and even n, and omega = 0 where "total" is the Kelvin tensor
+        # and the elastic kernel vanishes identically
+        grid = greens.ball_grid(1.0, n)
+        (fn,) = greens.random_ball_sources(1.0, 1, seed=11)
+        src = greens.SourceField.from_function(grid, fn)
+        u_grid = greens.convolve(src, RHO, MU, LAM, omega, kernel=kernel)
+        u_gen = greens.convolve(src, RHO, MU, LAM, omega, targets=grid.nodes, kernel=kernel)
+        assert np.abs(u_grid - u_gen).max() <= 1e-12 * np.abs(u_gen).max()
+
+    def test_unknown_kernel_raises(self):
+        grid = greens.ball_grid(1.0, 6)
+        src = greens.SourceField.from_function(grid, lambda x: np.ones((x.shape[0], 3)))
+        for targets in (None, grid.nodes[:3]):
+            with pytest.raises(ValueError, match="unknown kernel"):
+                greens.convolve(src, RHO, MU, LAM, 2.0, targets=targets, kernel="acoustic")
+
     def test_coincident_target_without_rule_raises(self):
         grid = greens.ball_grid(1.0, 6)
         (fn,) = greens.random_ball_sources(1.0, 1, seed=6)
@@ -312,20 +333,113 @@ class TestVerifyFundamental:
             assert rep.slack >= 0.0
 
 
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("omega", [0.0, 2.0])
+    def test_sweep_batch_matches_pairwise_oracle(self, omega, n):
+        # three sources through one source spectrum, against per-source
+        # pairwise convolutions with each kernel
+        grid = greens.ball_grid(1.0, n)
+        fns = greens.random_ball_sources(1.0, 3, seed=12)
+        values = np.stack([fn(grid.nodes) for fn in fns], axis=2)
+        reports = greens.verify_fundamental_sweep(grid, values, RHO, MU, LAM, omega)
+        w = grid.weights[:, None]
+
+        def norm(v, axis=None):
+            return np.sqrt(np.sum(w * np.abs(v) ** 2, axis=axis))
+
+        for s, rep in enumerate(reports):
+            src = greens.SourceField(
+                nodes=grid.nodes, weights=grid.weights, values=values[:, :, s], ell=1.0, grid=grid,
+            )
+            u = {
+                kern: greens.convolve(src, RHO, MU, LAM, omega, targets=grid.nodes, kernel=kern)
+                for kern in ("scalar", "elastic", "total")
+            }
+            f = values[:, :, s]
+            expected = {
+                "ratio": omega**2 * norm(u["total"]) / norm(f),
+                "elastic_ratio": norm(u["elastic"]) / norm(f),
+            }
+            for name, want in expected.items():
+                assert abs(getattr(rep, name) - want) <= 1e-12 * want
+            scalar = omega**2 * norm(u["scalar"], axis=0) / norm(f, axis=0)
+            assert np.all(np.abs(np.array(rep.scalar_ratios) - scalar) <= 1e-12 * scalar)
+
+
+def quad_multiplier_entry(k, ell, xi):
+    """The cos-transform entry by adaptive quadrature of its defining
+    integrand, split at the cutoff kink r = 2 ell."""
+
+    def integrand(r, part):
+        es, ep = np.exp(1j * k.k_s * r), np.exp(1j * k.k_p * r)
+        eta = 1.0 if r <= 2.0 * ell else (4.0 * ell - r) / (2.0 * ell)
+        slope = 0.0 if r <= 2.0 * ell else -1.0 / (2.0 * ell)
+        val = (slope * (es - ep) + eta * (1j * k.k_s * es - 1j * k.k_p * ep)) * np.cos(xi * r)
+        return val.real if part == 0 else val.imag
+
+    total = 0.0 + 0.0j
+    for a, b in ((0.0, 2.0 * ell), (2.0 * ell, 4.0 * ell)):
+        for part, unit in ((0, 1.0), (1, 1j)):
+            v, _ = quad(integrand, a, b, args=(part,), epsabs=1e-13, epsrel=1e-12, limit=2000)
+            total += unit * v
+    return total
+
+
 class TestFourierMultiplier:
     def test_equal_wavenumbers_vanish(self):
         k = greens.WaveNumbers(k_s=2.0, k_p=2.0, omega=1.0)
-        val, err = greens.fourier_multiplier_entry(k, 1.0, 3.0)
+        val = greens.fourier_multiplier_entry(k, 1.0, 3.0)
         assert abs(val) < 1e-12
 
     def test_zero_xi_entry_vanishes(self):
         # the integrand is an exact derivative: eta(4l) = 0 and the kernel
         # difference vanishes at r = 0
         k = greens.WaveNumbers.from_material(1.0, 1.0, 1.0, 1.0)
-        val, err = greens.fourier_multiplier_entry(k, 1.0, 0.0)
+        val = greens.fourier_multiplier_entry(k, 1.0, 0.0)
         assert abs(val) < 1e-10
 
     def test_unit_kappa_bound(self):
         k = greens.WaveNumbers.from_material(1.0, 1.0, 1.0, 1.0)  # k_s = 1
         m_hat = greens.fourier_multiplier_norm(k, 1.0, xi_grid=np.linspace(0.0, 20.0, 161))
         assert m_hat <= 2.0 + 8.0 * 1.0
+
+    @pytest.mark.parametrize(
+        "lam_ratio, omega, ell, xi",
+        [
+            (1.0, 2.0, 1.0, "k_s"),      # the default grid hits xi = k_s: c = 0
+            (1.0, 2.0, 1.0, "k_p"),
+            (1.0, 2.0, 1.0, 7.3),
+            (0.0, 0.5, 1.0, 1.9),
+            (1e3, 1.0, 1.0, "k_p"),      # small k_p
+            (1e3, 1.0, 0.5, 0.01),       # |k_p +- xi| 4 ell < 0.1: series branch
+            (1e3, 4.0, 2.0, 11.0),
+        ],
+    )
+    def test_closed_form_matches_quadrature(self, lam_ratio, omega, ell, xi):
+        k = greens.WaveNumbers.from_material(1.0, 1.0, lam_ratio, omega)
+        xi = {"k_s": k.k_s, "k_p": k.k_p}.get(xi, xi)
+        ref = quad_multiplier_entry(k, ell, xi)
+        val = greens.fourier_multiplier_entry(k, ell, xi)
+        assert abs(val - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "k, xi",
+        [
+            (greens.WaveNumbers.from_material(1.0, 1.0, 1.0, 2.0), 0.0),
+            (greens.WaveNumbers(k_s=1.5, k_p=1.5, omega=1.5), 1.5),
+        ],
+    )
+    def test_vanishing_entries_match_quadrature(self, k, xi):
+        # xi = 0 (an exact derivative) and k_s = k_p (no kernel difference)
+        assert abs(quad_multiplier_entry(k, 1.0, xi)) < 1e-12
+        assert greens.fourier_multiplier_entry(k, 1.0, xi) == 0.0
+
+    def test_vectorised_entries_match_scalar_calls(self):
+        k = greens.WaveNumbers.from_material(1.0, 1.0, 3.0, 2.0)
+        xi = np.linspace(0.0, 40.0, 17)
+        vals = greens.fourier_multiplier_entry(k, 1.0, xi)
+        assert vals.shape == xi.shape
+        scale = np.abs(vals).max()
+        for x, v in zip(xi, vals):
+            # array and scalar exp may round differently in the last bit
+            assert abs(greens.fourier_multiplier_entry(k, 1.0, float(x)) - v) <= 1e-14 * scale
