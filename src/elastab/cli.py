@@ -21,6 +21,7 @@ result files themselves are byte-deterministic under a fixed seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -291,26 +292,20 @@ def _run_greens(args) -> int:
 # ---------------------------------------------------------------------------
 
 def sweep_config_from(cfg: dict, seed: int) -> fem.SweepConfig:
+    """The sweep configuration of a document; ConfigError unless every value
+    is finite and in range."""
     try:
         geo = cfg.get("geometry", {})
         mat = cfg.get("material", {})
         robin = cfg.get("robin", {"choice": "shear"})
-        kappas = cfg.get("kappa_s")
-        if kappas is None:
-            mu = float(mat.get("mu", 1.0))
-            rho = float(mat.get("rho", 1.0))
-            ell = float(geo.get("ell", 1.0))
-            theta = math.sqrt(mu / rho)
-            kappas = [float(w) * ell / theta for w in cfg["omega"]]
-        choice = robin.get("choice", "custom")
-        return fem.SweepConfig(
+        sweep_cfg = fem.SweepConfig(
             r_in=float(geo.get("r_in", 0.5)),
             ell=float(geo.get("ell", 1.0)),
             rho=float(mat.get("rho", 1.0)),
             mu=float(mat.get("mu", 1.0)),
             lambda_over_mu=tuple(float(r) for r in cfg.get("lambda_over_mu", [1.0])),
-            kappa_s=tuple(float(k) for k in kappas),
-            robin_choice=choice,
+            kappa_s=(),
+            robin_choice=robin.get("choice", "custom"),
             alpha_t=float(robin.get("alpha_t", 1.0)),
             alpha_n=float(robin.get("alpha_n", 1.0)),
             order=int(cfg.get("order", 2)),
@@ -318,8 +313,16 @@ def sweep_config_from(cfg: dict, seed: int) -> fem.SweepConfig:
             seed=seed,
             force=bool(cfg.get("force", False)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        kappas = cfg.get("kappa_s")
+        if kappas is None:
+            sweep_cfg.validate()  # theta_s below needs rho, mu > 0
+            theta = math.sqrt(sweep_cfg.mu / sweep_cfg.rho)
+            kappas = [float(w) * sweep_cfg.ell / theta for w in cfg["omega"]]
+        sweep_cfg = dataclasses.replace(sweep_cfg, kappa_s=tuple(float(k) for k in kappas))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"fem-sweep configuration invalid: {exc}") from exc
+    sweep_cfg.validate()
+    return sweep_cfg
 
 
 _SWEEP_HEADER = [
@@ -358,6 +361,16 @@ def _run_fem_sweep(args) -> int:
         "rows": len(rows),
         "max_dofs": max((r.n_dofs for r in rows), default=0),
     }
+    # solver diagnostics live here so the result files stay byte-deterministic
+    manifest.data["estimates"] = [
+        {
+            "kappa_s": r.kappa_s,
+            "lambda_over_mu": r.lambda_over_mu,
+            "lanczos_steps": r.lanczos_steps,
+            "ritz_residual": r.ritz_residual,
+        }
+        for r in rows
+    ]
     manifest.record_output(out)
     manifest.write(out_dir)
     violated = any(

@@ -42,7 +42,7 @@ class SolverError(ElastabError):
 
 
 class IterationError(ElastabError):
-    """Power iteration did not converge within the allotted iterations."""
+    """An iterative estimate was not certified within the allotted steps."""
 
     def __init__(self, message, last_iterates=None):
         super().__init__(message)

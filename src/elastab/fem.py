@@ -10,8 +10,11 @@ circle.  Solving S u = M f realizes the weak problem with load (rho f, v).
 Dirichlet conditions on the inner circle are imposed by elimination.
 
 The module also measures the empirical stability constant
-omega^2 * sup ||u||_rho / ||f||_rho by power iteration on the rho-weighted
-normal operator of the discrete solution map.
+omega^2 * sup ||u||_rho / ||f||_rho: Lanczos in the rho-weighted (mass)
+inner product on the normal operator of the discrete solution map, stopped
+on a Ritz-residual certificate.  ``solve`` and ``empirical_constant`` share
+one factorization helper, a symmetric-pattern ordering with
+diagonal-preferring pivoting.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from .bounds import bound_obstacle_ideal, bound_obstacle_realistic
 from .core import MaterialField, RobinSpec
-from .errors import IterationError, MeshError, SolverError
+from .errors import ConfigError, IterationError, MeshError, SolverError
 from .mesh import DIRICHLET, DISSIPATIVE, Mesh, build_annulus_mesh
 
 __all__ = [
@@ -40,6 +44,7 @@ __all__ = [
     "evaluate_boundary",
     "discrete_quantities",
     "empirical_constant",
+    "ConstantEstimate",
     "SweepConfig",
     "SweepRow",
     "resolution_mesh",
@@ -186,11 +191,12 @@ def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float
 
     # stiffness: mu (dN_a[c2] dN_b[c1] + delta_{c1 c2} gradN_a.gradN_b)
     #            + lam dN_a[c1] dN_b[c2]
-    gdot = np.einsum("cq,cqaj,cqbj->cab", wdet * mu_q, dnx, dnx)
-    cross = np.einsum("cq,cqai,cqbj->cabij", wdet * mu_q, dnx, dnx)  # dN_a[i] dN_b[j]
-    dil = np.einsum("cq,cqai,cqbj->cabij", wdet * lam_q, dnx, dnx)
+    gdot = np.einsum("cq,cqaj,cqbj->cab", wdet * mu_q, dnx, dnx, optimize=True)
+    # dN_a[i] dN_b[j]
+    cross = np.einsum("cq,cqai,cqbj->cabij", wdet * mu_q, dnx, dnx, optimize=True)
+    dil = np.einsum("cq,cqai,cqbj->cabij", wdet * lam_q, dnx, dnx, optimize=True)
     ke = np.zeros((nc, 2 * na, 2 * na))
-    mass_n = np.einsum("cq,qa,qb->cab", wdet * rho_q, n, n)
+    mass_n = np.einsum("cq,qa,qb->cab", wdet * rho_q, n, n, optimize=True)
     me = np.zeros((nc, 2 * na, 2 * na))
     for c1 in range(2):
         for c2 in range(2):
@@ -287,6 +293,33 @@ def _flat(field: np.ndarray) -> np.ndarray:
     return field.reshape(-1) if field.ndim > 1 else field
 
 
+def _factor(s_ff: sp.csc_matrix):
+    """Sparse LU of the free-row system block.
+
+    S is complex symmetric, so the fill-reducing ordering is taken on the
+    pattern of S + S^T with diagonal-preferring pivoting: without the relaxed
+    threshold, partial pivoting at large lambda/mu leaves the ordering's
+    diagonal and the fill explodes.  Callers check the residual of what they
+    solve.  Factored through the module attribute ``spla``."""
+    try:
+        return spla.splu(
+            s_ff,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.1,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+        raise SolverError(f"system matrix is singular: {exc}") from exc
+
+
+def _check_residual(s_ff, u_f, rhs_f) -> float:
+    """Relative residual of S_ff u_f = rhs_f; raises above the contract."""
+    residual = float(np.linalg.norm(s_ff @ u_f - rhs_f) / np.linalg.norm(rhs_f))
+    if not residual <= _RESIDUAL_TOL:
+        raise SolverError(f"solve residual {residual:g} above {_RESIDUAL_TOL:g}", residual=residual)
+    return residual
+
+
 def solve(
     system: AssembledSystem,
     f,
@@ -297,8 +330,8 @@ def solve(
 
     f is a nodal field (Nn, 2); extra_load is an already-assembled dual
     vector (surface data for manufactured solutions).  Direct sparse
-    factorization with an ILU-preconditioned GMRES fallback; either path
-    must reach relative residual 1e-8 on the free rows or raises.
+    factorization; the solve must reach relative residual 1e-8 on the free
+    rows, and a singular system or a missed residual raises SolverError.
     """
     s = system.system_matrix()
     rhs = system.mass @ _flat(np.asarray(f, dtype=complex))
@@ -312,21 +345,10 @@ def solve(
     free = system.free
     s_ff = s[free][:, free].tocsc()
     rhs_f = rhs[free] - s[free][:, system.dirichlet_dofs] @ u[system.dirichlet_dofs]
-    scale = np.linalg.norm(rhs_f)
-    if scale == 0.0:
+    if not np.any(rhs_f):
         return SolveResult(u=u.reshape(-1, 2), residual_norm=0.0, omega=system.omega)
-    try:
-        u_f = spla.splu(s_ff).solve(rhs_f)
-    except RuntimeError:
-        ilu = spla.spilu(s_ff, drop_tol=1e-6, fill_factor=20)
-        prec = spla.LinearOperator(s_ff.shape, ilu.solve)
-        u_f, info = spla.gmres(s_ff, rhs_f, rtol=1e-12, atol=0.0, M=prec, maxiter=2000)
-        if info != 0:
-            res = np.linalg.norm(s_ff @ u_f - rhs_f) / scale
-            raise SolverError(f"iterative fallback stalled at residual {res:g}", residual=res)
-    residual = float(np.linalg.norm(s_ff @ u_f - rhs_f) / scale)
-    if residual > _RESIDUAL_TOL:
-        raise SolverError(f"solve residual {residual:g} above {_RESIDUAL_TOL:g}", residual=residual)
+    u_f = _factor(s_ff).solve(rhs_f)
+    residual = _check_residual(s_ff, u_f, rhs_f)
     u[free] = u_f
     return SolveResult(u=u.reshape(-1, 2), residual_norm=residual, omega=system.omega)
 
@@ -430,6 +452,21 @@ def discrete_quantities(system: AssembledSystem, u, f) -> dict:
 # Empirical stability constant
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ConstantEstimate:
+    """A certified empirical constant.
+
+    ``ritz_residual`` is the M-norm residual of the top Ritz pair relative
+    to its Ritz value theta: some eigenvalue of the normal operator lies
+    within ``ritz_residual * theta`` of theta.  ``history`` holds
+    omega^2 sqrt(theta) after each Lanczos step (nondecreasing)."""
+
+    c_emp: float
+    steps: int
+    ritz_residual: float
+    history: tuple
+
+
 def empirical_constant(
     mesh: Mesh,
     material: MaterialField,
@@ -437,43 +474,70 @@ def empirical_constant(
     omega: float,
     iters: int = 400,
     seed: int = 0,
-    tol: float = 1e-6,
+    tol: float = 1e-8,
     return_history: bool = False,
+    full_output: bool = False,
 ):
     """omega^2 times the largest singular value of the discrete solution map
-    f -> u in rho-weighted norms, by power iteration on the normal operator
-    T* T (adjoint through the conjugate-transpose factorization).
+    f -> u = S^-1 M f in rho-weighted norms.
 
-    The Rayleigh-quotient estimates are nondecreasing; iteration stops when
-    successive values differ by less than ``tol`` relatively.
+    Lanczos in the M inner product on the M-self-adjoint normal operator
+    S^-H M S^-1 M, with full M-reorthogonalisation; each step makes one
+    forward and one adjoint solve with a single factorization of S.  The
+    iteration stops once the top Ritz pair (theta, y) of the tridiagonal
+    T_k is certified, beta_k |y_k| <= ``tol`` * theta, and returns
+    omega^2 sqrt(theta).  The Ritz values never decrease with k.  The first
+    forward solve is held to the same residual contract as ``solve``.
+
+    Returns the constant, ``(constant, history)`` with ``return_history``,
+    or a ``ConstantEstimate`` with ``full_output``.  Raises
+    ``IterationError`` when ``iters`` steps certify nothing.
     """
     system = assemble(mesh, material, robin, omega)
     free = system.free
     s_ff = system.system_matrix()[free][:, free].tocsc()
-    m_ff = system.mass[free][:, free].tocsr()
-    lu = spla.splu(s_ff)
+    m_ff = system.mass[free][:, free].astype(complex).tocsr()
+    lu = _factor(s_ff)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=free.size) + 1j * rng.normal(size=free.size)
 
-    def m_norm(z):
-        return math.sqrt(max(float(np.real(z.conj() @ (m_ff @ z))), 0.0))
+    def m_norm(z, mz):
+        return math.sqrt(max(float(np.real(np.vdot(z, mz))), 0.0))
 
-    v /= m_norm(v)
-    history = []
-    prev = None
-    for _ in range(iters):
-        w = lu.solve(m_ff @ v)
-        sigma = m_norm(w)
-        history.append(omega**2 * sigma)
-        if prev is not None and abs(sigma - prev) <= tol * abs(sigma):
-            if return_history:
-                return omega**2 * sigma, history
-            return omega**2 * sigma
-        prev = sigma
-        z = lu.solve(m_ff @ w, trans="H")
-        v = z / m_norm(z)
+    steps = min(iters, free.size)
+    basis = np.empty((steps, free.size), dtype=complex)  # rows: M-orthonormal v_j
+    alphas, betas, history = [], [], []
+    mv = m_ff @ v
+    scale = m_norm(v, mv)
+    v, mv = v / scale, mv / scale
+    for k in range(steps):
+        basis[k] = v
+        u = lu.solve(mv)
+        if k == 0:
+            _check_residual(s_ff, u, mv)
+        mu = m_ff @ u
+        alphas.append(float(np.real(np.vdot(u, mu))))  # ||S^-1 M v_k||_M^2
+        w = lu.solve(mu, trans="H")
+        for _ in range(2):  # full M-reorthogonalisation, twice is enough
+            coeffs = (basis[: k + 1] @ (m_ff @ w).conj()).conj()  # <v_j, w>_M
+            w -= basis[: k + 1].T @ coeffs
+        mw = m_ff @ w
+        beta = m_norm(w, mw)
+        theta, y = eigh_tridiagonal(
+            np.array(alphas), np.array(betas), select="i", select_range=(k, k)
+        )
+        theta = float(theta[0])
+        history.append(omega**2 * math.sqrt(theta))
+        residual = beta * abs(float(y[-1, 0]))
+        if residual <= tol * theta:
+            est = ConstantEstimate(history[-1], k + 1, residual / theta, tuple(history))
+            if full_output:
+                return est
+            return (est.c_emp, history) if return_history else est.c_emp
+        betas.append(beta)
+        v, mv = w / beta, mw / beta
     raise IterationError(
-        f"power iteration did not converge in {iters} iterations",
+        f"Lanczos estimate not certified in {steps} steps",
         last_iterates=tuple(history[-2:]),
     )
 
@@ -512,6 +576,29 @@ class SweepConfig:
             return RobinSpec.from_alpha(self.alpha_t, self.alpha_n, material)
         raise ValueError(f"unknown robin choice {self.robin_choice!r}")
 
+    def validate(self) -> None:
+        """Raise ConfigError unless every value is finite and in range."""
+        positive = {
+            "ell": self.ell, "rho": self.rho, "mu": self.mu,
+            "points_per_wavelength": self.points_per_wavelength,
+            "resolution_margin": self.resolution_margin,
+        }
+        if self.robin_choice == "custom":
+            positive.update(alpha_t=self.alpha_t, alpha_n=self.alpha_n)
+        positive.update({f"kappa_s[{i}]": k for i, k in enumerate(self.kappa_s)})
+        for name, value in positive.items():
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+        for i, ratio in enumerate(self.lambda_over_mu):
+            if not (math.isfinite(ratio) and ratio >= 0.0):
+                raise ConfigError(f"lambda_over_mu[{i}] must be finite and >= 0, got {ratio!r}")
+        if not (math.isfinite(self.r_in) and 0.0 < self.r_in < self.ell):
+            raise ConfigError(f"need 0 < r_in < ell, got r_in={self.r_in!r}, ell={self.ell!r}")
+        if self.order not in (1, 2):
+            raise ConfigError(f"order must be 1 or 2, got {self.order!r}")
+        if self.robin_choice not in ("shear", "pressure", "custom"):
+            raise ConfigError(f"unknown robin choice {self.robin_choice!r}")
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -529,6 +616,8 @@ class SweepRow:
     n_dofs: int
     refused: bool
     error: str | None = None
+    lanczos_steps: int | None = None
+    ritz_residual: float | None = None  # relative to the top Ritz value
 
     def applicable_bound(self, robin_choice: str) -> float:
         return self.bound_ideal_full if robin_choice == "shear" else self.bound_realistic
@@ -576,20 +665,40 @@ def _sweep_row(cfg: SweepConfig, kappa: float, lam_ratio: float) -> SweepRow:
         return SweepRow(c_emp=None, slack=None, error="resolution policy violated", **base)
     robin = cfg.robin(material)
     try:
-        c_emp = empirical_constant(mesh, material, robin, omega, seed=cfg.seed)
+        est = empirical_constant(mesh, material, robin, omega, seed=cfg.seed, full_output=True)
     except (SolverError, IterationError) as exc:
         return SweepRow(c_emp=None, slack=None, error=str(exc), **base)
     bound = ideal.full if cfg.robin_choice == "shear" else realistic
-    return SweepRow(c_emp=c_emp, slack=bound - c_emp, error=None, **base)
+    return SweepRow(
+        c_emp=est.c_emp,
+        slack=bound - est.c_emp,
+        error=None,
+        lanczos_steps=est.steps,
+        ritz_residual=est.ritz_residual,
+        **base,
+    )
+
+
+def _thread_count() -> int:
+    raw = os.environ.get("ELASTAB_THREADS") or "1"
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"ELASTAB_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 def sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One row per (kappa_s, lambda/mu) pair; rows violating the resolution
     policy are refused (not solved) unless forced.  Row errors are recorded
     and the sweep continues.  ELASTAB_THREADS > 1 runs rows in parallel;
-    results keep the input order either way."""
+    results keep the input order either way.  An invalid configuration or
+    thread count raises ConfigError before any row is solved."""
+    cfg.validate()
+    threads = _thread_count()
     tasks = [(k, lr) for k in cfg.kappa_s for lr in cfg.lambda_over_mu]
-    threads = int(os.environ.get("ELASTAB_THREADS", "1"))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda t: _sweep_row(cfg, *t), tasks))

@@ -215,6 +215,52 @@ class TestFemSweepCommand:
         first = dict(zip(header, csv_lines[1].split(",")))
         assert float(first["c_emp"]) == pytest.approx(rows[0]["c_emp"])
         assert int(first["n_dofs"]) == rows[0]["n_dofs"]
+        assert set(rows[0]) == set(header)
+
+    def test_manifest_records_certificates(self, tmp_path):
+        cfg = tmp_path / "sweep.txt"
+        cfg.write_text(SWEEP_CFG_TEXT)
+        out = tmp_path / "s"
+        assert main(["fem-sweep", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        header = (out / "fem_sweep.csv").read_text().splitlines()[0].split(",")
+        assert "lanczos_steps" not in header and "ritz_residual" not in header
+        [est] = json.loads((out / "manifest.json").read_text())["estimates"]
+        assert est["kappa_s"] == 1.0 and est["lanczos_steps"] >= 1
+        assert 0.0 <= est["ritz_residual"] <= 1e-8
+
+    @pytest.mark.parametrize(
+        "line,env",
+        [
+            ("kappa_s = [-2]", None),
+            ("kappa_s = [NaN]", None),
+            ("order = 3", None),
+            ("material.mu = 0", None),
+            ("lambda_over_mu = [-5]", None),
+            ("geometry.r_in = 1.5", None),
+            ("geometry = 5", None),
+            ("order = 2", "two"),
+            ("order = 2", "0"),
+        ],
+        ids=["kappa-negative", "kappa-nan", "order-3", "mu-zero", "lambda-negative",
+             "r_in-outside", "geometry-scalar", "threads-word", "threads-zero"],
+    )
+    def test_invalid_input_exits_2_without_output(self, line, env, tmp_path, capsys, monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("ELASTAB_THREADS", env)
+        cfg = tmp_path / "sweep.txt"
+        cfg.write_text(SWEEP_CFG_TEXT + line + "\n")
+        out = tmp_path / "s"
+        assert main(["fem-sweep", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+
+    def test_omega_list_with_zero_mu_exits_2(self, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"material": {"mu": 0.0}, "omega": [1.0]}))
+        out = tmp_path / "s"
+        assert main(["fem-sweep", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestIdentityCheckCommand:

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
+import scipy.sparse as sp
 
 from elastab import core, fem, fields
-from elastab.errors import MeshError
+from elastab.errors import IterationError, MeshError, SolverError
 from elastab.mesh import DIRICHLET, DISSIPATIVE, build_annulus_mesh
 
 
@@ -133,6 +136,14 @@ class TestSolve:
             res = fem.solve(s, f)
             assert res.residual_norm <= 1e-8
 
+    def test_singular_system_raises(self, material, robin):
+        m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
+        s = fem.assemble(m, material, robin, omega=2.0)
+        zero = sp.csr_matrix((s.n_dofs, s.n_dofs))
+        singular = dataclasses.replace(s, stiffness=zero, mass=zero, robin_matrix=zero)
+        with pytest.raises(SolverError, match="singular"):
+            fem.solve(singular, np.zeros((m.n_nodes, 2)), extra_load=np.ones(s.n_dofs))
+
     @pytest.mark.parametrize("order,min_rate", [(1, 1.7), (2, 2.7)])
     def test_manufactured_convergence(self, order, min_rate):
         rho, mu, lam, omega = 1.0, 1.0, 2.0, 2.0
@@ -184,6 +195,50 @@ class TestEmpiricalConstant:
         c2 = fem.empirical_constant(m, material, robin, omega=2.0, seed=12345)
         assert abs(c1 - c2) / c1 < 1e-4
 
+    @pytest.mark.parametrize("lam_ratio", [1.0, 1e4])
+    def test_matches_dense_svd(self, lam_ratio):
+        # omega^2 sigma_max of L^T S^-1 L with M = L L^T is the exact constant
+        material = core.MaterialField.constant(1.0, 1.0, lam_ratio)
+        robin = core.RobinSpec.shear_matched(material)
+        m = build_annulus_mesh(0.5, 1.0, 3, 24)
+        s = fem.assemble(m, material, robin, omega=2.0)
+        s_ff = s.system_matrix()[s.free][:, s.free].toarray()
+        chol = la.cholesky(s.mass[s.free][:, s.free].toarray(), lower=True)
+        exact = 4.0 * la.svdvals(chol.T @ la.solve(s_ff, chol))[0]
+        est = fem.empirical_constant(m, material, robin, omega=2.0, full_output=True)
+        assert est.c_emp == pytest.approx(exact, rel=1e-9)
+        assert est.ritz_residual <= 1e-8
+        assert est.steps == len(est.history) and est.history[-1] == est.c_emp
+
+    def test_factor_fill_uniform_in_lambda(self):
+        # diagonal-preferring pivoting keeps the symmetric ordering's fill;
+        # plain partial pivoting grows it ~7x at lambda/mu = 1e4
+        cfg = fem.SweepConfig(kappa_s=(8.0,))
+        m = fem.resolution_mesh(cfg, 8.0)
+        nnz = []
+        for lam_ratio in (1.0, 1e4):
+            material = cfg.material(lam_ratio)
+            s = fem.assemble(m, material, cfg.robin(material), omega=8.0)
+            lu = fem._factor(s.system_matrix()[s.free][:, s.free].tocsc())
+            nnz.append(lu.L.nnz + lu.U.nnz)
+        assert nnz[1] <= 1.25 * nnz[0]
+
+    def test_inaccurate_factor_raises(self, material, robin, monkeypatch):
+        # a factorization that misses the residual contract never yields c_emp
+        exact_factor = fem._factor
+        monkeypatch.setattr(fem, "_factor", lambda s_ff: exact_factor(1.001 * s_ff))
+        m = build_annulus_mesh(0.5, 1.0, 3, 24, order=2)
+        with pytest.raises(SolverError, match="residual"):
+            fem.empirical_constant(m, material, robin, omega=2.0)
+        row = fem.sweep(fem.SweepConfig(kappa_s=(1.0,)))[0]
+        assert row.c_emp is None and "residual" in row.error
+
+    def test_step_cap_raises(self, material, robin):
+        m = build_annulus_mesh(0.5, 1.0, 3, 24, order=2)
+        with pytest.raises(IterationError) as info:
+            fem.empirical_constant(m, material, robin, omega=2.0, iters=2)
+        assert len(info.value.last_iterates) == 2
+
     def test_below_closed_form_bound_at_kappa_2(self, material, robin):
         from elastab.bounds import bound_obstacle_ideal
 
@@ -211,6 +266,7 @@ class TestSweep:
         direct = fem.empirical_constant(m, material, robin, omega=1.0, seed=3)
         assert r.c_emp == pytest.approx(direct, rel=1e-9)
         assert r.kappa_s == 1.0 and not r.refused
+        assert r.lanczos_steps >= 1 and 0.0 <= r.ritz_residual <= 1e-8
 
     def test_omega_doubling_ratio_recorded(self):
         cfg = fem.SweepConfig(kappa_s=(1.0, 2.0, 4.0), lambda_over_mu=(1.0,))
