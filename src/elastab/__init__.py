@@ -11,8 +11,9 @@ Four capabilities, one per subpackage concern:
   annulus with an absorbing outer boundary (``elastab.fem``);
 * numerical audits of every integration-by-parts identity and inequality
   the stability proofs rest on (``elastab.identities``).
+
+Importing the package loads none of them; import the one you use
+(``from elastab import fem``).  Only ``fem`` and ``identities`` need scipy.
 """
 
 __version__ = "0.1.0"
-
-from . import bounds, core, errors, fem, fields, greens, identities, mesh, quadrature  # noqa: F401

@@ -50,8 +50,8 @@ class GenericConstants:
     def __post_init__(self):
         for name in ("c_reg", "c_ell", "korn_k", "korn_k0", "c_general"):
             v = getattr(self, name)
-            if v is not None and v < 1.0:
-                raise ValueError(f"{name} must be >= 1 when supplied, got {v}")
+            if v is not None and not (math.isfinite(v) and v >= 1.0):
+                raise ValueError(f"{name} must be finite and >= 1 when supplied, got {v}")
 
 
 @dataclass(frozen=True)

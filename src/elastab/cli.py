@@ -11,11 +11,17 @@ Four subcommands:
     identity-check  numerical audit suites for the integration-by-parts
                     identities and inequalities (JSON report)
 
-Exit codes: 0 full pass, 1 any bound/identity violation, 2 usage or
-configuration error (in which case no output file is written).  Every run
-writes a ``manifest.json`` next to its outputs with the tool version, the
+Exit codes: 0 full pass, 1 any bound/identity violation or a result that
+overflows (non-finite values are never written), 2 usage or configuration
+error (in which case no output file is written).  Every run writes a
+``manifest.json`` next to its outputs with the tool version, the
 configuration echo, the seed, per-stage wall-clock, and output digests;
 result files themselves are byte-deterministic under a fixed seed.
+
+``bounds`` and ``greens-verify`` need numpy only.  ``fem`` and
+``identities``, which load scipy, are imported on the ``fem-sweep`` and
+``identity-check`` paths, and every call resolves through the module
+attribute.
 """
 
 from __future__ import annotations
@@ -31,8 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bounds as bnd, core, fem, fields, greens
-from . import identities as idn
+from . import __version__, bounds as bnd, core, fields, greens
 from .config import load_config
 from .errors import ConfigError, ElastabError
 from .mesh import build_annulus_mesh
@@ -69,6 +74,7 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """Write the table; a non-finite value is an error and writes nothing."""
     lines = [",".join(header)]
     for row in rows:
         cells = []
@@ -81,8 +87,10 @@ def _write_csv(path: Path, header, rows) -> None:
                 cells.append(v)
             elif isinstance(v, (int, np.integer)):
                 cells.append(str(int(v)))
-            else:
+            elif math.isfinite(v):
                 cells.append(_fmt(v))
+            else:
+                raise ElastabError(f"{path.name} not written: non-finite value {v!r}")
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
 
@@ -147,9 +155,10 @@ def _robin_for(cfg_robin: dict, material: core.MaterialField) -> core.RobinSpec:
         raise ConfigError(f"robin specification needs {exc} (or a 'choice')") from exc
 
 
-def bounds_table(cfg: dict):
-    """(header, rows) of every applicable closed-form bound, one row per
-    (omega, lambda/mu) pair."""
+def _bounds_inputs(cfg: dict):
+    """(domain, multiplier, constants, [(omega, ratio, material, robin)]) of
+    a ``bounds`` document; ConfigError unless every value is finite and in
+    range and every domain object can be built from it."""
     try:
         mat_cfg = cfg["material"]
         dom_cfg = cfg.get("domain", {})
@@ -157,49 +166,69 @@ def bounds_table(cfg: dict):
         mu = float(mat_cfg["mu"])
         omegas = [float(w) for w in cfg["omega"]]
         ratios = [float(r) for r in cfg.get("lambda_over_mu", [1.0])]
-    except (KeyError, TypeError, ValueError) as exc:
+        d = int(dom_cfg.get("d", 3))
+        ell = float(dom_cfg.get("ell", 1.0))
+        shape = dom_cfg.get("shape", "ball")
+        r_in = dom_cfg.get("r_in")
+        c_general = cfg.get("constants", {}).get("c_general")
+        robin_cfg = cfg.get("robin", {"choice": "shear"})
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bounds configuration invalid: {exc}") from exc
-    d = int(dom_cfg.get("d", 3))
-    ell = float(dom_cfg.get("ell", 1.0))
-    shape = dom_cfg.get("shape", "ball")
-    r_in = dom_cfg.get("r_in")
-    domain = core.DomainSpec(d=d, ell=ell, shape=shape, r_in=r_in)
-    mult = core.multiplier_for(domain)
-    constants = bnd.GenericConstants(c_general=cfg.get("constants", {}).get("c_general"))
+    if not (math.isfinite(rho) and rho > 0.0 and math.isfinite(mu) and mu > 0.0):
+        raise ConfigError(f"material rho and mu must be finite and positive, got {rho!r}, {mu!r}")
+    for name, values in (("omega", omegas), ("lambda_over_mu", ratios)):
+        for i, value in enumerate(values):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name}[{i}] must be finite and >= 0, got {value!r}")
+    try:
+        domain = core.DomainSpec(d=d, ell=ell, shape=shape, r_in=r_in)
+        mult = core.multiplier_for(domain)
+        constants = bnd.GenericConstants(c_general=c_general)
+        cases = []
+        for omega in omegas:
+            for ratio in ratios:
+                material = core.MaterialField.constant(rho, mu, ratio * mu)
+                cases.append((omega, ratio, material, _robin_for(robin_cfg, material)))
+    except (AttributeError, TypeError, ValueError, ElastabError) as exc:
+        raise ConfigError(f"bounds configuration invalid: {exc}") from exc
+    return domain, mult, constants, cases
+
+
+def bounds_table(cfg: dict):
+    """(header, rows) of every applicable closed-form bound, one row per
+    (omega, lambda/mu) pair; ConfigError for an invalid document."""
+    domain, mult, constants, cases = _bounds_inputs(cfg)
+    d = domain.d
     header = [
         "omega", "kappa_s", "lambda_over_mu",
         "simple_robin", "obstacle_ideal_full", "obstacle_ideal_simplified",
         "obstacle_realistic", "general_robin", "general_robin_symbolic", "fundamental",
     ]
     rows = []
-    for omega in omegas:
-        for ratio in ratios:
-            material = core.MaterialField.constant(rho, mu, ratio * mu)
-            robin = _robin_for(cfg.get("robin", {"choice": "shear"}), material)
-            groups = core.derive_groups(material, domain, robin, omega, mult)
-            simple = bnd.stability_simple_robin(groups, mult, d)
-            ideal = bnd.bound_obstacle_ideal(groups.kappa_s, d)
-            realistic = bnd.bound_obstacle_realistic(groups.kappa_s, ratio)
-            general = bnd.bound_general_robin(groups.kappa_s, constants)
-            rows.append(
-                [
-                    omega, groups.kappa_s, ratio,
-                    simple.bound_value, ideal.full, ideal.simplified,
-                    realistic, general.bound_value, general.symbolic,
-                    bnd.bound_fundamental(groups.kappa_s),
-                ]
-            )
+    for omega, ratio, material, robin in cases:
+        groups = core.derive_groups(material, domain, robin, omega, mult)
+        simple = bnd.stability_simple_robin(groups, mult, d)
+        ideal = bnd.bound_obstacle_ideal(groups.kappa_s, d)
+        realistic = bnd.bound_obstacle_realistic(groups.kappa_s, ratio)
+        general = bnd.bound_general_robin(groups.kappa_s, constants)
+        rows.append(
+            [
+                omega, groups.kappa_s, ratio,
+                simple.bound_value, ideal.full, ideal.simplified,
+                realistic, general.bound_value, general.symbolic,
+                bnd.bound_fundamental(groups.kappa_s),
+            ]
+        )
     return header, rows
 
 
 def _run_bounds(args) -> int:
     cfg = load_config(args.config)
-    header, rows = bounds_table(cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest("bounds", cfg, args.seed)
     with manifest.stage("evaluate"):
-        pass  # rows already evaluated during validation
+        header, rows = bounds_table(cfg)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
         out = out_dir / "bounds.json"
         _write_json(out, [dict(zip(header, row)) for row in rows])
@@ -294,6 +323,8 @@ def _run_greens(args) -> int:
 def sweep_config_from(cfg: dict, seed: int) -> fem.SweepConfig:
     """The sweep configuration of a document; ConfigError unless every value
     is finite and in range."""
+    from . import fem
+
     try:
         geo = cfg.get("geometry", {})
         mat = cfg.get("material", {})
@@ -334,6 +365,8 @@ _SWEEP_HEADER = [
 
 
 def _run_fem_sweep(args) -> int:
+    from . import fem
+
     cfg = load_config(args.config)
     sweep_cfg = sweep_config_from(cfg, args.seed)
     out_dir = Path(args.out_dir)
@@ -385,6 +418,8 @@ def _run_fem_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _probe_solves(seed: int, count: int, kappa: float = 2.0, n_theta: int = 32):
+    from . import fem
+
     material = core.MaterialField.constant(1.0, 1.0, 1.0)
     robin = core.RobinSpec.shear_matched(material)
     mesh = build_annulus_mesh(0.5, 1.0, 4, n_theta, order=2)
@@ -398,6 +433,8 @@ def _probe_solves(seed: int, count: int, kappa: float = 2.0, n_theta: int = 32):
 
 
 def _suite_garding(seed: int):
+    from . import identities as idn
+
     reports = []
     for result, system, f in _probe_solves(seed, 10):
         reports.extend(idn.garding_audit(result, system, f))
@@ -411,6 +448,8 @@ _VANISH_INNER = [((2, 0), 1.0), ((0, 2), 1.0), ((0, 0), -0.25)]  # r^2 - r_in^2
 
 
 def _suite_rellich(seed: int):
+    from . import identities as idn
+
     mat2 = core.MaterialField.constant(1.0, 1.5, 2.0)
     reports = []
     for k in range(3):
@@ -433,6 +472,8 @@ def _rho_radial():
 
 
 def _suite_mass(seed: int):
+    from . import identities as idn
+
     mat = _rho_radial()
     reports = [
         idn.mass_identity_audit(fields.constant_field([1.0, 2.0]), _DISK, mat, tol=1e-8),
@@ -445,6 +486,8 @@ def _suite_mass(seed: int):
 
 
 def _suite_morawetz(seed: int):
+    from . import fem, identities as idn
+
     mat = core.MaterialField.constant(1.0, 1.5, 2.0)
     reports = []
     for k in range(3):
@@ -469,6 +512,8 @@ def _suite_morawetz(seed: int):
 
 
 def _suite_korn(seed: int, count: int = 20):
+    from . import identities as idn
+
     mat = core.MaterialField.constant(1.0, 1.0, 1.0)
     robin = core.RobinSpec.from_alpha(1.0, 2.0, mat)
     groups = core.derive_groups(mat, _DISK, robin, omega=2.0)
@@ -488,6 +533,8 @@ def _suite_korn(seed: int, count: int = 20):
 
 
 def _suite_robin(seed: int):
+    from . import identities as idn
+
     mat = core.MaterialField.constant(1.0, 1.0, 1.0)
     robin = core.RobinSpec.from_alpha(1.0, 2.0, mat)
     tangential = fields.PolynomialField(2, [(0, (0, 1), -1.0), (1, (1, 0), 1.0)])
@@ -502,6 +549,8 @@ def _suite_robin(seed: int):
 
 
 def _suite_chain(seed: int):
+    from . import fem, identities as idn
+
     material = core.MaterialField.constant(1.0, 1.0, 1.0)
     robin = core.RobinSpec.shear_matched(material)
     mult = core.multiplier_for(_ANNULUS)
@@ -615,6 +664,9 @@ def main(argv=None) -> int:
         return 2
     except ElastabError as exc:
         print(f"elastab: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # in-range inputs whose float arithmetic overflows
+        print(f"elastab: numeric overflow: {exc}", file=sys.stderr)
         return 1
 
 

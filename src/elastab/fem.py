@@ -23,16 +23,18 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
+from . import mesh as _mesh
 from .bounds import bound_obstacle_ideal, bound_obstacle_realistic
 from .core import MaterialField, RobinSpec
 from .errors import ConfigError, IterationError, MeshError, SolverError
-from .mesh import DIRICHLET, DISSIPATIVE, Mesh, build_annulus_mesh
+from .mesh import DIRICHLET, DISSIPATIVE, Mesh
 
 __all__ = [
     "AssembledSystem",
@@ -179,6 +181,19 @@ class AssembledSystem:
     def system_matrix(self) -> sp.csc_matrix:
         s = self.stiffness - self.omega**2 * self.mass - 1j * self.omega * self.robin_matrix
         return s.tocsc()
+
+    @cached_property
+    def free_blocks(self) -> tuple:
+        """(S_ff, S_fd): the free rows of S against the free and the
+        Dirichlet columns."""
+        s_f = self.system_matrix()[self.free]
+        return s_f[:, self.free].tocsc(), s_f[:, self.dirichlet_dofs]
+
+    @cached_property
+    def lu(self):
+        """Sparse LU of S_ff, made on first use and shared by every later
+        solve with this system."""
+        return _factor(self.free_blocks[0])
 
 
 def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float) -> AssembledSystem:
@@ -330,10 +345,10 @@ def solve(
 
     f is a nodal field (Nn, 2); extra_load is an already-assembled dual
     vector (surface data for manufactured solutions).  Direct sparse
-    factorization; the solve must reach relative residual 1e-8 on the free
-    rows, and a singular system or a missed residual raises SolverError.
+    factorization, made once per system (``AssembledSystem.lu``); each
+    solve must reach relative residual 1e-8 on the free rows, and a singular
+    system or a missed residual raises SolverError.
     """
-    s = system.system_matrix()
     rhs = system.mass @ _flat(np.asarray(f, dtype=complex))
     if extra_load is not None:
         rhs = rhs + _flat(np.asarray(extra_load, dtype=complex))
@@ -343,11 +358,11 @@ def solve(
             system.dirichlet_dofs
         ]
     free = system.free
-    s_ff = s[free][:, free].tocsc()
-    rhs_f = rhs[free] - s[free][:, system.dirichlet_dofs] @ u[system.dirichlet_dofs]
+    s_ff, s_fd = system.free_blocks
+    rhs_f = rhs[free] - s_fd @ u[system.dirichlet_dofs]
     if not np.any(rhs_f):
         return SolveResult(u=u.reshape(-1, 2), residual_norm=0.0, omega=system.omega)
-    u_f = _factor(s_ff).solve(rhs_f)
+    u_f = system.lu.solve(rhs_f)
     residual = _check_residual(s_ff, u_f, rhs_f)
     u[free] = u_f
     return SolveResult(u=u.reshape(-1, 2), residual_norm=residual, omega=system.omega)
@@ -495,9 +510,9 @@ def empirical_constant(
     """
     system = assemble(mesh, material, robin, omega)
     free = system.free
-    s_ff = system.system_matrix()[free][:, free].tocsc()
+    s_ff, _ = system.free_blocks
     m_ff = system.mass[free][:, free].astype(complex).tocsr()
-    lu = _factor(s_ff)
+    lu = system.lu
     rng = np.random.default_rng(seed)
     v = rng.normal(size=free.size) + 1j * rng.normal(size=free.size)
 
@@ -636,7 +651,7 @@ def resolution_mesh(cfg: SweepConfig, kappa: float) -> Mesh:
     n_theta = max(cfg.n_theta_min, int(math.ceil(math.sqrt(2.0) * 2.0 * math.pi * cfg.ell / h_needed)))
     n_theta += n_theta % 2
     n_r = max(2, int(math.ceil(math.sqrt(2.0) * (cfg.ell - cfg.r_in) / h_needed)))
-    return build_annulus_mesh(cfg.r_in, cfg.ell, n_r, n_theta, cfg.order)
+    return _mesh.build_annulus_mesh(cfg.r_in, cfg.ell, n_r, n_theta, cfg.order)
 
 
 def _sweep_row(cfg: SweepConfig, kappa: float, lam_ratio: float) -> SweepRow:

@@ -320,7 +320,7 @@ def _scalar_self_integral(a: float, rho, mu, lam, omega) -> complex:
             acc += (1j * k_s) ** m / math.factorial(m) * a ** (m + 2) / (m + 2)
         return acc / theta_s**2
     z = 1j * k_s
-    return ((np.exp(z * a) * (z * a - 1.0) + 1.0) / z**2) / theta_s**2
+    return ((np.exp(z * a) * (z * a - 1.0) + 1.0) / (z * z)) / theta_s**2  # z**2 raises on overflow
 
 
 def _elastic_self_integral(a: float, rho, mu, lam, omega) -> complex:
@@ -587,9 +587,11 @@ def verify_fundamental_sweep(
     spectrum = _source_spectrum(grid, values)
     u_scalar = _apply_kernel(grid, values, spectrum, rho, mu, lam, omega, "scalar")
     u_elastic = _apply_kernel(grid, values, spectrum, rho, mu, lam, omega, "elastic")
+    # numpy's square overflows to inf, where a float's raises OverflowError
+    omega2 = np.float64(omega) ** 2
     # the split u = u_scalar + u_elastic / omega^2 is singular at omega = 0;
     # u_total enters only the ratio omega^2 ||u_total||, which vanishes there
-    u_total = u_scalar + u_elastic / omega**2 if omega > 0.0 else u_scalar
+    u_total = u_scalar + u_elastic / omega2 if omega > 0.0 else u_scalar
     w = grid.weights
 
     def _norms(v):
@@ -602,10 +604,10 @@ def verify_fundamental_sweep(
 
     norm_f = _norms(values)
     norm_f_comp = _comp_norms(values)
-    ratios = omega**2 * _norms(u_total) / norm_f
+    ratios = omega2 * _norms(u_total) / norm_f
     with np.errstate(divide="ignore", invalid="ignore"):
         scalar_ratios = np.where(
-            norm_f_comp > 0.0, omega**2 * _comp_norms(u_scalar) / norm_f_comp, 0.0
+            norm_f_comp > 0.0, omega2 * _comp_norms(u_scalar) / norm_f_comp, 0.0
         )
     elastic_ratios = _norms(u_elastic) / norm_f
     bound = 4.0 + 17.0 * kappa

@@ -88,61 +88,43 @@ def build_annulus_mesh(r_in: float, ell: float, n_r: int, n_theta: int, order: i
 
     radii = np.linspace(r_in, ell, n_r + 1)
     angles = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    n_verts = (n_r + 1) * n_theta
+    ring_of = np.arange(n_verts) // n_theta
+    ang_of = angles[np.arange(n_verts) % n_theta]
+    verts = np.stack([radii[ring_of] * np.cos(ang_of), radii[ring_of] * np.sin(ang_of)], axis=1)
 
-    def vid(i, j):
-        return i * n_theta + (j % n_theta)
-
-    verts = np.empty(((n_r + 1) * n_theta, 2))
-    ring_of = np.empty((n_r + 1) * n_theta, dtype=int)
-    ang_of = np.empty((n_r + 1) * n_theta, dtype=float)
-    for i, r in enumerate(radii):
-        for j, th in enumerate(angles):
-            verts[vid(i, j)] = (r * math.cos(th), r * math.sin(th))
-            ring_of[vid(i, j)] = i
-            ang_of[vid(i, j)] = th
-
-    cells = []
-    for i in range(n_r):
-        for j in range(n_theta):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append((a, b, c))
-            cells.append((a, c, d))
-    cells = np.array(cells, dtype=int)
+    # quad (i, j) -> cells (a, b, c) and (a, c, d), a = (i, j), b = (i+1, j),
+    # c = (i+1, j+1), d = (i, j+1), angles wrapping
+    i, j = np.meshgrid(np.arange(n_r), np.arange(n_theta), indexing="ij")
+    a, b = i * n_theta + j, (i + 1) * n_theta + j
+    c, d = (i + 1) * n_theta + (j + 1) % n_theta, i * n_theta + (j + 1) % n_theta
+    cells = np.stack([np.stack([a, b, c], axis=-1), np.stack([a, c, d], axis=-1)], axis=2).reshape(-1, 3)
 
     nodes = verts
     conn = cells
     if order == 2:
-        edge_mid: dict[tuple, int] = {}
-        mid_coords = []
-
-        def midside(p, q):
-            key = (min(p, q), max(p, q))
-            if key in edge_mid:
-                return edge_mid[key]
-            if ring_of[p] == ring_of[q]:
-                # circumferential edge: midside on the circle
-                r = radii[ring_of[p]]
-                a1, a2 = ang_of[p], ang_of[q]
-                if abs(a1 - a2) > math.pi:  # wraparound
-                    a2 += 2.0 * math.pi if a2 < a1 else -2.0 * math.pi
-                th = 0.5 * (a1 + a2)
-                xy = (r * math.cos(th), r * math.sin(th))
-            else:
-                xy = tuple(0.5 * (verts[p] + verts[q]))
-            idx = verts.shape[0] + len(mid_coords)
-            mid_coords.append(xy)
-            edge_mid[key] = idx
-            return idx
-
-        conn6 = np.empty((cells.shape[0], 6), dtype=int)
-        conn6[:, :3] = cells
-        for ci, (p, q, s) in enumerate(cells):
-            conn6[ci, 3] = midside(p, q)
-            conn6[ci, 4] = midside(q, s)
-            conn6[ci, 5] = midside(s, p)
-        nodes = np.vstack([verts, np.array(mid_coords)])
-        conn = conn6
+        # edges (0,1), (1,2), (2,0) of each cell in cell order; a midside node
+        # is numbered when its edge is first met
+        p = cells.ravel()
+        q = cells[:, [1, 2, 0]].ravel()
+        _, first, inverse = np.unique(
+            np.minimum(p, q) * n_verts + np.maximum(p, q), return_index=True, return_inverse=True
+        )
+        rank = np.empty(first.size, dtype=int)
+        by_discovery = np.argsort(first, kind="stable")
+        rank[by_discovery] = np.arange(first.size)
+        p, q = p[first[by_discovery]], q[first[by_discovery]]  # as first met
+        mid = 0.5 * (verts[p] + verts[q])
+        # circumferential edges: midside on the circle, halfway in angle
+        circ = ring_of[p] == ring_of[q]
+        a1, a2 = ang_of[p[circ]], ang_of[q[circ]]
+        wrap = np.abs(a1 - a2) > math.pi
+        a2 = np.where(wrap, a2 + np.where(a2 < a1, 2.0 * math.pi, -2.0 * math.pi), a2)
+        th = 0.5 * (a1 + a2)
+        r = radii[ring_of[p[circ]]]
+        mid[circ] = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+        nodes = np.vstack([verts, mid])
+        conn = np.hstack([cells, n_verts + rank[inverse].reshape(-1, 3)])
 
     # boundary edges: inner ring on triangle (a, c, d) local edge 2 (d -> a),
     # outer ring on triangle (a, b, c) local edge 1 (b -> c)

@@ -1,6 +1,20 @@
+import contextlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import elastab
 
 from elastab.cli import main
 from elastab.config import load_config, parse_text_config
@@ -107,6 +121,47 @@ class TestBoundsCommand:
     def test_unknown_flag_exits_2(self, bounds_cfg):
         assert main(["bounds", "--config", str(bounds_cfg), "--bogus"]) == 2
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"omega": [-1.0]},
+            {"omega": [float("nan")]},
+            {"omega": [1.0, float("inf")]},
+            {"material": {"rho": 1.0, "mu": 0}},
+            {"material": {"rho": -1.0, "mu": 1.0}},
+            {"material": {"rho": 1.0, "mu": float("inf")}},
+            {"lambda_over_mu": [-5.0]},
+            {"lambda_over_mu": [float("nan")]},
+            {"domain": {"d": 4}},
+            {"domain": {"shape": "cube"}},
+            {"domain": 5},
+            {"robin": {"choice": "custom", "alpha_t": 0.0, "alpha_n": 1.0}},
+            {"robin": {"choice": "nonsense"}},
+            {"constants": {"c_general": 0.5}},
+            {"constants": {"c_general": float("nan")}},
+        ],
+        ids=["omega-negative", "omega-nan", "omega-inf", "mu-zero", "rho-negative", "mu-inf",
+             "lambda-negative", "lambda-nan", "dimension-4", "shape-cube", "domain-scalar",
+             "alpha-zero", "robin-unknown", "c_general-below-1", "c_general-nan"],
+    )
+    def test_invalid_input_exits_2_without_output(self, change, tmp_path, capsys):
+        cfg = tmp_path / "bounds.json"
+        cfg.write_text(json.dumps({**BOUNDS_CFG, **change}))
+        out = tmp_path / "b"
+        assert main(["bounds", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+
+    def test_manifest_times_the_evaluation(self, bounds_cfg, tmp_path, monkeypatch):
+        import elastab.cli as cli
+
+        table = cli.bounds_table
+        monkeypatch.setattr(cli, "bounds_table", lambda cfg: time.sleep(0.05) or table(cfg))
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(bounds_cfg), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["stages"]["evaluate"] >= 0.05
+
 
 class TestDeterminism:
     def test_bounds_bytes_identical(self, bounds_cfg, tmp_path):
@@ -181,14 +236,16 @@ class TestGreensCommand:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_result_exits_1_without_report(self, tmp_path, capsys):
-        # finite inputs whose ratios overflow (omega^2 = 1e200 * ...)
-        out = tmp_path / "g"
-        code = main(["greens-verify", "--omega", "1e100", "--grid-n", "8", "--n-sources", "1",
-                     "--out-dir", str(out)])
-        assert code == 1
-        assert not (out / "greens_report.json").exists()
-        err = capsys.readouterr().err
-        assert "not JSON compliant" in err and "Traceback" not in err
+        # finite inputs whose ratios overflow (omega^2 = 1e200 * ...); past
+        # 1e154 omega^2 itself overflows
+        for omega in ("1e100", "1e160", "1e200"):
+            out = tmp_path / omega
+            code = main(["greens-verify", "--omega", omega, "--grid-n", "8", "--n-sources", "1",
+                         "--out-dir", str(out)])
+            assert code == 1
+            assert not (out / "greens_report.json").exists()
+            err = capsys.readouterr().err
+            assert "not JSON compliant" in err and "Traceback" not in err
 
 
 class TestFemSweepCommand:
@@ -274,3 +331,121 @@ class TestIdentityCheckCommand:
         assert main(["identity-check", "--suite", "robin", "--out-dir", str(out)]) == 0
         reports = json.loads((out / "identity_report.json").read_text())
         assert reports and all(r["passed"] for r in reports)
+
+
+class TestColdStart:
+    def test_numpy_only_subcommands_never_import_scipy(self, bounds_cfg, tmp_path):
+        # a fresh interpreter: bounds and greens-verify load no scipy module,
+        # and fem-sweep, which needs scipy, still runs after them
+        sweep_cfg = tmp_path / "sweep.txt"
+        sweep_cfg.write_text(SWEEP_CFG_TEXT)
+        code = textwrap.dedent(
+            f"""
+            import sys
+            from elastab import cli
+            assert cli.main(["greens-verify", "--omega", "1.0", "--grid-n", "8",
+                             "--n-sources", "1", "--out-dir", {str(tmp_path / "g")!r}]) == 0
+            assert cli.main(["bounds", "--config", {str(bounds_cfg)!r},
+                             "--out-dir", {str(tmp_path / "b")!r}]) == 0
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, loaded
+            assert cli.main(["fem-sweep", "--config", {str(sweep_cfg)!r},
+                             "--out-dir", {str(tmp_path / "s")!r}]) == 0
+            assert "scipy.sparse.linalg" in sys.modules
+            """
+        )
+        src = str(Path(elastab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "s" / "fem_sweep.csv").exists()
+
+
+# fuzzed inputs: mostly plausible values, plus non-finite, negative, huge,
+# tiny, wrongly typed and missing ones
+def _mostly(valid, fuzzed):
+    """``valid`` on most draws, ``fuzzed`` on the rest, so that many
+    documents are valid or break in one place (hypothesis favours small
+    integers, and 0 to 3 pick ``valid``)."""
+    return st.integers(0, 4).flatmap(lambda i: fuzzed if i == 4 else valid)
+
+
+_SCALAR = st.one_of(
+    st.floats(), st.integers(min_value=-3, max_value=5), st.text(max_size=3), st.none(), st.booleans()
+)
+_FIELD = _mostly(st.floats(min_value=0.0, max_value=10.0), _SCALAR)
+_LIST = _mostly(st.lists(_FIELD, min_size=1, max_size=3), _SCALAR)
+_BOUNDS_DOC = st.fixed_dictionaries(
+    {"material": st.fixed_dictionaries({"rho": _FIELD, "mu": _FIELD}), "omega": _LIST},
+    optional={
+        "lambda_over_mu": _LIST,
+        "domain": st.fixed_dictionaries({}, optional={
+            "d": _mostly(st.sampled_from([2, 3]), _SCALAR), "ell": _FIELD,
+            "shape": st.sampled_from(["ball", "annulus", "cube"]), "r_in": _FIELD,
+        }),
+        "robin": st.fixed_dictionaries({}, optional={
+            "choice": st.sampled_from(["shear", "pressure", "custom", "x"]),
+            "alpha_t": _FIELD, "alpha_n": _FIELD,
+        }),
+        "constants": st.fixed_dictionaries({}, optional={"c_general": _FIELD}),
+    },
+)
+_GREENS_FLAGS = st.fixed_dictionaries(
+    {"--omega": _FIELD},
+    optional={flag: _FIELD for flag in ("--rho", "--mu", "--lam", "--ell")},
+)
+
+
+def _run_cli(argv):
+    """(exit code, stderr) of an in-process run; an escaping exception fails
+    the test with its traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_contract(code, err, out, result):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert not out.exists()
+    if code == 0:
+        assert result.exists()
+
+
+class TestCliFuzz:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=_BOUNDS_DOC)
+    @example(doc={"material": {"rho": 1.0, "mu": 1.0}, "omega": [1e200]})  # kappa**2 overflows
+    @example(doc={"material": {"rho": 1.0, "mu": 1.0}, "omega": [1e300],
+                  "domain": {"ell": 1e10}})  # kappa_s = inf
+    @example(doc={"material": {"rho": 1.0, "mu": 1.0}, "omega": [1.0],
+                  "constants": {"c_general": math.nan}})
+    def test_bounds_documents(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "bounds.json"
+            cfg.write_text(json.dumps(doc))
+            out = Path(tmp) / "out"
+            code, err = _run_cli(["bounds", "--config", str(cfg), "--out-dir", str(out)])
+            _assert_contract(code, err, out, out / "bounds.csv")
+            if code == 0:  # non-finite values never reach the table
+                for line in (out / "bounds.csv").read_text().splitlines()[1:]:
+                    for cell in line.split(","):
+                        assert cell.lower() not in ("nan", "inf", "-inf")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(values=_GREENS_FLAGS)
+    @example(values={"--omega": 1.0, "--ell": 4.5e13})  # the self-cell series overflows
+    def test_greens_flags(self, values):
+        flags = [f"{flag}={value}" for flag, value in values.items()]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code, err = _run_cli(["greens-verify", *flags, "--grid-n", "8", "--n-sources", "1",
+                                  "--out-dir", str(out)])
+            _assert_contract(code, err, out, out / "greens_report.json")

@@ -48,6 +48,34 @@ class TestMesh:
         _, w2, _ = fem.evaluate_volume(m2, [np.zeros((m2.n_nodes, 2))])
         assert abs(w2.sum() - exact) / exact <= 1e-6
 
+    def test_midside_numbering(self):
+        # midside nodes are numbered in the order their edges are first met,
+        # walking cells in order and edges (0,1), (1,2), (2,0) in each
+        m = build_annulus_mesh(0.5, 1.0, 2, 8, order=2)
+        assert m.conn[:3].tolist() == [
+            [0, 8, 9, 24, 25, 26], [0, 9, 1, 26, 27, 28], [1, 9, 10, 27, 29, 30],
+        ]
+        assert m.conn[15].tolist() == [7, 8, 0, 54, 24, 55]  # wraps past angle 0
+        assert m.conn[-1].tolist() == [15, 16, 8, 79, 56, 53]
+        seen = {}
+        for p, q, s in m.conn[:, :3].tolist():
+            for a, b in ((p, q), (q, s), (s, p)):
+                seen.setdefault((min(a, b), max(a, b)), m.n_vertices + len(seen))
+        expected = [
+            [seen[min(a, b), max(a, b)] for a, b in ((p, q), (q, s), (s, p))]
+            for p, q, s in m.conn[:, :3].tolist()
+        ]
+        assert m.conn[:, 3:].tolist() == expected
+        assert m.n_nodes == m.n_vertices + len(seen)
+        # circumferential midsides sit on their circle, the others halfway
+        r = np.linalg.norm(m.nodes, axis=1)
+        for (a, b), node in seen.items():
+            if math.isclose(r[a], r[b]):
+                assert math.isclose(r[node], r[a], rel_tol=1e-15)
+            else:
+                assert np.array_equal(m.nodes[node], 0.5 * (m.nodes[a] + m.nodes[b]))
+        assert [tuple(e.nodes) for e in m.boundary_edges[:2]] == [(1, 0, 28), (16, 17, 57)]
+
     def test_degenerate_parameters(self):
         with pytest.raises(MeshError):
             build_annulus_mesh(1.5, 1.0, 4, 16)
@@ -135,6 +163,30 @@ class TestSolve:
             s = fem.assemble(m, material, robin, omega=float(omega))
             res = fem.solve(s, f)
             assert res.residual_norm <= 1e-8
+
+    def test_one_factorization_per_system(self, material, robin, monkeypatch):
+        m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
+        rng = np.random.default_rng(4)
+        loads = [rng.normal(size=(m.n_nodes, 2)) + 1j * rng.normal(size=(m.n_nodes, 2)) for _ in range(3)]
+        fresh = [fem.solve(fem.assemble(m, material, robin, omega=2.0), f) for f in loads]
+        calls = []
+        exact_factor = fem._factor
+        monkeypatch.setattr(fem, "_factor", lambda s_ff: calls.append(1) or exact_factor(s_ff))
+        s = fem.assemble(m, material, robin, omega=2.0)
+        shared = [fem.solve(s, f) for f in loads]
+        assert len(calls) == 1
+        for a, b in zip(shared, fresh):
+            assert np.array_equal(a.u, b.u) and a.residual_norm == b.residual_norm <= 1e-8
+
+    def test_every_solve_checks_its_residual(self, material, robin, monkeypatch):
+        exact_factor = fem._factor
+        monkeypatch.setattr(fem, "_factor", lambda s_ff: exact_factor(1.001 * s_ff))
+        m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
+        s = fem.assemble(m, material, robin, omega=2.0)
+        for seed in (0, 1):  # the second solve reuses the inaccurate factor
+            f = np.random.default_rng(seed).normal(size=(m.n_nodes, 2))
+            with pytest.raises(SolverError, match="residual"):
+                fem.solve(s, f)
 
     def test_singular_system_raises(self, material, robin):
         m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
