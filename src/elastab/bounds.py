@@ -56,7 +56,9 @@ class GenericConstants:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A named bound value with an echo of the inputs that produced it."""
+    """A named bound value with an echo of the inputs that produced it.
+    The value may be zero: at omega = 0 in d = 2 the five-power bracket
+    vanishes, and omega^2 ||u|| <= 0 holds."""
 
     bound_name: str
     bound_value: float
@@ -64,8 +66,8 @@ class BoundReport:
     symbolic: bool = False
 
     def __post_init__(self):
-        if not self.bound_value > 0.0:
-            raise ValueError("bound_value must be positive")
+        if not self.bound_value >= 0.0:
+            raise ValueError("bound_value must be nonnegative")
 
 
 def quadratic_root_bound(a: float, b: float, c: float) -> float:

@@ -156,9 +156,10 @@ def _robin_for(cfg_robin: dict, material: core.MaterialField) -> core.RobinSpec:
 
 
 def _bounds_inputs(cfg: dict):
-    """(domain, multiplier, constants, [(omega, ratio, material, robin)]) of
-    a ``bounds`` document; ConfigError unless every value is finite and in
-    range and every domain object can be built from it."""
+    """(domain, multiplier, constants, [(omega, ratio, groups)]) of a
+    ``bounds`` document; ConfigError unless every value is finite and in
+    range, every domain object can be built from it and every derived
+    kappa_s is finite (a subnormal mu can make it 0 * inf)."""
     try:
         mat_cfg = cfg["material"]
         dom_cfg = cfg.get("domain", {})
@@ -188,7 +189,11 @@ def _bounds_inputs(cfg: dict):
         for omega in omegas:
             for ratio in ratios:
                 material = core.MaterialField.constant(rho, mu, ratio * mu)
-                cases.append((omega, ratio, material, _robin_for(robin_cfg, material)))
+                robin = _robin_for(robin_cfg, material)
+                groups = core.derive_groups(material, domain, robin, omega, mult)
+                if not math.isfinite(groups.kappa_s):
+                    raise ValueError(f"kappa_s = omega ell sqrt(rho/mu) not finite at omega={omega!r}")
+                cases.append((omega, ratio, groups))
     except (AttributeError, TypeError, ValueError, ElastabError) as exc:
         raise ConfigError(f"bounds configuration invalid: {exc}") from exc
     return domain, mult, constants, cases
@@ -205,8 +210,7 @@ def bounds_table(cfg: dict):
         "obstacle_realistic", "general_robin", "general_robin_symbolic", "fundamental",
     ]
     rows = []
-    for omega, ratio, material, robin in cases:
-        groups = core.derive_groups(material, domain, robin, omega, mult)
+    for omega, ratio, groups in cases:
         simple = bnd.stability_simple_robin(groups, mult, d)
         ideal = bnd.bound_obstacle_ideal(groups.kappa_s, d)
         realistic = bnd.bound_obstacle_realistic(groups.kappa_s, ratio)
@@ -284,12 +288,21 @@ def greens_report(
     }
 
 
+# The self-cell series sums powers of the cell radius a <= 0.16 ell up to
+# a^24, which overflow past ell ~ 4e13 whatever omega is.  Below the cap the
+# ratios are scale-invariant: at fixed kappa_s (1e-3 to 64) they agree for
+# every ell from 1e-11 to 1e13.
+_GREENS_ELL_MAX = 1e13
+
+
 def _run_greens(args) -> int:
     params = (args.omega, args.rho, args.mu, args.lam, args.ell)
     if not all(math.isfinite(x) for x in params):
         raise ConfigError("greens-verify needs finite omega, rho, mu, lam and ell")
     if args.omega <= 0 or args.rho <= 0 or args.mu <= 0 or args.lam < 0 or args.ell <= 0:
         raise ConfigError("greens-verify needs omega, rho, mu, ell > 0 and lam >= 0")
+    if args.ell > _GREENS_ELL_MAX:
+        raise ConfigError(f"--ell must lie in (0, {_GREENS_ELL_MAX:g}], got {args.ell!r}")
     if args.grid_n < 8:
         raise ConfigError("grid size too small (need >= 8 cells per axis)")
     if args.n_sources < 1:

@@ -24,6 +24,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,6 +55,12 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-8
+
+# Largest resolution mesh a sweep builds: kappa_s ~ 100 at the default
+# policy (order 2, 10 points per wavelength).  Peak memory grows about
+# linearly in the node count (~1 GB at kappa_s = 64, 80,676 nodes), so the
+# budget keeps a row near 3 GB.
+NODE_BUDGET = 200_000
 
 # degree-5 rule on the reference triangle (weights sum to 1/2)
 _TRI_QP = np.array(
@@ -130,22 +137,19 @@ def _edge_shapes(order: int, t: np.ndarray):
     return n, dn
 
 
-def _edge_ref_coords(local_edge: int, t: np.ndarray) -> np.ndarray:
-    if local_edge == 0:
-        return np.stack([t, np.zeros_like(t)], axis=1)
-    if local_edge == 1:
-        return np.stack([1.0 - t, t], axis=1)
-    return np.stack([np.zeros_like(t), 1.0 - t], axis=1)
+# local edge k runs from reference corner k to corner k+1; its points (3, Qe, 2)
+_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_EDGE_REF = (
+    (1.0 - _EDGE_QP[:, None]) * _CORNERS[:, None] + _EDGE_QP[:, None] * _CORNERS[[1, 2, 0], None]
+)
 
 
-def _geometry(mesh: Mesh, pts: np.ndarray):
-    """Per-cell isoparametric geometry at reference points pts.
-
-    Returns (n, dn_ref, x (Nc,Q,2), detJ (Nc,Q), dn_x (Nc,Q,a,2))."""
-    n, dn = _shapes(mesh.order, pts)
-    xc = mesh.nodes[mesh.conn]  # (Nc, a, 2)
-    # J[c,q,i,k] = sum_a dn[q,a,k] * xc[c,a,i]
-    jac = np.einsum("qak,cai->cqik", dn, xc)
+def _grad_x(dn, xc):
+    """det J and physical shape gradients dn_x[..., a, j] = d_j N_a from
+    reference gradients dn (..., a, 2) and element nodes xc (..., a, 2),
+    broadcasting over the leading axes; MeshError where det J <= 0."""
+    # J[..., i, k] = sum_a dn[..., a, k] * xc[..., a, i]
+    jac = np.einsum("...ak,...ai->...ik", dn, xc)
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     if np.any(det <= 0.0):
         raise MeshError("singular or inverted element Jacobian")
@@ -155,9 +159,70 @@ def _geometry(mesh: Mesh, pts: np.ndarray):
     inv[..., 1, 0] = -jac[..., 1, 0] / det
     inv[..., 1, 1] = jac[..., 0, 0] / det
     # grad_x N_a[j] = sum_k inv[k,j] dn[a,k]
-    dnx = np.einsum("cqkj,qak->cqaj", inv, dn)
+    return det, np.einsum("...kj,...ak->...aj", inv, dn)
+
+
+def _geometry(mesh: Mesh, pts: np.ndarray):
+    """Per-cell isoparametric geometry at reference points pts.
+
+    Returns (n (Q,a), x (Nc,Q,2), detJ (Nc,Q), dn_x (Nc,Q,a,2))."""
+    n, dn = _shapes(mesh.order, pts)
+    xc = mesh.nodes[mesh.conn]  # (Nc, a, 2)
+    det, dnx = _grad_x(dn, xc[:, None])
     x = np.einsum("qa,cai->cqi", n, xc)
-    return n, dn, x, det, dnx
+    return n, x, det, dnx
+
+
+class _EdgeQuadrature(NamedTuple):
+    """Edge-quadrature data of one boundary tag, edges in ``boundary_edges``
+    order."""
+
+    cells: np.ndarray   # (E,) owning triangles
+    local: np.ndarray   # (E,) local edge numbers
+    nodes: np.ndarray   # (E, ae) node ids along each edge
+    x: np.ndarray       # (E, Qe, 2) points
+    w: np.ndarray       # (E, Qe) arc-length weights
+    normal: np.ndarray  # (E, Qe, 2) outward unit normals
+
+
+def _edge_quadrature(mesh: Mesh, tag: str) -> _EdgeQuadrature:
+    """Gather the edges tagged ``tag`` once and place the edge rule on all
+    of them.  Normals are radial (origin-centered circles): outward from
+    the domain, so away from the origin on the dissipative circle and
+    towards it on the Dirichlet one."""
+    edges = [e for e in mesh.boundary_edges if e.tag == tag]
+    if not edges:
+        raise ValueError(f"no boundary edges tagged {tag!r}")
+    nodes = np.array([e.nodes for e in edges], dtype=int)
+    en, edn = _edge_shapes(mesh.order, _EDGE_QP)
+    xe = mesh.nodes[nodes]  # (E, ae, 2)
+    x = en @ xe
+    w = np.linalg.norm(edn @ xe, axis=-1) * _EDGE_QW
+    sign = 1.0 if tag == DISSIPATIVE else -1.0
+    return _EdgeQuadrature(
+        cells=np.array([e.cell for e in edges], dtype=int),
+        local=np.array([e.local_edge for e in edges], dtype=int),
+        nodes=nodes,
+        x=x,
+        w=w,
+        normal=sign * x / np.linalg.norm(x, axis=-1, keepdims=True),
+    )
+
+
+def _dofs(nodes: np.ndarray) -> np.ndarray:
+    """Interleaved dof numbers (E, 2a), x before y, of node ids (E, a)."""
+    dofs = np.empty((nodes.shape[0], 2 * nodes.shape[1]), dtype=int)
+    dofs[:, 0::2] = 2 * nodes
+    dofs[:, 1::2] = 2 * nodes + 1
+    return dofs
+
+
+def _scatter(dofs: np.ndarray, blocks: np.ndarray, ndof: int) -> sp.csr_matrix:
+    """Sum of element blocks (E, k, k) placed at their dofs (E, k)."""
+    k = dofs.shape[1]
+    rows = np.repeat(dofs, k, axis=1).ravel()
+    cols = np.tile(dofs, (1, k)).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -197,7 +262,7 @@ class AssembledSystem:
 
 
 def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float) -> AssembledSystem:
-    n, dn, x, det, dnx = _geometry(mesh, _TRI_QP)
+    n, x, det, dnx = _geometry(mesh, _TRI_QP)
     nc, nq, na = dnx.shape[0], dnx.shape[1], dnx.shape[2]
     mu_q = material.mu(x.reshape(-1, 2)).reshape(nc, nq)
     lam_q = material.lam(x.reshape(-1, 2)).reshape(nc, nq)
@@ -221,43 +286,18 @@ def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float
                 me[:, c1::2, c2::2] = mass_n
             ke[:, c1::2, c2::2] = blk
 
-    dofs = np.empty((nc, 2 * na), dtype=int)
-    dofs[:, 0::2] = 2 * mesh.conn
-    dofs[:, 1::2] = 2 * mesh.conn + 1
-    rows = np.repeat(dofs, 2 * na, axis=1).ravel()
-    cols = np.tile(dofs, (1, 2 * na)).ravel()
     ndof = 2 * mesh.n_nodes
-    stiffness = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
-    mass = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(ndof, ndof)).tocsr()
+    dofs = _dofs(mesh.conn)
+    stiffness = _scatter(dofs, ke, ndof)
+    mass = _scatter(dofs, me, ndof)
 
-    # impedance matrix on the dissipative circle
-    r_rows, r_cols, r_vals = [], [], []
-    en, edn = _edge_shapes(mesh.order, _EDGE_QP)
-    for e in mesh.boundary_edges:
-        if e.tag != DISSIPATIVE:
-            continue
-        enodes = np.array(e.nodes, dtype=int)
-        xe = mesh.nodes[enodes]  # (ae, 2)
-        xq = en @ xe  # (Qe, 2)
-        dxdt = edn @ xe
-        ds = np.linalg.norm(dxdt, axis=1) * _EDGE_QW
-        nrm = xq / np.linalg.norm(xq, axis=1, keepdims=True)
-        # a_T I + (a_N - a_T) n (x) n
-        amat = robin.a_t * np.eye(2)[None, :, :] + (robin.a_n - robin.a_t) * (
-            nrm[:, :, None] * nrm[:, None, :]
-        )
-        blk = np.einsum("q,qa,qb,qij->aibj", ds, en, en, amat)
-        ae = enodes.shape[0]
-        edofs = np.empty(2 * ae, dtype=int)
-        edofs[0::2] = 2 * enodes
-        edofs[1::2] = 2 * enodes + 1
-        r_rows.append(np.repeat(edofs, 2 * ae))
-        r_cols.append(np.tile(edofs, 2 * ae))
-        r_vals.append(blk.reshape(2 * ae, 2 * ae).ravel())
-    robin_matrix = sp.coo_matrix(
-        (np.concatenate(r_vals), (np.concatenate(r_rows), np.concatenate(r_cols))),
-        shape=(ndof, ndof),
-    ).tocsr()
+    # impedance matrix on the dissipative circle: a_T I + (a_N - a_T) n (x) n
+    edges = _edge_quadrature(mesh, DISSIPATIVE)
+    en, _ = _edge_shapes(mesh.order, _EDGE_QP)
+    nrm = edges.normal
+    amat = robin.a_t * np.eye(2) + (robin.a_n - robin.a_t) * (nrm[..., :, None] * nrm[..., None, :])
+    blk = np.einsum("eq,qa,qb,eqij->eaibj", edges.w, en, en, amat)  # ravels as (E, 2ae, 2ae)
+    robin_matrix = _scatter(_dofs(edges.nodes), blk, ndof)
 
     dir_nodes = mesh.boundary_nodes(DIRICHLET)
     dirichlet_dofs = np.concatenate([2 * dir_nodes, 2 * dir_nodes + 1])
@@ -278,22 +318,14 @@ def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float
 
 def boundary_load(mesh: Mesh, tag: str, fn) -> np.ndarray:
     """Assemble the surface load vector L_i = int_tag g . phi_i ds for a
-    callable g(x) -> (Q, 2) complex."""
-    load = np.zeros(2 * mesh.n_nodes, dtype=complex)
-    en, edn = _edge_shapes(mesh.order, _EDGE_QP)
-    for e in mesh.boundary_edges:
-        if e.tag != tag:
-            continue
-        enodes = np.array(e.nodes, dtype=int)
-        xe = mesh.nodes[enodes]
-        xq = en @ xe
-        ds = np.linalg.norm(edn @ xe, axis=1) * _EDGE_QW
-        g = np.asarray(fn(xq), dtype=complex)
-        vals = np.einsum("q,qa,qc->ac", ds, en, g)
-        for a, node in enumerate(enodes):
-            load[2 * node] += vals[a, 0]
-            load[2 * node + 1] += vals[a, 1]
-    return load
+    callable g(x) -> (P, 2) complex, called once on all P = E*Qe edge
+    points x (P, 2) of the tag."""
+    edges = _edge_quadrature(mesh, tag)
+    en, _ = _edge_shapes(mesh.order, _EDGE_QP)
+    g = np.asarray(fn(edges.x.reshape(-1, 2)), dtype=complex).reshape(edges.x.shape)
+    load = np.zeros((mesh.n_nodes, 2), dtype=complex)
+    np.add.at(load, edges.nodes, np.einsum("eq,qa,eqc->eac", edges.w, en, g))
+    return load.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -377,7 +409,7 @@ def evaluate_volume(mesh: Mesh, nodal_fields):
 
     Returns (x (Q,2), w (Q,), list of (val (Q,2), grad (Q,2,2))) with
     grad[q, j, l] = d_j v_l and w absorbing the Jacobian."""
-    n, dn, x, det, dnx = _geometry(mesh, _TRI_QP)
+    n, x, det, dnx = _geometry(mesh, _TRI_QP)
     w = (_TRI_QW[None, :] * det).reshape(-1)
     xq = x.reshape(-1, 2)
     out = []
@@ -391,48 +423,20 @@ def evaluate_volume(mesh: Mesh, nodal_fields):
 
 def evaluate_boundary(mesh: Mesh, tag: str, nodal_fields):
     """Edge-quadrature samples on a tagged boundary with outward normals
-    (radial for the origin-centered circles)."""
-    en, edn = _edge_shapes(mesh.order, _EDGE_QP)
-    edges = [e for e in mesh.boundary_edges if e.tag == tag]
-    if not edges:
-        raise ValueError(f"no boundary edges tagged {tag!r}")
-    sign = 1.0 if tag == DISSIPATIVE else -1.0
-    xs, ws, normals = [], [], []
-    cells = np.array([e.cell for e in edges], dtype=int)
-    per_edge_ref = []
-    for e in edges:
-        enodes = np.array(e.nodes, dtype=int)
-        xe = mesh.nodes[enodes]
-        xq = en @ xe
-        ds = np.linalg.norm(edn @ xe, axis=1) * _EDGE_QW
-        xs.append(xq)
-        ws.append(ds)
-        normals.append(sign * xq / np.linalg.norm(xq, axis=1, keepdims=True))
-        per_edge_ref.append(_edge_ref_coords(e.local_edge, _EDGE_QP))
-    x = np.concatenate(xs)
-    w = np.concatenate(ws)
-    normal = np.concatenate(normals)
+    (radial for the origin-centered circles).
 
+    Returns (x (P,2), w (P,), normal (P,2), list of (val (P,2), grad
+    (P,2,2))) over the P = E*Qe edge points; ValueError for a tag with no
+    edges."""
+    edges = _edge_quadrature(mesh, tag)
+    n_ref, dn_ref = _shapes(mesh.order, _EDGE_REF[edges.local].reshape(-1, 2))
+    conn = mesh.conn[np.repeat(edges.cells, _EDGE_QP.size)]  # (P, a)
+    _, dnx = _grad_x(dn_ref, mesh.nodes[conn])
     out = []
-    ref = np.concatenate(per_edge_ref)  # (E*Qe, 2)
-    nq = _EDGE_QP.shape[0]
-    n_ref, dn_ref = _shapes(mesh.order, ref)
-    cell_of = np.repeat(cells, nq)
-    xc = mesh.nodes[mesh.conn[cell_of]]  # (E*Qe, a, 2)
-    jac = np.einsum("pak,pai->pik", dn_ref, xc)
-    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-    inv = np.empty_like(jac)
-    inv[..., 0, 0] = jac[..., 1, 1] / det
-    inv[..., 0, 1] = -jac[..., 0, 1] / det
-    inv[..., 1, 0] = -jac[..., 1, 0] / det
-    inv[..., 1, 1] = jac[..., 0, 0] / det
-    dnx = np.einsum("pkj,pak->paj", inv, dn_ref)
     for f in nodal_fields:
-        fc = np.asarray(f, dtype=complex).reshape(-1, 2)[mesh.conn[cell_of]]
-        val = np.einsum("pa,pal->pl", n_ref, fc)
-        grad = np.einsum("paj,pal->pjl", dnx, fc)
-        out.append((val, grad))
-    return x, w, normal, out
+        fc = np.asarray(f, dtype=complex).reshape(-1, 2)[conn]
+        out.append((np.einsum("pa,pal->pl", n_ref, fc), np.einsum("paj,pal->pjl", dnx, fc)))
+    return edges.x.reshape(-1, 2), edges.w.reshape(-1), edges.normal.reshape(-1, 2), out
 
 
 def discrete_quantities(system: AssembledSystem, u, f) -> dict:
@@ -613,6 +617,14 @@ class SweepConfig:
             raise ConfigError(f"order must be 1 or 2, got {self.order!r}")
         if self.robin_choice not in ("shear", "pressure", "custom"):
             raise ConfigError(f"unknown robin choice {self.robin_choice!r}")
+        for kappa in self.kappa_s:
+            n_r, n_theta = _resolution(self, kappa)
+            nodes = (self.order * n_r + 1) * self.order * n_theta
+            if nodes > NODE_BUDGET:
+                raise ConfigError(
+                    f"kappa_s = {kappa!r} needs a {nodes}-node mesh, above the "
+                    f"{NODE_BUDGET}-node budget"
+                )
 
 
 @dataclass(frozen=True)
@@ -638,6 +650,18 @@ class SweepRow:
         return self.bound_ideal_full if robin_choice == "shear" else self.bound_realistic
 
 
+def _resolution(cfg: SweepConfig, kappa: float) -> tuple:
+    """(n_r, n_theta) of ``resolution_mesh``; its (order n_r + 1) rings of
+    order n_theta nodes make the node count."""
+    target = cfg.points_per_wavelength * cfg.resolution_margin
+    wavelength = 2.0 * math.pi * cfg.ell / kappa  # in units of theta_s_min/omega
+    h_needed = cfg.order * wavelength / target
+    n_theta = max(cfg.n_theta_min, int(math.ceil(math.sqrt(2.0) * 2.0 * math.pi * cfg.ell / h_needed)))
+    n_theta += n_theta % 2
+    n_r = max(2, int(math.ceil(math.sqrt(2.0) * (cfg.ell - cfg.r_in) / h_needed)))
+    return n_r, n_theta
+
+
 def resolution_mesh(cfg: SweepConfig, kappa: float) -> Mesh:
     """Mesh sized so the node spacing beats the points-per-wavelength policy
     with the configured safety margin.
@@ -645,13 +669,7 @@ def resolution_mesh(cfg: SweepConfig, kappa: float) -> Mesh:
     The policy is checked against the longest element edge, which for the
     split-quad triangulation is the cell diagonal ~ sqrt(2) times the arc
     spacing; both directions are sized for that."""
-    target = cfg.points_per_wavelength * cfg.resolution_margin
-    wavelength = 2.0 * math.pi * cfg.ell / kappa  # in units of theta_s_min/omega
-    h_needed = cfg.order * wavelength / target
-    n_theta = max(cfg.n_theta_min, int(math.ceil(math.sqrt(2.0) * 2.0 * math.pi * cfg.ell / h_needed)))
-    n_theta += n_theta % 2
-    n_r = max(2, int(math.ceil(math.sqrt(2.0) * (cfg.ell - cfg.r_in) / h_needed)))
-    return _mesh.build_annulus_mesh(cfg.r_in, cfg.ell, n_r, n_theta, cfg.order)
+    return _mesh.build_annulus_mesh(cfg.r_in, cfg.ell, *_resolution(cfg, kappa), cfg.order)
 
 
 def _sweep_row(cfg: SweepConfig, kappa: float, lam_ratio: float) -> SweepRow:

@@ -139,6 +139,11 @@ def _surf_samples(v: AnalyticField, rule) -> _Surf:
     return _Surf(x=x, w=rule.weights, normal=rule.normals, val=v.value(x), grad=v.grad(x))
 
 
+def _fem_surf(mesh, tag: str, u) -> _Surf:
+    x, w, normal, [(val, grad)] = _fem.evaluate_boundary(mesh, tag, [u])
+    return _Surf(x=x, w=w, normal=normal, val=val, grad=grad)
+
+
 def _strain(grad):
     return 0.5 * (grad + np.swapaxes(grad, -2, -1))
 
@@ -342,40 +347,25 @@ def manufactured_load(v: AnalyticField, material: MaterialField, omega: float):
     return fn
 
 
-def morawetz_audit(
-    u: AnalyticField,
-    domain: DomainSpec,
-    material: MaterialField,
-    omega: float,
-    f=None,
-    order: int = 24,
-    tol: float = 1e-6,
-) -> IdentityReport:
-    """Audit of the full multiplier identity for a (manufactured) solution
-    of the strong equation vanishing on the Dirichlet boundary:
+def _morawetz(name, vol: _Vol, f_val, diss: _Surf, diri, material, omega, d, tol) -> IdentityReport:
+    """The h = x multiplier identity on samples of u (volume, dissipative and,
+    unless ``diri`` is None, Dirichlet surface) and of the load f at the
+    volume points:
 
         omega^2 int (d + V_x(rho)) rho |u|^2 + B_diss + B_dir
           = 2 Re (rho f, (x.grad)u) + omega^2 bdry int (x.n) rho |u|^2
             + R_diss + R_Omega.
     """
-    quad = quadrature_for(domain, order)
-    vol = _vol_samples(u, quad)
     rho = material.rho(vol.x)
     mu = material.mu(vol.x)
     lam = material.lam(vol.x)
     v_rho = _log_slope(material.rho, vol.x)
     v_mu = _log_slope(material.mu, vol.x)
     v_lam = _log_slope(material.lam, vol.x)
-    d = domain.d
-
-    if f is None:
-        f = manufactured_load(u, material, omega)
-    f_val = np.asarray(f(vol.x), dtype=complex)
 
     mass_term = omega**2 * float(
         np.real(np.sum(vol.w * (d + v_rho) * rho * np.sum(np.abs(vol.val) ** 2, axis=1)))
     )
-    diss = _surf_samples(u, quad.dissipative)
     mu_s, lam_s, rho_s = material.mu(diss.x), material.lam(diss.x), material.rho(diss.x)
     b_diss = _b_boundary(diss, mu_s, lam_s)
     r_diss = _traction_term(diss, mu_s, lam_s)
@@ -384,8 +374,7 @@ def morawetz_audit(
         np.real(np.sum(diss.w * hn * rho_s * np.sum(np.abs(diss.val) ** 2, axis=1)))
     )
     b_dir = 0.0
-    if quad.dirichlet is not None:
-        diri = _surf_samples(u, quad.dirichlet)
+    if diri is not None:
         b_dir = _b_boundary(diri, material.mu(diri.x), material.lam(diri.x)) - _traction_term(
             diri, material.mu(diri.x), material.lam(diri.x)
         )
@@ -400,7 +389,30 @@ def morawetz_audit(
         "mass": mass_term, "b_diss": b_diss, "b_dir": b_dir,
         "work": work, "mass_boundary": mass_bdry, "r_diss": r_diss, "r_omega": r_omega,
     }
-    return _equality_report("morawetz", lhs, rhs, terms, tol)
+    return _equality_report(name, lhs, rhs, terms, tol)
+
+
+def morawetz_audit(
+    u: AnalyticField,
+    domain: DomainSpec,
+    material: MaterialField,
+    omega: float,
+    f=None,
+    order: int = 24,
+    tol: float = 1e-6,
+) -> IdentityReport:
+    """Audit of the full multiplier identity (see ``_morawetz``) for a
+    (manufactured) solution of the strong equation vanishing on the
+    Dirichlet boundary, on exact-geometry quadrature."""
+    quad = quadrature_for(domain, order)
+    vol = _vol_samples(u, quad)
+    if f is None:
+        f = manufactured_load(u, material, omega)
+    diri = None if quad.dirichlet is None else _surf_samples(u, quad.dirichlet)
+    return _morawetz(
+        "morawetz", vol, np.asarray(f(vol.x), dtype=complex),
+        _surf_samples(u, quad.dissipative), diri, material, omega, domain.d, tol,
+    )
 
 
 def korn_audit(
@@ -556,48 +568,12 @@ def morawetz_audit_discrete(result, system, f, tol: float = 5e-2) -> IdentityRep
     """Morawetz identity evaluated on a discrete solution; the gap measures
     the strong-form consistency error of u_h and shrinks under refinement."""
     mesh = system.mesh
-    mat = system.material
-    omega = system.omega
-    d = 2
     x, w, [(val_u, grad_u), (val_f, _)] = _fem.evaluate_volume(mesh, [result.u, f])
-    rho = mat.rho(x)
-    mu = mat.mu(x)
-    lam = mat.lam(x)
-    vol = _Vol(x=x, w=w, val=val_u, grad=grad_u)
-    v_rho = _log_slope(mat.rho, x)
-    v_mu = _log_slope(mat.mu, x)
-    v_lam = _log_slope(mat.lam, x)
-
-    mass_term = omega**2 * float(
-        np.real(np.sum(w * (d + v_rho) * rho * np.sum(np.abs(val_u) ** 2, axis=1)))
+    return _morawetz(
+        "morawetz_discrete", _Vol(x=x, w=w, val=val_u, grad=grad_u), val_f,
+        _fem_surf(mesh, DISSIPATIVE, result.u), _fem_surf(mesh, DIRICHLET, result.u),
+        system.material, system.omega, 2, tol,
     )
-    xb, wb, nb, [(ub, gb)] = _fem.evaluate_boundary(mesh, DISSIPATIVE, [result.u])
-    diss = _Surf(x=xb, w=wb, normal=nb, val=ub, grad=gb)
-    mu_b, lam_b, rho_b = mat.mu(xb), mat.lam(xb), mat.rho(xb)
-    b_diss = _b_boundary(diss, mu_b, lam_b)
-    r_diss = _traction_term(diss, mu_b, lam_b)
-    hn = np.einsum("qj,qj->q", xb, nb)
-    mass_bdry = omega**2 * float(
-        np.real(np.sum(wb * hn * rho_b * np.sum(np.abs(ub) ** 2, axis=1)))
-    )
-    xd, wd, nd, [(ud, gd)] = _fem.evaluate_boundary(mesh, DIRICHLET, [result.u])
-    diri = _Surf(x=xd, w=wd, normal=nd, val=ud, grad=gd)
-    b_dir = _b_boundary(diri, mat.mu(xd), mat.lam(xd)) - _traction_term(
-        diri, mat.mu(xd), mat.lam(xd)
-    )
-    work = 2.0 * float(
-        np.real(
-            np.sum(w * rho * np.einsum("qi,qi->q", np.conj(val_f), _dirdev(x, grad_u)))
-        )
-    )
-    r_omega = _r_h_omega(vol, mu, lam, v_mu, v_lam, d)
-    lhs = mass_term + b_diss + b_dir
-    rhs = work + mass_bdry + r_diss + r_omega
-    terms = {
-        "mass": mass_term, "b_diss": b_diss, "b_dir": b_dir,
-        "work": work, "mass_boundary": mass_bdry, "r_diss": r_diss, "r_omega": r_omega,
-    }
-    return _equality_report("morawetz_discrete", lhs, rhs, terms, tol)
 
 
 @dataclass(frozen=True)

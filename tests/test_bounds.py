@@ -66,6 +66,20 @@ class TestSimpleRobin:
         rep = bounds.stability_simple_robin(g0, mult, d=3)
         assert rep.bound_value == pytest.approx(0.5, abs=1e-4)
 
+    def test_zero_frequency_in_2d_is_a_zero_bound(self, unit_groups_3d):
+        # d = 2 and zeta = 0 kill the constant terms; at kappa_s = 0 every
+        # power vanishes, and omega^2 ||u|| <= 0 is true
+        _, mult = unit_groups_3d
+        mat = core.MaterialField.constant(1.0, 1.0, 1.0)
+        dom = core.DomainSpec(d=2, ell=1.0, shape="ball")
+        groups = core.derive_groups(mat, dom, core.RobinSpec.from_alpha(1.0, 1.0, mat), omega=0.0)
+        assert bounds.stability_simple_robin(groups, core.multiplier_for(dom), d=2).bound_value == 0.0
+
+    @pytest.mark.parametrize("value", [-1e-300, math.nan])
+    def test_report_rejects_negative_or_nan(self, value):
+        with pytest.raises(ValueError):
+            bounds.BoundReport(bound_name="x", bound_value=value)
+
     def test_m_over_m_ratio_invariance(self, unit_groups_3d):
         groups, _ = unit_groups_3d
         m1 = core.MultiplierSpec(kind="perturbed", M=1.0, m=1.0, nu=1.0, eta=0.0, epsilon=0.0)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -139,10 +140,13 @@ class TestBoundsCommand:
             {"robin": {"choice": "nonsense"}},
             {"constants": {"c_general": 0.5}},
             {"constants": {"c_general": float("nan")}},
+            {"material": {"rho": 1.0, "mu": 5e-324}, "omega": [0.0]},
+            {"omega": [1e300], "domain": {"ell": 1e10}},
         ],
         ids=["omega-negative", "omega-nan", "omega-inf", "mu-zero", "rho-negative", "mu-inf",
              "lambda-negative", "lambda-nan", "dimension-4", "shape-cube", "domain-scalar",
-             "alpha-zero", "robin-unknown", "c_general-below-1", "c_general-nan"],
+             "alpha-zero", "robin-unknown", "c_general-below-1", "c_general-nan",
+             "kappa-nan", "kappa-inf"],
     )
     def test_invalid_input_exits_2_without_output(self, change, tmp_path, capsys):
         cfg = tmp_path / "bounds.json"
@@ -152,6 +156,16 @@ class TestBoundsCommand:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
+
+    def test_zero_frequency_in_2d_writes_a_zero_bound(self, tmp_path):
+        cfg = tmp_path / "bounds.json"
+        cfg.write_text(json.dumps({"material": {"rho": 1, "mu": 1}, "omega": [0.0],
+                                   "domain": {"d": 2}}))
+        out = tmp_path / "b"
+        assert main(["bounds", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        with open(out / "bounds.csv") as fh:
+            row = next(csv.DictReader(fh))
+        assert float(row["simple_robin"]) == 0.0
 
     def test_manifest_times_the_evaluation(self, bounds_cfg, tmp_path, monkeypatch):
         import elastab.cli as cli
@@ -234,6 +248,25 @@ class TestGreensCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("ell", ["4.5e13", "1e300"])
+    def test_ell_out_of_range_exits_2_naming_the_range(self, ell, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert main(["greens-verify", "--omega", "1", "--ell", ell, "--grid-n", "8",
+                     "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--ell must lie in (0, 1e+13]" in err and "Traceback" not in err
+
+    def test_largest_ell_keeps_the_ratio(self, tmp_path):
+        # at kappa_s = 2 the ratio does not depend on ell
+        ratios = []
+        for ell in (1.0, 1e13):
+            out = tmp_path / str(ell)
+            assert main(["greens-verify", "--omega", str(2.0 / ell), "--ell", str(ell),
+                         "--grid-n", "8", "--n-sources", "1", "--out-dir", str(out)]) == 0
+            ratios.append(json.loads((out / "greens_report.json").read_text())["ratio"])
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-9)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_result_exits_1_without_report(self, tmp_path, capsys):
         # finite inputs whose ratios overflow (omega^2 = 1e200 * ...); past
@@ -311,6 +344,31 @@ class TestFemSweepCommand:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kappa", ["1e3", "1e300"])
+    def test_mesh_over_node_budget_exits_2_before_building(self, kappa, tmp_path, capsys,
+                                                           monkeypatch):
+        from elastab import fem
+
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(fem._mesh, "build_annulus_mesh", no_mesh)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"kappa_s": [1.0, float(kappa)]}))
+        out = tmp_path / "s"
+        assert main(["fem-sweep", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{fem.NODE_BUDGET}-node budget" in err and "Traceback" not in err
+
+    def test_node_budget_clears_the_benchmark_meshes(self):
+        # the annulus workload's largest row, kappa_s = 32 at order 2
+        from elastab import fem
+
+        cfg = fem.SweepConfig(kappa_s=(32.0,))
+        cfg.validate()
+        assert fem.resolution_mesh(cfg, 32.0).n_nodes <= fem.NODE_BUDGET
 
     def test_omega_list_with_zero_mu_exits_2(self, tmp_path):
         cfg = tmp_path / "sweep.json"
@@ -426,6 +484,10 @@ class TestCliFuzz:
                   "domain": {"ell": 1e10}})  # kappa_s = inf
     @example(doc={"material": {"rho": 1.0, "mu": 1.0}, "omega": [1.0],
                   "constants": {"c_general": math.nan}})
+    @example(doc={"material": {"rho": 1, "mu": 1}, "omega": [0.0],
+                  "domain": {"d": 2}})  # the simple-Robin bound is exactly 0
+    @example(doc={"material": {"rho": 1, "mu": 5e-324}, "omega": [0.0]})  # kappa_s = 0 * inf
+    @example(doc={"material": {"rho": 1, "mu": 1e-320}, "omega": [0.0]})
     def test_bounds_documents(self, doc):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "bounds.json"

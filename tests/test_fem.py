@@ -7,7 +7,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from elastab import core, fem, fields
-from elastab.errors import IterationError, MeshError, SolverError
+from elastab.errors import ConfigError, IterationError, MeshError, SolverError
 from elastab.mesh import DIRICHLET, DISSIPATIVE, build_annulus_mesh
 
 
@@ -145,6 +145,120 @@ class TestAssembly:
             u = rng.normal(size=s.n_dofs) + 1j * rng.normal(size=s.n_dofs)
             quad = np.vdot(u, smat @ u)
             assert quad.imag <= 1e-12 * abs(quad)
+
+
+def _per_edge(mesh, tag):
+    """Each edge tagged ``tag`` with its edge shape values, points and arc
+    weights, one edge at a time: the loop the vectorised boundary path
+    replaced, kept as its oracle."""
+    en, edn = fem._edge_shapes(mesh.order, fem._EDGE_QP)
+    for e in mesh.boundary_edges:
+        if e.tag == tag:
+            xe = mesh.nodes[list(e.nodes)]
+            yield e, en, en @ xe, np.linalg.norm(edn @ xe, axis=1) * fem._EDGE_QW
+
+
+def _robin_reference(mesh, robin):
+    r = np.zeros((2 * mesh.n_nodes, 2 * mesh.n_nodes))
+    for e, en, xq, ds in _per_edge(mesh, DISSIPATIVE):
+        for q, x in enumerate(xq):
+            n = x / np.linalg.norm(x)
+            amat = robin.a_t * np.eye(2) + (robin.a_n - robin.a_t) * np.outer(n, n)
+            for a, na in enumerate(e.nodes):
+                for b, nb in enumerate(e.nodes):
+                    r[2 * na:2 * na + 2, 2 * nb:2 * nb + 2] += ds[q] * en[q, a] * en[q, b] * amat
+    return r
+
+
+def _load_reference(mesh, tag, fn):
+    load = np.zeros((mesh.n_nodes, 2), dtype=complex)
+    for e, en, xq, ds in _per_edge(mesh, tag):
+        g = fn(xq)
+        for a, node in enumerate(e.nodes):
+            load[node] += (ds * en[:, a]) @ g
+    return load.reshape(-1)
+
+
+def _samples_reference(mesh, tag, u):
+    """(x, w, normal, val, grad) of ``evaluate_boundary``, point by point,
+    with the owning cell's map and a dense 2x2 inverse."""
+    t = fem._EDGE_QP
+    on_edge = {0: (t, 0 * t), 1: (1 - t, t), 2: (0 * t, 1 - t)}  # edge k: node k -> k+1
+    sign = 1.0 if tag == DISSIPATIVE else -1.0
+    out = [[] for _ in range(5)]
+    for e, _, xq, ds in _per_edge(mesh, tag):
+        n, dn = fem._shapes(mesh.order, np.stack(on_edge[e.local_edge], axis=1))
+        xc, uc = mesh.nodes[mesh.conn[e.cell]], u[mesh.conn[e.cell]]
+        for q, x in enumerate(xq):
+            assert np.allclose(n[q] @ xc, x, rtol=0, atol=1e-14)  # cell and edge maps agree
+            dnx = dn[q] @ np.linalg.inv(xc.T @ dn[q])  # dnx[a, j] = d_j N_a
+            for lst, item in zip(out, (x, ds[q], sign * x / np.linalg.norm(x), n[q] @ uc, dnx.T @ uc)):
+                lst.append(item)
+    return [np.array(lst) for lst in out]
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestBoundaryQuadrature:
+    @pytest.mark.parametrize("n_theta", [9, 16])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_per_edge_oracle(self, order, n_theta):
+        m = build_annulus_mesh(0.5, 1.0, 2, n_theta, order)
+        mat = core.MaterialField.constant(1.0, 1.5, 2.0)
+        robin = core.RobinSpec.from_alpha(1.0, 2.0, mat)
+        r = fem.assemble(m, mat, robin, 1.3).robin_matrix.toarray()
+        assert _rel(r, _robin_reference(m, robin)) <= 1e-13
+
+        def g(x):
+            return np.stack([x[:, 0] ** 2 + 1j * x[:, 1], np.sin(x[:, 0] * x[:, 1])], axis=1)
+
+        rng = np.random.default_rng(n_theta)
+        u = rng.normal(size=(m.n_nodes, 2)) + 1j * rng.normal(size=(m.n_nodes, 2))
+        for tag in (DIRICHLET, DISSIPATIVE):
+            assert _rel(fem.boundary_load(m, tag, g), _load_reference(m, tag, g)) <= 1e-13
+            x, w, normal, [(val, grad)] = fem.evaluate_boundary(m, tag, [u])
+            for got, want in zip((x, w, normal, val, grad), _samples_reference(m, tag, u)):
+                assert got.shape == want.shape
+                assert _rel(got, want) <= 1e-13
+
+    def test_load_calls_its_function_once(self):
+        m = build_annulus_mesh(0.5, 1.0, 2, 12, 2)
+        shapes = []
+        fem.boundary_load(m, DISSIPATIVE, lambda x: shapes.append(x.shape) or np.ones_like(x))
+        assert shapes == [(12 * fem._EDGE_QP.size, 2)]
+
+    def test_unknown_tag_raises(self):
+        m = build_annulus_mesh(0.5, 1.0, 2, 8, 1)
+        with pytest.raises(ValueError, match="no boundary edges"):
+            fem.evaluate_boundary(m, "neumann", [np.zeros((m.n_nodes, 2))])
+
+    def test_inverted_boundary_cell_raises(self):
+        m = build_annulus_mesh(0.5, 1.0, 2, 8, 1)
+        e = next(e for e in m.boundary_edges if e.tag == DISSIPATIVE)
+        nodes = m.nodes.copy()
+        nodes[m.conn[e.cell, 0]] *= 2.5  # push the interior corner past the edge
+        flipped = dataclasses.replace(m, nodes=nodes)
+        with pytest.raises(MeshError):
+            fem.evaluate_boundary(flipped, DISSIPATIVE, [np.zeros((m.n_nodes, 2))])
+
+    @pytest.mark.parametrize("order,rate,final", [(1, 1.9, 5e-4), (2, 3.8, 2e-7)])
+    def test_translation_energy_converges_to_closed_form(self, order, rate, final):
+        # u = e_x: u^H R u = int_Gamma a_T + (a_N - a_T) n_x^2 ds = pi ell (a_T + a_N)
+        mat = core.MaterialField.constant(1.0, 1.0, 1.0)
+        robin = core.RobinSpec.from_alpha(1.0, 2.0, mat)
+        exact = math.pi * 1.0 * (robin.a_t + robin.a_n)
+        errs = []
+        for n_theta in (16, 32, 64):
+            m = build_annulus_mesh(0.5, 1.0, 2, n_theta, order)
+            u = np.zeros((m.n_nodes, 2))
+            u[:, 0] = 1.0
+            u = u.reshape(-1)
+            r = fem.assemble(m, mat, robin, 1.0).robin_matrix
+            errs.append(abs(u @ (r @ u) - exact) / exact)
+        assert all(math.log2(a / b) >= rate for a, b in zip(errs, errs[1:]))
+        assert errs[-1] <= final
 
 
 class TestSolve:
@@ -341,6 +455,18 @@ class TestSweep:
         assert [r.kappa_s for r in threaded] == [r.kappa_s for r in sequential]
         for a, b in zip(sequential, threaded):
             assert a.c_emp == b.c_emp
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_node_budget_counts_the_built_mesh(self, order, monkeypatch):
+        # the budget check predicts the node count of the mesh it guards
+        for kappa in (1.0, 7.0, 16.0):
+            cfg = fem.SweepConfig(kappa_s=(kappa,), order=order)
+            nodes = fem.resolution_mesh(cfg, kappa).n_nodes
+            monkeypatch.setattr(fem, "NODE_BUDGET", nodes)
+            cfg.validate()
+            monkeypatch.setattr(fem, "NODE_BUDGET", nodes - 1)
+            with pytest.raises(ConfigError):
+                cfg.validate()
 
     def test_resolution_policy_refusal(self):
         cfg = fem.SweepConfig(
