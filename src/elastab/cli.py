@@ -248,6 +248,11 @@ def _run_bounds(args) -> int:
 # greens-verify
 # ---------------------------------------------------------------------------
 
+def _fine_grid_n(grid_n: int) -> int:
+    """Cells per axis of the second grid of the two-grid check."""
+    return max(grid_n + 4, int(round(grid_n * 1.3)))
+
+
 def greens_report(
     omega: float, rho: float, mu: float, lam: float, ell: float,
     grid_n: int, n_sources: int, seed: int,
@@ -256,7 +261,7 @@ def greens_report(
     grid = greens.ball_grid(ell, grid_n)
     vals = np.stack([fn(grid.nodes) for fn in sources], axis=2)
     reports = greens.verify_fundamental_sweep(grid, vals, rho, mu, lam, omega)
-    fine = greens.ball_grid(ell, max(grid_n + 4, int(round(grid_n * 1.3))))
+    fine = greens.ball_grid(ell, _fine_grid_n(grid_n))
     vals_f = np.stack([fn(fine.nodes) for fn in sources], axis=2)
     reports_f = greens.verify_fundamental_sweep(fine, vals_f, rho, mu, lam, omega)
     consistency = max(
@@ -288,10 +293,13 @@ def greens_report(
     }
 
 
-# The self-cell series sums powers of the cell radius a <= 0.16 ell up to
-# a^24, which overflow past ell ~ 4e13 whatever omega is.  Below the cap the
-# ratios are scale-invariant: at fixed kappa_s (1e-3 to 64) they agree for
-# every ell from 1e-11 to 1e13.
+# The ratios are scale-invariant: with the self-cell and near-field series
+# in powers of the dimensionless i k a, a scan at fixed kappa_s (1e-3 to 64,
+# grid_n 8 to 40) finds them equal to 1e-14 for every ell from 1e-42 to 1e44.
+# Below ~1e-44 the squared norms (cell volume h^3 times |u|^2, ~ell^7) become
+# subnormal and the ratios drift, then vanish.  The floor keeps two decades
+# of margin; the cap is conservative.
+_GREENS_ELL_MIN = 1e-40
 _GREENS_ELL_MAX = 1e13
 
 
@@ -301,12 +309,20 @@ def _run_greens(args) -> int:
         raise ConfigError("greens-verify needs finite omega, rho, mu, lam and ell")
     if args.omega <= 0 or args.rho <= 0 or args.mu <= 0 or args.lam < 0 or args.ell <= 0:
         raise ConfigError("greens-verify needs omega, rho, mu, ell > 0 and lam >= 0")
-    if args.ell > _GREENS_ELL_MAX:
-        raise ConfigError(f"--ell must lie in (0, {_GREENS_ELL_MAX:g}], got {args.ell!r}")
+    if not _GREENS_ELL_MIN <= args.ell <= _GREENS_ELL_MAX:
+        raise ConfigError(
+            f"--ell must lie in [{_GREENS_ELL_MIN:g}, {_GREENS_ELL_MAX:g}], got {args.ell!r}"
+        )
     if args.grid_n < 8:
         raise ConfigError("grid size too small (need >= 8 cells per axis)")
     if args.n_sources < 1:
         raise ConfigError("greens-verify needs at least one source (--n-sources >= 1)")
+    need = greens.verify_bytes(_fine_grid_n(args.grid_n), args.n_sources)
+    if need > greens.MEMORY_BUDGET:
+        raise ConfigError(
+            f"--grid-n {args.grid_n} with --n-sources {args.n_sources} needs about "
+            f"{need / 2**30:.1f} GiB, above the {greens.MEMORY_BUDGET / 2**30:g} GiB budget"
+        )
     out_dir = Path(args.out_dir)
     manifest = _Manifest(
         "greens-verify",
@@ -680,6 +696,9 @@ def main(argv=None) -> int:
         return 1
     except ArithmeticError as exc:  # in-range inputs whose float arithmetic overflows
         print(f"elastab: numeric overflow: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("elastab: out of memory", file=sys.stderr)
         return 1
 
 

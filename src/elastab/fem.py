@@ -14,7 +14,8 @@ omega^2 * sup ||u||_rho / ||f||_rho: Lanczos in the rho-weighted (mass)
 inner product on the normal operator of the discrete solution map, stopped
 on a Ritz-residual certificate.  ``solve`` and ``empirical_constant`` share
 one factorization helper, a symmetric-pattern ordering with
-diagonal-preferring pivoting.
+diagonal-preferring pivoting, and one residual check, which refines a
+solve that misses the contract once, on a long-double residual.
 """
 
 from __future__ import annotations
@@ -359,12 +360,39 @@ def _factor(s_ff: sp.csc_matrix):
         raise SolverError(f"system matrix is singular: {exc}") from exc
 
 
-def _check_residual(s_ff, u_f, rhs_f) -> float:
-    """Relative residual of S_ff u_f = rhs_f; raises above the contract."""
-    residual = float(np.linalg.norm(s_ff @ u_f - rhs_f) / np.linalg.norm(rhs_f))
+def _extended_residual(s_ext, u, rhs, trans: str = "N"):
+    """rhs - S u (rhs - S^H u for "H") with S u accumulated in extended
+    precision: S is given as ``s_ext``, its long-double copy.  In double,
+    the rounding of S u alone is about eps ||S|| ||u||, which passes
+    1e-8 ||rhs|| at lambda/mu ~ 1e8 however accurate u is."""
+    u_ext = u.astype(np.clongdouble)
+    su = s_ext @ u_ext if trans == "N" else np.conj(s_ext.T @ np.conj(u_ext))
+    return (rhs.astype(np.clongdouble) - su).astype(complex)
+
+
+def _refine(lu, s_ext, u, rhs, trans: str = "N"):
+    """u plus one step of iterative refinement with the same factor, on the
+    extended-precision residual."""
+    return u + lu.solve(_extended_residual(s_ext, u, rhs, trans), trans=trans)
+
+
+def _solve_checked(lu, s_ff, rhs_f) -> tuple:
+    """(u_f, residual, s_ext): the solution of S_ff u_f = rhs_f held to the
+    relative residual contract.  A solve that misses it gets one step of
+    iterative refinement, and its residual is then measured in extended
+    precision; ``s_ext`` is the long-double S_ff it used (None when the
+    first solve met the contract).  SolverError if the contract is missed."""
+    u_f = lu.solve(rhs_f)
+    scale = np.linalg.norm(rhs_f)
+    residual = float(np.linalg.norm(s_ff @ u_f - rhs_f) / scale)
+    s_ext = None
+    if not residual <= _RESIDUAL_TOL:
+        s_ext = s_ff.astype(np.clongdouble)
+        u_f = _refine(lu, s_ext, u_f, rhs_f)
+        residual = float(np.linalg.norm(_extended_residual(s_ext, u_f, rhs_f)) / scale)
     if not residual <= _RESIDUAL_TOL:
         raise SolverError(f"solve residual {residual:g} above {_RESIDUAL_TOL:g}", residual=residual)
-    return residual
+    return u_f, residual, s_ext
 
 
 def solve(
@@ -378,8 +406,9 @@ def solve(
     f is a nodal field (Nn, 2); extra_load is an already-assembled dual
     vector (surface data for manufactured solutions).  Direct sparse
     factorization, made once per system (``AssembledSystem.lu``); each
-    solve must reach relative residual 1e-8 on the free rows, and a singular
-    system or a missed residual raises SolverError.
+    solve must reach relative residual 1e-8 on the free rows, after one step
+    of iterative refinement if the first solve misses it.  A singular system
+    or a missed residual raises SolverError.
     """
     rhs = system.mass @ _flat(np.asarray(f, dtype=complex))
     if extra_load is not None:
@@ -394,8 +423,7 @@ def solve(
     rhs_f = rhs[free] - s_fd @ u[system.dirichlet_dofs]
     if not np.any(rhs_f):
         return SolveResult(u=u.reshape(-1, 2), residual_norm=0.0, omega=system.omega)
-    u_f = system.lu.solve(rhs_f)
-    residual = _check_residual(s_ff, u_f, rhs_f)
+    u_f, residual, _ = _solve_checked(system.lu, s_ff, rhs_f)
     u[free] = u_f
     return SolveResult(u=u.reshape(-1, 2), residual_norm=residual, omega=system.omega)
 
@@ -506,7 +534,9 @@ def empirical_constant(
     iteration stops once the top Ritz pair (theta, y) of the tridiagonal
     T_k is certified, beta_k |y_k| <= ``tol`` * theta, and returns
     omega^2 sqrt(theta).  The Ritz values never decrease with k.  The first
-    forward solve is held to the same residual contract as ``solve``.
+    forward solve is held to the same residual contract as ``solve``; when
+    it needs iterative refinement to meet it, every later forward and
+    adjoint solve of the estimate is refined once too.
 
     Returns the constant, ``(constant, history)`` with ``return_history``,
     or a ``ConstantEstimate`` with ``full_output``.  Raises
@@ -529,14 +559,20 @@ def empirical_constant(
     mv = m_ff @ v
     scale = m_norm(v, mv)
     v, mv = v / scale, mv / scale
+    s_ext = None
     for k in range(steps):
         basis[k] = v
-        u = lu.solve(mv)
         if k == 0:
-            _check_residual(s_ff, u, mv)
+            u, _, s_ext = _solve_checked(lu, s_ff, mv)
+        else:
+            u = lu.solve(mv)
+            if s_ext is not None:
+                u = _refine(lu, s_ext, u, mv)
         mu = m_ff @ u
         alphas.append(float(np.real(np.vdot(u, mu))))  # ||S^-1 M v_k||_M^2
         w = lu.solve(mu, trans="H")
+        if s_ext is not None:
+            w = _refine(lu, s_ext, w, mu, trans="H")
         for _ in range(2):  # full M-reorthogonalisation, twice is enough
             coeffs = (basis[: k + 1] @ (m_ff @ w).conj()).conj()  # <v_j, w>_M
             w -= basis[: k + 1].T @ coeffs

@@ -8,12 +8,17 @@ and the cos-transform norm that certifies the elastic part.
 Same-grid convolutions run as zero-padded FFTs on the (2n)^3 offset lattice
 (the kernel table is block-Toeplitz; see Vico, Greengard & Ferrando, J.
 Comput. Phys. 323, 2016); the direct pairwise sum over arbitrary targets is
-kept as the independent path.  The cos transform is in closed form: the
-cutoff is piecewise linear, so every piece integrates exactly.
+kept as the independent path.  The kernels are radial, so a table is
+evaluated on one octant of offsets and mirrored, and a tensor kernel is
+kept, transformed and contracted as its six symmetric components.  The
+self-cell and near-field series run in powers of the dimensionless i k a.
+The cos transform is in closed form: the cutoff is piecewise linear, so
+every piece integrates exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -44,6 +49,18 @@ __all__ = [
 
 _SERIES_CUTOFF = 0.1
 _SERIES_TERMS = 24
+
+# Peak memory of one verification on an n-grid grows with its (2n)^3
+# lattice and the number of sources S: measured peak RSS is about
+# (240 + 144 S) bytes per lattice point (n = 16 to 64, S = 1 to 10).
+# greens-verify refuses a grid whose finer two-grid partner would pass the
+# budget: with three sources it accepts grid_n <= 65 (64 measured 2.5 GB).
+MEMORY_BUDGET = 3 * 2**30
+
+
+def verify_bytes(n: int, n_sources: int) -> int:
+    """Estimated peak bytes of ``verify_fundamental_sweep`` on an n-grid."""
+    return (240 + 144 * n_sources) * (2 * n) ** 3
 
 
 @dataclass(frozen=True)
@@ -87,7 +104,9 @@ def scalar_kernels(y, k: WaveNumbers, theta_s: float):
 
 
 def _difference_kernel(r, k_s, k_p):
-    """(e^{i k_s r} - e^{i k_p r})/(4 pi r), series-stabilized near r = 0."""
+    """(e^{i k_s r} - e^{i k_p r})/(4 pi r), series-stabilized near r = 0:
+    sum_m ((i k_s r)^m - (i k_p r)^m)/m! over 4 pi r, in powers of the
+    dimensionless i k r, so no power of k or r alone can overflow."""
     r = np.asarray(r, dtype=float)
     kmax = max(abs(k_s), abs(k_p))
     out = np.zeros(r.shape, dtype=complex)
@@ -98,11 +117,11 @@ def _difference_kernel(r, k_s, k_p):
         out[far] = (np.exp(1j * k_s * rf) - np.exp(1j * k_p * rf)) / (4.0 * math.pi * rf)
     if np.any(near):
         rn = r[near]
+        xs, xp = 1j * k_s * rn, 1j * k_p * rn
         acc = np.zeros(rn.shape, dtype=complex)
         for m in range(1, 12):
-            dm = (1j * k_s) ** m - (1j * k_p) ** m
-            acc += dm * rn ** (m - 1) / math.factorial(m)
-        out[near] = acc / (4.0 * math.pi)
+            acc += (xs**m - xp**m) / math.factorial(m)
+        out[near] = acc / (4.0 * math.pi * rn)
     return out
 
 
@@ -123,20 +142,14 @@ def hessian_radial(k: float, y) -> np.ndarray:
     return out[0] if single else out
 
 
-def _delta_powers(k_s, k_p, m_max):
-    """Delta_m = (i k_s)^m - (i k_p)^m for m = 0..m_max."""
-    m = np.arange(m_max + 1)
-    return (1j * k_s) ** m - (1j * k_p) ** m
-
-
 def elastic_hessian_kernel(y, k: WaveNumbers) -> np.ndarray:
     """Hessian of the difference kernel G^E(y) = g(|y|):
 
         (1/4pi) [ coef_I(r) I + coef_yy(r) yhat (x) yhat ].
 
     The 1/r^3 singularities of the two exponential Hessians cancel, leaving
-    an integrable O(k^2/r) kernel; a power series in k r avoids the
-    cancellation for k_max r < 0.1.
+    an integrable O(k^2/r) kernel; a power series in the dimensionless
+    i k r avoids the cancellation for k_max r < 0.1.
     """
     y, r, single = _radii(y)
     if np.any(r == 0.0):
@@ -158,16 +171,16 @@ def elastic_hessian_kernel(y, k: WaveNumbers) -> np.ndarray:
         coef_yy[far] = hpp - hp / rf
     if np.any(near):
         rn = r[near]
-        delta = _delta_powers(k.k_s, k.k_p, _SERIES_TERMS)
+        xs, xp = 1j * k.k_s * rn, 1j * k.k_p * rn
         ci = np.zeros(rn.shape, dtype=complex)
         ce = np.zeros(rn.shape, dtype=complex)
         for m in range(2, _SERIES_TERMS + 1):
-            rm = rn ** (m - 3)
-            ci += delta[m] * (m - 1) / math.factorial(m) * rm
+            dm = (xs**m - xp**m) / math.factorial(m)
+            ci += (m - 1) * dm
             if m >= 3:
-                ce += delta[m] * (m - 1) * (m - 2) / math.factorial(m) * rm
-        coef_i[near] = ci
-        coef_yy[near] = ce - ci
+                ce += (m - 1) * (m - 2) * dm
+        coef_i[near] = ci / rn**3
+        coef_yy[near] = (ce - ci) / rn**3
     yhat = y / r[..., None]
     eye = np.eye(3)
     out = (
@@ -310,28 +323,30 @@ def _cell_ball_radius(weight: float) -> float:
     return (3.0 * weight / (4.0 * math.pi)) ** (1.0 / 3.0)
 
 
+def _ball_moment(w) -> complex:
+    """F(w) = (e^w (w - 1) + 1)/w^2 = sum_m w^m/(m! (m + 2)), the integral
+    of r e^{c r} over [0, a] divided by a^2, with w = c a; the series below
+    |w| = 1, where the closed form cancels."""
+    w = np.complex128(w)
+    if abs(w) < 1.0:
+        return sum(w**m / (math.factorial(m) * (m + 2)) for m in range(_SERIES_TERMS))
+    return (np.exp(w) * (w - 1.0) + 1.0) / w / w
+
+
 def _scalar_self_integral(a: float, rho, mu, lam, omega) -> complex:
     """Integral of g_a over the ball of radius a: (1/theta_s^2) * int_0^a r e^{i k_s r} dr."""
     k_s = WaveNumbers.from_material(rho, mu, lam, omega).k_s
     theta_s = math.sqrt(mu / rho)
-    if k_s * a < _SERIES_CUTOFF:
-        acc = 0.0 + 0.0j
-        for m in range(0, _SERIES_TERMS):
-            acc += (1j * k_s) ** m / math.factorial(m) * a ** (m + 2) / (m + 2)
-        return acc / theta_s**2
-    z = 1j * k_s
-    return ((np.exp(z * a) * (z * a - 1.0) + 1.0) / (z * z)) / theta_s**2  # z**2 raises on overflow
+    return a * a * _ball_moment(1j * k_s * a) / theta_s**2
 
 
 def _elastic_self_integral(a: float, rho, mu, lam, omega) -> complex:
-    """Integral of Hess(G^E) over the ball of radius a: the series
-    sum_m Delta_m a^m (m-1)/(3 m!) times the identity (scalar returned)."""
+    """Integral of Hess(G^E) over the ball of radius a times the identity
+    (scalar returned): sum_m ((i k_s a)^m - (i k_p a)^m) (m-1)/(3 m!), that is
+    (x_s^2 F(x_s) - x_p^2 F(x_p))/3 with x = i k a."""
     k = WaveNumbers.from_material(rho, mu, lam, omega)
-    delta = _delta_powers(k.k_s, k.k_p, _SERIES_TERMS)
-    acc = 0.0 + 0.0j
-    for m in range(2, _SERIES_TERMS + 1):
-        acc += delta[m] * a**m * (m - 1) / (3.0 * math.factorial(m))
-    return acc
+    xs, xp = np.complex128(1j * k.k_s * a), np.complex128(1j * k.k_p * a)
+    return (xs * xs * _ball_moment(xs) - xp * xp * _ball_moment(xp)) / 3.0
 
 
 def _total_self_integral(a: float, rho, mu, lam, omega) -> complex:
@@ -395,20 +410,67 @@ def _self_coefficients(weight: float, rho, mu, lam, omega, kernel: str) -> compl
     return complex(_kernel(kernel).self_integral(a, rho, mu, lam, omega))
 
 
+# The independent components of a symmetric 3x3 kernel, in table order, and
+# the parity of each under y_c -> -y_c (rows: components, columns: axes c).
+# A radial tensor kernel f(r) I + g(r) yhat (x) yhat is even in every axis on
+# its diagonal; component (a, b), a != b, is odd along axes a and b.
+_TENSOR_ROWS = np.array([0, 1, 2, 0, 0, 1])
+_TENSOR_COLS = np.array([0, 1, 2, 1, 2, 2])
+_TENSOR_PARITY = np.array(
+    [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+     [-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, -1.0]]
+)
+
+
 def _kernel_table(grid: BallGrid, rho, mu, lam, omega, kernel: str):
     """Kernel values on the wrapped (2n)^3 offset lattice, spatial axes last:
-    shape (m, m, m) or (3, 3, m, m, m) with m = 2n.  Index j < n holds offset
-    j h, index j > n offset (j - 2n) h; index n is never reached by an n-grid.
-    Zero at the origin (the self cell is handled analytically)."""
-    n, m = grid.n, 2 * grid.n
-    j = np.arange(m)
-    offs = np.where(j < n, j, j - m) * grid.h
+    shape (m, m, m) for the scalar kernel, or (6, m, m, m) for a tensor one
+    (components 00, 11, 22, 01, 02, 12 of the symmetric tensor), m = 2n.
+    Index j < n holds offset j h, index j > n offset (j - 2n) h; index n is
+    never reached by an n-grid and holds zero.  Zero at the origin (the self
+    cell is handled analytically).
+
+    The kernels are radial, so each distinct value is evaluated once, on the
+    n^3 non-negative offsets, and mirrored into the other seven octants with
+    the parities of ``_TENSOR_PARITY``."""
+    n = grid.n
+    offs = np.arange(n) * grid.h
     zi, zj, zk = np.meshgrid(offs, offs, offs, indexing="ij")
     z = np.stack([zi.ravel(), zj.ravel(), zk.ravel()], axis=1)
     z[0] = (grid.h, 0.0, 0.0)  # origin placeholder; the entry is zeroed below
-    table = _kernel(kernel).evaluate(z, rho, mu, lam, omega)
-    table[0] = 0.0
-    return np.moveaxis(table, 0, -1).reshape(table.shape[1:] + (m, m, m))
+    octant = _kernel(kernel).evaluate(z, rho, mu, lam, omega)
+    octant[0] = 0.0
+    if octant.ndim == 1:
+        table, parity = octant.reshape(1, n, n, n), np.ones((1, 3))
+    else:
+        table = octant[:, _TENSOR_ROWS, _TENSOR_COLS].T.reshape(6, n, n, n)
+        parity = _TENSOR_PARITY
+    # per axis, (lattice indices, octant indices) of the non-negative offsets
+    # 0..n-1 and of the negative ones -(n-1)..-1
+    halves = ((slice(0, n), slice(0, n)), (slice(n + 1, None), slice(n - 1, 0, -1)))
+    full = np.zeros((table.shape[0],) + (2 * n,) * 3, dtype=complex)
+    for flip in itertools.product((0, 1), repeat=3):
+        sign = np.prod(np.where(flip, parity, 1.0), axis=1).reshape(-1, 1, 1, 1)
+        dst = (slice(None),) + tuple(halves[f][0] for f in flip)
+        src = (slice(None),) + tuple(halves[f][1] for f in flip)
+        full[dst] = sign * table[src]
+    return full[0] if octant.ndim == 1 else full
+
+
+def _contract(table, spectrum):
+    """Pointwise product of a kernel spectrum with the source spectrum
+    (3, S, m, m, m): a scalar kernel (m, m, m) scales each component; a tensor
+    kernel, held as its six symmetric components (6, m, m, m), is summed as
+    three terms per row."""
+    if table.ndim == 3:
+        return table * spectrum
+    h00, h11, h22, h01, h02, h12 = table[:, None]
+    s0, s1, s2 = spectrum
+    return np.stack([
+        h00 * s0 + h01 * s1 + h02 * s2,
+        h01 * s0 + h11 * s1 + h12 * s2,
+        h02 * s0 + h12 * s1 + h22 * s2,
+    ])
 
 
 def _box_index(grid: BallGrid) -> np.ndarray:
@@ -431,11 +493,11 @@ def _apply_kernel(grid: BallGrid, values, spectrum, rho, mu, lam, omega, kernel:
     """Same-grid convolution of values (N, 3, S), whose source spectrum is
     given, with the analytic self-cell term added: (N, 3, S)."""
     n = grid.n
-    table = np.fft.fftn(_kernel_table(grid, rho, mu, lam, omega, kernel), axes=(-3, -2, -1))
-    if table.ndim == 3:
-        u = table * spectrum
-    else:
-        u = np.einsum("ijabc,jsabc->isabc", table, spectrum)
+    # the kernel spectrum is a temporary, freed before the inverse transforms
+    u = _contract(
+        np.fft.fftn(_kernel_table(grid, rho, mu, lam, omega, kernel), axes=(-3, -2, -1)),
+        spectrum,
+    )
     # inverse FFT one axis at a time, keeping only the n^3 box the grid reads
     u = np.fft.ifft(u, axis=-3)[..., :n, :, :]
     u = np.fft.ifft(u, axis=-2)[..., :n, :]

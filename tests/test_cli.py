@@ -248,14 +248,14 @@ class TestGreensCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("ell", ["4.5e13", "1e300"])
+    @pytest.mark.parametrize("ell", ["4.5e13", "1e300", "9e-41", "5e-324"])
     def test_ell_out_of_range_exits_2_naming_the_range(self, ell, tmp_path, capsys):
         out = tmp_path / "g"
         assert main(["greens-verify", "--omega", "1", "--ell", ell, "--grid-n", "8",
                      "--out-dir", str(out)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "--ell must lie in (0, 1e+13]" in err and "Traceback" not in err
+        assert "--ell must lie in [1e-40, 1e+13]" in err and "Traceback" not in err
 
     def test_largest_ell_keeps_the_ratio(self, tmp_path):
         # at kappa_s = 2 the ratio does not depend on ell
@@ -266,6 +266,81 @@ class TestGreensCommand:
                          "--grid-n", "8", "--n-sources", "1", "--out-dir", str(out)]) == 0
             ratios.append(json.loads((out / "greens_report.json").read_text())["ratio"])
         assert ratios[1] == pytest.approx(ratios[0], rel=1e-9)
+
+    @pytest.mark.parametrize("kappa", [2.0, 20.0])
+    def test_smallest_ell_keeps_the_ratio(self, kappa, tmp_path):
+        # the self-cell series are in powers of k a: no power of omega or of
+        # ell alone overflows or underflows
+        reports = []
+        for ell in (1.0, 1e-13, 1e-40):
+            out = tmp_path / f"{kappa}-{ell}"
+            assert main(["greens-verify", "--omega", str(kappa / ell), "--ell", str(ell),
+                         "--grid-n", "8", "--n-sources", "1", "--out-dir", str(out)]) == 0
+            reports.append(json.loads((out / "greens_report.json").read_text()))
+        for rep in reports[1:]:
+            for key in ("ratio", "scalar_ratio_max", "elastic_ratio_max", "grid_consistency"):
+                assert rep[key] == pytest.approx(reports[0][key], rel=1e-9)
+
+    @pytest.mark.parametrize("flags", [["--grid-n", "200"], ["--grid-n", "8", "--n-sources", "100000"]],
+                             ids=["grid", "sources"])
+    def test_over_memory_budget_exits_2_before_building(self, flags, tmp_path, capsys,
+                                                        monkeypatch):
+        from elastab import greens
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(greens, "ball_grid", no_grid)
+        out = tmp_path / "g"
+        assert main(["greens-verify", "--omega", "2", *flags, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "GiB budget" in err and "Traceback" not in err
+
+    def test_memory_budget_clears_the_defaults_and_test_sizes(self):
+        from elastab import cli, greens
+
+        # the defaults (also the benchmark's) and the largest CLI sizes of the
+        # tests; acceptance criteria 1-2 verify 20 sources on a 25-grid
+        for grid_n, n_sources in ((16, 3), (8, 2)):
+            assert greens.verify_bytes(cli._fine_grid_n(grid_n), n_sources) <= greens.MEMORY_BUDGET
+        assert cli._fine_grid_n(16) == 21
+        assert greens.verify_bytes(25, 20) <= greens.MEMORY_BUDGET
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+    def test_memory_estimate_tracks_peak_rss(self, tmp_path):
+        # the budget's model against the peak resident memory of one run in a
+        # fresh interpreter (grid_n = 24, three sources: a 62^3 fine lattice);
+        # VmHWM, unlike ru_maxrss, starts afresh at exec
+        script = textwrap.dedent("""
+            from elastab import cli, greens
+
+            def peak_kb():
+                with open("/proc/self/status") as status:
+                    return next(int(line.split()[1]) for line in status if line.startswith("VmHWM"))
+
+            before = peak_kb()
+            cli.greens_report(2.0, 1.0, 1.0, 1.0, 1.0, 24, 3, 0)
+            print((peak_kb() - before) * 1024 / greens.verify_bytes(cli._fine_grid_n(24), 3))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(elastab.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert 0.4 <= float(proc.stdout) <= 1.6
+
+    def test_memory_error_exits_1_without_traceback(self, tmp_path, capsys, monkeypatch):
+        from elastab import cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "greens_report", exhausted)
+        out = tmp_path / "g"
+        assert main(["greens-verify", "--omega", "2", "--grid-n", "8", "--out-dir", str(out)]) == 1
+        assert not (out / "greens_report.json").exists()
+        err = capsys.readouterr().err
+        assert "out of memory" in err and "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_result_exits_1_without_report(self, tmp_path, capsys):

@@ -302,6 +302,23 @@ class TestSolve:
             with pytest.raises(SolverError, match="residual"):
                 fem.solve(s, f)
 
+    def test_one_refinement_step_restores_the_contract(self, material, robin, monkeypatch):
+        # a factor 1e-5 off misses the contract; one step of iterative
+        # refinement with that same factor meets it
+        m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
+        f = np.random.default_rng(5).normal(size=(m.n_nodes, 2))
+        exact = fem.solve(fem.assemble(m, material, robin, omega=2.0), f)
+        exact_factor = fem._factor
+        monkeypatch.setattr(fem, "_factor", lambda s_ff: exact_factor((1.0 + 1e-5) * s_ff))
+        s = fem.assemble(m, material, robin, omega=2.0)
+        s_ff, _ = s.free_blocks
+        rhs_f = (s.mass @ f.reshape(-1))[s.free]
+        first = s.lu.solve(rhs_f)
+        assert np.linalg.norm(s_ff @ first - rhs_f) > 1e-8 * np.linalg.norm(rhs_f)
+        res = fem.solve(s, f)
+        assert res.residual_norm <= 1e-8
+        assert np.abs(res.u - exact.u).max() <= 1e-8 * np.abs(exact.u).max()
+
     def test_singular_system_raises(self, material, robin):
         m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
         s = fem.assemble(m, material, robin, omega=2.0)
@@ -399,6 +416,17 @@ class TestEmpiricalConstant:
         row = fem.sweep(fem.SweepConfig(kappa_s=(1.0,)))[0]
         assert row.c_emp is None and "residual" in row.error
 
+    def test_refined_first_solve_refines_every_solve(self, material, robin, monkeypatch):
+        # with a factor 1e-5 off, refining only the first solve would leave
+        # every later Lanczos step 1e-5 off
+        m = build_annulus_mesh(0.5, 1.0, 3, 24, order=2)
+        exact = fem.empirical_constant(m, material, robin, omega=2.0)
+        exact_factor = fem._factor
+        monkeypatch.setattr(fem, "_factor", lambda s_ff: exact_factor((1.0 + 1e-5) * s_ff))
+        est = fem.empirical_constant(m, material, robin, omega=2.0, full_output=True)
+        assert est.c_emp == pytest.approx(exact, rel=1e-9)
+        assert est.ritz_residual <= 1e-8
+
     def test_step_cap_raises(self, material, robin):
         m = build_annulus_mesh(0.5, 1.0, 3, 24, order=2)
         with pytest.raises(IterationError) as info:
@@ -423,6 +451,14 @@ class TestEmpiricalConstant:
 
 
 class TestSweep:
+    def test_nearly_incompressible_row_meets_the_residual_contract(self):
+        # at lambda/mu = 1e8 the double-precision residual of the first solve
+        # is ~4e-8, most of it the rounding of S u itself; one refinement
+        # step on an extended-precision residual brings it under 1e-8
+        row = fem.sweep(fem.SweepConfig(kappa_s=(8.0,), lambda_over_mu=(1e8,)))[0]
+        assert row.error is None
+        assert math.isfinite(row.c_emp) and row.ritz_residual <= 1e-8
+
     def test_single_row_matches_empirical(self, material, robin):
         cfg = fem.SweepConfig(kappa_s=(1.0,), lambda_over_mu=(1.0,), seed=3)
         rows = fem.sweep(cfg)

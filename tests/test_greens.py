@@ -287,6 +287,113 @@ class TestConvolution:
         assert abs(ratios[0] - ratios[1]) / ratios[1] < 0.02
 
 
+def full_lattice_table(grid, kernel, omega):
+    """The kernel evaluated directly on every offset of the wrapped (2n)^3
+    lattice, as a 3x3 tensor per point: (m, m, m) or (3, 3, m, m, m)."""
+    n, m = grid.n, 2 * grid.n
+    j = np.arange(m)
+    offs = np.where(j < n, j, j - m) * grid.h
+    z = np.stack(np.meshgrid(offs, offs, offs, indexing="ij"), axis=-1).reshape(-1, 3)
+    z[0] = (grid.h, 0.0, 0.0)
+    table = greens._kernel(kernel).evaluate(z, RHO, MU, LAM, omega)
+    table[0] = 0.0
+    return np.moveaxis(table, 0, -1).reshape(table.shape[1:] + (m, m, m))
+
+
+class TestKernelTable:
+    @pytest.mark.parametrize("n", [6, 7, 16])
+    @pytest.mark.parametrize("kernel", ["scalar", "elastic", "total"])
+    def test_mirrored_table_matches_full_lattice(self, kernel, n):
+        # the octant mirrored with the tensor parities equals a direct
+        # evaluation at every reachable offset; the index-n planes are zero
+        grid = greens.ball_grid(1.0, n)
+        table = greens._kernel_table(grid, RHO, MU, LAM, 2.0, kernel)
+        full = full_lattice_table(grid, kernel, 2.0)
+        if kernel != "scalar":
+            full = full[greens._TENSOR_ROWS, greens._TENSOR_COLS]
+        assert table.shape == full.shape
+        keep = np.arange(2 * n) != n
+        reach = (Ellipsis, keep[:, None, None] & keep[None, :, None] & keep[None, None, :])
+        scale = np.abs(full[reach]).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(table[reach] - full[reach]) <= 1e-14 * scale)
+        for axis in (-3, -2, -1):
+            assert not np.any(np.take(table, n, axis=axis))
+
+    @pytest.mark.parametrize("kernel", ["scalar", "elastic", "total"])
+    def test_evaluator_sees_n_cubed_points(self, kernel, monkeypatch):
+        sizes = []
+        real = greens._KERNELS[kernel]
+
+        def counted(z, *args):
+            sizes.append(z.shape[0])
+            return real.evaluate(z, *args)
+
+        monkeypatch.setitem(greens._KERNELS, kernel, greens._Kernel(counted, real.self_integral))
+        greens._kernel_table(greens.ball_grid(1.0, 7), RHO, MU, LAM, 2.0, kernel)
+        assert sizes == [7**3]
+
+    def test_six_spectrum_contraction_matches_einsum(self):
+        rng = np.random.default_rng(3)
+        shape = (5, 6, 7)
+        six = rng.normal(size=(6,) + shape) + 1j * rng.normal(size=(6,) + shape)
+        spectrum = rng.normal(size=(3, 2) + shape) + 1j * rng.normal(size=(3, 2) + shape)
+        nine = np.empty((3, 3) + shape, dtype=complex)
+        for q, (a, b) in enumerate(zip(greens._TENSOR_ROWS, greens._TENSOR_COLS)):
+            nine[a, b] = nine[b, a] = six[q]
+        want = np.einsum("ijabc,jsabc->isabc", nine, spectrum)
+        got = greens._contract(six, spectrum)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        scalar = greens._contract(six[0], spectrum)
+        assert np.array_equal(scalar, six[0] * spectrum)
+
+
+class TestSelfCell:
+    @pytest.mark.parametrize("ka", [1e-3, 0.3, 0.99, 1.01, 5.0, 15.5, 40.0])
+    def test_ball_integrals_match_quadrature(self, ka):
+        # scalar: int_0^a r e^{i k_s r} dr / theta_s^2; elastic, by the
+        # Helmholtz equations: tr Hess G^E = (k_p^2 e^{i k_p r} - k_s^2 e^{i k_s r})/(4 pi r),
+        # so the isotropic integral is int_0^a r (k_p^2 e^{i k_p r} - k_s^2 e^{i k_s r}) dr / 3
+        a = 0.1
+        k = greens.WaveNumbers.from_material(RHO, MU, LAM, 1.0)
+        omega = ka / (k.k_s * a)
+        k = greens.WaveNumbers.from_material(RHO, MU, LAM, omega)
+
+        def radial(fn):
+            re = quad(lambda r: fn(r).real, 0.0, a, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+            im = quad(lambda r: fn(r).imag, 0.0, a, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+            return re + 1j * im
+
+        scalar = radial(lambda r: r * np.exp(1j * k.k_s * r)) / THETA_S**2
+        elastic = radial(
+            lambda r: r * (k.k_p**2 * np.exp(1j * k.k_p * r) - k.k_s**2 * np.exp(1j * k.k_s * r))
+        ) / 3.0
+        got_s = greens._scalar_self_integral(a, RHO, MU, LAM, omega)
+        got_e = greens._elastic_self_integral(a, RHO, MU, LAM, omega)
+        assert abs(got_s - scalar) <= 1e-10 * abs(scalar)
+        assert abs(got_e - elastic) <= 1e-10 * abs(elastic)
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-40, 1e13])
+    def test_series_depend_on_k_times_length_only(self, scale):
+        # lengths scaled by s and wavenumbers by 1/s: the self integrals
+        # scale as s^2 and 1, the near-field kernels as 1/s and 1/s^3
+        a, omega = 0.05, 2.0
+        y = np.array([[0.01, 0.02, -0.015], [1e-5, 0.0, 0.0]])
+        k = greens.WaveNumbers.from_material(RHO, MU, LAM, omega)
+        ks = greens.WaveNumbers.from_material(RHO, MU, LAM, omega / scale)
+        pairs = [
+            (greens._scalar_self_integral(a * scale, RHO, MU, LAM, omega / scale) / scale**2,
+             greens._scalar_self_integral(a, RHO, MU, LAM, omega)),
+            (greens._elastic_self_integral(a * scale, RHO, MU, LAM, omega / scale),
+             greens._elastic_self_integral(a, RHO, MU, LAM, omega)),
+            (greens.elastic_hessian_kernel(y * scale, ks) * scale**3,
+             greens.elastic_hessian_kernel(y, k)),
+            (greens._difference_kernel(np.linalg.norm(y, axis=1) * scale, ks.k_s, ks.k_p) * scale,
+             greens._difference_kernel(np.linalg.norm(y, axis=1), k.k_s, k.k_p)),
+        ]
+        for got, want in pairs:
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
+
+
 class TestVerifyFundamental:
     def test_low_frequency_ratio_small(self):
         grid = greens.ball_grid(1.0, 10)
