@@ -430,6 +430,7 @@ def _run_fem_sweep(args) -> int:
             "lambda_over_mu": r.lambda_over_mu,
             "lanczos_steps": r.lanczos_steps,
             "ritz_residual": r.ritz_residual,
+            "factor": {"kind": r.factor_kind, "modes": r.factor_modes, "lu_nnz": r.lu_nnz},
         }
         for r in rows
     ]

@@ -13,9 +13,19 @@ The module also measures the empirical stability constant
 omega^2 * sup ||u||_rho / ||f||_rho: Lanczos in the rho-weighted (mass)
 inner product on the normal operator of the discrete solution map, stopped
 on a Ritz-residual certificate.  ``solve`` and ``empirical_constant`` share
-one factorization helper, a symmetric-pattern ordering with
-diagonal-preferring pivoting, and one residual check, which refines a
+one factorization per system and one residual check, which refines a
 solve that misses the contract once, on a long-double residual.
+
+Every system assembled on ``build_annulus_mesh`` with radial coefficients
+is invariant under rotation by one of its n_theta angular sectors, so S_ff
+is block-circulant over the sectors once each node's dofs are rotated into
+its sector's frame.  The factorization then runs over angular Fourier
+modes: an FFT over the sectors decouples S_ff into n_theta small mode
+blocks, factored together as one block-diagonal sparse LU (the discrete
+counterpart of the mode separation of the spectral oracle).  A system
+whose assembled entries break the symmetry gets the direct LU of S_ff.
+Both use the same symmetric-pattern ordering with diagonal-preferring
+pivoting, and every residual is measured against the true S_ff.
 """
 
 from __future__ import annotations
@@ -59,8 +69,9 @@ _RESIDUAL_TOL = 1e-8
 
 # Largest resolution mesh a sweep builds: kappa_s ~ 100 at the default
 # policy (order 2, 10 points per wavelength).  Peak memory grows about
-# linearly in the node count (~1 GB at kappa_s = 64, 80,676 nodes), so the
-# budget keeps a row near 3 GB.
+# linearly in the node count: one kappa_s = 64 row (80,676 nodes, sector
+# factor) peaks at 0.69 GB in 7.6 s on 2 vCPU, against 0.98 GB and 13.5 s
+# with the direct factor, so the budget keeps a row near 1.7 GB.
 NODE_BUDGET = 200_000
 
 # degree-5 rule on the reference triangle (weights sum to 1/2)
@@ -257,9 +268,17 @@ class AssembledSystem:
 
     @cached_property
     def lu(self):
-        """Sparse LU of S_ff, made on first use and shared by every later
-        solve with this system."""
-        return _factor(self.free_blocks[0])
+        """Factorization of S_ff, made on first use and shared by every
+        later solve with this system.  When S_ff is invariant under rotation
+        by one angular sector (every mesh ``build_annulus_mesh`` makes, with
+        radial coefficients), it is factored by angular Fourier modes
+        (``_SectorLU``); otherwise by a direct sparse LU of S_ff.  Both
+        offer ``solve(rhs, trans)`` with trans "N" or "H"."""
+        s_ff = self.free_blocks[0]
+        try:
+            return _SectorLU(self.mesh, self.free, s_ff)
+        except _NotSectorInvariant:
+            return _factor(s_ff)
 
 
 def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float) -> AssembledSystem:
@@ -342,13 +361,15 @@ def _flat(field: np.ndarray) -> np.ndarray:
 
 
 def _factor(s_ff: sp.csc_matrix):
-    """Sparse LU of the free-row system block.
+    """Sparse LU of a system block: S_ff itself, or the block-diagonal
+    matrix of its angular mode blocks (``_SectorLU``).
 
-    S is complex symmetric, so the fill-reducing ordering is taken on the
-    pattern of S + S^T with diagonal-preferring pivoting: without the relaxed
-    threshold, partial pivoting at large lambda/mu leaves the ordering's
-    diagonal and the fill explodes.  Callers check the residual of what they
-    solve.  Factored through the module attribute ``spla``."""
+    Both have a symmetric pattern (S is complex symmetric), so the
+    fill-reducing ordering is taken on the pattern of A + A^T with
+    diagonal-preferring pivoting: without the relaxed threshold, partial
+    pivoting at large lambda/mu leaves the ordering's diagonal and the fill
+    explodes.  Callers check the residual of what they solve.  Factored
+    through the module attribute ``spla``."""
     try:
         return spla.splu(
             s_ff,
@@ -358,6 +379,126 @@ def _factor(s_ff: sp.csc_matrix):
         )
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
         raise SolverError(f"system matrix is singular: {exc}") from exc
+
+
+class _NotSectorInvariant(Exception):
+    """S_ff is not block-circulant over the mesh's angular sectors."""
+
+
+# S_ff counts as sector-invariant when every sector's rows repeat sector 0's
+# entries to this fraction of the largest entry
+_SECTOR_RTOL = 1e-12
+
+
+def _sector_modes(mesh: Mesh, free: np.ndarray, s_ff) -> tuple:
+    """Angular Fourier decomposition of S_ff.
+
+    Node k at angle phi_k lies in sector s = floor(phi_k n / 2 pi) of the
+    mesh's n = n_theta sectors; rotated back by s 2 pi / n it lands on a
+    node of sector 0, its local node.  In sector-major order of (sector,
+    local node, rotated component) S_ff becomes T S_ff T^T, T orthogonal,
+    and when that matrix is block-circulant with blocks B_-1, B_0, B_1
+    coupling each sector to itself and its neighbours, the DFT over sectors
+    splits it into the mode blocks S_m = B_0 + B_1 w^m + B_-1 w^-m,
+    w = exp(2 pi i / n).
+
+    Returns (the n mode blocks as one block-diagonal CSC, free-dof
+    positions (n, L) of the x components of the local nodes, cos and sin
+    (n, 1) of the sector angles).  Raises _NotSectorInvariant when the
+    nodes or the assembled entries break the symmetry."""
+    n = mesh.n_theta
+    # Dirichlet data eliminate whole nodes: free dofs pair up as (2k, 2k+1)
+    if n < 3 or free.size % 2 or np.any(free[0::2] % 2) or np.any(free[1::2] != free[0::2] + 1):
+        raise _NotSectorInvariant("free dofs are not whole nodes")
+    xy = mesh.nodes[free[0::2] // 2]
+    step = 2.0 * math.pi / n
+    phi = np.arctan2(xy[:, 1], xy[:, 0]) % (2.0 * math.pi)
+    sector = np.floor(phi / step + 1e-6).astype(int) % n  # a node on a ray may round below it
+    cos, sin = np.cos(sector * step), np.sin(sector * step)
+    at = np.stack([cos * xy[:, 0] + sin * xy[:, 1], cos * xy[:, 1] - sin * xy[:, 0]], axis=1)
+    key = np.round(at / (1e-9 * mesh.ell))
+    order = np.lexsort((key[:, 1], key[:, 0], sector))
+    if sector.size % n or np.any(np.bincount(sector, minlength=n) != sector.size // n):
+        raise _NotSectorInvariant("sectors hold different node counts")
+    order = order.reshape(n, -1)  # row s: the free nodes of sector s, local order
+    if np.abs(at[order] - at[order[0]]).max() > 1e-9 * mesh.ell:
+        raise _NotSectorInvariant("sectors hold different nodes")
+    nodes = order.shape[1]
+    local = np.empty_like(sector)
+    local[order] = np.arange(nodes)
+
+    # the 2x2 node blocks of S_ff, each rotated into its row and column
+    # node's sector frames: F_a B F_b^T with F = [[cos, sin], [-sin, cos]]
+    bsr = s_ff.tobsr(blocksize=(2, 2))
+    a = np.repeat(np.arange(sector.size), np.diff(bsr.indptr))
+    b = bsr.indices
+    rot = np.empty_like(bsr.data)
+    c, s = cos[b][:, None], sin[b][:, None]
+    rot[:, :, 0] = c * bsr.data[:, :, 0] + s * bsr.data[:, :, 1]
+    rot[:, :, 1] = c * bsr.data[:, :, 1] - s * bsr.data[:, :, 0]
+    c, s = cos[a][:, None], sin[a][:, None]
+    rot[:, 0], rot[:, 1] = c * rot[:, 0] + s * rot[:, 1], c * rot[:, 1] - s * rot[:, 0]
+    shift = (sector[b] - sector[a]) % n  # 0, 1 or n - 1 for B_0, B_1, B_-1
+    if np.any((shift > 1) & (shift < n - 1)):
+        raise _NotSectorInvariant("coupling beyond neighbouring sectors")
+    # every sector's blocks on the union pattern; a sum that rounds to an
+    # exact zero in one sector and not in another is no asymmetry
+    slot = (np.where(shift == n - 1, 2, shift) * nodes + local[a]) * nodes + local[b]
+    present = np.zeros(3 * nodes * nodes, dtype=bool)
+    present[slot] = True
+    vals = np.zeros((n, np.count_nonzero(present), 2, 2), dtype=complex)
+    vals[sector[a], np.cumsum(present)[slot] - 1] = rot
+    if np.abs(vals - vals[0]).max(initial=0.0) > _SECTOR_RTOL * np.abs(vals).max(initial=0.0):
+        raise _NotSectorInvariant("sectors hold different entries")
+
+    # the union pattern of B_-1, B_0, B_1, one coefficient block per
+    # coupling, placed on the diagonal block of each mode
+    block, pair = np.divmod(np.flatnonzero(present), nodes * nodes)
+    pairs, where = np.unique(pair, return_inverse=True)
+    coeffs = np.zeros((3, pairs.size, 2, 2), dtype=complex)
+    coeffs[block, where] = vals[0]
+    twiddle = np.exp(2j * math.pi * np.arange(n) / n)[:, None, None, None]
+    data = coeffs[0] + coeffs[1] * twiddle + coeffs[2] * twiddle.conj()  # (n, pairs, 2, 2)
+    nl = 2 * nodes  # local dofs per sector
+    offset = nl * np.arange(n)[:, None, None, None]
+    rows = offset + (2 * (pairs // nodes))[:, None, None] + np.array([0, 1])[:, None]
+    cols = offset + (2 * (pairs % nodes))[:, None, None] + np.array([0, 1])
+    rows, cols = np.broadcast_arrays(rows, cols)
+    modes = sp.csc_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n * nl, n * nl))
+    return modes, 2 * order, cos[order[:, :1]], sin[order[:, :1]]
+
+
+class _SectorLU:
+    """S_ff^-1 by angular Fourier modes: rotate each node into its sector's
+    frame, FFT over the sectors, solve the decoupled mode blocks with one
+    sparse LU of their block-diagonal matrix, transform back.  The same
+    FFT pair serves the adjoint, since the mode blocks of S_ff^H are the
+    adjoints S_m^H."""
+
+    def __init__(self, mesh: Mesh, free: np.ndarray, s_ff):
+        modes, self._ix, self._cos, self._sin = _sector_modes(mesh, free, s_ff)
+        self.modes = mesh.n_theta
+        self.lu = _factor(modes)
+
+    def solve(self, rhs, trans: str = "N"):
+        ix, c, s = self._ix, self._cos, self._sin
+        bx, by = rhs[ix], rhs[ix + 1]
+        b = np.stack([c * bx + s * by, c * by - s * bx], axis=-1)  # (n, L, 2)
+        y = self.lu.solve(np.fft.fft(b, axis=0).reshape(-1), trans=trans)
+        y = np.fft.ifft(y.reshape(b.shape), axis=0)
+        u = np.empty(rhs.shape, dtype=complex)
+        u[ix] = c * y[..., 0] - s * y[..., 1]
+        u[ix + 1] = s * y[..., 0] + c * y[..., 1]
+        return u
+
+
+def _factor_summary(lu) -> tuple:
+    """(kind, modes, L+U fill) of a factor made by ``AssembledSystem.lu``:
+    ("sector", n_theta, fill of the mode blocks) or ("direct", None, fill
+    of S_ff)."""
+    if isinstance(lu, _SectorLU):
+        return "sector", lu.modes, lu.lu.L.nnz + lu.lu.U.nnz
+    return "direct", None, lu.L.nnz + lu.U.nnz
 
 
 def _extended_residual(s_ext, u, rhs, trans: str = "N"):
@@ -506,12 +647,18 @@ class ConstantEstimate:
     ``ritz_residual`` is the M-norm residual of the top Ritz pair relative
     to its Ritz value theta: some eigenvalue of the normal operator lies
     within ``ritz_residual * theta`` of theta.  ``history`` holds
-    omega^2 sqrt(theta) after each Lanczos step (nondecreasing)."""
+    omega^2 sqrt(theta) after each Lanczos step (nondecreasing).  The
+    factor of S_ff is ``factor_kind`` ("sector" or "direct") over
+    ``factor_modes`` angular modes (None for "direct") with ``lu_nnz``
+    nonzeros in L + U."""
 
     c_emp: float
     steps: int
     ritz_residual: float
     history: tuple
+    factor_kind: str
+    factor_modes: int | None
+    lu_nnz: int
 
 
 def empirical_constant(
@@ -529,8 +676,10 @@ def empirical_constant(
     f -> u = S^-1 M f in rho-weighted norms.
 
     Lanczos in the M inner product on the M-self-adjoint normal operator
-    S^-H M S^-1 M, with full M-reorthogonalisation; each step makes one
-    forward and one adjoint solve with a single factorization of S.  The
+    S^-H M S^-1 M, with full M-reorthogonalisation against the kept
+    M-images M v_j of the basis; each step makes one forward and one
+    adjoint solve with a single factorization of S (``AssembledSystem.lu``)
+    and two products with M.  The
     iteration stops once the top Ritz pair (theta, y) of the tridiagonal
     T_k is certified, beta_k |y_k| <= ``tol`` * theta, and returns
     omega^2 sqrt(theta).  The Ritz values never decrease with k.  The first
@@ -555,13 +704,14 @@ def empirical_constant(
 
     steps = min(iters, free.size)
     basis = np.empty((steps, free.size), dtype=complex)  # rows: M-orthonormal v_j
+    m_basis = np.empty_like(basis)  # rows: M v_j
     alphas, betas, history = [], [], []
     mv = m_ff @ v
     scale = m_norm(v, mv)
     v, mv = v / scale, mv / scale
     s_ext = None
     for k in range(steps):
-        basis[k] = v
+        basis[k], m_basis[k] = v, mv
         if k == 0:
             u, _, s_ext = _solve_checked(lu, s_ff, mv)
         else:
@@ -574,7 +724,7 @@ def empirical_constant(
         if s_ext is not None:
             w = _refine(lu, s_ext, w, mu, trans="H")
         for _ in range(2):  # full M-reorthogonalisation, twice is enough
-            coeffs = (basis[: k + 1] @ (m_ff @ w).conj()).conj()  # <v_j, w>_M
+            coeffs = (m_basis[: k + 1] @ w.conj()).conj()  # <v_j, w>_M = (M v_j)^H w
             w -= basis[: k + 1].T @ coeffs
         mw = m_ff @ w
         beta = m_norm(w, mw)
@@ -585,7 +735,9 @@ def empirical_constant(
         history.append(omega**2 * math.sqrt(theta))
         residual = beta * abs(float(y[-1, 0]))
         if residual <= tol * theta:
-            est = ConstantEstimate(history[-1], k + 1, residual / theta, tuple(history))
+            est = ConstantEstimate(
+                history[-1], k + 1, residual / theta, tuple(history), *_factor_summary(lu)
+            )
             if full_output:
                 return est
             return (est.c_emp, history) if return_history else est.c_emp
@@ -681,6 +833,9 @@ class SweepRow:
     error: str | None = None
     lanczos_steps: int | None = None
     ritz_residual: float | None = None  # relative to the top Ritz value
+    factor_kind: str | None = None  # "sector" or "direct"
+    factor_modes: int | None = None
+    lu_nnz: int | None = None
 
     def applicable_bound(self, robin_choice: str) -> float:
         return self.bound_ideal_full if robin_choice == "shear" else self.bound_realistic
@@ -744,6 +899,9 @@ def _sweep_row(cfg: SweepConfig, kappa: float, lam_ratio: float) -> SweepRow:
         error=None,
         lanczos_steps=est.steps,
         ritz_residual=est.ritz_residual,
+        factor_kind=est.factor_kind,
+        factor_modes=est.factor_modes,
+        lu_nnz=est.lu_nnz,
         **base,
     )
 

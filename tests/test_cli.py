@@ -389,9 +389,14 @@ class TestFemSweepCommand:
         assert main(["fem-sweep", "--config", str(cfg), "--out-dir", str(out)]) == 0
         header = (out / "fem_sweep.csv").read_text().splitlines()[0].split(",")
         assert "lanczos_steps" not in header and "ritz_residual" not in header
+        assert not {"factor", "lu_nnz"} & set(header)
         [est] = json.loads((out / "manifest.json").read_text())["estimates"]
         assert est["kappa_s"] == 1.0 and est["lanczos_steps"] >= 1
         assert 0.0 <= est["ritz_residual"] <= 1e-8
+        [row] = csv.DictReader((out / "fem_sweep.csv").read_text().splitlines())
+        n_theta = int(row["n_theta"])
+        assert est["factor"]["kind"] == "sector" and est["factor"]["modes"] == n_theta
+        assert est["factor"]["lu_nnz"] > 0
 
     @pytest.mark.parametrize(
         "line,env",

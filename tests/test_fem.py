@@ -450,6 +450,115 @@ class TestEmpiricalConstant:
         assert abs(c1 - c2) / c2 <= 0.05
 
 
+def _radial_material(kind, lam_ratio):
+    if kind == "constant":
+        return core.MaterialField.constant(1.0, 1.0, lam_ratio)
+    if kind == "radial-profile":
+        return core.MaterialField.radial(
+            core.radial_profile(lambda r: 1.0 + r**2, 1.0, 2.0),
+            core.radial_profile(lambda r: 2.0 - r, 1.0, 1.5),
+            core.radial_profile(lambda r: lam_ratio * (2.0 - r), lam_ratio, 1.5 * lam_ratio),
+        )
+    return core.MaterialField.radial(
+        core.constant_profile(1.0),
+        core.piecewise_radial_profile([0.0, 0.75], [1.0, 0.25]),
+        core.piecewise_radial_profile([0.0, 0.75], [lam_ratio, 0.25 * lam_ratio]),
+    )
+
+
+class TestSectorFactor:
+    """The angular Fourier factorization against the direct LU of S_ff."""
+
+    @pytest.mark.parametrize("lam_ratio", [1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("kind", ["constant", "radial-profile", "piecewise-radial"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_solves_match_the_direct_factor(self, order, kind, lam_ratio):
+        material = _radial_material(kind, lam_ratio)
+        m = build_annulus_mesh(0.5, 1.0, 3, 16, order=order)
+        s = fem.assemble(m, material, core.RobinSpec.shear_matched(material), omega=2.0)
+        s_ff, _ = s.free_blocks
+        assert isinstance(s.lu, fem._SectorLU)
+        direct = fem._factor(s_ff)
+        rng = np.random.default_rng(7)
+        rhs = rng.normal(size=s.free.size) + 1j * rng.normal(size=s.free.size)
+        for trans in ("N", "H"):
+            exact = direct.solve(rhs, trans=trans)
+            got = s.lu.solve(rhs, trans=trans)
+            assert np.abs(got - exact).max() <= 1e-10 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("lam_ratio", [1.0, 1e4])
+    @pytest.mark.parametrize("kind", ["constant", "piecewise-radial"])
+    def test_empirical_constant_matches_the_direct_factor(self, kind, lam_ratio, monkeypatch):
+        material = _radial_material(kind, lam_ratio)
+        robin = core.RobinSpec.shear_matched(material)
+        m = build_annulus_mesh(0.5, 1.0, 3, 24)
+        sector = fem.empirical_constant(m, material, robin, omega=2.0, full_output=True)
+
+        def no_symmetry(*args):
+            raise fem._NotSectorInvariant
+
+        monkeypatch.setattr(fem, "_sector_modes", no_symmetry)
+        direct = fem.empirical_constant(m, material, robin, omega=2.0, full_output=True)
+        assert (sector.factor_kind, sector.factor_modes) == ("sector", 24)
+        assert (direct.factor_kind, direct.factor_modes) == ("direct", None)
+        assert sector.c_emp == pytest.approx(direct.c_emp, rel=1e-10)
+        assert sector.steps == direct.steps
+
+    @pytest.mark.parametrize("defect", ["node-off-its-ring", "one-entry"])
+    def test_broken_symmetry_takes_the_direct_path(self, defect, material, robin):
+        m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
+        k = 16 + 5  # a vertex of the first interior ring
+        if defect == "node-off-its-ring":
+            nodes = m.nodes.copy()
+            nodes[k] *= 1.0 + 1e-3
+            s = fem.assemble(dataclasses.replace(m, nodes=nodes), material, robin, omega=2.0)
+        else:
+            s = fem.assemble(m, material, robin, omega=2.0)
+            bump = sp.csr_matrix(([1e-9 * s.stiffness[2 * k, 2 * k]], ([2 * k], [2 * k])), s.stiffness.shape)
+            s = dataclasses.replace(s, stiffness=s.stiffness + bump)
+        assert not isinstance(s.lu, fem._SectorLU)
+        assert fem._factor_summary(s.lu)[:2] == ("direct", None)
+        f = np.random.default_rng(3).normal(size=(m.n_nodes, 2))
+        assert fem.solve(s, f).residual_norm <= 1e-8
+
+    def test_sector_fill_uniform_in_lambda(self):
+        # the direct factor grows from 0.94M to 3.45M here; the mode blocks
+        # keep their fill
+        cfg = fem.SweepConfig(kappa_s=(16.0,))
+        m = fem.resolution_mesh(cfg, 16.0)
+        nnz = []
+        for lam_ratio in (1.0, 1e8):
+            material = cfg.material(lam_ratio)
+            s = fem.assemble(m, material, cfg.robin(material), omega=16.0)
+            kind, modes, fill = fem._factor_summary(s.lu)
+            assert (kind, modes) == ("sector", m.n_theta)
+            nnz.append(fill)
+        assert nnz[1] <= 1.25 * nnz[0]
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_every_sweep_mesh_takes_the_sector_path(self, order):
+        # the benchmark's kappa_s; the direct factor of the largest is ~9x
+        # the sector factor's fill
+        for kappa in (1.0, 2.0, 4.0, 16.0, 24.0, 32.0):
+            cfg = fem.SweepConfig(kappa_s=(kappa,), order=order)
+            m = fem.resolution_mesh(cfg, kappa)
+            material = cfg.material(1.0)
+            s = fem.assemble(m, material, cfg.robin(material), omega=kappa)
+            assert isinstance(s.lu, fem._SectorLU), (kappa, order)
+
+    def test_every_identity_check_mesh_takes_the_sector_path(self, monkeypatch):
+        from elastab import cli
+
+        systems = []
+        assemble = fem.assemble
+        monkeypatch.setattr(fem, "assemble", lambda *a, **k: systems.append(assemble(*a, **k)) or systems[-1])
+        for suite in ("garding", "morawetz", "chain"):
+            cli._SUITES[suite](0)
+        shapes = {(s.mesh.n_r, s.mesh.n_theta) for s in systems}
+        assert {(4, 32), (6, 64)} <= shapes and len(systems) == 4
+        assert all(isinstance(s.lu, fem._SectorLU) for s in systems)
+
+
 class TestSweep:
     def test_nearly_incompressible_row_meets_the_residual_contract(self):
         # at lambda/mu = 1e8 the double-precision residual of the first solve
