@@ -24,7 +24,8 @@ print(f"annulus mesh: {mesh.n_cells} cells, {mesh.n_nodes} nodes (order 2, "
 print(f"points per shear wavelength at omega = 2: "
       f"{mesh.points_per_wavelength(2.0, 1.0):.1f}")
 
-c, history = fem.empirical_constant(mesh, material, robin, omega=2.0, return_history=True)
+est = fem.empirical_constant(mesh, material, robin, omega=2.0)
+c, history = est.c_emp, est.history
 print(f"\nLanczos on the rho-weighted normal operator: "
       f"{len(history)} steps to a certified top Ritz value")
 print("  Ritz estimates (nondecreasing):", ", ".join(f"{h:.5f}" for h in history[:6]), "...")

@@ -32,26 +32,19 @@ TAU_STAR = 1.0 / 6.0
 
 @dataclass(frozen=True)
 class GenericConstants:
-    """User-supplied generic constants for bounds that are not fully explicit.
+    """User-supplied generic constant for bounds that are not fully explicit.
 
-    c_reg: boundary elliptic-regularity constant; c_ell: interior elliptic
-    constant; korn_k: Korn constant of the rescaled domain; korn_k0:
-    Dirichlet Korn constant; c_general: lumped constant of the coarse
-    quadratic-frequency bound.  Any missing value marks dependent bounds as
-    symbolic rather than silently defaulting.
+    c_general: lumped constant of the coarse quadratic-frequency bound.  A
+    missing value marks the bound as symbolic rather than silently
+    defaulting.
     """
 
-    c_reg: float | None = None
-    c_ell: float | None = None
-    korn_k: float | None = None
-    korn_k0: float | None = None
     c_general: float | None = None
 
     def __post_init__(self):
-        for name in ("c_reg", "c_ell", "korn_k", "korn_k0", "c_general"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v >= 1.0):
-                raise ValueError(f"{name} must be finite and >= 1 when supplied, got {v}")
+        v = self.c_general
+        if v is not None and not (math.isfinite(v) and v >= 1.0):
+            raise ValueError(f"c_general must be finite and >= 1 when supplied, got {v}")
 
 
 @dataclass(frozen=True)

@@ -406,7 +406,7 @@ def _run_fem_sweep(args) -> int:
         [
             r.omega, r.kappa_s, r.lambda_over_mu, r.c_emp,
             r.bound_ideal_full, r.bound_ideal_simplified, r.bound_realistic,
-            r.applicable_bound(sweep_cfg.robin_choice), r.slack,
+            r.applicable_bound, r.slack,
             r.points_per_wavelength, r.n_r, r.n_theta, r.n_dofs, r.refused,
             r.error or "",
         ]
@@ -644,14 +644,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, table=False):
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        if table:  # the JSON reports have one format
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("bounds", help="closed-form stability constants")
     p.add_argument("--config", required=True)
-    common(p)
+    common(p, table=True)
     p.set_defaults(func=_run_bounds)
 
     p = sub.add_parser("greens-verify", help="fundamental-solution bound check")
@@ -667,7 +668,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fem-sweep", help="empirical resolvent constants on the annulus")
     p.add_argument("--config", required=True)
-    common(p)
+    common(p, table=True)
     p.set_defaults(func=_run_fem_sweep)
 
     p = sub.add_parser("identity-check", help="identity and inequality audits")

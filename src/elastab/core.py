@@ -77,6 +77,23 @@ class CoefficientProfile:
             )
         return vals
 
+    def log_slope(self, r, ell: float) -> np.ndarray:
+        """V_h(phi) = (h.grad phi)/phi = r phi'(r)/phi(r) for h = x at radii
+        ``r`` in [0, ell]; zero where phi vanishes.  Without an analytic
+        derivative phi' is a difference quotient over [r - 1e-6 ell,
+        r + 1e-6 ell] clipped to [0, ell], the range the bounds certify."""
+        r = np.asarray(r, dtype=float)
+        if self.radial_derivative is not None:
+            deriv = np.asarray(self.radial_derivative(r), dtype=float)
+        else:
+            step = 1e-6 * ell
+            lo = np.maximum(r - step, 0.0)
+            hi = np.minimum(r + step, ell)
+            deriv = (self.at_radius(hi) - self.at_radius(lo)) / (hi - lo)
+        vals = self.at_radius(r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(vals > 0.0, r * deriv / vals, 0.0)
+
 
 def constant_profile(value: float) -> CoefficientProfile:
     value = float(value)
@@ -92,8 +109,8 @@ def constant_profile(value: float) -> CoefficientProfile:
 def radial_profile(fn, vmin, vmax, derivative=None) -> CoefficientProfile:
     """Smooth radial profile r -> fn(r) with analytic bounds.
 
-    ``derivative`` is the analytic d(fn)/dr; when omitted the admissibility
-    probe falls back on centered difference quotients.
+    ``derivative`` is the analytic d(fn)/dr; when omitted ``log_slope``
+    falls back on a difference quotient.
     """
     return CoefficientProfile(
         radial=fn,
@@ -241,8 +258,6 @@ class DomainSpec:
     ell: float
     shape: str = "ball"
     r_in: float | None = None
-    gamma_dir: str = "dirichlet"
-    gamma_diss: str = "dissipative"
 
     def __post_init__(self):
         if self.d not in (2, 3):
@@ -258,11 +273,6 @@ class DomainSpec:
     @property
     def has_dirichlet(self) -> bool:
         return self.shape != "ball"
-
-    @property
-    def dissipative_is_sphere(self) -> bool:
-        # All supported shapes share a spherical/circular outer boundary.
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +462,6 @@ def derive_groups(
     """
     if omega < 0.0:
         raise ValueError("omega must be nonnegative")
-    if not domain.dissipative_is_sphere:
-        raise UnsupportedDomainError(
-            "dissipative boundary must be the outer sphere/circle of radius ell"
-        )
     if mult is None:
         mult = MultiplierSpec.identity(domain.d)
 
@@ -465,10 +471,7 @@ def derive_groups(
     chi = max(beta_t / robin.alpha_t, beta_n / robin.alpha_n)
     ratio = math.sqrt(robin.alpha_max / robin.alpha_min)
     c_rob = (2.0 + ratio) * math.sqrt(robin.alpha_max)
-    if mult.kind == "identity" and domain.dissipative_is_sphere:
-        zeta = 0.0
-    else:
-        zeta = 2.0 * mult.nu * ratio
+    zeta = 0.0 if mult.kind == "identity" else 2.0 * mult.nu * ratio
     return DimensionlessGroups(
         kappa_s=kappa_s,
         alpha_t=robin.alpha_t,
@@ -496,27 +499,6 @@ class RadialAdmissibility:
     gamma: float
 
 
-def _radial_log_slope(profile: CoefficientProfile, radii: np.ndarray, ell: float, sign: float) -> float:
-    """sup over samples of max(0, sign * r * p'(r) / p(r))."""
-    if profile.radial_derivative is not None:
-        deriv = np.asarray(profile.radial_derivative(radii), dtype=float)
-    else:
-        step = 1e-6 * ell
-        lo = np.maximum(radii - step, 0.0)
-        hi = np.minimum(radii + step, ell)  # stay inside the certified range
-        deriv = (profile.at_radius(hi) - profile.at_radius(lo)) / (hi - lo)
-    vals = profile.at_radius(radii)
-    if np.any(vals <= 0.0) and sign < 0:
-        # V_h(phi) = 0 wherever phi vanishes.
-        mask = vals > 0.0
-        radii, deriv, vals = radii[mask], deriv[mask], vals[mask]
-        if radii.size == 0:
-            return 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(vals > 0.0, sign * radii * deriv / vals, 0.0)
-    return float(np.max(np.maximum(slope, 0.0), initial=0.0))
-
-
 def check_radial_admissibility(
     material: MaterialField,
     domain: DomainSpec,
@@ -524,9 +506,10 @@ def check_radial_admissibility(
 ) -> RadialAdmissibility:
     """Probe the radial growth conditions of the coefficients.
 
-    Smooth profiles are probed by (analytic or centered-difference) radial
-    slopes: theta_rho bounds how fast rho may decrease outward, theta_mu and
-    theta_lambda how fast the stiffnesses may increase.  The admissibility
+    Smooth profiles are probed by their log slopes V_h
+    (``CoefficientProfile.log_slope``): theta_rho bounds how fast rho may
+    decrease outward, theta_mu and theta_lambda how fast the stiffnesses may
+    increase.  The admissibility
     budget theta = theta_rho + max(theta_mu, theta_lambda) must stay below 2
     and yields gamma = (2 - theta)/2.
 
@@ -555,9 +538,11 @@ def check_radial_admissibility(
                 raise InadmissibleCoefficientsError("lambda increases outward")
         return RadialAdmissibility(0.0, 0.0, 0.0, 0.0, 1.0)
 
-    theta_rho = _radial_log_slope(material.rho, radii, domain.ell, sign=-1.0)
-    theta_mu = _radial_log_slope(material.mu, radii, domain.ell, sign=+1.0)
-    theta_lam = _radial_log_slope(material.lam, radii, domain.ell, sign=+1.0)
+    # sup over the samples of max(0, sign * V_h)
+    theta_rho, theta_mu, theta_lam = (
+        float(np.max(np.maximum(sign * p.log_slope(radii, domain.ell), 0.0), initial=0.0))
+        for p, sign in ((material.rho, -1.0), (material.mu, 1.0), (material.lam, 1.0))
+    )
     theta = theta_rho + max(theta_mu, theta_lam)
     if theta >= 2.0:
         raise InadmissibleCoefficientsError(

@@ -43,8 +43,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
 from . import mesh as _mesh
-from .bounds import bound_obstacle_ideal, bound_obstacle_realistic
-from .core import MaterialField, RobinSpec
+from .bounds import bound_obstacle_ideal, bound_obstacle_realistic, stability_simple_robin
+from .core import DomainSpec, MaterialField, RobinSpec, derive_groups, multiplier_for
 from .errors import ConfigError, IterationError, MeshError, SolverError
 from .mesh import DIRICHLET, DISSIPATIVE, Mesh
 
@@ -56,7 +56,6 @@ __all__ = [
     "solve",
     "evaluate_volume",
     "evaluate_boundary",
-    "discrete_quantities",
     "empirical_constant",
     "ConstantEstimate",
     "SweepConfig",
@@ -608,34 +607,6 @@ def evaluate_boundary(mesh: Mesh, tag: str, nodal_fields):
     return edges.x.reshape(-1, 2), edges.w.reshape(-1), edges.normal.reshape(-1, 2), out
 
 
-def discrete_quantities(system: AssembledSystem, u, f) -> dict:
-    """Norms entering the estimate chain, measured from a discrete solve."""
-    uf = _flat(np.asarray(u, dtype=complex))
-    ff = _flat(np.asarray(f, dtype=complex))
-    mesh, mat = system.mesh, system.material
-    x, w, [(val_u, grad_u)] = evaluate_volume(mesh, [u])
-    mu_q = mat.mu(x)
-    eps = 0.5 * (grad_u + np.swapaxes(grad_u, -2, -1))
-    xb, wb, nb, [(val_b, grad_b)] = evaluate_boundary(mesh, DISSIPATIVE, [u])
-    mu_b = mat.mu(xb)
-    eps_b = 0.5 * (grad_b + np.swapaxes(grad_b, -2, -1))
-    return {
-        "omega": system.omega,
-        "ell": mesh.ell,
-        "mu_min": mat.mu_min,
-        "norm_u_rho": math.sqrt(max(float(np.real(uf.conj() @ (system.mass @ uf))), 0.0)),
-        "norm_f_rho": math.sqrt(max(float(np.real(ff.conj() @ (system.mass @ ff))), 0.0)),
-        "norm_u_A_gamma": math.sqrt(
-            max(float(np.real(uf.conj() @ (system.robin_matrix @ uf))), 0.0)
-        ),
-        "norm_grad_u": math.sqrt(float(np.sum(w * np.sum(np.abs(grad_u) ** 2, axis=(1, 2))))),
-        "norm_eps_mu_gamma": math.sqrt(
-            float(np.sum(wb * mu_b * np.sum(np.abs(eps_b) ** 2, axis=(1, 2))))
-        ),
-        "norm_eps_mu_omega": math.sqrt(float(np.sum(w * mu_q * np.sum(np.abs(eps) ** 2, axis=(1, 2))))),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Empirical stability constant
 # ---------------------------------------------------------------------------
@@ -669,9 +640,7 @@ def empirical_constant(
     iters: int = 400,
     seed: int = 0,
     tol: float = 1e-8,
-    return_history: bool = False,
-    full_output: bool = False,
-):
+) -> ConstantEstimate:
     """omega^2 times the largest singular value of the discrete solution map
     f -> u = S^-1 M f in rho-weighted norms.
 
@@ -687,9 +656,9 @@ def empirical_constant(
     it needs iterative refinement to meet it, every later forward and
     adjoint solve of the estimate is refined once too.
 
-    Returns the constant, ``(constant, history)`` with ``return_history``,
-    or a ``ConstantEstimate`` with ``full_output``.  Raises
-    ``IterationError`` when ``iters`` steps certify nothing.
+    Returns the ``ConstantEstimate`` (constant, step count, certificate and
+    history).  Raises ``IterationError`` when ``iters`` steps certify
+    nothing.
     """
     system = assemble(mesh, material, robin, omega)
     free = system.free
@@ -735,12 +704,9 @@ def empirical_constant(
         history.append(omega**2 * math.sqrt(theta))
         residual = beta * abs(float(y[-1, 0]))
         if residual <= tol * theta:
-            est = ConstantEstimate(
+            return ConstantEstimate(
                 history[-1], k + 1, residual / theta, tuple(history), *_factor_summary(lu)
             )
-            if full_output:
-                return est
-            return (est.c_emp, history) if return_history else est.c_emp
         betas.append(beta)
         v, mv = w / beta, mw / beta
     raise IterationError(
@@ -824,6 +790,7 @@ class SweepRow:
     bound_ideal_full: float
     bound_ideal_simplified: float
     bound_realistic: float
+    applicable_bound: float  # the theorem for the row's impedance; see _sweep_row
     slack: float | None
     points_per_wavelength: float
     n_r: int
@@ -836,9 +803,6 @@ class SweepRow:
     factor_kind: str | None = None  # "sector" or "direct"
     factor_modes: int | None = None
     lu_nnz: int | None = None
-
-    def applicable_bound(self, robin_choice: str) -> float:
-        return self.bound_ideal_full if robin_choice == "shear" else self.bound_realistic
 
 
 def _resolution(cfg: SweepConfig, kappa: float) -> tuple:
@@ -864,6 +828,11 @@ def resolution_mesh(cfg: SweepConfig, kappa: float) -> Mesh:
 
 
 def _sweep_row(cfg: SweepConfig, kappa: float, lam_ratio: float) -> SweepRow:
+    """One solved (or refused) row.  Its applicable bound is the theorem for
+    its impedance: the ideal obstacle bound for shear-matched rows
+    (alpha_t = alpha_n = 1), the realistic one for pressure-matched rows
+    (alpha_n = sqrt(2 + lambda/mu)), and the simple-Robin bound for the
+    annulus at a custom (alpha_t, alpha_n)."""
     material = cfg.material(lam_ratio)
     theta_s_min = math.sqrt(material.mu_min / material.rho_max)
     omega = kappa * theta_s_min / cfg.ell
@@ -871,6 +840,15 @@ def _sweep_row(cfg: SweepConfig, kappa: float, lam_ratio: float) -> SweepRow:
     ppw = mesh.points_per_wavelength(omega, theta_s_min)
     ideal = bound_obstacle_ideal(kappa, d=2)
     realistic = bound_obstacle_realistic(kappa, lam_ratio)
+    robin = cfg.robin(material)
+    if cfg.robin_choice == "shear":
+        bound = ideal.full
+    elif cfg.robin_choice == "pressure":
+        bound = realistic
+    else:
+        domain = DomainSpec(d=2, ell=cfg.ell, shape="annulus", r_in=cfg.r_in)
+        groups = derive_groups(material, domain, robin, omega)
+        bound = stability_simple_robin(groups, multiplier_for(domain), 2).bound_value
     refused = ppw < cfg.points_per_wavelength and not cfg.force
     base = dict(
         omega=omega,
@@ -879,6 +857,7 @@ def _sweep_row(cfg: SweepConfig, kappa: float, lam_ratio: float) -> SweepRow:
         bound_ideal_full=ideal.full,
         bound_ideal_simplified=ideal.simplified,
         bound_realistic=realistic,
+        applicable_bound=bound,
         points_per_wavelength=ppw,
         n_r=mesh.n_r,
         n_theta=mesh.n_theta,
@@ -887,12 +866,10 @@ def _sweep_row(cfg: SweepConfig, kappa: float, lam_ratio: float) -> SweepRow:
     )
     if refused:
         return SweepRow(c_emp=None, slack=None, error="resolution policy violated", **base)
-    robin = cfg.robin(material)
     try:
-        est = empirical_constant(mesh, material, robin, omega, seed=cfg.seed, full_output=True)
+        est = empirical_constant(mesh, material, robin, omega, seed=cfg.seed)
     except (SolverError, IterationError) as exc:
         return SweepRow(c_emp=None, slack=None, error=str(exc), **base)
-    bound = ideal.full if cfg.robin_choice == "shear" else realistic
     return SweepRow(
         c_emp=est.c_emp,
         slack=bound - est.c_emp,

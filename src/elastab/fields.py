@@ -6,7 +6,7 @@ The identity audits consume fields through three evaluators:
     grad(x)   -> (Q, d, d) with grad[q, j, l] = d_j v_l
     second(x) -> (Q, d, d, d) with second[q, j, k, l] = d_j d_k v_l
 
-Everything else (strain, divergence, div sigma for constant coefficients)
+Everything else (strain, div sigma for constant coefficients)
 derives from those.  The library ships constants, rigid rotations, general
 polynomials to degree 3 (and products thereof), plane P/S waves, and
 compactly supported radial bumps.
@@ -53,10 +53,6 @@ class AnalyticField:
         g = self.grad(x)
         return 0.5 * (g + np.swapaxes(g, -2, -1))
 
-    def divergence(self, x: np.ndarray) -> np.ndarray:
-        g = self.grad(x)
-        return np.trace(g, axis1=-2, axis2=-1)
-
     def div_sigma(self, x: np.ndarray, mu: float, lam: float) -> np.ndarray:
         """div sigma(v) = mu Lap(v) + (mu + lam) grad(div v) for constant
         Lame coefficients."""
@@ -64,11 +60,6 @@ class AnalyticField:
         lap = np.einsum("qjjl->ql", s)
         grad_div = np.einsum("qlkk->ql", s)
         return mu * lap + (mu + lam) * grad_div
-
-    def directional(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """(h . grad) v with h sampled at the same points, shape (Q, d)."""
-        g = self.grad(x)
-        return np.einsum("qj,qjl->ql", h, g)
 
     def __add__(self, other: "AnalyticField") -> "AnalyticField":
         return _SumField(self, other)

@@ -128,6 +128,16 @@ class _Surf:
     val: np.ndarray
     grad: np.ndarray
 
+    @property
+    def hn(self) -> np.ndarray:
+        """h.n for h = x."""
+        return np.einsum("qj,qj->q", self.x, self.normal)
+
+    @property
+    def vn(self) -> np.ndarray:
+        """v.n."""
+        return np.einsum("qi,qi->q", self.val, self.normal.astype(complex))
+
 
 def _vol_samples(v: AnalyticField, quad: DomainQuadrature) -> _Vol:
     x = quad.volume.points
@@ -137,6 +147,14 @@ def _vol_samples(v: AnalyticField, quad: DomainQuadrature) -> _Vol:
 def _surf_samples(v: AnalyticField, rule) -> _Surf:
     x = rule.points
     return _Surf(x=x, w=rule.weights, normal=rule.normals, val=v.value(x), grad=v.grad(x))
+
+
+def _samples(v: AnalyticField, domain: DomainSpec, order: int) -> tuple:
+    """(volume, dissipative, Dirichlet or None) samples on exact-geometry
+    quadrature."""
+    quad = quadrature_for(domain, order)
+    diri = None if quad.dirichlet is None else _surf_samples(v, quad.dirichlet)
+    return _vol_samples(v, quad), _surf_samples(v, quad.dissipative), diri
 
 
 def _fem_surf(mesh, tag: str, u) -> _Surf:
@@ -168,24 +186,32 @@ def _frob2(t):
     return np.sum(np.abs(t) ** 2, axis=(-2, -1))
 
 
-def _log_slope(profile, x):
-    """V_h(phi) = (h.grad phi)/phi = r phi'(r)/phi for h = x; zero where
-    phi vanishes."""
-    r = np.linalg.norm(x, axis=-1)
-    if profile.radial_derivative is not None:
-        dp = np.asarray(profile.radial_derivative(r), dtype=float)
-    else:
-        step = 1e-7 * max(r.max(), 1.0)
-        lo = np.maximum(r - step, 0.0)
-        dp = (profile.at_radius(r + step) - profile.at_radius(lo)) / (r + step - lo)
-    p = profile.at_radius(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(p) > 1e-14 * max(abs(profile.vmax), 1.0), r * dp / p, 0.0)
+def _form(a, matrix) -> float:
+    """Re a^H (matrix a) of a flat dof vector."""
+    return float(np.real(a.conj() @ (matrix @ a)))
 
 
 # ---------------------------------------------------------------------------
-# Identity terms (h = x)
+# Identity terms (h = x).  The Morawetz identity is the Rellich identity
+# plus omega^2 times the zero-order mass identity, so each term below has
+# one definition that the three audits share.
 # ---------------------------------------------------------------------------
+
+def _x_pairing(vol: _Vol, a, w) -> float:
+    """2 Re int w conj(a).(x.grad)v."""
+    hgrad = _dirdev(vol.x, vol.grad)
+    return 2.0 * float(np.real(np.sum(w * np.einsum("qi,qi->q", np.conj(a), hgrad))))
+
+
+def _mass_volume(vol: _Vol, rho, v_rho, d: int) -> float:
+    """int (d + V_x(rho)) rho |v|^2."""
+    return float(np.real(np.sum(vol.w * (d + v_rho) * rho * np.sum(np.abs(vol.val) ** 2, axis=1))))
+
+
+def _mass_flux(surf: _Surf, rho) -> float:
+    """bdry int (x.n) rho |v|^2."""
+    return float(np.real(np.sum(surf.w * surf.hn * rho * np.sum(np.abs(surf.val) ** 2, axis=1))))
+
 
 def _r_h_omega(vol: _Vol, mu, lam, v_mu, v_lam, d: int) -> float:
     eps = _strain(vol.grad)
@@ -199,16 +225,12 @@ def _r_h_omega(vol: _Vol, mu, lam, v_mu, v_lam, d: int) -> float:
     return float(np.real(growth - cross))
 
 
-def _r_h_omega_simplified(vol: _Vol, mu, lam, v_mu, v_lam, d: int) -> float:
+def _r_h_omega_simplified(vol: _Vol, mu, lam, d: int) -> float:
+    """R_Omega for constant coefficients: int (d-2) (2 mu |eps|^2 + lam |div|^2)."""
     eps = _strain(vol.grad)
     div = _div(vol.grad)
     return float(
-        np.real(
-            np.sum(
-                vol.w
-                * ((d - 2 + v_mu) * 2.0 * mu * _frob2(eps) + (d - 2 + v_lam) * lam * np.abs(div) ** 2)
-            )
-        )
+        np.real(np.sum(vol.w * ((d - 2) * 2.0 * mu * _frob2(eps) + (d - 2) * lam * np.abs(div) ** 2)))
     )
 
 
@@ -216,8 +238,7 @@ def _b_boundary(surf: _Surf, mu, lam) -> float:
     """int (h.n) sigma(v):eps(vbar) with h = x."""
     eps = _strain(surf.grad)
     div = _div(surf.grad)
-    hn = np.einsum("qj,qj->q", surf.x, surf.normal)
-    return float(np.real(np.sum(surf.w * hn * (2.0 * mu * _frob2(eps) + lam * np.abs(div) ** 2))))
+    return float(np.real(np.sum(surf.w * surf.hn * (2.0 * mu * _frob2(eps) + lam * np.abs(div) ** 2))))
 
 
 def _traction_term(surf: _Surf, mu, lam) -> float:
@@ -228,6 +249,16 @@ def _traction_term(surf: _Surf, mu, lam) -> float:
     return float(2.0 * np.real(np.sum(surf.w * np.einsum("qi,qi->q", sn, np.conj(hgrad)))))
 
 
+def _boundary_triple(diss: _Surf, diri: _Surf | None, material: MaterialField) -> tuple:
+    """(B_diss, R_diss, B_dir); B_dir = 0 without a Dirichlet boundary."""
+    mu, lam = material.mu(diss.x), material.lam(diss.x)
+    b_dir = 0.0
+    if diri is not None:
+        mu_d, lam_d = material.mu(diri.x), material.lam(diri.x)
+        b_dir = _b_boundary(diri, mu_d, lam_d) - _traction_term(diri, mu_d, lam_d)
+    return _b_boundary(diss, mu, lam), _traction_term(diss, mu, lam), b_dir
+
+
 def _surface_div_tangential(surf: _Surf) -> np.ndarray:
     """Surface divergence of the tangential part on an origin-centered
     sphere/circle, via the radially extended normal:
@@ -236,8 +267,7 @@ def _surface_div_tangential(surf: _Surf) -> np.ndarray:
     n = surf.normal
     p_grad = np.einsum("qjl,qjl->q", np.eye(d)[None] - n[:, :, None] * n[:, None, :], surf.grad)
     r = np.linalg.norm(surf.x, axis=-1)
-    vn = np.einsum("qi,qi->q", surf.val, n.astype(complex))
-    return p_grad - (d - 1) * vn / r
+    return p_grad - (d - 1) * surf.vn / r
 
 
 # ---------------------------------------------------------------------------
@@ -261,30 +291,14 @@ def rellich_audit(
     """
     if not material.is_constant:
         raise ValueError("Rellich audit needs constant Lame coefficients")
-    quad = quadrature_for(domain, order)
-    vol = _vol_samples(v, quad)
+    vol, diss, diri = _samples(v, domain, order)
     mu = material.mu(vol.x)
     lam = material.lam(vol.x)
-    d = domain.d
-
     div_sigma = v.div_sigma(vol.x, material.mu_min, material.lam_min)
-    hgrad = _dirdev(vol.x, vol.grad)
-    lhs = -2.0 * float(
-        np.real(np.sum(vol.w * np.einsum("qi,qi->q", np.conj(div_sigma), hgrad)))
-    )
-    r_omega = _r_h_omega(vol, mu, lam, 0.0, 0.0, d)
-    r_omega_simple = _r_h_omega_simplified(vol, mu, lam, 0.0, 0.0, d)
-    diss = _surf_samples(v, quad.dissipative)
-    mu_s = material.mu(diss.x)
-    lam_s = material.lam(diss.x)
-    b_diss = _b_boundary(diss, mu_s, lam_s)
-    r_diss = _traction_term(diss, mu_s, lam_s)
-    b_dir = 0.0
-    if quad.dirichlet is not None:
-        diri = _surf_samples(v, quad.dirichlet)
-        mu_d = material.mu(diri.x)
-        lam_d = material.lam(diri.x)
-        b_dir = _b_boundary(diri, mu_d, lam_d) - _traction_term(diri, mu_d, lam_d)
+    lhs = -_x_pairing(vol, div_sigma, vol.w)
+    r_omega = _r_h_omega(vol, mu, lam, 0.0, 0.0, domain.d)
+    r_omega_simple = _r_h_omega_simplified(vol, mu, lam, domain.d)
+    b_diss, r_diss, b_dir = _boundary_triple(diss, diri, material)
     rhs = -r_omega - r_diss + b_dir + b_diss
     terms = {
         "r_omega": r_omega,
@@ -309,26 +323,12 @@ def mass_identity_audit(
         -2 Re int rho v.(x.grad)vbar
             = int (d + V_x(rho)) rho |v|^2 - bdry int (x.n) rho |v|^2.
     """
-    quad = quadrature_for(domain, order)
-    vol = _vol_samples(v, quad)
+    vol, diss, diri = _samples(v, domain, order)
     rho = material.rho(vol.x)
-    v_rho = _log_slope(material.rho, vol.x)
-    hgrad = _dirdev(vol.x, vol.grad)
-    lhs = -2.0 * float(
-        np.real(np.sum(vol.w * rho * np.einsum("qi,qi->q", np.conj(vol.val), hgrad)))
-    )
-    volume_term = float(
-        np.real(np.sum(vol.w * (domain.d + v_rho) * rho * np.sum(np.abs(vol.val) ** 2, axis=1)))
-    )
-    boundary_term = 0.0
-    for rule in (quad.dissipative, quad.dirichlet):
-        if rule is None:
-            continue
-        s = _surf_samples(v, rule)
-        hn = np.einsum("qj,qj->q", s.x, s.normal)
-        boundary_term += float(
-            np.real(np.sum(s.w * hn * material.rho(s.x) * np.sum(np.abs(s.val) ** 2, axis=1)))
-        )
+    v_rho = material.rho.log_slope(np.linalg.norm(vol.x, axis=-1), domain.ell)
+    lhs = -_x_pairing(vol, vol.val, vol.w * rho)
+    volume_term = _mass_volume(vol, rho, v_rho, domain.d)
+    boundary_term = sum(_mass_flux(s, material.rho(s.x)) for s in (diss, diri) if s is not None)
     rhs = volume_term - boundary_term
     terms = {"volume": volume_term, "boundary": boundary_term}
     return _equality_report("mass_identity", lhs, rhs, terms, tol)
@@ -347,42 +347,29 @@ def manufactured_load(v: AnalyticField, material: MaterialField, omega: float):
     return fn
 
 
-def _morawetz(name, vol: _Vol, f_val, diss: _Surf, diri, material, omega, d, tol) -> IdentityReport:
+def _morawetz(name, vol: _Vol, f_val, diss: _Surf, diri, material, omega, d, ell, tol) -> IdentityReport:
     """The h = x multiplier identity on samples of u (volume, dissipative and,
     unless ``diri`` is None, Dirichlet surface) and of the load f at the
-    volume points:
+    volume points, in a domain of radius ``ell``:
 
         omega^2 int (d + V_x(rho)) rho |u|^2 + B_diss + B_dir
           = 2 Re (rho f, (x.grad)u) + omega^2 bdry int (x.n) rho |u|^2
             + R_diss + R_Omega.
-    """
-    rho = material.rho(vol.x)
-    mu = material.mu(vol.x)
-    lam = material.lam(vol.x)
-    v_rho = _log_slope(material.rho, vol.x)
-    v_mu = _log_slope(material.mu, vol.x)
-    v_lam = _log_slope(material.lam, vol.x)
 
-    mass_term = omega**2 * float(
-        np.real(np.sum(vol.w * (d + v_rho) * rho * np.sum(np.abs(vol.val) ** 2, axis=1)))
+    With rho f = -omega^2 rho u - div sigma(u) it is the Rellich identity
+    plus omega^2 times the zero-order mass identity (u = 0 on the Dirichlet
+    boundary), and it is assembled from their terms.
+    """
+    r = np.linalg.norm(vol.x, axis=-1)
+    rho = material.rho(vol.x)
+    mass_term = omega**2 * _mass_volume(vol, rho, material.rho.log_slope(r, ell), d)
+    b_diss, r_diss, b_dir = _boundary_triple(diss, diri, material)
+    mass_bdry = omega**2 * _mass_flux(diss, material.rho(diss.x))
+    work = _x_pairing(vol, f_val, vol.w * rho)
+    r_omega = _r_h_omega(
+        vol, material.mu(vol.x), material.lam(vol.x),
+        material.mu.log_slope(r, ell), material.lam.log_slope(r, ell), d,
     )
-    mu_s, lam_s, rho_s = material.mu(diss.x), material.lam(diss.x), material.rho(diss.x)
-    b_diss = _b_boundary(diss, mu_s, lam_s)
-    r_diss = _traction_term(diss, mu_s, lam_s)
-    hn = np.einsum("qj,qj->q", diss.x, diss.normal)
-    mass_bdry = omega**2 * float(
-        np.real(np.sum(diss.w * hn * rho_s * np.sum(np.abs(diss.val) ** 2, axis=1)))
-    )
-    b_dir = 0.0
-    if diri is not None:
-        b_dir = _b_boundary(diri, material.mu(diri.x), material.lam(diri.x)) - _traction_term(
-            diri, material.mu(diri.x), material.lam(diri.x)
-        )
-    hgrad = _dirdev(vol.x, vol.grad)
-    work = 2.0 * float(
-        np.real(np.sum(vol.w * rho * np.einsum("qi,qi->q", np.conj(f_val), hgrad)))
-    )
-    r_omega = _r_h_omega(vol, mu, lam, v_mu, v_lam, d)
     lhs = mass_term + b_diss + b_dir
     rhs = work + mass_bdry + r_diss + r_omega
     terms = {
@@ -404,14 +391,12 @@ def morawetz_audit(
     """Audit of the full multiplier identity (see ``_morawetz``) for a
     (manufactured) solution of the strong equation vanishing on the
     Dirichlet boundary, on exact-geometry quadrature."""
-    quad = quadrature_for(domain, order)
-    vol = _vol_samples(u, quad)
+    vol, diss, diri = _samples(u, domain, order)
     if f is None:
         f = manufactured_load(u, material, omega)
-    diri = None if quad.dirichlet is None else _surf_samples(u, quad.dirichlet)
     return _morawetz(
-        "morawetz", vol, np.asarray(f(vol.x), dtype=complex),
-        _surf_samples(u, quad.dissipative), diri, material, omega, domain.d, tol,
+        "morawetz", vol, np.asarray(f(vol.x), dtype=complex), diss, diri,
+        material, omega, domain.d, domain.ell, tol,
     )
 
 
@@ -435,11 +420,10 @@ def korn_audit(
     quad = quadrature_for(domain, order)
     vol = _vol_samples(v, quad)
     diss = _surf_samples(v, quad.dissipative)
-    d = domain.d
     ell = domain.ell
     grad2 = float(np.sum(vol.w * _frob2(vol.grad)))
     eps2 = float(np.sum(vol.w * _frob2(_strain(vol.grad))))
-    vn = np.einsum("qi,qi->q", diss.val, diss.normal.astype(complex))
+    vn = diss.vn
     vt2 = np.sum(np.abs(diss.val) ** 2, axis=1) - np.abs(vn) ** 2
     norm_vt2 = float(np.sum(diss.w * vt2))
     norm_vn2 = float(np.sum(diss.w * np.abs(vn) ** 2))
@@ -501,13 +485,10 @@ def robin_identity_audit(
     s = _surf_samples(v, quad.dissipative)
     n = s.normal
     w = s.w
-    av = robin.a_t * s.val + (robin.a_n - robin.a_t) * np.einsum(
-        "qi,qi->q", s.val, n.astype(complex)
-    )[:, None] * n
+    hn, vn = s.hn, s.vn
+    av = robin.a_t * s.val + (robin.a_n - robin.a_t) * vn[:, None] * n
     eps = _strain(s.grad)
     hgrad = _dirdev(s.x, s.grad)
-    hn = np.einsum("qj,qj->q", s.x, n)
-    vn = np.einsum("qi,qi->q", s.val, n.astype(complex))
     eps_h = np.einsum("qij,qj->qi", eps, s.x.astype(complex))
     eps_nn = np.einsum("qi,qij,qj->q", n.astype(complex), eps, n.astype(complex))
     div_t = _surface_div_tangential(s)
@@ -543,9 +524,9 @@ def garding_audit(result, system, f, tol: float = 1e-10) -> tuple:
     u = np.asarray(result.u, dtype=complex).reshape(-1)
     fv = np.asarray(f, dtype=complex).reshape(-1)
     omega = system.omega
-    energy = float(np.real(u.conj() @ (system.stiffness @ u)))
-    mass_u = float(np.real(u.conj() @ (system.mass @ u)))
-    robin_u = float(np.real(u.conj() @ (system.robin_matrix @ u)))
+    energy = _form(u, system.stiffness)
+    mass_u = _form(u, system.mass)
+    robin_u = _form(u, system.robin_matrix)
     ip_fu = complex(np.vdot(fv, system.mass @ u))  # (rho f, u), conjugate-first
     real_rep = _equality_report(
         "garding_real",
@@ -572,7 +553,7 @@ def morawetz_audit_discrete(result, system, f, tol: float = 5e-2) -> IdentityRep
     return _morawetz(
         "morawetz_discrete", _Vol(x=x, w=w, val=val_u, grad=grad_u), val_f,
         _fem_surf(mesh, DISSIPATIVE, result.u), _fem_surf(mesh, DIRICHLET, result.u),
-        system.material, system.omega, 2, tol,
+        system.material, system.omega, 2, mesh.ell, tol,
     )
 
 
@@ -614,16 +595,25 @@ def estimate_chain_audit(
       link 2: the Young split of the gradient term with exponents theta, tau;
       link 3: the final frequency-explicit theorem bound.
     """
-    q = _fem.discrete_quantities(system, result.u, f)
+    mesh, material = system.mesh, system.material
+    u = np.asarray(result.u, dtype=complex).reshape(-1)
+    _, w, [(_, grad_u)] = _fem.evaluate_volume(mesh, [result.u])
+    diss = _fem_surf(mesh, DISSIPATIVE, result.u)
+    squares = {
+        "norm_u_rho": _form(u, system.mass),
+        "norm_f_rho": _form(np.asarray(f, dtype=complex).reshape(-1), system.mass),
+        "norm_u_A_gamma": _form(u, system.robin_matrix),
+        "norm_grad_u": float(np.sum(w * _frob2(grad_u))),
+        "norm_eps_mu_gamma": float(
+            np.sum(diss.w * material.mu(diss.x) * _frob2(_strain(diss.grad)))
+        ),
+    }
+    q = {name: math.sqrt(max(sq, 0.0)) for name, sq in squares.items()}
+    nu_u, nf, ua = q["norm_u_rho"], q["norm_f_rho"], q["norm_u_A_gamma"]
+    gradu, eps_g = q["norm_grad_u"], q["norm_eps_mu_gamma"]
     d = 2
     kappa = groups.kappa_s
-    omega = q["omega"]
-    ell = q["ell"]
-    nu_u, nf = q["norm_u_rho"], q["norm_f_rho"]
-    eps_g = q["norm_eps_mu_gamma"]
-    ua = q["norm_u_A_gamma"]
-    gradu = q["norm_grad_u"]
-    mu_min = q["mu_min"]
+    omega, ell, mu_min = system.omega, mesh.ell, material.mu_min
 
     lhs1 = 2.0 * mult.gamma / mult.M * omega**2 * nu_u**2 + 2.0 * mult.m / mult.M * ell * eps_g**2
     rhs1 = (

@@ -450,6 +450,25 @@ class TestFemSweepCommand:
         cfg.validate()
         assert fem.resolution_mesh(cfg, 32.0).n_nodes <= fem.NODE_BUDGET
 
+    @pytest.mark.parametrize("alpha", [0.02, 1.0])
+    def test_custom_robin_rows_use_the_simple_robin_theorem(self, alpha, tmp_path):
+        # alpha = 0.02 is far from pressure matching: the realistic bound
+        # (12.79 at kappa_s = 2) sits below c_emp (16.92), the simple-Robin
+        # theorem for that impedance does not; at alpha = 1 it is the ideal
+        # obstacle bound
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"kappa_s": [2.0], "robin": {
+            "choice": "custom", "alpha_t": alpha, "alpha_n": alpha}}))
+        out = tmp_path / "s"
+        assert main(["fem-sweep", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        [row] = csv.DictReader((out / "fem_sweep.csv").read_text().splitlines())
+        bound = float(row["applicable_bound"])
+        assert float(row["slack"]) == pytest.approx(bound - float(row["c_emp"]), rel=1e-12)
+        if alpha == 1.0:
+            assert bound == pytest.approx(float(row["bound_ideal_full"]), rel=1e-12)
+        else:
+            assert float(row["bound_realistic"]) < float(row["c_emp"]) < bound
+
     def test_omega_list_with_zero_mu_exits_2(self, tmp_path):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"material": {"mu": 0.0}, "omega": [1.0]}))
@@ -469,6 +488,18 @@ class TestIdentityCheckCommand:
         assert main(["identity-check", "--suite", "robin", "--out-dir", str(out)]) == 0
         reports = json.loads((out / "identity_report.json").read_text())
         assert reports and all(r["passed"] for r in reports)
+
+
+class TestFormatFlag:
+    @pytest.mark.parametrize("argv", [
+        ["greens-verify", "--omega", "1.0", "--format", "csv"],
+        ["identity-check", "--suite", "robin", "--format", "json"],
+    ], ids=["greens-verify", "identity-check"])
+    def test_json_report_commands_refuse_the_flag(self, argv, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "--format" in capsys.readouterr().err
 
 
 class TestColdStart:

@@ -58,7 +58,6 @@ class TestDomainSpec:
             core.DomainSpec(d=2, ell=1.0, shape="torus")
 
     def test_boundary_partition(self, annulus_domain):
-        assert annulus_domain.gamma_dir != annulus_domain.gamma_diss
         assert annulus_domain.has_dirichlet
 
 
@@ -176,6 +175,16 @@ class TestRadialAdmissibility:
         mat = core.MaterialField.radial(core.constant_profile(1.0), mu, core.constant_profile(0.0))
         rep = core.check_radial_admissibility(mat, ball_domain)
         assert rep.theta_mu == pytest.approx(1.0, abs=1e-5)
+
+    def test_log_slope_difference_quotient_stays_inside_the_domain(self):
+        # V_h(1 + r^2) = 2 r^2 / (1 + r^2) is 1 at r = ell = 1; a quotient
+        # stepping past ell would leave the certified range [1, 2]
+        prof = core.radial_profile(lambda r: 1.0 + r**2, 1.0, 2.0)
+        assert prof.log_slope(1.0, 1.0) == pytest.approx(1.0, abs=1e-5)
+        r = np.linspace(0.0, 1.0, 11)
+        exact = core.radial_profile(lambda r: 1.0 + r**2, 1.0, 2.0, derivative=lambda r: 2.0 * r)
+        assert np.allclose(prof.log_slope(r, 1.0), exact.log_slope(r, 1.0), atol=1e-5)
+        assert np.allclose(exact.log_slope(r, 1.0), 2.0 * r**2 / (1.0 + r**2), rtol=1e-14, atol=0.0)
 
     def test_too_fast_growth_rejected(self, ball_domain):
         mu = core.radial_profile(lambda r: (0.1 + r) ** 4, 0.1**4, 1.1**4,

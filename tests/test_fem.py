@@ -7,6 +7,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from elastab import core, fem, fields
+from elastab.bounds import stability_simple_robin
 from elastab.errors import ConfigError, IterationError, MeshError, SolverError
 from elastab.mesh import DIRICHLET, DISSIPATIVE, build_annulus_mesh
 
@@ -369,13 +370,13 @@ class TestSolve:
 class TestEmpiricalConstant:
     def test_monotone_estimates(self, material, robin):
         m = build_annulus_mesh(0.5, 1.0, 3, 24, order=2)
-        c, hist = fem.empirical_constant(m, material, robin, omega=2.0, return_history=True)
+        hist = fem.empirical_constant(m, material, robin, omega=2.0).history
         assert all(b >= a - 1e-12 * abs(b) for a, b in zip(hist, hist[1:]))
 
     def test_seed_invariance(self, material, robin):
         m = build_annulus_mesh(0.5, 1.0, 3, 24, order=2)
-        c1 = fem.empirical_constant(m, material, robin, omega=2.0, seed=0)
-        c2 = fem.empirical_constant(m, material, robin, omega=2.0, seed=12345)
+        c1 = fem.empirical_constant(m, material, robin, omega=2.0, seed=0).c_emp
+        c2 = fem.empirical_constant(m, material, robin, omega=2.0, seed=12345).c_emp
         assert abs(c1 - c2) / c1 < 1e-4
 
     @pytest.mark.parametrize("lam_ratio", [1.0, 1e4])
@@ -388,7 +389,7 @@ class TestEmpiricalConstant:
         s_ff = s.system_matrix()[s.free][:, s.free].toarray()
         chol = la.cholesky(s.mass[s.free][:, s.free].toarray(), lower=True)
         exact = 4.0 * la.svdvals(chol.T @ la.solve(s_ff, chol))[0]
-        est = fem.empirical_constant(m, material, robin, omega=2.0, full_output=True)
+        est = fem.empirical_constant(m, material, robin, omega=2.0)
         assert est.c_emp == pytest.approx(exact, rel=1e-9)
         assert est.ritz_residual <= 1e-8
         assert est.steps == len(est.history) and est.history[-1] == est.c_emp
@@ -420,10 +421,10 @@ class TestEmpiricalConstant:
         # with a factor 1e-5 off, refining only the first solve would leave
         # every later Lanczos step 1e-5 off
         m = build_annulus_mesh(0.5, 1.0, 3, 24, order=2)
-        exact = fem.empirical_constant(m, material, robin, omega=2.0)
+        exact = fem.empirical_constant(m, material, robin, omega=2.0).c_emp
         exact_factor = fem._factor
         monkeypatch.setattr(fem, "_factor", lambda s_ff: exact_factor((1.0 + 1e-5) * s_ff))
-        est = fem.empirical_constant(m, material, robin, omega=2.0, full_output=True)
+        est = fem.empirical_constant(m, material, robin, omega=2.0)
         assert est.c_emp == pytest.approx(exact, rel=1e-9)
         assert est.ritz_residual <= 1e-8
 
@@ -438,15 +439,15 @@ class TestEmpiricalConstant:
 
         cfg = fem.SweepConfig(kappa_s=(2.0,), lambda_over_mu=(1.0,))
         m = fem.resolution_mesh(cfg, 2.0)
-        c = fem.empirical_constant(m, material, robin, omega=2.0)
+        c = fem.empirical_constant(m, material, robin, omega=2.0).c_emp
         assert c <= bound_obstacle_ideal(2.0, d=2).full
 
     def test_refinement_stability(self, material, robin):
         cfg = fem.SweepConfig(kappa_s=(4.0,), lambda_over_mu=(1.0,))
         m1 = fem.resolution_mesh(cfg, 4.0)
         m2 = build_annulus_mesh(0.5, 1.0, m1.n_r, 2 * m1.n_theta, 2)
-        c1 = fem.empirical_constant(m1, material, robin, omega=4.0)
-        c2 = fem.empirical_constant(m2, material, robin, omega=4.0)
+        c1 = fem.empirical_constant(m1, material, robin, omega=4.0).c_emp
+        c2 = fem.empirical_constant(m2, material, robin, omega=4.0).c_emp
         assert abs(c1 - c2) / c2 <= 0.05
 
 
@@ -492,13 +493,13 @@ class TestSectorFactor:
         material = _radial_material(kind, lam_ratio)
         robin = core.RobinSpec.shear_matched(material)
         m = build_annulus_mesh(0.5, 1.0, 3, 24)
-        sector = fem.empirical_constant(m, material, robin, omega=2.0, full_output=True)
+        sector = fem.empirical_constant(m, material, robin, omega=2.0)
 
         def no_symmetry(*args):
             raise fem._NotSectorInvariant
 
         monkeypatch.setattr(fem, "_sector_modes", no_symmetry)
-        direct = fem.empirical_constant(m, material, robin, omega=2.0, full_output=True)
+        direct = fem.empirical_constant(m, material, robin, omega=2.0)
         assert (sector.factor_kind, sector.factor_modes) == ("sector", 24)
         assert (direct.factor_kind, direct.factor_modes) == ("direct", None)
         assert sector.c_emp == pytest.approx(direct.c_emp, rel=1e-10)
@@ -574,10 +575,25 @@ class TestSweep:
         assert len(rows) == 1
         r = rows[0]
         m = fem.resolution_mesh(cfg, 1.0)
-        direct = fem.empirical_constant(m, material, robin, omega=1.0, seed=3)
+        direct = fem.empirical_constant(m, material, robin, omega=1.0, seed=3).c_emp
         assert r.c_emp == pytest.approx(direct, rel=1e-9)
         assert r.kappa_s == 1.0 and not r.refused
         assert r.lanczos_steps >= 1 and 0.0 <= r.ritz_residual <= 1e-8
+
+    def test_applicable_bound_follows_the_impedance(self):
+        for choice, column in (("shear", "bound_ideal_full"), ("pressure", "bound_realistic")):
+            [row] = fem.sweep(fem.SweepConfig(kappa_s=(1.0,), lambda_over_mu=(100.0,),
+                                              robin_choice=choice))
+            assert row.applicable_bound == getattr(row, column)
+            assert row.slack == row.applicable_bound - row.c_emp
+        # custom (alpha_t, alpha_n): the simple-Robin theorem on the annulus
+        cfg = fem.SweepConfig(kappa_s=(1.0,), robin_choice="custom", alpha_t=0.5, alpha_n=3.0)
+        [row] = fem.sweep(cfg)
+        material = cfg.material(1.0)
+        domain = core.DomainSpec(d=2, ell=1.0, shape="annulus", r_in=0.5)
+        groups = core.derive_groups(material, domain, cfg.robin(material), row.omega)
+        theorem = stability_simple_robin(groups, core.multiplier_for(domain), 2)
+        assert row.applicable_bound == theorem.bound_value
 
     def test_omega_doubling_ratio_recorded(self):
         cfg = fem.SweepConfig(kappa_s=(1.0, 2.0, 4.0), lambda_over_mu=(1.0,))

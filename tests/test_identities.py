@@ -156,6 +156,17 @@ class TestMorawetz:
         rep = idn.morawetz_audit(u, annulus_domain, mat, omega=1.5, tol=1e-6)
         assert rep.passed, rep.rel_gap
 
+    def test_work_is_mass_plus_rellich(self, annulus_domain, generic_material):
+        # rho f = -omega^2 rho u - div sigma(u): the work term is omega^2 times
+        # the mass identity's left side plus the Rellich identity's
+        omega = 1.7
+        for seed in range(3):
+            u = fields.random_polynomial(2, 2, seed=seed).multiply_scalar_polynomial(VANISH_INNER)
+            work = idn.morawetz_audit(u, annulus_domain, generic_material, omega=omega).terms["work"]
+            mass = idn.mass_identity_audit(u, annulus_domain, generic_material)
+            rellich = idn.rellich_audit(u, annulus_domain, generic_material)
+            assert work == pytest.approx(omega**2 * mass.lhs + rellich.lhs, rel=1e-10)
+
     def test_discrete_gap_shrinks_under_refinement(self):
         material = core.MaterialField.constant(1.0, 1.0, 1.0)
         robin = core.RobinSpec.shear_matched(material)
