@@ -12,20 +12,29 @@ Dirichlet conditions on the inner circle are imposed by elimination.
 The module also measures the empirical stability constant
 omega^2 * sup ||u||_rho / ||f||_rho: Lanczos in the rho-weighted (mass)
 inner product on the normal operator of the discrete solution map, stopped
-on a Ritz-residual certificate.  ``solve`` and ``empirical_constant`` share
-one factorization per system and one residual check, which refines a
-solve that misses the contract once, on a long-double residual.
+on a Ritz-residual certificate (``_lanczos``).  ``solve`` and
+``empirical_constant`` share one factorization per system and one residual
+check, which refines a solve that misses the contract once, on a
+long-double residual.
 
 Every system assembled on ``build_annulus_mesh`` with radial coefficients
 is invariant under rotation by one of its n_theta angular sectors, so S_ff
-is block-circulant over the sectors once each node's dofs are rotated into
-its sector's frame.  The factorization then runs over angular Fourier
-modes: an FFT over the sectors decouples S_ff into n_theta small mode
-blocks, factored together as one block-diagonal sparse LU (the discrete
-counterpart of the mode separation of the spectral oracle).  A system
-whose assembled entries break the symmetry gets the direct LU of S_ff.
-Both use the same symmetric-pattern ordering with diagonal-preferring
-pivoting, and every residual is measured against the true S_ff.
+and M_ff are block-circulant over the sectors once each node's dofs are
+rotated into its sector's frame.  The factorization then runs over angular
+Fourier modes: an FFT over the sectors decouples S_ff into n_theta small
+mode blocks (the discrete counterpart of the mode separation of the
+spectral oracle).  S is complex symmetric, so mode n - m is the transpose
+of mode m, and only the modes 0..floor(n_theta/2) are factored, as one
+block-diagonal sparse LU; a solve reaches the other modes through the
+transposed factor.  M is real symmetric, so the normal operator of mode
+n - m has the spectrum of mode m's, and the estimate runs its Lanczos on
+that half set of mode blocks of S_ff and M_ff, with no FFT per step.  A
+system whose assembled entries break the rotation symmetry or the
+symmetry of S gets the direct LU of S_ff.  Both factors use the same
+symmetric-pattern ordering with diagonal-preferring pivoting.  Every
+residual is measured on the free dofs against the true S_ff: the
+estimate's first solve, and any refinement, are mapped there once
+through the sector transform.
 """
 
 from __future__ import annotations
@@ -69,8 +78,8 @@ _RESIDUAL_TOL = 1e-8
 # Largest resolution mesh a sweep builds: kappa_s ~ 100 at the default
 # policy (order 2, 10 points per wavelength).  Peak memory grows about
 # linearly in the node count: one kappa_s = 64 row (80,676 nodes, sector
-# factor) peaks at 0.69 GB in 7.6 s on 2 vCPU, against 0.98 GB and 13.5 s
-# with the direct factor, so the budget keeps a row near 1.7 GB.
+# factor) peaks at 0.66 GB in 3.0 s on 2 vCPU, against 1.55 GB and 12.5 s
+# with the direct factor, so the budget keeps a row near 1.6 GB.
 NODE_BUDGET = 200_000
 
 # degree-5 rule on the reference triangle (weights sum to 1/2)
@@ -159,8 +168,8 @@ def _grad_x(dn, xc):
     """det J and physical shape gradients dn_x[..., a, j] = d_j N_a from
     reference gradients dn (..., a, 2) and element nodes xc (..., a, 2),
     broadcasting over the leading axes; MeshError where det J <= 0."""
-    # J[..., i, k] = sum_a dn[..., a, k] * xc[..., a, i]
-    jac = np.einsum("...ak,...ai->...ik", dn, xc)
+    # J[..., i, k] = sum_a xc[..., a, i] dn[..., a, k]
+    jac = np.swapaxes(xc, -1, -2) @ dn
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     if np.any(det <= 0.0):
         raise MeshError("singular or inverted element Jacobian")
@@ -169,8 +178,8 @@ def _grad_x(dn, xc):
     inv[..., 0, 1] = -jac[..., 0, 1] / det
     inv[..., 1, 0] = -jac[..., 1, 0] / det
     inv[..., 1, 1] = jac[..., 0, 0] / det
-    # grad_x N_a[j] = sum_k inv[k,j] dn[a,k]
-    return det, np.einsum("...kj,...ak->...aj", inv, dn)
+    # grad_x N_a[j] = sum_k dn[a,k] inv[k,j]
+    return det, dn @ inv
 
 
 def _geometry(mesh: Mesh, pts: np.ndarray):
@@ -266,16 +275,22 @@ class AssembledSystem:
         return s_f[:, self.free].tocsc(), s_f[:, self.dirichlet_dofs]
 
     @cached_property
+    def free_mass(self) -> sp.csr_matrix:
+        """M_ff: the mass on the free rows and columns."""
+        return self.mass[self.free][:, self.free]
+
+    @cached_property
     def lu(self):
         """Factorization of S_ff, made on first use and shared by every
-        later solve with this system.  When S_ff is invariant under rotation
-        by one angular sector (every mesh ``build_annulus_mesh`` makes, with
-        radial coefficients), it is factored by angular Fourier modes
-        (``_SectorLU``); otherwise by a direct sparse LU of S_ff.  Both
-        offer ``solve(rhs, trans)`` with trans "N" or "H"."""
+        later solve with this system.  When S_ff and M_ff are invariant
+        under rotation by one angular sector and S_ff is complex symmetric
+        (every mesh ``build_annulus_mesh`` makes, with radial coefficients),
+        it is factored by angular Fourier modes (``_SectorLU``); otherwise
+        by a direct sparse LU of S_ff.  Both offer ``solve(rhs, trans)``
+        with trans "N" or "H"."""
         s_ff = self.free_blocks[0]
         try:
-            return _SectorLU(self.mesh, self.free, s_ff)
+            return _SectorLU(self.mesh, self.free, s_ff, self.free_mass)
         except _NotSectorInvariant:
             return _factor(s_ff)
 
@@ -381,30 +396,35 @@ def _factor(s_ff: sp.csc_matrix):
 
 
 class _NotSectorInvariant(Exception):
-    """S_ff is not block-circulant over the mesh's angular sectors."""
+    """S_ff or M_ff is not block-circulant over the mesh's angular sectors,
+    or not symmetric there."""
 
 
-# S_ff counts as sector-invariant when every sector's rows repeat sector 0's
-# entries to this fraction of the largest entry
+# S_ff and M_ff count as sector-invariant and symmetric when every sector's
+# rows repeat sector 0's entries, and sector 0's couplings their transposes,
+# to this fraction of the matrix's largest entry
 _SECTOR_RTOL = 1e-12
 
 
-def _sector_modes(mesh: Mesh, free: np.ndarray, s_ff) -> tuple:
-    """Angular Fourier decomposition of S_ff.
+def _sector_modes(mesh: Mesh, free: np.ndarray, *matrices) -> tuple:
+    """Half-spectrum angular Fourier decomposition of free-dof matrices.
 
     Node k at angle phi_k lies in sector s = floor(phi_k n / 2 pi) of the
     mesh's n = n_theta sectors; rotated back by s 2 pi / n it lands on a
     node of sector 0, its local node.  In sector-major order of (sector,
-    local node, rotated component) S_ff becomes T S_ff T^T, T orthogonal,
+    local node, rotated component) a matrix A becomes T A T^T, T orthogonal,
     and when that matrix is block-circulant with blocks B_-1, B_0, B_1
     coupling each sector to itself and its neighbours, the DFT over sectors
-    splits it into the mode blocks S_m = B_0 + B_1 w^m + B_-1 w^-m,
-    w = exp(2 pi i / n).
+    splits it into the mode blocks A_m = B_0 + B_1 w^m + B_-1 w^-m,
+    w = exp(2 pi i / n).  A symmetric A (B_0 = B_0^T, B_-1 = B_1^T) has
+    A_{n-m} = A_m^T, so the h = floor(n/2) + 1 modes m = 0..floor(n/2)
+    determine all n.  The geometric pass (sectors, local order, rotations,
+    the union pattern of the blocks) is shared by every matrix.
 
-    Returns (the n mode blocks as one block-diagonal CSC, free-dof
-    positions (n, L) of the x components of the local nodes, cos and sin
-    (n, 1) of the sector angles).  Raises _NotSectorInvariant when the
-    nodes or the assembled entries break the symmetry."""
+    Returns (per matrix, its h mode blocks as one block-diagonal CSC;
+    free-dof positions (n, L) of the x components of the local nodes; cos
+    and sin (n, 1) of the sector angles).  Raises _NotSectorInvariant when
+    the nodes or the assembled entries break the symmetry."""
     n = mesh.n_theta
     # Dirichlet data eliminate whole nodes: free dofs pair up as (2k, 2k+1)
     if n < 3 or free.size % 2 or np.any(free[0::2] % 2) or np.any(free[1::2] != free[0::2] + 1):
@@ -426,75 +446,140 @@ def _sector_modes(mesh: Mesh, free: np.ndarray, s_ff) -> tuple:
     local = np.empty_like(sector)
     local[order] = np.arange(nodes)
 
-    # the 2x2 node blocks of S_ff, each rotated into its row and column
-    # node's sector frames: F_a B F_b^T with F = [[cos, sin], [-sin, cos]]
-    bsr = s_ff.tobsr(blocksize=(2, 2))
-    a = np.repeat(np.arange(sector.size), np.diff(bsr.indptr))
-    b = bsr.indices
-    rot = np.empty_like(bsr.data)
-    c, s = cos[b][:, None], sin[b][:, None]
-    rot[:, :, 0] = c * bsr.data[:, :, 0] + s * bsr.data[:, :, 1]
-    rot[:, :, 1] = c * bsr.data[:, :, 1] - s * bsr.data[:, :, 0]
-    c, s = cos[a][:, None], sin[a][:, None]
-    rot[:, 0], rot[:, 1] = c * rot[:, 0] + s * rot[:, 1], c * rot[:, 1] - s * rot[:, 0]
-    shift = (sector[b] - sector[a]) % n  # 0, 1 or n - 1 for B_0, B_1, B_-1
-    if np.any((shift > 1) & (shift < n - 1)):
-        raise _NotSectorInvariant("coupling beyond neighbouring sectors")
-    # every sector's blocks on the union pattern; a sum that rounds to an
-    # exact zero in one sector and not in another is no asymmetry
-    slot = (np.where(shift == n - 1, 2, shift) * nodes + local[a]) * nodes + local[b]
-    present = np.zeros(3 * nodes * nodes, dtype=bool)
-    present[slot] = True
-    vals = np.zeros((n, np.count_nonzero(present), 2, 2), dtype=complex)
-    vals[sector[a], np.cumsum(present)[slot] - 1] = rot
-    if np.abs(vals - vals[0]).max(initial=0.0) > _SECTOR_RTOL * np.abs(vals).max(initial=0.0):
-        raise _NotSectorInvariant("sectors hold different entries")
+    # every matrix's 2x2 node blocks, by row sector and slot: the coupling
+    # (B_0, B_1 or B_-1) and the local nodes of its row and column
+    blocks = []
+    for matrix in matrices:
+        bsr = matrix.tobsr(blocksize=(2, 2))
+        a = np.repeat(np.arange(sector.size), np.diff(bsr.indptr))
+        b = bsr.indices
+        shift = (sector[b] - sector[a]) % n  # 0, 1 or n - 1 for B_0, B_1, B_-1
+        if np.any((shift > 1) & (shift < n - 1)):
+            raise _NotSectorInvariant("coupling beyond neighbouring sectors")
+        slot = (np.where(shift == n - 1, 2, shift) * nodes + local[a]) * nodes + local[b]
+        blocks.append((sector[a], slot, bsr.data.reshape(-1, 4).T))
 
-    # the union pattern of B_-1, B_0, B_1, one coefficient block per
-    # coupling, placed on the diagonal block of each mode
+    # the union pattern of B_-1, B_0, B_1 over all matrices, one coefficient
+    # block per coupling, and each coupling's transposed partner
+    present = np.zeros(3 * nodes * nodes, dtype=bool)
+    for _, slot, _ in blocks:
+        present[slot] = True
+    index = np.cumsum(present) - 1
     block, pair = np.divmod(np.flatnonzero(present), nodes * nodes)
     pairs, where = np.unique(pair, return_inverse=True)
-    coeffs = np.zeros((3, pairs.size, 2, 2), dtype=complex)
-    coeffs[block, where] = vals[0]
-    twiddle = np.exp(2j * math.pi * np.arange(n) / n)[:, None, None, None]
-    data = coeffs[0] + coeffs[1] * twiddle + coeffs[2] * twiddle.conj()  # (n, pairs, 2, 2)
+    flipped = pairs % nodes * nodes + pairs // nodes
+    partner = np.minimum(np.searchsorted(pairs, flipped), pairs.size - 1)
+    if np.any(pairs[partner] != flipped):
+        raise _NotSectorInvariant("the couplings are not symmetric")
+    # the sector angles of each block's row and column nodes
+    row_angle = step * np.arange(n)[:, None]
+    col_angle = row_angle + step * np.array([0, 1, -1])[block]
+    ca, sa, cb, sb = np.cos(row_angle), np.sin(row_angle), np.cos(col_angle), np.sin(col_angle)
+
+    def turn(x, y, c, s):
+        return c * x + s * y, c * y - s * x
+
+    half = n // 2 + 1
+    twiddle = np.exp(2j * math.pi * np.arange(half) / n)[:, None, None, None]
     nl = 2 * nodes  # local dofs per sector
-    offset = nl * np.arange(n)[:, None, None, None]
+    offset = nl * np.arange(half)[:, None, None, None]
     rows = offset + (2 * (pairs // nodes))[:, None, None] + np.array([0, 1])[:, None]
     cols = offset + (2 * (pairs % nodes))[:, None, None] + np.array([0, 1])
     rows, cols = np.broadcast_arrays(rows, cols)
-    modes = sp.csc_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n * nl, n * nl))
+    modes = []
+    for row_sector, slot, data in blocks:
+        # every sector's blocks on the union pattern, entries 00, 01, 10, 11
+        # first; a sum that rounds to an exact zero in one sector and not in
+        # another is no asymmetry
+        v = np.zeros((4, n, block.size), dtype=data.dtype)
+        v[:, row_sector, index[slot]] = data
+        # rotated into the sectors' frames: F_a B F_b^T, F = [[cos, sin], [-sin, cos]]
+        v[0], v[1] = turn(v[0], v[1], cb, sb)
+        v[2], v[3] = turn(v[2], v[3], cb, sb)
+        v[0], v[2] = turn(v[0], v[2], ca, sa)
+        v[1], v[3] = turn(v[1], v[3], ca, sa)
+        tol = _SECTOR_RTOL * np.abs(v).max(initial=0.0)
+        if np.abs(v - v[:, :1]).max(initial=0.0) > tol:
+            raise _NotSectorInvariant("sectors hold different entries")
+        coeffs = np.zeros((3, pairs.size, 2, 2), dtype=complex)
+        coeffs[block, where] = v[:, 0].T.reshape(-1, 2, 2)
+        # B_0 = B_0^T and B_-1 = B_1^T, pair by pair
+        if np.abs(coeffs - coeffs[[0, 2, 1]][:, partner].swapaxes(-1, -2)).max(initial=0.0) > tol:
+            raise _NotSectorInvariant("the blocks are not symmetric")
+        data = coeffs[0] + coeffs[1] * twiddle + coeffs[2] * twiddle.conj()  # (h, pairs, 2, 2)
+        modes.append(
+            sp.csc_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(half * nl, half * nl))
+        )
     return modes, 2 * order, cos[order[:, :1]], sin[order[:, :1]]
 
 
 class _SectorLU:
     """S_ff^-1 by angular Fourier modes: rotate each node into its sector's
-    frame, FFT over the sectors, solve the decoupled mode blocks with one
-    sparse LU of their block-diagonal matrix, transform back.  The same
-    FFT pair serves the adjoint, since the mode blocks of S_ff^H are the
-    adjoints S_m^H."""
+    frame, FFT over the sectors, solve the decoupled mode blocks, transform
+    back.  Only the h = floor(n/2) + 1 modes m = 0..floor(n/2) are
+    factored, as one sparse LU of their block-diagonal matrix: a mode
+    m > n/2 is solved with the transposed factor of mode n - m, since
+    S_{n-m} = S_m^T.  For the adjoint, the low modes solve S_m^H and the
+    high ones a conjugated solve of S_{n-m}, as S_m^H = conj(S_{n-m}).
 
-    def __init__(self, mesh: Mesh, free: np.ndarray, s_ff):
-        modes, self._ix, self._cos, self._sin = _sector_modes(mesh, free, s_ff)
+    ``m_modes`` holds the same half set of M_ff's mode blocks.  The modes
+    m and n - m of the normal operator S^-H M S^-1 M have the same
+    spectrum, so an estimate runs on the half set alone; ``modal`` and
+    ``nodal`` map a vector between free dofs and those half-spectrum
+    coordinates."""
+
+    def __init__(self, mesh: Mesh, free: np.ndarray, s_ff, m_ff):
+        (s_modes, m_modes), self._ix, self._cos, self._sin = _sector_modes(mesh, free, s_ff, m_ff)
         self.modes = mesh.n_theta
-        self.lu = _factor(modes)
+        self.lu = _factor(s_modes)
+        self.m_modes = m_modes.tocsr()
+        self._half = (self.modes // 2 + 1, self._ix.shape[1], 2)  # (h, L, 2)
 
-    def solve(self, rhs, trans: str = "N"):
+    def _fft(self, x):
+        """All n modes (n, L, 2) of a free-dof vector."""
         ix, c, s = self._ix, self._cos, self._sin
-        bx, by = rhs[ix], rhs[ix + 1]
-        b = np.stack([c * bx + s * by, c * by - s * bx], axis=-1)  # (n, L, 2)
-        y = self.lu.solve(np.fft.fft(b, axis=0).reshape(-1), trans=trans)
-        y = np.fft.ifft(y.reshape(b.shape), axis=0)
-        u = np.empty(rhs.shape, dtype=complex)
+        bx, by = x[ix], x[ix + 1]
+        return np.fft.fft(np.stack([c * bx + s * by, c * by - s * bx], axis=-1), axis=0)
+
+    def _ifft(self, y):
+        """The free-dof vector of all n modes y (n, L, 2)."""
+        ix, c, s = self._ix, self._cos, self._sin
+        y = np.fft.ifft(y, axis=0)
+        u = np.empty(2 * ix.size, dtype=complex)
         u[ix] = c * y[..., 0] - s * y[..., 1]
         u[ix + 1] = s * y[..., 0] + c * y[..., 1]
         return u
 
+    def modal(self, x):
+        """Half-spectrum coordinates (modes 0..h-1, flat) of a free-dof vector."""
+        return self._fft(x)[: self._half[0]].reshape(-1)
+
+    def nodal(self, y):
+        """The free-dof vector whose modes 0..h-1 are y and whose higher
+        modes vanish."""
+        full = np.zeros((self.modes,) + self._half[1:], dtype=complex)
+        full[: self._half[0]] = y.reshape(self._half)
+        return self._ifft(full)
+
+    def solve(self, rhs, trans: str = "N"):
+        n, h = self.modes, self._half[0]
+        y = self._fft(rhs)
+        low = y[:h].reshape(-1)
+        high = np.zeros(self._half, dtype=complex)  # row j: mode n - j
+        high[1 : n - h + 1] = y[: h - 1 : -1]
+        high = high.reshape(-1)
+        if trans == "N":
+            low, high = self.lu.solve(low), self.lu.solve(high, trans="T")
+        else:
+            low, high = self.lu.solve(low, trans="H"), self.lu.solve(high.conj()).conj()
+        high = high.reshape(self._half)
+        return self._ifft(np.concatenate([low.reshape(self._half), high[n - h : 0 : -1]]))
+
 
 def _factor_summary(lu) -> tuple:
     """(kind, modes, L+U fill) of a factor made by ``AssembledSystem.lu``:
-    ("sector", n_theta, fill of the mode blocks) or ("direct", None, fill
-    of S_ff)."""
+    ("sector", n_theta, fill of the half-spectrum mode blocks) or
+    ("direct", None, fill of S_ff)."""
     if isinstance(lu, _SectorLU):
         return "sector", lu.modes, lu.lu.L.nnz + lu.lu.U.nnz
     return "direct", None, lu.L.nnz + lu.U.nnz
@@ -516,13 +601,15 @@ def _refine(lu, s_ext, u, rhs, trans: str = "N"):
     return u + lu.solve(_extended_residual(s_ext, u, rhs, trans), trans=trans)
 
 
-def _solve_checked(lu, s_ff, rhs_f) -> tuple:
+def _solve_checked(lu, s_ff, rhs_f, u_f=None) -> tuple:
     """(u_f, residual, s_ext): the solution of S_ff u_f = rhs_f held to the
-    relative residual contract.  A solve that misses it gets one step of
+    relative residual contract; ``u_f``, when given, is a first solution
+    already made.  A solve that misses the contract gets one step of
     iterative refinement, and its residual is then measured in extended
     precision; ``s_ext`` is the long-double S_ff it used (None when the
     first solve met the contract).  SolverError if the contract is missed."""
-    u_f = lu.solve(rhs_f)
+    if u_f is None:
+        u_f = lu.solve(rhs_f)
     scale = np.linalg.norm(rhs_f)
     residual = float(np.linalg.norm(s_ff @ u_f - rhs_f) / scale)
     s_ext = None
@@ -611,6 +698,102 @@ def evaluate_boundary(mesh: Mesh, tag: str, nodal_fields):
 # Empirical stability constant
 # ---------------------------------------------------------------------------
 
+class _Ritz(NamedTuple):
+    """The top Ritz pair's value after a certified Lanczos run."""
+
+    theta: float       # top Ritz value
+    steps: int
+    residual: float    # beta_k |y_k| / theta
+    thetas: tuple      # the top Ritz value after each step (nondecreasing)
+
+
+def _lanczos(forward, adjoint, m_mat, v, iters: int = 400, tol: float = 1e-8) -> _Ritz:
+    """Top eigenvalue of the M-self-adjoint operator x -> adjoint(M
+    forward(M x)): with forward = S^-1 and adjoint = S^-H it is
+    sigma_max^2 of L^H S^-1 L, M = L L^H.
+
+    Lanczos in the M inner product (``m_mat``) from the start vector ``v``,
+    with full M-reorthogonalisation against the kept M-images M v_j of the
+    basis: one forward and one adjoint solve and two products with M per
+    step.  The iteration stops once the top Ritz
+    pair (theta, y) of the tridiagonal T_k is certified, beta_k |y_k| <=
+    ``tol`` * theta.  The Ritz values never decrease with k.  Raises
+    ``IterationError`` (its ``last_iterates`` the last two Ritz values) when
+    ``iters`` steps certify nothing."""
+    size = v.size
+
+    def m_norm(z, mz):
+        return math.sqrt(max(float(np.real(np.vdot(z, mz))), 0.0))
+
+    steps = min(iters, size)
+    basis = np.empty((steps, size), dtype=complex)  # rows: M-orthonormal v_j
+    m_basis = np.empty_like(basis)  # rows: M v_j
+    alphas, betas, thetas = [], [], []
+    mv = m_mat @ v
+    scale = m_norm(v, mv)
+    v, mv = v / scale, mv / scale
+    for k in range(steps):
+        basis[k], m_basis[k] = v, mv
+        u = forward(mv)
+        mu = m_mat @ u
+        alphas.append(float(np.real(np.vdot(u, mu))))  # ||S^-1 M v_k||_M^2
+        w = adjoint(mu)
+        for _ in range(2):  # full M-reorthogonalisation, twice is enough
+            coeffs = (m_basis[: k + 1] @ w.conj()).conj()  # <v_j, w>_M = (M v_j)^H w
+            w -= basis[: k + 1].T @ coeffs
+        mw = m_mat @ w
+        beta = m_norm(w, mw)
+        theta, y = eigh_tridiagonal(
+            np.array(alphas), np.array(betas), select="i", select_range=(k, k)
+        )
+        thetas.append(float(theta[0]))
+        residual = beta * abs(float(y[-1, 0]))
+        if residual <= tol * thetas[-1]:
+            return _Ritz(thetas[-1], k + 1, residual / thetas[-1], tuple(thetas))
+        betas.append(beta)
+        v, mv = w / beta, mw / beta
+    raise IterationError(
+        f"Lanczos estimate not certified in {steps} steps", last_iterates=tuple(thetas[-2:])
+    )
+
+
+def _same(x):
+    return x
+
+
+class _CheckedSolves:
+    """The forward and adjoint solves of one estimate, made with ``factor``
+    in its coordinates: free dofs for a direct factor, half-spectrum modes
+    for ``_SectorLU.lu`` (``nodal`` and ``modal`` map between the two).
+    The first forward solve is held to the residual contract on the free
+    dofs: b and u are mapped there once and measured against S_ff.  When it
+    needs iterative refinement to meet it, that solve and every later one
+    is refined once, on the free dofs with the solver ``lu`` of S_ff, and
+    mapped back."""
+
+    def __init__(self, lu, factor, s_ff, nodal=_same, modal=_same):
+        self.lu, self.factor, self.s_ff, self.nodal, self.modal = lu, factor, s_ff, nodal, modal
+        self.checked = False
+        self.s_ext = None
+
+    def forward(self, rhs):
+        return self._solve(rhs, "N")
+
+    def adjoint(self, rhs):
+        return self._solve(rhs, "H")
+
+    def _solve(self, rhs, trans: str):
+        u = self.factor.solve(rhs, trans=trans)
+        if self.checked and self.s_ext is None:
+            return u
+        rhs_f, u_f = self.nodal(rhs), self.nodal(u)
+        if self.checked:
+            return self.modal(_refine(self.lu, self.s_ext, u_f, rhs_f, trans))
+        self.checked = True
+        u_f, _, self.s_ext = _solve_checked(self.lu, self.s_ff, rhs_f, u_f)
+        return u if self.s_ext is None else self.modal(u_f)
+
+
 @dataclass(frozen=True)
 class ConstantEstimate:
     """A certified empirical constant.
@@ -619,9 +802,10 @@ class ConstantEstimate:
     to its Ritz value theta: some eigenvalue of the normal operator lies
     within ``ritz_residual * theta`` of theta.  ``history`` holds
     omega^2 sqrt(theta) after each Lanczos step (nondecreasing).  The
-    factor of S_ff is ``factor_kind`` ("sector" or "direct") over
-    ``factor_modes`` angular modes (None for "direct") with ``lu_nnz``
-    nonzeros in L + U."""
+    factor of S_ff is ``factor_kind`` ("sector" or "direct") and covers
+    ``factor_modes`` angular modes (n_theta; None for "direct").  ``lu_nnz``
+    counts the nonzeros in L + U of what was factored: for "sector", the
+    h = floor(n_theta/2) + 1 mode blocks that serve all n_theta modes."""
 
     c_emp: float
     steps: int
@@ -644,75 +828,39 @@ def empirical_constant(
     """omega^2 times the largest singular value of the discrete solution map
     f -> u = S^-1 M f in rho-weighted norms.
 
-    Lanczos in the M inner product on the M-self-adjoint normal operator
-    S^-H M S^-1 M, with full M-reorthogonalisation against the kept
-    M-images M v_j of the basis; each step makes one forward and one
-    adjoint solve with a single factorization of S (``AssembledSystem.lu``)
-    and two products with M.  The
-    iteration stops once the top Ritz pair (theta, y) of the tridiagonal
-    T_k is certified, beta_k |y_k| <= ``tol`` * theta, and returns
-    omega^2 sqrt(theta).  The Ritz values never decrease with k.  The first
-    forward solve is held to the same residual contract as ``solve``; when
-    it needs iterative refinement to meet it, every later forward and
-    adjoint solve of the estimate is refined once too.
+    ``_lanczos`` on the normal operator S^-H M S^-1 M with the single
+    factorization of S (``AssembledSystem.lu``), stopped once the top Ritz
+    value theta is certified to ``tol``; returns omega^2 sqrt(theta).  A
+    direct factor runs it on the free dofs with M_ff.  A sector factor runs
+    it on the half-spectrum mode blocks of S_ff and M_ff, which hold the
+    whole spectrum (``_SectorLU``), with no transform per step; its start
+    vector is the one drawn on the free dofs, projected onto those modes.
+    The first
+    forward solve is held to the same residual contract as ``solve``,
+    measured on the free dofs; when it needs iterative refinement to meet
+    it, every later forward and adjoint solve of the estimate is refined
+    once too.
 
     Returns the ``ConstantEstimate`` (constant, step count, certificate and
     history).  Raises ``IterationError`` when ``iters`` steps certify
     nothing.
     """
     system = assemble(mesh, material, robin, omega)
-    free = system.free
     s_ff, _ = system.free_blocks
-    m_ff = system.mass[free][:, free].astype(complex).tocsr()
     lu = system.lu
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=free.size) + 1j * rng.normal(size=free.size)
-
-    def m_norm(z, mz):
-        return math.sqrt(max(float(np.real(np.vdot(z, mz))), 0.0))
-
-    steps = min(iters, free.size)
-    basis = np.empty((steps, free.size), dtype=complex)  # rows: M-orthonormal v_j
-    m_basis = np.empty_like(basis)  # rows: M v_j
-    alphas, betas, history = [], [], []
-    mv = m_ff @ v
-    scale = m_norm(v, mv)
-    v, mv = v / scale, mv / scale
-    s_ext = None
-    for k in range(steps):
-        basis[k], m_basis[k] = v, mv
-        if k == 0:
-            u, _, s_ext = _solve_checked(lu, s_ff, mv)
-        else:
-            u = lu.solve(mv)
-            if s_ext is not None:
-                u = _refine(lu, s_ext, u, mv)
-        mu = m_ff @ u
-        alphas.append(float(np.real(np.vdot(u, mu))))  # ||S^-1 M v_k||_M^2
-        w = lu.solve(mu, trans="H")
-        if s_ext is not None:
-            w = _refine(lu, s_ext, w, mu, trans="H")
-        for _ in range(2):  # full M-reorthogonalisation, twice is enough
-            coeffs = (m_basis[: k + 1] @ w.conj()).conj()  # <v_j, w>_M = (M v_j)^H w
-            w -= basis[: k + 1].T @ coeffs
-        mw = m_ff @ w
-        beta = m_norm(w, mw)
-        theta, y = eigh_tridiagonal(
-            np.array(alphas), np.array(betas), select="i", select_range=(k, k)
-        )
-        theta = float(theta[0])
-        history.append(omega**2 * math.sqrt(theta))
-        residual = beta * abs(float(y[-1, 0]))
-        if residual <= tol * theta:
-            return ConstantEstimate(
-                history[-1], k + 1, residual / theta, tuple(history), *_factor_summary(lu)
-            )
-        betas.append(beta)
-        v, mv = w / beta, mw / beta
-    raise IterationError(
-        f"Lanczos estimate not certified in {steps} steps",
-        last_iterates=tuple(history[-2:]),
-    )
+    v = rng.normal(size=s_ff.shape[0]) + 1j * rng.normal(size=s_ff.shape[0])
+    if isinstance(lu, _SectorLU):
+        solves, m_mat, v = _CheckedSolves(lu, lu.lu, s_ff, lu.nodal, lu.modal), lu.m_modes, lu.modal(v)
+    else:
+        solves, m_mat = _CheckedSolves(lu, lu, s_ff), system.free_mass.astype(complex).tocsr()
+    try:
+        ritz = _lanczos(solves.forward, solves.adjoint, m_mat, v, iters, tol)
+    except IterationError as exc:
+        last = tuple(omega**2 * math.sqrt(theta) for theta in exc.last_iterates)
+        raise IterationError(str(exc), last_iterates=last) from None
+    history = tuple(omega**2 * math.sqrt(theta) for theta in ritz.thetas)
+    return ConstantEstimate(history[-1], ritz.steps, ritz.residual, history, *_factor_summary(lu))
 
 
 # ---------------------------------------------------------------------------

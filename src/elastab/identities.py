@@ -562,7 +562,6 @@ class ChainReport:
     links: tuple
     assembled_bound: float
     theorem_bound: float
-    quantities: dict
 
     @property
     def passed(self) -> bool:
@@ -599,18 +598,16 @@ def estimate_chain_audit(
     u = np.asarray(result.u, dtype=complex).reshape(-1)
     _, w, [(_, grad_u)] = _fem.evaluate_volume(mesh, [result.u])
     diss = _fem_surf(mesh, DISSIPATIVE, result.u)
-    squares = {
-        "norm_u_rho": _form(u, system.mass),
-        "norm_f_rho": _form(np.asarray(f, dtype=complex).reshape(-1), system.mass),
-        "norm_u_A_gamma": _form(u, system.robin_matrix),
-        "norm_grad_u": float(np.sum(w * _frob2(grad_u))),
-        "norm_eps_mu_gamma": float(
-            np.sum(diss.w * material.mu(diss.x) * _frob2(_strain(diss.grad)))
-        ),
-    }
-    q = {name: math.sqrt(max(sq, 0.0)) for name, sq in squares.items()}
-    nu_u, nf, ua = q["norm_u_rho"], q["norm_f_rho"], q["norm_u_A_gamma"]
-    gradu, eps_g = q["norm_grad_u"], q["norm_eps_mu_gamma"]
+    nu_u, nf, ua, gradu, eps_g = (
+        math.sqrt(max(square, 0.0))
+        for square in (
+            _form(u, system.mass),
+            _form(np.asarray(f, dtype=complex).reshape(-1), system.mass),
+            _form(u, system.robin_matrix),
+            float(np.sum(w * _frob2(grad_u))),
+            float(np.sum(diss.w * material.mu(diss.x) * _frob2(_strain(diss.grad)))),
+        )
+    )
     d = 2
     kappa = groups.kappa_s
     omega, ell, mu_min = system.omega, mesh.ell, material.mu_min
@@ -648,5 +645,4 @@ def estimate_chain_audit(
         links=(link1, link2, link3),
         assembled_bound=assembled,
         theorem_bound=theorem.bound_value,
-        quantities=q,
     )

@@ -451,6 +451,31 @@ class TestEmpiricalConstant:
         assert abs(c1 - c2) / c2 <= 0.05
 
 
+class TestLanczos:
+    def test_top_eigenvalue_matches_eigh(self):
+        # top eigenvalue of S^-H M S^-1 M in the M inner product: the
+        # largest eigenvalue of C^H C, C = L^H S^-1 L with M = L L^H
+        rng = np.random.default_rng(11)
+        n = 40
+        s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 4.0 * np.eye(n)
+        a = rng.normal(size=(n, n))
+        mass = a @ a.T + np.eye(n)
+        chol = np.linalg.cholesky(mass)
+        c = chol.T @ np.linalg.solve(s, chol)
+        exact = np.linalg.eigh(c.conj().T @ c)[0][-1]
+        ritz = fem._lanczos(
+            lambda b: np.linalg.solve(s, b),
+            lambda b: np.linalg.solve(s.conj().T, b),
+            mass,
+            rng.normal(size=n) + 1j * rng.normal(size=n),
+        )
+        assert ritz.theta == pytest.approx(exact, rel=1e-10)
+        assert ritz.residual <= 1e-8
+        assert abs(ritz.theta - exact) <= ritz.residual * ritz.theta
+        assert ritz.steps == len(ritz.thetas) < n and ritz.thetas[-1] == ritz.theta
+        assert all(b >= a - 1e-12 * b for a, b in zip(ritz.thetas, ritz.thetas[1:]))
+
+
 def _radial_material(kind, lam_ratio):
     if kind == "constant":
         return core.MaterialField.constant(1.0, 1.0, lam_ratio)
@@ -467,6 +492,19 @@ def _radial_material(kind, lam_ratio):
     )
 
 
+def _assert_solves_match_the_direct_factor(m, material):
+    s = fem.assemble(m, material, core.RobinSpec.shear_matched(material), omega=2.0)
+    s_ff, _ = s.free_blocks
+    assert isinstance(s.lu, fem._SectorLU)
+    direct = fem._factor(s_ff)
+    rng = np.random.default_rng(7)
+    rhs = rng.normal(size=s.free.size) + 1j * rng.normal(size=s.free.size)
+    for trans in ("N", "H"):
+        exact = direct.solve(rhs, trans=trans)
+        got = s.lu.solve(rhs, trans=trans)
+        assert np.abs(got - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
 class TestSectorFactor:
     """The angular Fourier factorization against the direct LU of S_ff."""
 
@@ -475,17 +513,27 @@ class TestSectorFactor:
     @pytest.mark.parametrize("order", [1, 2])
     def test_solves_match_the_direct_factor(self, order, kind, lam_ratio):
         material = _radial_material(kind, lam_ratio)
-        m = build_annulus_mesh(0.5, 1.0, 3, 16, order=order)
-        s = fem.assemble(m, material, core.RobinSpec.shear_matched(material), omega=2.0)
-        s_ff, _ = s.free_blocks
-        assert isinstance(s.lu, fem._SectorLU)
-        direct = fem._factor(s_ff)
-        rng = np.random.default_rng(7)
-        rhs = rng.normal(size=s.free.size) + 1j * rng.normal(size=s.free.size)
-        for trans in ("N", "H"):
-            exact = direct.solve(rhs, trans=trans)
-            got = s.lu.solve(rhs, trans=trans)
-            assert np.abs(got - exact).max() <= 1e-10 * np.abs(exact).max()
+        _assert_solves_match_the_direct_factor(build_annulus_mesh(0.5, 1.0, 3, 16, order=order), material)
+
+    @pytest.mark.parametrize("lam_ratio", [1.0, 1e8])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_odd_sector_count_solves_match_the_direct_factor(self, order, lam_ratio):
+        # n_theta = 15 factors modes 0..7; modes 8..14 are the transposes of
+        # modes 7..1, and no mode pairs with itself but mode 0
+        material = _radial_material("piecewise-radial", lam_ratio)
+        _assert_solves_match_the_direct_factor(build_annulus_mesh(0.5, 1.0, 3, 15, order=order), material)
+
+    @pytest.mark.parametrize("n_theta", [15, 24])
+    def test_estimate_factors_the_half_spectrum_once(self, n_theta, material, robin, monkeypatch):
+        m = build_annulus_mesh(0.5, 1.0, 3, n_theta, order=2)
+        local_dofs = fem.assemble(m, material, robin, omega=2.0).free.size // n_theta  # 2L
+        shapes = []
+        splu = fem.spla.splu
+        monkeypatch.setattr(fem.spla, "splu", lambda a, **kw: shapes.append(a.shape) or splu(a, **kw))
+        est = fem.empirical_constant(m, material, robin, omega=2.0)
+        rows = (n_theta // 2 + 1) * local_dofs
+        assert shapes == [(rows, rows)]
+        assert (est.factor_kind, est.factor_modes) == ("sector", n_theta)
 
     @pytest.mark.parametrize("lam_ratio", [1.0, 1e4])
     @pytest.mark.parametrize("kind", ["constant", "piecewise-radial"])
@@ -518,6 +566,20 @@ class TestSectorFactor:
             bump = sp.csr_matrix(([1e-9 * s.stiffness[2 * k, 2 * k]], ([2 * k], [2 * k])), s.stiffness.shape)
             s = dataclasses.replace(s, stiffness=s.stiffness + bump)
         assert not isinstance(s.lu, fem._SectorLU)
+        assert fem._factor_summary(s.lu)[:2] == ("direct", None)
+        f = np.random.default_rng(3).normal(size=(m.n_nodes, 2))
+        assert fem.solve(s, f).residual_norm <= 1e-8
+
+    def test_nonsymmetric_invariant_system_takes_the_direct_path(self, material, robin):
+        # c J on every node's diagonal block, J the quarter turn, commutes
+        # with every rotation: each sector repeats sector 0's entries, but
+        # B_0 != B_0^T, so S_{n-m} != S_m^T and half the modes would be wrong
+        m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
+        s = fem.assemble(m, material, robin, omega=2.0)
+        turn = 1e-3 * np.abs(s.stiffness.diagonal()).max() * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        s = dataclasses.replace(s, stiffness=s.stiffness + sp.kron(sp.identity(m.n_nodes), turn, format="csr"))
+        with pytest.raises(fem._NotSectorInvariant, match="not symmetric"):
+            fem._sector_modes(m, s.free, s.free_blocks[0], s.free_mass)
         assert fem._factor_summary(s.lu)[:2] == ("direct", None)
         f = np.random.default_rng(3).normal(size=(m.n_nodes, 2))
         assert fem.solve(s, f).residual_norm <= 1e-8
