@@ -75,7 +75,6 @@ def stability_simple_robin(
     groups: DimensionlessGroups,
     mult: MultiplierSpec,
     d: int,
-    chi_override: float | None = None,
 ) -> BoundReport:
     """Sharp frequency-explicit bound for sphere-aligned multipliers and a
     diagonal impedance matrix.
@@ -88,19 +87,16 @@ def stability_simple_robin(
         + (1 + 1/(2 alpha_min) + (M/16m) C_rob^2) k
 
     and reports the normalized constant (M/gamma) * bracket so the result
-    multiplies ||f||_rho directly.  ``chi_override`` substitutes a different
-    curvature/impedance ratio into the k^(1/6) term (the specialized
-    star-shaped-obstacle route uses 1/alpha_min there).
+    multiplies ||f||_rho directly.
     """
     if mult.gamma <= 0.0 or mult.m <= 0.0:
         raise InadmissibleMultiplierError("need gamma > 0 and m > 0")
     k = groups.kappa_s
-    chi = groups.chi if chi_override is None else chi_override
     mm = mult.M / (4.0 * mult.m)
     bracket = (
         (d - 2.0 + mult.epsilon) / (2.0 * mult.M)
         + 0.5 * groups.zeta
-        + math.sqrt(chi) * k ** (1.0 / 6.0)
+        + math.sqrt(groups.chi) * k ** (1.0 / 6.0)
         + mm * k ** (1.0 / 3.0)
         + (2.5 + mm * groups.c_rob) * k ** (2.0 / 3.0)
         + (1.0 + 0.5 / groups.alpha_min + 0.25 * mm * groups.c_rob**2) * k

@@ -27,6 +27,7 @@ attribute.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -95,8 +96,15 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _digest(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_table(out_dir: Path, stem: str, fmt: str, header, rows) -> Path:
+    """Write ``<stem>.csv``, or ``<stem>.json`` with one object per row."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out = out_dir / f"{stem}.{fmt}"
+    if fmt == "json":
+        _write_json(out, [dict(zip(header, row)) for row in rows])
+    else:
+        _write_csv(out, header, rows)
+    return out
 
 
 class _Manifest:
@@ -110,29 +118,17 @@ class _Manifest:
             "stages": {},
             "outputs": {},
         }
-        self._t0 = time.perf_counter()
 
+    @contextlib.contextmanager
     def stage(self, name: str):
-        return _Stage(self, name)
+        t0 = time.perf_counter()
+        yield
+        self.data["stages"][name] = time.perf_counter() - t0
 
-    def record_output(self, path: Path):
-        self.data["outputs"][path.name] = _digest(path)
-
-    def write(self, out_dir: Path):
+    def finish(self, out_dir: Path, out: Path) -> None:
+        """Record the digest of the result file ``out`` and write the manifest."""
+        self.data["outputs"][out.name] = "sha256:" + hashlib.sha256(out.read_bytes()).hexdigest()
         _write_json(out_dir / "manifest.json", self.data)
-
-
-class _Stage:
-    def __init__(self, manifest, name):
-        self.manifest, self.name = manifest, name
-
-    def __enter__(self):
-        self._t = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.manifest.data["stages"][self.name] = time.perf_counter() - self._t
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +137,13 @@ class _Stage:
 
 def _robin_for(cfg_robin: dict, material: core.MaterialField) -> core.RobinSpec:
     choice = cfg_robin.get("choice")
-    if choice == "shear":
-        return core.RobinSpec.shear_matched(material)
-    if choice == "pressure":
-        return core.RobinSpec.pressure_matched(material)
     if choice not in (None, "custom"):
-        raise ConfigError(f"unknown robin.choice {choice!r}")
+        return core.RobinSpec.for_choice(choice, material)
     try:
-        return core.RobinSpec.from_alpha(
-            float(cfg_robin["alpha_t"]), float(cfg_robin["alpha_n"]), material
-        )
+        alphas = float(cfg_robin["alpha_t"]), float(cfg_robin["alpha_n"])
     except KeyError as exc:
         raise ConfigError(f"robin specification needs {exc} (or a 'choice')") from exc
+    return core.RobinSpec.for_choice("custom", material, *alphas)
 
 
 def _bounds_inputs(cfg: dict):
@@ -232,15 +223,7 @@ def _run_bounds(args) -> int:
     with manifest.stage("evaluate"):
         header, rows = bounds_table(cfg)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
-        out = out_dir / "bounds.json"
-        _write_json(out, [dict(zip(header, row)) for row in rows])
-    else:
-        out = out_dir / "bounds.csv"
-        _write_csv(out, header, rows)
-    manifest.record_output(out)
-    manifest.write(out_dir)
+    manifest.finish(out_dir, _write_table(out_dir, "bounds", args.format, header, rows))
     return 0
 
 
@@ -340,8 +323,7 @@ def _run_greens(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "greens_report.json"
     _write_json(out, report)
-    manifest.record_output(out)
-    manifest.write(out_dir)
+    manifest.finish(out_dir, out)
     return 0 if report["passed"] else 1
 
 
@@ -349,30 +331,38 @@ def _run_greens(args) -> int:
 # fem-sweep
 # ---------------------------------------------------------------------------
 
+# document key path -> the SweepConfig field it sets and the conversion of
+# its value; a key the document leaves out keeps the field's default
+_SWEEP_FIELDS = {
+    "geometry.r_in": ("r_in", float),
+    "geometry.ell": ("ell", float),
+    "material.rho": ("rho", float),
+    "material.mu": ("mu", float),
+    "lambda_over_mu": ("lambda_over_mu", lambda ratios: tuple(float(r) for r in ratios)),
+    "robin.choice": ("robin_choice", lambda choice: choice),
+    "robin.alpha_t": ("alpha_t", float),
+    "robin.alpha_n": ("alpha_n", float),
+    "order": ("order", int),
+    "points_per_wavelength": ("points_per_wavelength", float),
+    "force": ("force", bool),
+}
+
+
 def sweep_config_from(cfg: dict, seed: int) -> fem.SweepConfig:
     """The sweep configuration of a document; ConfigError unless every value
     is finite and in range."""
     from . import fem
 
     try:
-        geo = cfg.get("geometry", {})
-        mat = cfg.get("material", {})
-        robin = cfg.get("robin", {"choice": "shear"})
-        sweep_cfg = fem.SweepConfig(
-            r_in=float(geo.get("r_in", 0.5)),
-            ell=float(geo.get("ell", 1.0)),
-            rho=float(mat.get("rho", 1.0)),
-            mu=float(mat.get("mu", 1.0)),
-            lambda_over_mu=tuple(float(r) for r in cfg.get("lambda_over_mu", [1.0])),
-            kappa_s=(),
-            robin_choice=robin.get("choice", "custom"),
-            alpha_t=float(robin.get("alpha_t", 1.0)),
-            alpha_n=float(robin.get("alpha_n", 1.0)),
-            order=int(cfg.get("order", 2)),
-            points_per_wavelength=float(cfg.get("points_per_wavelength", 10.0)),
-            seed=seed,
-            force=bool(cfg.get("force", False)),
-        )
+        given = {}
+        for path, (name, convert) in _SWEEP_FIELDS.items():
+            block, _, key = path.rpartition(".")
+            node = cfg.get(block, {}) if block else cfg
+            if key in node.keys():  # AttributeError for a block that is not a table
+                given[name] = convert(node[key])
+        if "robin" in cfg:  # a robin block without a choice is custom
+            given.setdefault("robin_choice", "custom")
+        sweep_cfg = fem.SweepConfig(kappa_s=(), seed=seed, **given)
         kappas = cfg.get("kappa_s")
         if kappas is None:
             sweep_cfg.validate()  # theta_s below needs rho, mu > 0
@@ -402,23 +392,12 @@ def _run_fem_sweep(args) -> int:
     manifest = _Manifest("fem-sweep", cfg, args.seed)
     with manifest.stage("sweep"):
         rows = fem.sweep(sweep_cfg)
+    # a row without an error writes "" in its error cell, in JSON too
     table = [
-        [
-            r.omega, r.kappa_s, r.lambda_over_mu, r.c_emp,
-            r.bound_ideal_full, r.bound_ideal_simplified, r.bound_realistic,
-            r.applicable_bound, r.slack,
-            r.points_per_wavelength, r.n_r, r.n_theta, r.n_dofs, r.refused,
-            r.error or "",
-        ]
+        [getattr(r, name) if name != "error" else r.error or "" for name in _SWEEP_HEADER]
         for r in rows
     ]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
-        out = out_dir / "fem_sweep.json"
-        _write_json(out, [dict(zip(_SWEEP_HEADER, row)) for row in table])
-    else:
-        out = out_dir / "fem_sweep.csv"
-        _write_csv(out, _SWEEP_HEADER, table)
+    out = _write_table(out_dir, "fem_sweep", args.format, _SWEEP_HEADER, table)
     manifest.data["mesh_stats"] = {
         "rows": len(rows),
         "max_dofs": max((r.n_dofs for r in rows), default=0),
@@ -428,14 +407,17 @@ def _run_fem_sweep(args) -> int:
         {
             "kappa_s": r.kappa_s,
             "lambda_over_mu": r.lambda_over_mu,
-            "lanczos_steps": r.lanczos_steps,
-            "ritz_residual": r.ritz_residual,
-            "factor": {"kind": r.factor_kind, "modes": r.factor_modes, "lu_nnz": r.lu_nnz},
+            "lanczos_steps": getattr(r.estimate, "steps", None),
+            "ritz_residual": getattr(r.estimate, "ritz_residual", None),
+            "factor": {
+                "kind": getattr(r.estimate, "factor_kind", None),
+                "modes": getattr(r.estimate, "factor_modes", None),
+                "lu_nnz": getattr(r.estimate, "lu_nnz", None),
+            },
         }
         for r in rows
     ]
-    manifest.record_output(out)
-    manifest.write(out_dir)
+    manifest.finish(out_dir, out)
     violated = any(
         (r.slack is not None and r.slack < 0.0) or (r.error and not r.refused)
         for r in rows
@@ -628,8 +610,7 @@ def _run_identity_check(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "identity_report.json"
     _write_json(out, [r.as_dict() for r in reports])
-    manifest.record_output(out)
-    manifest.write(out_dir)
+    manifest.finish(out_dir, out)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -328,6 +328,20 @@ class RobinSpec:
         ratio = material.lam_min / material.mu_min
         return cls.from_alpha(1.0, math.sqrt(2.0 + ratio), material)
 
+    CHOICES = ("shear", "pressure", "custom")
+
+    @classmethod
+    def for_choice(cls, choice: str, material: MaterialField, alpha_t=1.0, alpha_n=1.0) -> "RobinSpec":
+        """The impedance a configuration names, one of ``CHOICES``; the alphas
+        serve "custom" only.  ValueError for any other name."""
+        if choice == "shear":
+            return cls.shear_matched(material)
+        if choice == "pressure":
+            return cls.pressure_matched(material)
+        if choice == "custom":
+            return cls.from_alpha(alpha_t, alpha_n, material)
+        raise ValueError(f"unknown robin.choice {choice!r}")
+
 
 # ---------------------------------------------------------------------------
 # Multipliers

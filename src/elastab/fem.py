@@ -805,7 +805,8 @@ class ConstantEstimate:
     factor of S_ff is ``factor_kind`` ("sector" or "direct") and covers
     ``factor_modes`` angular modes (n_theta; None for "direct").  ``lu_nnz``
     counts the nonzeros in L + U of what was factored: for "sector", the
-    h = floor(n_theta/2) + 1 mode blocks that serve all n_theta modes."""
+    h = floor(n_theta/2) + 1 mode blocks that serve all n_theta modes.
+    A sweep row carries it as ``SweepRow.estimate``."""
 
     c_emp: float
     steps: int
@@ -875,7 +876,7 @@ class SweepConfig:
     mu: float = 1.0
     lambda_over_mu: tuple = (1.0,)
     kappa_s: tuple = (1.0,)
-    robin_choice: str = "shear"  # "shear" (alpha=1) | "pressure" (alpha_n = sqrt(2+lam/mu)) | "custom"
+    robin_choice: str = "shear"  # one of RobinSpec.CHOICES; alpha_t, alpha_n serve "custom"
     alpha_t: float = 1.0
     alpha_n: float = 1.0
     order: int = 2
@@ -889,13 +890,7 @@ class SweepConfig:
         return MaterialField.constant(self.rho, self.mu, lam_ratio * self.mu)
 
     def robin(self, material: MaterialField) -> RobinSpec:
-        if self.robin_choice == "shear":
-            return RobinSpec.shear_matched(material)
-        if self.robin_choice == "pressure":
-            return RobinSpec.pressure_matched(material)
-        if self.robin_choice == "custom":
-            return RobinSpec.from_alpha(self.alpha_t, self.alpha_n, material)
-        raise ValueError(f"unknown robin choice {self.robin_choice!r}")
+        return RobinSpec.for_choice(self.robin_choice, material, self.alpha_t, self.alpha_n)
 
     def validate(self) -> None:
         """Raise ConfigError unless every value is finite and in range."""
@@ -917,7 +912,7 @@ class SweepConfig:
             raise ConfigError(f"need 0 < r_in < ell, got r_in={self.r_in!r}, ell={self.ell!r}")
         if self.order not in (1, 2):
             raise ConfigError(f"order must be 1 or 2, got {self.order!r}")
-        if self.robin_choice not in ("shear", "pressure", "custom"):
+        if self.robin_choice not in RobinSpec.CHOICES:
             raise ConfigError(f"unknown robin choice {self.robin_choice!r}")
         for kappa in self.kappa_s:
             n_r, n_theta = _resolution(self, kappa)
@@ -931,26 +926,32 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (kappa_s, lambda/mu) row of a sweep.  A refused row, or one whose
+    estimate failed, has no ``estimate`` and says why in ``error``; its
+    ``c_emp`` and ``slack`` are None."""
+
     omega: float
     kappa_s: float
     lambda_over_mu: float
-    c_emp: float | None
     bound_ideal_full: float
     bound_ideal_simplified: float
     bound_realistic: float
     applicable_bound: float  # the theorem for the row's impedance; see _sweep_row
-    slack: float | None
     points_per_wavelength: float
     n_r: int
     n_theta: int
     n_dofs: int
     refused: bool
     error: str | None = None
-    lanczos_steps: int | None = None
-    ritz_residual: float | None = None  # relative to the top Ritz value
-    factor_kind: str | None = None  # "sector" or "direct"
-    factor_modes: int | None = None
-    lu_nnz: int | None = None
+    estimate: ConstantEstimate | None = None
+
+    @property
+    def c_emp(self) -> float | None:
+        return None if self.estimate is None else self.estimate.c_emp
+
+    @property
+    def slack(self) -> float | None:
+        return None if self.estimate is None else self.applicable_bound - self.estimate.c_emp
 
 
 def _resolution(cfg: SweepConfig, kappa: float) -> tuple:
@@ -1013,22 +1014,12 @@ def _sweep_row(cfg: SweepConfig, kappa: float, lam_ratio: float) -> SweepRow:
         refused=refused,
     )
     if refused:
-        return SweepRow(c_emp=None, slack=None, error="resolution policy violated", **base)
+        return SweepRow(error="resolution policy violated", **base)
     try:
         est = empirical_constant(mesh, material, robin, omega, seed=cfg.seed)
     except (SolverError, IterationError) as exc:
-        return SweepRow(c_emp=None, slack=None, error=str(exc), **base)
-    return SweepRow(
-        c_emp=est.c_emp,
-        slack=bound - est.c_emp,
-        error=None,
-        lanczos_steps=est.steps,
-        ritz_residual=est.ritz_residual,
-        factor_kind=est.factor_kind,
-        factor_modes=est.factor_modes,
-        lu_nnz=est.lu_nnz,
-        **base,
-    )
+        return SweepRow(error=str(exc), **base)
+    return SweepRow(estimate=est, **base)
 
 
 def _thread_count() -> int:

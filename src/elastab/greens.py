@@ -33,7 +33,6 @@ __all__ = [
     "hessian_radial",
     "kelvin_tensor",
     "green_tensor",
-    "GreenTensorValue",
     "elastic_hessian_kernel",
     "BallGrid",
     "ball_grid",
@@ -228,19 +227,6 @@ def green_tensor(y, rho: float, mu: float, lam: float, omega: float) -> np.ndarr
     hess = elastic_hessian_kernel(y_arr, k)
     out = g_a[..., None, None] * np.eye(3) + hess / omega**2
     return out[0] if single else out
-
-
-@dataclass(frozen=True)
-class GreenTensorValue:
-    """Single-point fundamental-tensor sample (3x3 complex, radius r)."""
-
-    g: np.ndarray
-    r: float
-
-    @classmethod
-    def at(cls, y, rho: float, mu: float, lam: float, omega: float) -> "GreenTensorValue":
-        y = np.asarray(y, dtype=float)
-        return cls(g=green_tensor(y, rho, mu, lam, omega), r=float(np.linalg.norm(y)))
 
 
 # ---------------------------------------------------------------------------

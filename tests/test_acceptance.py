@@ -5,7 +5,7 @@ criteria as well).
 Criterion 7 checks that the annulus probe grows with frequency the way the
 continuous problem does, and not by the quadratic ``1 + kappa_s^2`` law.  Its
 log-log slope of ``c_emp`` over kappa_s in [2, 8] must match the slope of the
-independent spectral oracle of ``test_spectral_oracle`` (computed at run time)
+independent spectral oracle of ``spectral_oracle`` (computed at run time)
 to within ``(ln 1.01 + ln 1.02) / ln 4 ~= 0.0215``, the slope budget implied
 by the 1% (kappa_s = 2) and 2% (kappa_s = 8) agreement that the oracle tests
 already assert; and it must stay strictly below the slope of the quadratic
@@ -35,7 +35,7 @@ from elastab import bounds, core, fem, fields, greens
 from elastab import identities as idn
 from elastab.cli import main as cli_main
 from elastab.mesh import build_annulus_mesh
-from test_spectral_oracle import annulus_constant_oracle
+from spectral_oracle import annulus_constant_oracle
 
 RHO, MU = 1.0, 1.0
 ELL = 1.0

@@ -91,15 +91,15 @@ class TestSimpleRobin:
         assert r2.bound_value == pytest.approx(2.0 * r1.bound_value)
 
     def test_consistency_with_corollary(self, unit_groups_3d):
-        # replacing sqrt(chi) by 1/sqrt(alpha_min) reproduces the specialized
-        # star-shaped-obstacle constant exactly
+        # at chi = 1/alpha_min = 1 the simple-Robin bound reproduces the
+        # specialized star-shaped-obstacle constant exactly
         groups, mult = unit_groups_3d
         for kappa in [2.0**k / 16.0 for k in range(13)]:
             g = core.DimensionlessGroups(
                 kappa_s=kappa, alpha_t=1.0, alpha_n=1.0, alpha_min=1.0, alpha_max=1.0,
-                beta_t=1.0, beta_n=2.0, chi=2.0, zeta=0.0, c_rob=3.0,
+                beta_t=1.0, beta_n=2.0, chi=1.0, zeta=0.0, c_rob=3.0,
             )
-            rep = bounds.stability_simple_robin(g, mult, d=3, chi_override=1.0)
+            rep = bounds.stability_simple_robin(g, mult, d=3)
             assert rep.bound_value == pytest.approx(bounds.bound_obstacle_ideal(kappa, 3).full)
 
     def test_inadmissible_multiplier_rejected(self, unit_groups_3d):

@@ -410,9 +410,10 @@ class TestFemSweepCommand:
             ("geometry = 5", None),
             ("order = 2", "two"),
             ("order = 2", "0"),
+            ("robin.choice = nonsense", None),
         ],
         ids=["kappa-negative", "kappa-nan", "order-3", "mu-zero", "lambda-negative",
-             "r_in-outside", "geometry-scalar", "threads-word", "threads-zero"],
+             "r_in-outside", "geometry-scalar", "threads-word", "threads-zero", "robin-unknown"],
     )
     def test_invalid_input_exits_2_without_output(self, line, env, tmp_path, capsys, monkeypatch):
         if env is not None:
@@ -468,6 +469,62 @@ class TestFemSweepCommand:
             assert bound == pytest.approx(float(row["bound_ideal_full"]), rel=1e-12)
         else:
             assert float(row["bound_realistic"]) < float(row["c_emp"]) < bound
+
+    def test_failed_estimate_writes_empty_cells_and_null_diagnostics(self, tmp_path, monkeypatch):
+        from elastab import fem
+        from elastab.errors import SolverError
+
+        def fails(*args, **kwargs):
+            raise SolverError("solve residual 2e-08 above 1e-08")
+
+        monkeypatch.setattr(fem, "empirical_constant", fails)
+        cfg = tmp_path / "sweep.txt"
+        cfg.write_text(SWEEP_CFG_TEXT)
+        out = tmp_path / "s"
+        assert main(["fem-sweep", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        [row] = csv.DictReader((out / "fem_sweep.csv").read_text().splitlines())
+        assert row["c_emp"] == row["slack"] == ""
+        assert row["error"] == "solve residual 2e-08 above 1e-08"
+        [est] = json.loads((out / "manifest.json").read_text())["estimates"]
+        assert est["lanczos_steps"] is None and est["ritz_residual"] is None
+        assert est["factor"] == {"kind": None, "modes": None, "lu_nnz": None}
+
+    @pytest.mark.parametrize(
+        "doc,fields",
+        [
+            ({"kappa_s": [1.0]}, {"kappa_s": (1.0,)}),
+            ({"omega": [2.0], "material": {"rho": 4.0}}, {"rho": 4.0, "kappa_s": (4.0,)}),
+            (
+                {"kappa_s": [2.0], "robin": {"alpha_t": 0.5}},
+                {"kappa_s": (2.0,), "robin_choice": "custom", "alpha_t": 0.5},
+            ),
+            (
+                {
+                    "geometry": {"r_in": 0.25, "ell": 2.0},
+                    "material": {"rho": 2.0, "mu": 8.0},
+                    "lambda_over_mu": [1, 100],
+                    "robin": {"choice": "custom", "alpha_t": 0.5, "alpha_n": 3},
+                    "order": 1,
+                    "points_per_wavelength": 12,
+                    "force": True,
+                    "kappa_s": [1, 2],
+                    "omega": [5.0],
+                },
+                {
+                    "r_in": 0.25, "ell": 2.0, "rho": 2.0, "mu": 8.0,
+                    "lambda_over_mu": (1.0, 100.0), "kappa_s": (1.0, 2.0),
+                    "robin_choice": "custom", "alpha_t": 0.5, "alpha_n": 3.0,
+                    "order": 1, "points_per_wavelength": 12.0, "force": True,
+                },
+            ),
+        ],
+        ids=["kappa-only", "omega-and-rho", "robin-without-choice", "every-key"],
+    )
+    def test_sweep_config_keeps_the_field_defaults(self, doc, fields):
+        from elastab import fem
+        from elastab.cli import sweep_config_from
+
+        assert sweep_config_from(doc, seed=3) == fem.SweepConfig(seed=3, **fields)
 
     def test_omega_list_with_zero_mu_exits_2(self, tmp_path):
         cfg = tmp_path / "sweep.json"

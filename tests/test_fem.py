@@ -629,7 +629,7 @@ class TestSweep:
         # step on an extended-precision residual brings it under 1e-8
         row = fem.sweep(fem.SweepConfig(kappa_s=(8.0,), lambda_over_mu=(1e8,)))[0]
         assert row.error is None
-        assert math.isfinite(row.c_emp) and row.ritz_residual <= 1e-8
+        assert math.isfinite(row.c_emp) and row.estimate.ritz_residual <= 1e-8
 
     def test_single_row_matches_empirical(self, material, robin):
         cfg = fem.SweepConfig(kappa_s=(1.0,), lambda_over_mu=(1.0,), seed=3)
@@ -640,7 +640,7 @@ class TestSweep:
         direct = fem.empirical_constant(m, material, robin, omega=1.0, seed=3).c_emp
         assert r.c_emp == pytest.approx(direct, rel=1e-9)
         assert r.kappa_s == 1.0 and not r.refused
-        assert r.lanczos_steps >= 1 and 0.0 <= r.ritz_residual <= 1e-8
+        assert r.estimate.steps >= 1 and 0.0 <= r.estimate.ritz_residual <= 1e-8
 
     def test_applicable_bound_follows_the_impedance(self):
         for choice, column in (("shear", "bound_ideal_full"), ("pressure", "bound_realistic")):

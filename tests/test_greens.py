@@ -167,12 +167,6 @@ class TestGreenTensor:
         k0 = greens.kelvin_tensor(y, RHO, MU, LAM)
         assert np.abs(g.real - k0.real).max() / np.abs(k0).max() < 1e-5
 
-    def test_green_tensor_value_wrapper(self):
-        y = np.array([0.3, 0.2, 0.1])
-        val = greens.GreenTensorValue.at(y, RHO, MU, LAM, omega=2.0)
-        assert val.r == pytest.approx(np.linalg.norm(y))
-        assert np.allclose(val.g, val.g.T)
-
 
 class TestConvolution:
     def test_zero_source(self):
