@@ -18,9 +18,11 @@ check, which refines a solve that misses the contract once, on a
 long-double residual.
 
 Every system assembled on ``build_annulus_mesh`` with radial coefficients
-is invariant under rotation by one of its n_theta angular sectors, so S_ff
-and M_ff are block-circulant over the sectors once each node's dofs are
-rotated into its sector's frame.  The factorization then runs over angular
+is invariant under rotation by one of its n_theta angular sectors.  The
+mesh numbers its nodes sector by sector, so the free dofs come in n_theta
+equal runs, and S_ff and M_ff are block-circulant over those runs once
+each node's dofs are rotated into its sector's frame: the sectors are read
+off the dof index.  The factorization then runs over angular
 Fourier modes: an FFT over the sectors decouples S_ff into n_theta small
 mode blocks (the discrete counterpart of the mode separation of the
 spectral oracle).  S is complex symmetric, so mode n - m is the transpose
@@ -54,8 +56,8 @@ from scipy.linalg import eigh_tridiagonal
 from . import mesh as _mesh
 from .bounds import bound_obstacle_ideal, bound_obstacle_realistic, stability_simple_robin
 from .core import DomainSpec, MaterialField, RobinSpec, derive_groups, multiplier_for
-from .errors import ConfigError, IterationError, MeshError, SolverError
-from .mesh import DIRICHLET, DISSIPATIVE, Mesh
+from .errors import ConfigError, IterationError, SolverError
+from .mesh import _TRI_QP, _TRI_QW, DIRICHLET, DISSIPATIVE, Mesh, _grad_x, _shapes
 
 __all__ = [
     "AssembledSystem",
@@ -82,69 +84,9 @@ _RESIDUAL_TOL = 1e-8
 # with the direct factor, so the budget keeps a row near 1.6 GB.
 NODE_BUDGET = 200_000
 
-# degree-5 rule on the reference triangle (weights sum to 1/2)
-_TRI_QP = np.array(
-    [
-        [1.0 / 3.0, 1.0 / 3.0],
-        [0.059715871789770, 0.470142064105115],
-        [0.470142064105115, 0.059715871789770],
-        [0.470142064105115, 0.470142064105115],
-        [0.797426985353087, 0.101286507323456],
-        [0.101286507323456, 0.797426985353087],
-        [0.101286507323456, 0.101286507323456],
-    ]
-)
-_TRI_QW = 0.5 * np.array(
-    [
-        0.225,
-        0.132394152788506,
-        0.132394152788506,
-        0.132394152788506,
-        0.125939180544827,
-        0.125939180544827,
-        0.125939180544827,
-    ]
-)
-
 _EDGE_QP, _EDGE_QW = np.polynomial.legendre.leggauss(4)
 _EDGE_QP = 0.5 * (_EDGE_QP + 1.0)
 _EDGE_QW = 0.5 * _EDGE_QW
-
-
-def _shapes(order: int, pts: np.ndarray):
-    """Shape values (Q, a) and reference gradients (Q, a, 2) at pts (Q, 2)."""
-    xi, eta = pts[:, 0], pts[:, 1]
-    lam1 = 1.0 - xi - eta
-    if order == 1:
-        n = np.stack([lam1, xi, eta], axis=1)
-        dn = np.broadcast_to(
-            np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]), (pts.shape[0], 3, 2)
-        ).copy()
-        return n, dn
-    n = np.stack(
-        [
-            lam1 * (2.0 * lam1 - 1.0),
-            xi * (2.0 * xi - 1.0),
-            eta * (2.0 * eta - 1.0),
-            4.0 * lam1 * xi,
-            4.0 * xi * eta,
-            4.0 * eta * lam1,
-        ],
-        axis=1,
-    )
-    z = np.zeros_like(xi)
-    dn = np.stack(
-        [
-            np.stack([1.0 - 4.0 * lam1, 1.0 - 4.0 * lam1], axis=1),
-            np.stack([4.0 * xi - 1.0, z], axis=1),
-            np.stack([z, 4.0 * eta - 1.0], axis=1),
-            np.stack([4.0 * (lam1 - xi), -4.0 * xi], axis=1),
-            np.stack([4.0 * eta, 4.0 * xi], axis=1),
-            np.stack([-4.0 * eta, 4.0 * (lam1 - eta)], axis=1),
-        ],
-        axis=1,
-    )
-    return n, dn
 
 
 def _edge_shapes(order: int, t: np.ndarray):
@@ -162,24 +104,6 @@ _CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 _EDGE_REF = (
     (1.0 - _EDGE_QP[:, None]) * _CORNERS[:, None] + _EDGE_QP[:, None] * _CORNERS[[1, 2, 0], None]
 )
-
-
-def _grad_x(dn, xc):
-    """det J and physical shape gradients dn_x[..., a, j] = d_j N_a from
-    reference gradients dn (..., a, 2) and element nodes xc (..., a, 2),
-    broadcasting over the leading axes; MeshError where det J <= 0."""
-    # J[..., i, k] = sum_a xc[..., a, i] dn[..., a, k]
-    jac = np.swapaxes(xc, -1, -2) @ dn
-    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-    if np.any(det <= 0.0):
-        raise MeshError("singular or inverted element Jacobian")
-    inv = np.empty_like(jac)
-    inv[..., 0, 0] = jac[..., 1, 1] / det
-    inv[..., 0, 1] = -jac[..., 0, 1] / det
-    inv[..., 1, 0] = -jac[..., 1, 0] / det
-    inv[..., 1, 1] = jac[..., 0, 0] / det
-    # grad_x N_a[j] = sum_k dn[a,k] inv[k,j]
-    return det, dn @ inv
 
 
 def _geometry(mesh: Mesh, pts: np.ndarray):
@@ -288,11 +212,14 @@ class AssembledSystem:
         it is factored by angular Fourier modes (``_SectorLU``); otherwise
         by a direct sparse LU of S_ff.  Both offer ``solve(rhs, trans)``
         with trans "N" or "H"."""
-        s_ff = self.free_blocks[0]
-        try:
-            return _SectorLU(self.mesh, self.free, s_ff, self.free_mass)
-        except _NotSectorInvariant:
-            return _factor(s_ff)
+        s_ff, free = self.free_blocks[0], self.free
+        # Dirichlet data eliminate whole nodes: free dofs pair up as (2k, 2k+1)
+        if np.array_equal(free[0::2] + 1, free[1::2]) and not np.any(free[0::2] % 2):
+            try:
+                return _SectorLU(self.mesh.n_theta, s_ff, self.free_mass)
+            except _NotSectorInvariant:
+                pass
+        return _factor(s_ff)
 
 
 def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float) -> AssembledSystem:
@@ -406,58 +333,44 @@ class _NotSectorInvariant(Exception):
 _SECTOR_RTOL = 1e-12
 
 
-def _sector_modes(mesh: Mesh, free: np.ndarray, *matrices) -> tuple:
+def _sector_modes(n: int, *matrices) -> list:
     """Half-spectrum angular Fourier decomposition of free-dof matrices.
 
-    Node k at angle phi_k lies in sector s = floor(phi_k n / 2 pi) of the
-    mesh's n = n_theta sectors; rotated back by s 2 pi / n it lands on a
-    node of sector 0, its local node.  In sector-major order of (sector,
-    local node, rotated component) a matrix A becomes T A T^T, T orthogonal,
-    and when that matrix is block-circulant with blocks B_-1, B_0, B_1
-    coupling each sector to itself and its neighbours, the DFT over sectors
-    splits it into the mode blocks A_m = B_0 + B_1 w^m + B_-1 w^-m,
-    w = exp(2 pi i / n).  A symmetric A (B_0 = B_0^T, B_-1 = B_1^T) has
-    A_{n-m} = A_m^T, so the h = floor(n/2) + 1 modes m = 0..floor(n/2)
-    determine all n.  The geometric pass (sectors, local order, rotations,
-    the union pattern of the blocks) is shared by every matrix.
+    The free nodes of a ``build_annulus_mesh`` system come sector by sector,
+    the same count L in each (the mesh numbers its nodes sector-major and
+    the Dirichlet circle removes the same nodes from every sector), so
+    block (2x2 node block) index k holds local node k % L of sector
+    k // L.  Rotated back by its sector angle s 2 pi / n, that node lands
+    on the same local node of sector 0.  In the coordinates of (sector,
+    local node, rotated component) a matrix A becomes T A T^T, T
+    orthogonal, and when that matrix is block-circulant with blocks B_-1,
+    B_0, B_1 coupling each sector to itself and its neighbours, the DFT
+    over sectors splits it into the mode blocks A_m = B_0 + B_1 w^m +
+    B_-1 w^-m, w = exp(2 pi i / n).  A symmetric A (B_0 = B_0^T, B_-1 =
+    B_1^T) has A_{n-m} = A_m^T, so the h = floor(n/2) + 1 modes
+    m = 0..floor(n/2) determine all n.  The union pattern of the blocks is
+    shared by every matrix.
 
-    Returns (per matrix, its h mode blocks as one block-diagonal CSC;
-    free-dof positions (n, L) of the x components of the local nodes; cos
-    and sin (n, 1) of the sector angles).  Raises _NotSectorInvariant when
-    the nodes or the assembled entries break the symmetry."""
-    n = mesh.n_theta
-    # Dirichlet data eliminate whole nodes: free dofs pair up as (2k, 2k+1)
-    if n < 3 or free.size % 2 or np.any(free[0::2] % 2) or np.any(free[1::2] != free[0::2] + 1):
-        raise _NotSectorInvariant("free dofs are not whole nodes")
-    xy = mesh.nodes[free[0::2] // 2]
-    step = 2.0 * math.pi / n
-    phi = np.arctan2(xy[:, 1], xy[:, 0]) % (2.0 * math.pi)
-    sector = np.floor(phi / step + 1e-6).astype(int) % n  # a node on a ray may round below it
-    cos, sin = np.cos(sector * step), np.sin(sector * step)
-    at = np.stack([cos * xy[:, 0] + sin * xy[:, 1], cos * xy[:, 1] - sin * xy[:, 0]], axis=1)
-    key = np.round(at / (1e-9 * mesh.ell))
-    order = np.lexsort((key[:, 1], key[:, 0], sector))
-    if sector.size % n or np.any(np.bincount(sector, minlength=n) != sector.size // n):
+    Returns, per matrix, its h mode blocks as one block-diagonal CSC.
+    Raises _NotSectorInvariant when the sectors hold different node counts
+    or the assembled entries break the symmetry."""
+    size = matrices[0].shape[0]
+    if n < 3 or size % (2 * n):
         raise _NotSectorInvariant("sectors hold different node counts")
-    order = order.reshape(n, -1)  # row s: the free nodes of sector s, local order
-    if np.abs(at[order] - at[order[0]]).max() > 1e-9 * mesh.ell:
-        raise _NotSectorInvariant("sectors hold different nodes")
-    nodes = order.shape[1]
-    local = np.empty_like(sector)
-    local[order] = np.arange(nodes)
+    nodes = size // (2 * n)
 
     # every matrix's 2x2 node blocks, by row sector and slot: the coupling
     # (B_0, B_1 or B_-1) and the local nodes of its row and column
     blocks = []
     for matrix in matrices:
         bsr = matrix.tobsr(blocksize=(2, 2))
-        a = np.repeat(np.arange(sector.size), np.diff(bsr.indptr))
-        b = bsr.indices
-        shift = (sector[b] - sector[a]) % n  # 0, 1 or n - 1 for B_0, B_1, B_-1
+        row_sector, a = np.divmod(np.repeat(np.arange(n * nodes), np.diff(bsr.indptr)), nodes)
+        col_sector, b = np.divmod(bsr.indices, nodes)
+        shift = (col_sector - row_sector) % n  # 0, 1 or n - 1 for B_0, B_1, B_-1
         if np.any((shift > 1) & (shift < n - 1)):
             raise _NotSectorInvariant("coupling beyond neighbouring sectors")
-        slot = (np.where(shift == n - 1, 2, shift) * nodes + local[a]) * nodes + local[b]
-        blocks.append((sector[a], slot, bsr.data.reshape(-1, 4).T))
+        slot = (np.where(shift == n - 1, 2, shift) * nodes + a) * nodes + b
+        blocks.append((row_sector, slot, bsr.data.reshape(-1, 4).T))
 
     # the union pattern of B_-1, B_0, B_1 over all matrices, one coefficient
     # block per coupling, and each coupling's transposed partner
@@ -472,6 +385,7 @@ def _sector_modes(mesh: Mesh, free: np.ndarray, *matrices) -> tuple:
     if np.any(pairs[partner] != flipped):
         raise _NotSectorInvariant("the couplings are not symmetric")
     # the sector angles of each block's row and column nodes
+    step = 2.0 * math.pi / n
     row_angle = step * np.arange(n)[:, None]
     col_angle = row_angle + step * np.array([0, 1, -1])[block]
     ca, sa, cb, sb = np.cos(row_angle), np.sin(row_angle), np.cos(col_angle), np.sin(col_angle)
@@ -510,17 +424,19 @@ def _sector_modes(mesh: Mesh, free: np.ndarray, *matrices) -> tuple:
         modes.append(
             sp.csc_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(half * nl, half * nl))
         )
-    return modes, 2 * order, cos[order[:, :1]], sin[order[:, :1]]
+    return modes
 
 
 class _SectorLU:
     """S_ff^-1 by angular Fourier modes: rotate each node into its sector's
     frame, FFT over the sectors, solve the decoupled mode blocks, transform
-    back.  Only the h = floor(n/2) + 1 modes m = 0..floor(n/2) are
-    factored, as one sparse LU of their block-diagonal matrix: a mode
-    m > n/2 is solved with the transposed factor of mode n - m, since
-    S_{n-m} = S_m^T.  For the adjoint, the low modes solve S_m^H and the
-    high ones a conjugated solve of S_{n-m}, as S_m^H = conj(S_{n-m}).
+    back.  The free dofs come sector by sector, L nodes of (x, y) pairs
+    each (``_sector_modes``), so a free-dof vector is an (n, L, 2) array.
+    Only the h = floor(n/2) + 1 modes m = 0..floor(n/2) are factored, as
+    one sparse LU of their block-diagonal matrix: a mode m > n/2 is solved
+    with the transposed factor of mode n - m, since S_{n-m} = S_m^T.  For
+    the adjoint, the low modes solve S_m^H and the high ones a conjugated
+    solve of S_{n-m}, as S_m^H = conj(S_{n-m}).
 
     ``m_modes`` holds the same half set of M_ff's mode blocks.  The modes
     m and n - m of the normal operator S^-H M S^-1 M have the same
@@ -528,27 +444,26 @@ class _SectorLU:
     ``nodal`` map a vector between free dofs and those half-spectrum
     coordinates."""
 
-    def __init__(self, mesh: Mesh, free: np.ndarray, s_ff, m_ff):
-        (s_modes, m_modes), self._ix, self._cos, self._sin = _sector_modes(mesh, free, s_ff, m_ff)
-        self.modes = mesh.n_theta
+    def __init__(self, n: int, s_ff, m_ff):
+        s_modes, m_modes = _sector_modes(n, s_ff, m_ff)
+        self.modes = n
         self.lu = _factor(s_modes)
         self.m_modes = m_modes.tocsr()
-        self._half = (self.modes // 2 + 1, self._ix.shape[1], 2)  # (h, L, 2)
+        angle = 2.0 * math.pi / n * np.arange(n)[:, None]
+        self._cos, self._sin = np.cos(angle), np.sin(angle)  # (n, 1)
+        self._half = (n // 2 + 1, s_ff.shape[0] // (2 * n), 2)  # (h, L, 2)
 
     def _fft(self, x):
         """All n modes (n, L, 2) of a free-dof vector."""
-        ix, c, s = self._ix, self._cos, self._sin
-        bx, by = x[ix], x[ix + 1]
+        c, s = self._cos, self._sin
+        bx, by = np.moveaxis(x.reshape(self.modes, -1, 2), -1, 0)
         return np.fft.fft(np.stack([c * bx + s * by, c * by - s * bx], axis=-1), axis=0)
 
     def _ifft(self, y):
         """The free-dof vector of all n modes y (n, L, 2)."""
-        ix, c, s = self._ix, self._cos, self._sin
-        y = np.fft.ifft(y, axis=0)
-        u = np.empty(2 * ix.size, dtype=complex)
-        u[ix] = c * y[..., 0] - s * y[..., 1]
-        u[ix + 1] = s * y[..., 0] + c * y[..., 1]
-        return u
+        c, s = self._cos, self._sin
+        yx, yy = np.moveaxis(np.fft.ifft(y, axis=0), -1, 0)
+        return np.stack([c * yx - s * yy, s * yx + c * yy], axis=-1).reshape(-1)
 
     def modal(self, x):
         """Half-spectrum coordinates (modes 0..h-1, flat) of a free-dof vector."""

@@ -1,9 +1,17 @@
-"""Structured polar triangulation of an annulus.
+"""Structured polar triangulation of an annulus, numbered on its polar
+lattice.
 
 Inner circle: Dirichlet obstacle boundary.  Outer circle: dissipative
 (absorbing) boundary.  Order-2 meshes are isoparametric: midside nodes of
 circumferential edges sit on their circle, so the discrete geometry follows
-the curved boundary to fourth order.
+the curved boundary to fourth order.  Nodes and cells are numbered sector
+by sector: each of the n_theta angular sectors owns one contiguous run of
+node ids and one of cell ids, and rotating the mesh by one sector maps
+every node onto the node one run later (``build_annulus_mesh``).
+
+The module also holds the reference-triangle geometry shared with the
+finite elements: the quadrature rule, the shape functions and the
+Jacobian map, which rejects inverted cells.
 """
 
 from __future__ import annotations
@@ -17,8 +25,92 @@ from .errors import MeshError
 
 __all__ = ["BoundaryEdge", "Mesh", "build_annulus_mesh"]
 
+# degree-5 rule on the reference triangle (weights sum to 1/2)
+_TRI_QP = np.array(
+    [
+        [1.0 / 3.0, 1.0 / 3.0],
+        [0.059715871789770, 0.470142064105115],
+        [0.470142064105115, 0.059715871789770],
+        [0.470142064105115, 0.470142064105115],
+        [0.797426985353087, 0.101286507323456],
+        [0.101286507323456, 0.797426985353087],
+        [0.101286507323456, 0.101286507323456],
+    ]
+)
+_TRI_QW = 0.5 * np.array(
+    [
+        0.225,
+        0.132394152788506,
+        0.132394152788506,
+        0.132394152788506,
+        0.125939180544827,
+        0.125939180544827,
+        0.125939180544827,
+    ]
+)
+
 DIRICHLET = "dirichlet"
 DISSIPATIVE = "dissipative"
+
+
+def _shapes(order: int, pts: np.ndarray):
+    """Shape values (Q, a) and reference gradients (Q, a, 2) at pts (Q, 2)."""
+    xi, eta = pts[:, 0], pts[:, 1]
+    lam1 = 1.0 - xi - eta
+    if order == 1:
+        n = np.stack([lam1, xi, eta], axis=1)
+        dn = np.broadcast_to(
+            np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]), (pts.shape[0], 3, 2)
+        ).copy()
+        return n, dn
+    n = np.stack(
+        [
+            lam1 * (2.0 * lam1 - 1.0),
+            xi * (2.0 * xi - 1.0),
+            eta * (2.0 * eta - 1.0),
+            4.0 * lam1 * xi,
+            4.0 * xi * eta,
+            4.0 * eta * lam1,
+        ],
+        axis=1,
+    )
+    z = np.zeros_like(xi)
+    dn = np.stack(
+        [
+            np.stack([1.0 - 4.0 * lam1, 1.0 - 4.0 * lam1], axis=1),
+            np.stack([4.0 * xi - 1.0, z], axis=1),
+            np.stack([z, 4.0 * eta - 1.0], axis=1),
+            np.stack([4.0 * (lam1 - xi), -4.0 * xi], axis=1),
+            np.stack([4.0 * eta, 4.0 * xi], axis=1),
+            np.stack([-4.0 * eta, 4.0 * (lam1 - eta)], axis=1),
+        ],
+        axis=1,
+    )
+    return n, dn
+
+
+def _jacobian(dn, xc):
+    """Jacobians J[..., i, k] = sum_a xc[..., a, i] dn[..., a, k] and det J
+    from reference gradients dn (..., a, 2) and element nodes xc (..., a, 2),
+    broadcasting over the leading axes; MeshError where det J <= 0."""
+    jac = np.swapaxes(xc, -1, -2) @ dn
+    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    if np.any(det <= 0.0):
+        raise MeshError("singular or inverted element Jacobian")
+    return jac, det
+
+
+def _grad_x(dn, xc):
+    """det J and physical shape gradients dn_x[..., a, j] = d_j N_a from the
+    arguments of ``_jacobian``, which raises MeshError where det J <= 0."""
+    jac, det = _jacobian(dn, xc)
+    inv = np.empty_like(jac)
+    inv[..., 0, 0] = jac[..., 1, 1] / det
+    inv[..., 0, 1] = -jac[..., 0, 1] / det
+    inv[..., 1, 0] = -jac[..., 1, 0] / det
+    inv[..., 1, 1] = jac[..., 0, 0] / det
+    # grad_x N_a[j] = sum_k dn[a,k] inv[k,j]
+    return det, dn @ inv
 
 
 @dataclass(frozen=True)
@@ -31,7 +123,7 @@ class BoundaryEdge:
 
 @dataclass(frozen=True)
 class Mesh:
-    nodes: np.ndarray        # (Nn, 2), vertices first, then midside nodes
+    nodes: np.ndarray        # (Nn, 2), lattice point (I, J) at row J (order n_r + 1) + I
     conn: np.ndarray         # (Nc, 3) or (Nc, 6): corners then midsides of edges (0,1),(1,2),(2,0)
     order: int
     r_in: float
@@ -47,10 +139,6 @@ class Mesh:
     @property
     def n_cells(self) -> int:
         return self.conn.shape[0]
-
-    @property
-    def n_vertices(self) -> int:
-        return (self.n_r + 1) * self.n_theta
 
     def boundary_nodes(self, tag: str) -> np.ndarray:
         ids: set[int] = set()
@@ -76,9 +164,21 @@ class Mesh:
 
 
 def build_annulus_mesh(r_in: float, ell: float, n_r: int, n_theta: int, order: int = 2) -> Mesh:
-    """Structured polar mesh: (n_r + 1) vertex rings x n_theta angles,
-    each quad split into two positively oriented triangles
-    (2 n_r n_theta cells)."""
+    """Structured polar mesh: n_r x n_theta quads between the circles, each
+    split into two positively oriented triangles (2 n_r n_theta cells),
+    numbered on the order-p polar lattice of (p n_r + 1) x p n_theta points.
+
+    Lattice point (I, J), I = 0..p n_r outwards from the inner circle and
+    J = 0..p n_theta - 1 by angle, is node J (p n_r + 1) + I.  Sector s,
+    between the angles 2 pi s / n_theta and 2 pi (s + 1) / n_theta, owns
+    nodes s P .. (s + 1) P - 1, P = p (p n_r + 1), and cells
+    2 n_r s .. 2 n_r (s + 1) - 1.  Even rows I sit on their circle at angle
+    2 pi J / (p n_theta).  Odd rows (P2 only) hold the midsides of radial
+    edges (even J) and of quad diagonals (odd J), at the chord midpoint of
+    the lattice points (I - 1, J - J % 2) and (I + 1, J + J % 2).  Raises
+    MeshError when a cell's Jacobian is not positive at every point of the
+    triangle rule (coarse angular against fine radial steps invert curved
+    P2 cells)."""
     if not (0.0 < r_in < ell):
         raise MeshError(f"need 0 < r_in < ell, got r_in={r_in}, ell={ell}")
     if n_r < 2 or n_theta < 8:
@@ -86,66 +186,41 @@ def build_annulus_mesh(r_in: float, ell: float, n_r: int, n_theta: int, order: i
     if order not in (1, 2):
         raise MeshError(f"basis order must be 1 or 2, got {order}")
 
+    p = order
+    rows, cols = p * n_r + 1, p * n_theta
     radii = np.linspace(r_in, ell, n_r + 1)
-    angles = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    n_verts = (n_r + 1) * n_theta
-    ring_of = np.arange(n_verts) // n_theta
-    ang_of = angles[np.arange(n_verts) % n_theta]
-    verts = np.stack([radii[ring_of] * np.cos(ang_of), radii[ring_of] * np.sin(ang_of)], axis=1)
+    angles = 2.0 * math.pi * np.arange(cols) / cols
+    nodes = np.empty((cols, rows, 2))  # lattice point (I, J) at nodes[J, I]
+    nodes[:, ::p] = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, None]
+    if p == 2:
+        j = np.arange(cols)
+        nodes[:, 1::2] = 0.5 * (nodes[j - j % 2, :-1:2] + nodes[(j + j % 2) % cols, 2::2])
+    nodes = nodes.reshape(-1, 2)
 
-    # quad (i, j) -> cells (a, b, c) and (a, c, d), a = (i, j), b = (i+1, j),
-    # c = (i+1, j+1), d = (i, j+1), angles wrapping
-    i, j = np.meshgrid(np.arange(n_r), np.arange(n_theta), indexing="ij")
-    a, b = i * n_theta + j, (i + 1) * n_theta + j
-    c, d = (i + 1) * n_theta + (j + 1) % n_theta, i * n_theta + (j + 1) % n_theta
-    cells = np.stack([np.stack([a, b, c], axis=-1), np.stack([a, c, d], axis=-1)], axis=2).reshape(-1, 3)
+    # quad (i, j), sector-major: cells (a, b, c) and (a, c, d) with lattice
+    # corners a = (p i, p j), b = a + (p, 0), c = a + (p, p), d = a + (0, p),
+    # and a P2 midside at the lattice midpoint of its edge
+    offset = p * np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+    if p == 2:
+        offset = np.concatenate([offset, (offset + offset[:, [1, 2, 0]]) // 2], axis=1)
+    j, i = np.divmod(np.arange(n_theta * n_r), n_r)
+    corner = p * (j * rows + i)
+    conn = (corner[:, None, None] + offset[..., 1] * rows + offset[..., 0]).reshape(-1, 3 * p)
+    conn %= rows * cols  # angle 2 pi wraps to 0
 
-    nodes = verts
-    conn = cells
-    if order == 2:
-        # edges (0,1), (1,2), (2,0) of each cell in cell order; a midside node
-        # is numbered when its edge is first met
-        p = cells.ravel()
-        q = cells[:, [1, 2, 0]].ravel()
-        _, first, inverse = np.unique(
-            np.minimum(p, q) * n_verts + np.maximum(p, q), return_index=True, return_inverse=True
-        )
-        rank = np.empty(first.size, dtype=int)
-        by_discovery = np.argsort(first, kind="stable")
-        rank[by_discovery] = np.arange(first.size)
-        p, q = p[first[by_discovery]], q[first[by_discovery]]  # as first met
-        mid = 0.5 * (verts[p] + verts[q])
-        # circumferential edges: midside on the circle, halfway in angle
-        circ = ring_of[p] == ring_of[q]
-        a1, a2 = ang_of[p[circ]], ang_of[q[circ]]
-        wrap = np.abs(a1 - a2) > math.pi
-        a2 = np.where(wrap, a2 + np.where(a2 < a1, 2.0 * math.pi, -2.0 * math.pi), a2)
-        th = 0.5 * (a1 + a2)
-        r = radii[ring_of[p[circ]]]
-        mid[circ] = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-        nodes = np.vstack([verts, mid])
-        conn = np.hstack([cells, n_verts + rank[inverse].reshape(-1, 3)])
-
-    # boundary edges: inner ring on triangle (a, c, d) local edge 2 (d -> a),
-    # outer ring on triangle (a, b, c) local edge 1 (b -> c)
+    # per sector: the inner circle is local edge 2 (d -> a) of cell (a, c, d)
+    # at i = 0, the outer circle local edge 1 (b -> c) of (a, b, c) at i = n_r - 1
+    inner, outer = range(1, conn.shape[0], 2 * n_r), range(2 * n_r - 2, conn.shape[0], 2 * n_r)
+    on_inner = conn[inner][:, [2, 0, 5][: p + 1]].tolist()
+    on_outer = conn[outer][:, [1, 2, 4][: p + 1]].tolist()
     edges = []
-    for j in range(n_theta):
-        inner_cell = 2 * (0 * n_theta + j) + 1
-        a, c, d = conn[inner_cell, 0], conn[inner_cell, 1], conn[inner_cell, 2]
-        enodes = (d, a) if order == 1 else (d, a, conn[inner_cell, 5])
-        edges.append(BoundaryEdge(cell=inner_cell, local_edge=2, tag=DIRICHLET, nodes=enodes))
-        outer_cell = 2 * ((n_r - 1) * n_theta + j)
-        b, c2 = conn[outer_cell, 1], conn[outer_cell, 2]
-        enodes = (b, c2) if order == 1 else (b, c2, conn[outer_cell, 4])
-        edges.append(BoundaryEdge(cell=outer_cell, local_edge=1, tag=DISSIPATIVE, nodes=enodes))
+    for cell_in, nodes_in, cell_out, nodes_out in zip(inner, on_inner, outer, on_outer):
+        edges += [
+            BoundaryEdge(cell_in, 2, DIRICHLET, tuple(nodes_in)),
+            BoundaryEdge(cell_out, 1, DISSIPATIVE, tuple(nodes_out)),
+        ]
 
-    corners = nodes[conn[:, :3]]
-    twice_area = (corners[:, 1, 0] - corners[:, 0, 0]) * (corners[:, 2, 1] - corners[:, 0, 1]) - (
-        corners[:, 2, 0] - corners[:, 0, 0]
-    ) * (corners[:, 1, 1] - corners[:, 0, 1])
-    if np.any(twice_area <= 0.0):
-        raise MeshError("mesh produced non-positively-oriented cells")
-
+    _jacobian(_shapes(p, _TRI_QP)[1], nodes[conn][:, None])  # the assembly's check, on its rule
     return Mesh(
         nodes=nodes,
         conn=conn,

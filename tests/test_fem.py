@@ -7,6 +7,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from elastab import core, fem, fields
+from elastab import mesh as mesh_module
 from elastab.bounds import stability_simple_robin
 from elastab.errors import ConfigError, IterationError, MeshError, SolverError
 from elastab.mesh import DIRICHLET, DISSIPATIVE, build_annulus_mesh
@@ -26,7 +27,6 @@ class TestMesh:
     def test_counting(self):
         m = build_annulus_mesh(0.5, 1.0, 2, 8, order=1)
         assert m.n_cells == 32
-        assert m.n_vertices == 24
         assert m.n_nodes == 24
 
     def test_boundary_tags(self):
@@ -49,33 +49,72 @@ class TestMesh:
         _, w2, _ = fem.evaluate_volume(m2, [np.zeros((m2.n_nodes, 2))])
         assert abs(w2.sum() - exact) / exact <= 1e-6
 
-    def test_midside_numbering(self):
-        # midside nodes are numbered in the order their edges are first met,
-        # walking cells in order and edges (0,1), (1,2), (2,0) in each
-        m = build_annulus_mesh(0.5, 1.0, 2, 8, order=2)
-        assert m.conn[:3].tolist() == [
-            [0, 8, 9, 24, 25, 26], [0, 9, 1, 26, 27, 28], [1, 9, 10, 27, 29, 30],
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_lattice_numbering(self, order):
+        # lattice point (I, J) is node J (p n_r + 1) + I; sector s owns nodes
+        # s P .. (s + 1) P - 1, P = p (p n_r + 1), and cells 2 n_r s onwards
+        m = build_annulus_mesh(0.5, 1.0, 2, 8, order=order)
+        rows = 2 * order + 1
+        per_sector = order * rows
+        assert m.n_nodes == rows * 8 * order
+        if order == 1:
+            assert m.conn[:2].tolist() == [[0, 1, 4], [0, 4, 3]]
+            assert m.conn[30:].tolist() == [[22, 23, 2], [22, 2, 1]]  # wraps past angle 0
+        else:
+            assert m.conn[:2].tolist() == [[0, 2, 12, 1, 7, 6], [0, 12, 10, 6, 11, 5]]
+            assert m.conn[30:].tolist() == [[72, 74, 4, 73, 79, 78], [72, 4, 2, 78, 3, 77]]
+        # one sector's rotation maps node k onto node k + P, the last sector
+        # onto the first
+        t = 2.0 * math.pi / 8
+        turn = np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+        assert np.abs(m.nodes @ turn - np.roll(m.nodes, -per_sector, axis=0)).max() <= 1e-15
+        assert np.array_equal(m.conn[4:], (m.conn[:-4] + per_sector) % m.n_nodes)
+        # even rows on their circle at angle 2 pi J / (p n_theta); the
+        # circumferential midsides among them halfway in angle
+        J, I = np.divmod(np.arange(m.n_nodes), rows)
+        even = I % order == 0
+        radius = np.linspace(0.5, 1.0, 3)[I[even] // order]
+        angle = 2.0 * math.pi * J[even] / (8 * order)
+        ring = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        assert np.abs(m.nodes[even] - ring).max() <= 1e-15
+        # every other midside is exactly the chord midpoint of its edge
+        if order == 2:
+            for p, q, s, *mids in m.conn.tolist():
+                for (a, b), node in zip(((p, q), (q, s), (s, p)), mids):
+                    if I[node] % 2:
+                        assert np.array_equal(m.nodes[node], 0.5 * (m.nodes[a] + m.nodes[b]))
+                    else:
+                        assert I[a] == I[b] == I[node]
+        edges = [(e.cell, e.local_edge, e.tag, e.nodes) for e in m.boundary_edges[:2]]
+        if order == 1:
+            assert edges == [(1, 2, DIRICHLET, (3, 0)), (2, 1, DISSIPATIVE, (2, 5))]
+        else:
+            assert edges == [(1, 2, DIRICHLET, (10, 0, 5)), (2, 1, DISSIPATIVE, (4, 14, 9))]
+        assert [tuple(e.nodes) for e in m.boundary_edges[2:4]] == [
+            tuple(k + per_sector for k in e.nodes) for e in m.boundary_edges[:2]
         ]
-        assert m.conn[15].tolist() == [7, 8, 0, 54, 24, 55]  # wraps past angle 0
-        assert m.conn[-1].tolist() == [15, 16, 8, 79, 56, 53]
-        seen = {}
-        for p, q, s in m.conn[:, :3].tolist():
-            for a, b in ((p, q), (q, s), (s, p)):
-                seen.setdefault((min(a, b), max(a, b)), m.n_vertices + len(seen))
-        expected = [
-            [seen[min(a, b), max(a, b)] for a, b in ((p, q), (q, s), (s, p))]
-            for p, q, s in m.conn[:, :3].tolist()
-        ]
-        assert m.conn[:, 3:].tolist() == expected
-        assert m.n_nodes == m.n_vertices + len(seen)
-        # circumferential midsides sit on their circle, the others halfway
-        r = np.linalg.norm(m.nodes, axis=1)
-        for (a, b), node in seen.items():
-            if math.isclose(r[a], r[b]):
-                assert math.isclose(r[node], r[a], rel_tol=1e-15)
-            else:
-                assert np.array_equal(m.nodes[node], 0.5 * (m.nodes[a] + m.nodes[b]))
-        assert [tuple(e.nodes) for e in m.boundary_edges[:2]] == [(1, 0, 28), (16, 17, 57)]
+
+    def test_builder_rejects_exactly_the_inverted_meshes(self, monkeypatch):
+        # with curved midsides, a coarse angular step against a fine radial
+        # one inverts cells; the builder refuses exactly the P2 meshes whose
+        # Jacobians the assembly rejects
+        rejected = set()
+        for n_theta in (8, 12, 16, 24, 32):
+            for n_r in range(2, 41):
+                try:
+                    build_annulus_mesh(0.5, 1.0, n_r, n_theta, order=2)
+                except MeshError:
+                    rejected.add((n_r, n_theta))
+                with monkeypatch.context() as patch:
+                    patch.setattr(mesh_module, "_jacobian", lambda dn, xc: None)
+                    m = build_annulus_mesh(0.5, 1.0, n_r, n_theta, order=2)
+                try:
+                    fem._geometry(m, fem._TRI_QP)
+                except MeshError:
+                    assert (n_r, n_theta) in rejected
+                else:
+                    assert (n_r, n_theta) not in rejected
+        assert {(3, 8), (6, 12), (19, 24)} <= rejected and (18, 24) not in rejected
 
     def test_degenerate_parameters(self):
         with pytest.raises(MeshError):
@@ -546,17 +585,35 @@ class TestSectorFactor:
         def no_symmetry(*args):
             raise fem._NotSectorInvariant
 
-        monkeypatch.setattr(fem, "_sector_modes", no_symmetry)
-        direct = fem.empirical_constant(m, material, robin, omega=2.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(fem, "_sector_modes", no_symmetry)
+            direct = fem.empirical_constant(m, material, robin, omega=2.0)
         assert (sector.factor_kind, sector.factor_modes) == ("sector", 24)
         assert (direct.factor_kind, direct.factor_modes) == ("direct", None)
         assert sector.c_emp == pytest.approx(direct.c_emp, rel=1e-10)
-        assert sector.steps == direct.steps
+        # the sector estimate starts from the seed's draw projected onto
+        # modes 0..floor(n/2); a direct Lanczos started from that projection
+        # on the free dofs is the same Krylov process, for every seed
+        for n_theta in (15, 24):
+            m = build_annulus_mesh(0.5, 1.0, 3, n_theta)
+            s = fem.assemble(m, material, robin, omega=2.0)
+            s_ff, _ = s.free_blocks
+            lu, factor = s.lu, fem._factor(s_ff)
+            m_ff = s.free_mass.astype(complex).tocsr()
+            for seed in range(8):
+                est = fem.empirical_constant(m, material, robin, omega=2.0, seed=seed)
+                rng = np.random.default_rng(seed)
+                v = rng.normal(size=s_ff.shape[0]) + 1j * rng.normal(size=s_ff.shape[0])
+                ritz = fem._lanczos(
+                    factor.solve, lambda b: factor.solve(b, trans="H"), m_ff, lu.nodal(lu.modal(v))
+                )
+                assert est.steps == ritz.steps, (n_theta, seed)
+                assert est.c_emp == pytest.approx(4.0 * math.sqrt(ritz.theta), rel=1e-10)
 
     @pytest.mark.parametrize("defect", ["node-off-its-ring", "one-entry"])
     def test_broken_symmetry_takes_the_direct_path(self, defect, material, robin):
         m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
-        k = 16 + 5  # a vertex of the first interior ring
+        k = 10 * 7 + 2  # lattice point (2, 10): a vertex of the first interior ring
         if defect == "node-off-its-ring":
             nodes = m.nodes.copy()
             nodes[k] *= 1.0 + 1e-3
@@ -579,7 +636,31 @@ class TestSectorFactor:
         turn = 1e-3 * np.abs(s.stiffness.diagonal()).max() * np.array([[0.0, 1.0], [-1.0, 0.0]])
         s = dataclasses.replace(s, stiffness=s.stiffness + sp.kron(sp.identity(m.n_nodes), turn, format="csr"))
         with pytest.raises(fem._NotSectorInvariant, match="not symmetric"):
-            fem._sector_modes(m, s.free, s.free_blocks[0], s.free_mass)
+            fem._sector_modes(m.n_theta, s.free_blocks[0], s.free_mass)
+        assert fem._factor_summary(s.lu)[:2] == ("direct", None)
+        f = np.random.default_rng(3).normal(size=(m.n_nodes, 2))
+        assert fem.solve(s, f).residual_norm <= 1e-8
+
+    @pytest.mark.parametrize("defect", ["opposite-sector-coupling", "extra-eliminated-node"])
+    def test_irregular_sector_layout_takes_the_direct_path(self, defect, material, robin):
+        m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
+        s = fem.assemble(m, material, robin, omega=2.0)
+        k = 2  # lattice point (2, 0): a vertex of sector 0's first interior ring
+        if defect == "opposite-sector-coupling":
+            # a symmetric coupling of node k to its image in sector n/2
+            far = k + 8 * 2 * 7  # sector 8 of 16, P = 2 (2 n_r + 1) nodes each
+            c = 1e-3 * abs(s.stiffness[2 * k, 2 * k])
+            bump = sp.csr_matrix(([c, c], ([2 * k, 2 * far], [2 * far, 2 * k])), s.stiffness.shape)
+            s = dataclasses.replace(s, stiffness=s.stiffness + bump)
+            reason = "coupling beyond neighbouring sectors"
+        else:
+            # node k eliminated too: the free nodes no longer fill whole sectors
+            dirichlet = np.union1d(s.dirichlet_dofs, [2 * k, 2 * k + 1])
+            free = np.setdiff1d(np.arange(s.n_dofs), dirichlet)
+            s = dataclasses.replace(s, free=free, dirichlet_dofs=dirichlet)
+            reason = "different node counts"
+        with pytest.raises(fem._NotSectorInvariant, match=reason):
+            fem._sector_modes(m.n_theta, s.free_blocks[0], s.free_mass)
         assert fem._factor_summary(s.lu)[:2] == ("direct", None)
         f = np.random.default_rng(3).normal(size=(m.n_nodes, 2))
         assert fem.solve(s, f).residual_norm <= 1e-8
