@@ -414,6 +414,10 @@ def _run_fem_sweep(args) -> int:
                 "modes": getattr(r.estimate, "factor_modes", None),
                 "lu_nnz": getattr(r.estimate, "lu_nnz", None),
             },
+            "first_solve": {
+                "residual": getattr(r.estimate, "solve_residual", None),
+                "refined": getattr(r.estimate, "refined", None),
+            },
         }
         for r in rows
     ]

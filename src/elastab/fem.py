@@ -12,31 +12,48 @@ Dirichlet conditions on the inner circle are imposed by elimination.
 The module also measures the empirical stability constant
 omega^2 * sup ||u||_rho / ||f||_rho: Lanczos in the rho-weighted (mass)
 inner product on the normal operator of the discrete solution map, stopped
-on a Ritz-residual certificate (``_lanczos``).  ``solve`` and
-``empirical_constant`` share one factorization per system and one residual
-check, which refines a solve that misses the contract once, on a
-long-double residual.
+on a Ritz-residual certificate (``_lanczos``).  Every ``solve`` with one
+assembled system shares its factorization; each estimate makes one.  Both
+hold their solves to one residual check, which refines a solve that misses
+the contract once, on a long-double residual.
 
 Every system assembled on ``build_annulus_mesh`` with radial coefficients
 is invariant under rotation by one of its n_theta angular sectors.  The
 mesh numbers its nodes sector by sector, so the free dofs come in n_theta
 equal runs, and S_ff and M_ff are block-circulant over those runs once
 each node's dofs are rotated into its sector's frame: the sectors are read
-off the dof index.  The factorization then runs over angular
-Fourier modes: an FFT over the sectors decouples S_ff into n_theta small
-mode blocks (the discrete counterpart of the mode separation of the
-spectral oracle).  S is complex symmetric, so mode n - m is the transpose
-of mode m, and only the modes 0..floor(n_theta/2) are factored, as one
-block-diagonal sparse LU; a solve reaches the other modes through the
-transposed factor.  M is real symmetric, so the normal operator of mode
-n - m has the spectrum of mode m's, and the estimate runs its Lanczos on
-that half set of mode blocks of S_ff and M_ff, with no FFT per step.  A
-system whose assembled entries break the rotation symmetry or the
-symmetry of S gets the direct LU of S_ff.  Both factors use the same
-symmetric-pattern ordering with diagonal-preferring pivoting.  Every
-residual is measured on the free dofs against the true S_ff: the
-estimate's first solve, and any refinement, are mapped there once
-through the sector transform.
+off the dof index.  An FFT over the sectors then decouples S_ff into
+n_theta small angular mode blocks (the discrete counterpart of the mode
+separation of the spectral oracle).  S is complex symmetric, so mode n - m
+is the transpose of mode m, and only the modes 0..floor(n_theta/2) are
+factored, as one block-diagonal sparse LU.  M is real symmetric, so the
+normal operator of mode n - m has the spectrum of mode m's.
+
+Where the structure is decided:
+
+* ``empirical_constant`` decides it from its inputs.  Every
+  ``MaterialField`` is radial and every ``RobinSpec`` constant by
+  construction, and ``_sector_cells`` checks that the mesh is sector 0
+  rotated (nodes to 1e-12 of the outer radius; cells and boundary edges
+  shifted by one sector's node count).  Only the 4 n_r cells around
+  sector 0 are then assembled (``_sector_rows``); sector 0's free rows
+  give the blocks B_-1, B_0, B_1, checked for B_0 = B_0^T and
+  B_-1 = B_1^T, and the half-spectrum mode blocks of S_ff and M_ff
+  (``_sector_modes``).  Lanczos runs on those, with no FFT per step.
+* ``AssembledSystem.lu``, behind ``solve``, decides it from the entries
+  of the fully assembled S_ff: every sector's rows must repeat sector 0's
+  and be symmetric, and the factor (``_SectorLU``) reaches the high modes
+  through the transposed factor.
+
+A mesh or system that fails these checks gets the full assembly and the
+direct LU of S_ff.  Both factors use the same symmetric-pattern ordering
+with diagonal-preferring pivoting.  Residuals are measured in the
+coordinates of the factor: ``solve`` on the free dofs against S_ff, the
+estimate against its mode blocks, which are the unitary image of S_ff
+(rotation, then the DFT over sectors), so a relative residual there is
+one on the free dofs.  At kappa_s = 32 (20,500 nodes, 2 vCPU) an
+estimate takes 0.26 s and never holds the whole system; assembling that
+system alone takes 0.19 s.
 """
 
 from __future__ import annotations
@@ -79,9 +96,10 @@ _RESIDUAL_TOL = 1e-8
 
 # Largest resolution mesh a sweep builds: kappa_s ~ 100 at the default
 # policy (order 2, 10 points per wavelength).  Peak memory grows about
-# linearly in the node count: one kappa_s = 64 row (80,676 nodes, sector
-# factor) peaks at 0.66 GB in 3.0 s on 2 vCPU, against 1.55 GB and 12.5 s
-# with the direct factor, so the budget keeps a row near 1.6 GB.
+# linearly in the node count.  On 2 vCPU one kappa_s = 64 row (80,676
+# nodes) peaks at 0.25 GB in 1.7 s, and a kappa_s = 100 row (194,500
+# nodes) at 0.47 GB in 3.9 s; the direct factor, which a mesh that is not
+# sector 0 rotated gets, took 1.55 GB and 12.5 s at kappa_s = 64.
 NODE_BUDGET = 200_000
 
 _EDGE_QP, _EDGE_QW = np.polynomial.legendre.leggauss(4)
@@ -106,12 +124,13 @@ _EDGE_REF = (
 )
 
 
-def _geometry(mesh: Mesh, pts: np.ndarray):
-    """Per-cell isoparametric geometry at reference points pts.
+def _geometry(mesh: Mesh, pts: np.ndarray, conn=None):
+    """Per-cell isoparametric geometry at reference points pts, on the cells
+    ``conn`` (all of the mesh's by default).
 
     Returns (n (Q,a), x (Nc,Q,2), detJ (Nc,Q), dn_x (Nc,Q,a,2))."""
     n, dn = _shapes(mesh.order, pts)
-    xc = mesh.nodes[mesh.conn]  # (Nc, a, 2)
+    xc = mesh.nodes[mesh.conn if conn is None else conn]  # (Nc, a, 2)
     det, dnx = _grad_x(dn, xc[:, None])
     x = np.einsum("qa,cai->cqi", n, xc)
     return n, x, det, dnx
@@ -129,15 +148,18 @@ class _EdgeQuadrature(NamedTuple):
     normal: np.ndarray  # (E, Qe, 2) outward unit normals
 
 
-def _edge_quadrature(mesh: Mesh, tag: str) -> _EdgeQuadrature:
+def _edge_quadrature(mesh: Mesh, tag: str, cells=None) -> _EdgeQuadrature:
     """Gather the edges tagged ``tag`` once and place the edge rule on all
-    of them.  Normals are radial (origin-centered circles): outward from
-    the domain, so away from the origin on the dissipative circle and
-    towards it on the Dirichlet one."""
+    of them, or on those of the cells ``cells`` only.  Normals are radial
+    (origin-centered circles): outward from the domain, so away from the
+    origin on the dissipative circle and towards it on the Dirichlet one."""
     edges = [e for e in mesh.boundary_edges if e.tag == tag]
     if not edges:
         raise ValueError(f"no boundary edges tagged {tag!r}")
-    nodes = np.array([e.nodes for e in edges], dtype=int)
+    if cells is not None:
+        keep = set(cells.tolist())
+        edges = [e for e in edges if e.cell in keep]
+    nodes = np.array([e.nodes for e in edges], dtype=int).reshape(len(edges), mesh.order + 1)
     en, edn = _edge_shapes(mesh.order, _EDGE_QP)
     xe = mesh.nodes[nodes]  # (E, ae, 2)
     x = en @ xe
@@ -206,24 +228,27 @@ class AssembledSystem:
     @cached_property
     def lu(self):
         """Factorization of S_ff, made on first use and shared by every
-        later solve with this system.  When S_ff and M_ff are invariant
-        under rotation by one angular sector and S_ff is complex symmetric
-        (every mesh ``build_annulus_mesh`` makes, with radial coefficients),
-        it is factored by angular Fourier modes (``_SectorLU``); otherwise
-        by a direct sparse LU of S_ff.  Both offer ``solve(rhs, trans)``
-        with trans "N" or "H"."""
+        later solve with this system.  When S_ff is invariant under rotation
+        by one angular sector and complex symmetric (every mesh
+        ``build_annulus_mesh`` makes, with radial coefficients), it is
+        factored by angular Fourier modes (``_SectorLU``); otherwise by a
+        direct sparse LU of S_ff.  Both offer ``solve(rhs, trans)`` with
+        trans "N" or "H"."""
         s_ff, free = self.free_blocks[0], self.free
         # Dirichlet data eliminate whole nodes: free dofs pair up as (2k, 2k+1)
         if np.array_equal(free[0::2] + 1, free[1::2]) and not np.any(free[0::2] % 2):
             try:
-                return _SectorLU(self.mesh.n_theta, s_ff, self.free_mass)
+                return _SectorLU(self.mesh.n_theta, s_ff)
             except _NotSectorInvariant:
                 pass
         return _factor(s_ff)
 
 
-def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float) -> AssembledSystem:
-    n, x, det, dnx = _geometry(mesh, _TRI_QP)
+def _assemble_cells(mesh: Mesh, material: MaterialField, robin: RobinSpec, cells=None) -> tuple:
+    """(K, M, R) on all 2 Nn dofs, summed over the cells ``cells`` (index
+    array; all cells when None) and the dissipative edges they own."""
+    conn = mesh.conn if cells is None else mesh.conn[cells]
+    n, x, det, dnx = _geometry(mesh, _TRI_QP, conn)
     nc, nq, na = dnx.shape[0], dnx.shape[1], dnx.shape[2]
     mu_q = material.mu(x.reshape(-1, 2)).reshape(nc, nq)
     lam_q = material.lam(x.reshape(-1, 2)).reshape(nc, nq)
@@ -248,22 +273,31 @@ def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float
             ke[:, c1::2, c2::2] = blk
 
     ndof = 2 * mesh.n_nodes
-    dofs = _dofs(mesh.conn)
+    dofs = _dofs(conn)
     stiffness = _scatter(dofs, ke, ndof)
     mass = _scatter(dofs, me, ndof)
 
     # impedance matrix on the dissipative circle: a_T I + (a_N - a_T) n (x) n
-    edges = _edge_quadrature(mesh, DISSIPATIVE)
+    edges = _edge_quadrature(mesh, DISSIPATIVE, cells)
     en, _ = _edge_shapes(mesh.order, _EDGE_QP)
     nrm = edges.normal
     amat = robin.a_t * np.eye(2) + (robin.a_n - robin.a_t) * (nrm[..., :, None] * nrm[..., None, :])
     blk = np.einsum("eq,qa,qb,eqij->eaibj", edges.w, en, en, amat)  # ravels as (E, 2ae, 2ae)
-    robin_matrix = _scatter(_dofs(edges.nodes), blk, ndof)
+    return stiffness, mass, _scatter(_dofs(edges.nodes), blk, ndof)
 
+
+def _free_dofs(mesh: Mesh) -> tuple:
+    """(free, dirichlet): the sorted dof numbers off and on the Dirichlet
+    circle, whose nodes are eliminated whole."""
     dir_nodes = mesh.boundary_nodes(DIRICHLET)
     dirichlet_dofs = np.concatenate([2 * dir_nodes, 2 * dir_nodes + 1])
     dirichlet_dofs.sort()
-    free = np.setdiff1d(np.arange(ndof), dirichlet_dofs)
+    return np.setdiff1d(np.arange(2 * mesh.n_nodes), dirichlet_dofs), dirichlet_dofs
+
+
+def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float) -> AssembledSystem:
+    stiffness, mass, robin_matrix = _assemble_cells(mesh, material, robin)
+    free, dirichlet_dofs = _free_dofs(mesh)
     return AssembledSystem(
         mesh=mesh,
         material=material,
@@ -303,7 +337,7 @@ def _flat(field: np.ndarray) -> np.ndarray:
 
 def _factor(s_ff: sp.csc_matrix):
     """Sparse LU of a system block: S_ff itself, or the block-diagonal
-    matrix of its angular mode blocks (``_SectorLU``).
+    matrix of its angular mode blocks (``_SectorLU``, the estimate).
 
     Both have a symmetric pattern (S is complex symmetric), so the
     fill-reducing ordering is taken on the pattern of A + A^T with
@@ -323,14 +357,50 @@ def _factor(s_ff: sp.csc_matrix):
 
 
 class _NotSectorInvariant(Exception):
-    """S_ff or M_ff is not block-circulant over the mesh's angular sectors,
-    or not symmetric there."""
+    """A mesh is not invariant under rotation by one of its angular sectors,
+    or a matrix not block-circulant over them, or not symmetric there."""
 
 
 # S_ff and M_ff count as sector-invariant and symmetric when every sector's
 # rows repeat sector 0's entries, and sector 0's couplings their transposes,
-# to this fraction of the matrix's largest entry
+# to this fraction of the matrix's largest entry; a mesh's nodes count as
+# sector 0's rotated to this fraction of its outer radius
 _SECTOR_RTOL = 1e-12
+
+
+def _sector_cells(mesh: Mesh) -> np.ndarray:
+    """The cells that touch a node of sector 0, when every sector of the
+    mesh is sector 0 rotated: with P nodes and C cells per sector, node
+    s P + k is node k turned by s 2 pi / n_theta, and cell s C + c and
+    the boundary edges of sector s are sector 0's with every node id
+    shifted by s P (mod the node count).  Every mesh ``build_annulus_mesh``
+    makes is; its cells touching sector 0 are the 4 n_r of sectors
+    n_theta - 1 and 0.  Raises _NotSectorInvariant otherwise."""
+    n, total = mesh.n_theta, mesh.n_nodes
+    edges = sorted(mesh.boundary_edges, key=lambda e: (e.cell, e.local_edge))
+    if n < 3 or total % n or mesh.n_cells % n or len(edges) % n:
+        raise _NotSectorInvariant("sectors hold different node, cell or edge counts")
+    per_node, per_cell = total // n, mesh.n_cells // n
+    shift = np.arange(n)[:, None, None]
+    angle = 2.0 * math.pi / n * shift[..., 0]
+    x, y = mesh.nodes[:per_node].T
+    turned = np.stack([np.cos(angle) * x - np.sin(angle) * y, np.sin(angle) * x + np.cos(angle) * y], axis=-1)
+    if np.abs(turned - mesh.nodes.reshape(n, per_node, 2)).max() > _SECTOR_RTOL * mesh.ell:
+        raise _NotSectorInvariant("sectors hold different nodes")
+    conn = mesh.conn.reshape(n, per_cell, -1)
+    if not np.array_equal(conn, (conn[0] + per_node * shift) % total):
+        raise _NotSectorInvariant("sectors hold different cells")
+    # per edge: cell, local edge, tag, node ids; sector s's rows follow sector 0's
+    table = np.array(
+        [(e.cell, e.local_edge, e.tag == DIRICHLET, e.tag == DISSIPATIVE, *e.nodes) for e in edges]
+    ).reshape(n, len(edges) // n, -1)
+    step = np.zeros(table.shape[-1], dtype=int)
+    step[0], step[4:] = per_cell, per_node
+    expected = table[0] + step * shift
+    expected[..., 4:] %= total
+    if not np.array_equal(table, expected):
+        raise _NotSectorInvariant("sectors hold different boundary edges")
+    return np.flatnonzero(np.any(mesh.conn < per_node, axis=1))
 
 
 def _sector_modes(n: int, *matrices) -> list:
@@ -351,20 +421,24 @@ def _sector_modes(n: int, *matrices) -> list:
     m = 0..floor(n/2) determine all n.  The union pattern of the blocks is
     shared by every matrix.
 
-    Returns, per matrix, its h mode blocks as one block-diagonal CSC.
-    Raises _NotSectorInvariant when the sectors hold different node counts
-    or the assembled entries break the symmetry."""
-    size = matrices[0].shape[0]
+    Each matrix holds the columns of all n L free nodes and the rows of
+    every sector (S_ff, M_ff) or of sector 0 alone (``_sector_rows``);
+    every sector's rows are checked against sector 0's.  Returns, per
+    matrix, its h mode blocks as one block-diagonal CSC.  Raises
+    _NotSectorInvariant when the sectors hold different node counts or
+    the entries break the rotation symmetry or the symmetry."""
+    size = matrices[0].shape[1]
     if n < 3 or size % (2 * n):
         raise _NotSectorInvariant("sectors hold different node counts")
     nodes = size // (2 * n)
+    row_sectors = matrices[0].shape[0] // (2 * nodes)
 
     # every matrix's 2x2 node blocks, by row sector and slot: the coupling
     # (B_0, B_1 or B_-1) and the local nodes of its row and column
     blocks = []
     for matrix in matrices:
         bsr = matrix.tobsr(blocksize=(2, 2))
-        row_sector, a = np.divmod(np.repeat(np.arange(n * nodes), np.diff(bsr.indptr)), nodes)
+        row_sector, a = np.divmod(np.repeat(np.arange(row_sectors * nodes), np.diff(bsr.indptr)), nodes)
         col_sector, b = np.divmod(bsr.indices, nodes)
         shift = (col_sector - row_sector) % n  # 0, 1 or n - 1 for B_0, B_1, B_-1
         if np.any((shift > 1) & (shift < n - 1)):
@@ -386,7 +460,7 @@ def _sector_modes(n: int, *matrices) -> list:
         raise _NotSectorInvariant("the couplings are not symmetric")
     # the sector angles of each block's row and column nodes
     step = 2.0 * math.pi / n
-    row_angle = step * np.arange(n)[:, None]
+    row_angle = step * np.arange(row_sectors)[:, None]
     col_angle = row_angle + step * np.array([0, 1, -1])[block]
     ca, sa, cb, sb = np.cos(row_angle), np.sin(row_angle), np.cos(col_angle), np.sin(col_angle)
 
@@ -405,7 +479,7 @@ def _sector_modes(n: int, *matrices) -> list:
         # every sector's blocks on the union pattern, entries 00, 01, 10, 11
         # first; a sum that rounds to an exact zero in one sector and not in
         # another is no asymmetry
-        v = np.zeros((4, n, block.size), dtype=data.dtype)
+        v = np.zeros((4, row_sectors, block.size), dtype=data.dtype)
         v[:, row_sector, index[slot]] = data
         # rotated into the sectors' frames: F_a B F_b^T, F = [[cos, sin], [-sin, cos]]
         v[0], v[1] = turn(v[0], v[1], cb, sb)
@@ -427,77 +501,77 @@ def _sector_modes(n: int, *matrices) -> list:
     return modes
 
 
+def _sector_rows(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float) -> tuple:
+    """(S_0f, M_0f): the free rows of sector 0 of S_ff and M_ff, against
+    all free columns, assembled from only the cells that touch sector 0
+    (``_sector_cells``).  Those cells hold every entry of those rows.  The
+    mode blocks of the whole system follow (``_sector_modes``) when the
+    mesh is sector 0 rotated, which ``_sector_cells`` checks: every
+    ``MaterialField`` is radial and every ``RobinSpec`` is constant, so the
+    coefficients are invariant by construction."""
+    cells = _sector_cells(mesh)
+    stiffness, mass, robin_matrix = _assemble_cells(mesh, material, robin, cells)
+    free, _ = _free_dofs(mesh)
+    rows = free[free < 2 * (mesh.n_nodes // mesh.n_theta)]
+    s_rows = (stiffness - omega**2 * mass - 1j * omega * robin_matrix)[rows]
+    return s_rows[:, free], mass[rows][:, free]
+
+
+def _to_modes(n: int, x):
+    """All n angular modes (n, L, 2) of a free-dof vector: each node's
+    (x, y) pair turned into its sector's frame, then an FFT over the
+    sectors (``_sector_modes``)."""
+    angle = 2.0 * math.pi / n * np.arange(n)[:, None]
+    c, s = np.cos(angle), np.sin(angle)
+    bx, by = np.moveaxis(x.reshape(n, -1, 2), -1, 0)
+    return np.fft.fft(np.stack([c * bx + s * by, c * by - s * bx], axis=-1), axis=0)
+
+
+def _from_modes(y):
+    """The free-dof vector of all n modes y (n, L, 2)."""
+    angle = 2.0 * math.pi / y.shape[0] * np.arange(y.shape[0])[:, None]
+    c, s = np.cos(angle), np.sin(angle)
+    yx, yy = np.moveaxis(np.fft.ifft(y, axis=0), -1, 0)
+    return np.stack([c * yx - s * yy, s * yx + c * yy], axis=-1).reshape(-1)
+
+
+def _modal(n: int, x):
+    """The half-spectrum coordinates (modes 0..floor(n/2), flat) of a
+    free-dof vector, in which the mode blocks of ``_sector_modes`` act."""
+    return _to_modes(n, x)[: n // 2 + 1].reshape(-1)
+
+
 class _SectorLU:
     """S_ff^-1 by angular Fourier modes: rotate each node into its sector's
     frame, FFT over the sectors, solve the decoupled mode blocks, transform
-    back.  The free dofs come sector by sector, L nodes of (x, y) pairs
-    each (``_sector_modes``), so a free-dof vector is an (n, L, 2) array.
-    Only the h = floor(n/2) + 1 modes m = 0..floor(n/2) are factored, as
-    one sparse LU of their block-diagonal matrix: a mode m > n/2 is solved
-    with the transposed factor of mode n - m, since S_{n-m} = S_m^T.  For
-    the adjoint, the low modes solve S_m^H and the high ones a conjugated
-    solve of S_{n-m}, as S_m^H = conj(S_{n-m}).
+    back (``_to_modes``, ``_from_modes``).  The free dofs come sector by
+    sector, L nodes of (x, y) pairs each (``_sector_modes``), so a free-dof
+    vector is an (n, L, 2) array.  Only the h = floor(n/2) + 1 modes
+    m = 0..floor(n/2) are factored, as one sparse LU of their
+    block-diagonal matrix: a mode m > n/2 is solved with the transposed
+    factor of mode n - m, since S_{n-m} = S_m^T.  For the adjoint, the low
+    modes solve S_m^H and the high ones a conjugated solve of S_{n-m}, as
+    S_m^H = conj(S_{n-m})."""
 
-    ``m_modes`` holds the same half set of M_ff's mode blocks.  The modes
-    m and n - m of the normal operator S^-H M S^-1 M have the same
-    spectrum, so an estimate runs on the half set alone; ``modal`` and
-    ``nodal`` map a vector between free dofs and those half-spectrum
-    coordinates."""
-
-    def __init__(self, n: int, s_ff, m_ff):
-        s_modes, m_modes = _sector_modes(n, s_ff, m_ff)
+    def __init__(self, n: int, s_ff):
+        [s_modes] = _sector_modes(n, s_ff)
         self.modes = n
         self.lu = _factor(s_modes)
-        self.m_modes = m_modes.tocsr()
-        angle = 2.0 * math.pi / n * np.arange(n)[:, None]
-        self._cos, self._sin = np.cos(angle), np.sin(angle)  # (n, 1)
-        self._half = (n // 2 + 1, s_ff.shape[0] // (2 * n), 2)  # (h, L, 2)
-
-    def _fft(self, x):
-        """All n modes (n, L, 2) of a free-dof vector."""
-        c, s = self._cos, self._sin
-        bx, by = np.moveaxis(x.reshape(self.modes, -1, 2), -1, 0)
-        return np.fft.fft(np.stack([c * bx + s * by, c * by - s * bx], axis=-1), axis=0)
-
-    def _ifft(self, y):
-        """The free-dof vector of all n modes y (n, L, 2)."""
-        c, s = self._cos, self._sin
-        yx, yy = np.moveaxis(np.fft.ifft(y, axis=0), -1, 0)
-        return np.stack([c * yx - s * yy, s * yx + c * yy], axis=-1).reshape(-1)
-
-    def modal(self, x):
-        """Half-spectrum coordinates (modes 0..h-1, flat) of a free-dof vector."""
-        return self._fft(x)[: self._half[0]].reshape(-1)
-
-    def nodal(self, y):
-        """The free-dof vector whose modes 0..h-1 are y and whose higher
-        modes vanish."""
-        full = np.zeros((self.modes,) + self._half[1:], dtype=complex)
-        full[: self._half[0]] = y.reshape(self._half)
-        return self._ifft(full)
 
     def solve(self, rhs, trans: str = "N"):
-        n, h = self.modes, self._half[0]
-        y = self._fft(rhs)
+        n, h = self.modes, self.modes // 2 + 1
+        y = _to_modes(n, rhs)
+        half = (h,) + y.shape[1:]  # (h, L, 2)
         low = y[:h].reshape(-1)
-        high = np.zeros(self._half, dtype=complex)  # row j: mode n - j
+        high = np.zeros(half, dtype=complex)  # row j: mode n - j
         high[1 : n - h + 1] = y[: h - 1 : -1]
         high = high.reshape(-1)
         if trans == "N":
             low, high = self.lu.solve(low), self.lu.solve(high, trans="T")
         else:
             low, high = self.lu.solve(low, trans="H"), self.lu.solve(high.conj()).conj()
-        high = high.reshape(self._half)
-        return self._ifft(np.concatenate([low.reshape(self._half), high[n - h : 0 : -1]]))
-
-
-def _factor_summary(lu) -> tuple:
-    """(kind, modes, L+U fill) of a factor made by ``AssembledSystem.lu``:
-    ("sector", n_theta, fill of the half-spectrum mode blocks) or
-    ("direct", None, fill of S_ff)."""
-    if isinstance(lu, _SectorLU):
-        return "sector", lu.modes, lu.lu.L.nnz + lu.lu.U.nnz
-    return "direct", None, lu.L.nnz + lu.U.nnz
+        high = high.reshape(half)
+        return _from_modes(np.concatenate([low.reshape(half), high[n - h : 0 : -1]]))
 
 
 def _extended_residual(s_ext, u, rhs, trans: str = "N"):
@@ -518,11 +592,12 @@ def _refine(lu, s_ext, u, rhs, trans: str = "N"):
 
 def _solve_checked(lu, s_ff, rhs_f, u_f=None) -> tuple:
     """(u_f, residual, s_ext): the solution of S_ff u_f = rhs_f held to the
-    relative residual contract; ``u_f``, when given, is a first solution
-    already made.  A solve that misses the contract gets one step of
-    iterative refinement, and its residual is then measured in extended
-    precision; ``s_ext`` is the long-double S_ff it used (None when the
-    first solve met the contract).  SolverError if the contract is missed."""
+    relative residual contract, with ``lu`` a factor of ``s_ff`` (S_ff, or
+    its mode blocks); ``u_f``, when given, is a first solution already
+    made.  A solve that misses the contract gets one step of iterative
+    refinement, and its residual is then measured in extended precision;
+    ``s_ext`` is the long-double ``s_ff`` it used (None when the first
+    solve met the contract).  SolverError if the contract is missed."""
     if u_f is None:
         u_f = lu.solve(rhs_f)
     scale = np.linalg.norm(rhs_f)
@@ -672,23 +747,17 @@ def _lanczos(forward, adjoint, m_mat, v, iters: int = 400, tol: float = 1e-8) ->
     )
 
 
-def _same(x):
-    return x
-
-
 class _CheckedSolves:
-    """The forward and adjoint solves of one estimate, made with ``factor``
-    in its coordinates: free dofs for a direct factor, half-spectrum modes
-    for ``_SectorLU.lu`` (``nodal`` and ``modal`` map between the two).
-    The first forward solve is held to the residual contract on the free
-    dofs: b and u are mapped there once and measured against S_ff.  When it
-    needs iterative refinement to meet it, that solve and every later one
-    is refined once, on the free dofs with the solver ``lu`` of S_ff, and
-    mapped back."""
+    """The forward and adjoint solves of one estimate with ``factor``, a
+    factor of ``s`` in the same coordinates: S_ff on the free dofs, or its
+    half-spectrum mode blocks.  The first forward solve is held to the
+    residual contract against ``s``; its relative residual is kept as
+    ``residual``.  When it needs iterative refinement to meet it, that
+    solve and every later one is refined once."""
 
-    def __init__(self, lu, factor, s_ff, nodal=_same, modal=_same):
-        self.lu, self.factor, self.s_ff, self.nodal, self.modal = lu, factor, s_ff, nodal, modal
-        self.checked = False
+    def __init__(self, factor, s):
+        self.factor, self.s = factor, s
+        self.residual = None
         self.s_ext = None
 
     def forward(self, rhs):
@@ -699,14 +768,11 @@ class _CheckedSolves:
 
     def _solve(self, rhs, trans: str):
         u = self.factor.solve(rhs, trans=trans)
-        if self.checked and self.s_ext is None:
-            return u
-        rhs_f, u_f = self.nodal(rhs), self.nodal(u)
-        if self.checked:
-            return self.modal(_refine(self.lu, self.s_ext, u_f, rhs_f, trans))
-        self.checked = True
-        u_f, _, self.s_ext = _solve_checked(self.lu, self.s_ff, rhs_f, u_f)
-        return u if self.s_ext is None else self.modal(u_f)
+        if self.residual is None:
+            u, self.residual, self.s_ext = _solve_checked(self.factor, self.s, rhs, u)
+        elif self.s_ext is not None:
+            u = _refine(self.factor, self.s_ext, u, rhs, trans)
+        return u
 
 
 @dataclass(frozen=True)
@@ -721,6 +787,8 @@ class ConstantEstimate:
     ``factor_modes`` angular modes (n_theta; None for "direct").  ``lu_nnz``
     counts the nonzeros in L + U of what was factored: for "sector", the
     h = floor(n_theta/2) + 1 mode blocks that serve all n_theta modes.
+    ``solve_residual`` is the relative residual on which the first solve
+    met the contract, after one refinement step when ``refined``.
     A sweep row carries it as ``SweepRow.estimate``."""
 
     c_emp: float
@@ -730,6 +798,8 @@ class ConstantEstimate:
     factor_kind: str
     factor_modes: int | None
     lu_nnz: int
+    solve_residual: float
+    refined: bool
 
 
 def empirical_constant(
@@ -744,39 +814,58 @@ def empirical_constant(
     """omega^2 times the largest singular value of the discrete solution map
     f -> u = S^-1 M f in rho-weighted norms.
 
-    ``_lanczos`` on the normal operator S^-H M S^-1 M with the single
-    factorization of S (``AssembledSystem.lu``), stopped once the top Ritz
-    value theta is certified to ``tol``; returns omega^2 sqrt(theta).  A
-    direct factor runs it on the free dofs with M_ff.  A sector factor runs
-    it on the half-spectrum mode blocks of S_ff and M_ff, which hold the
-    whole spectrum (``_SectorLU``), with no transform per step; its start
-    vector is the one drawn on the free dofs, projected onto those modes.
-    The first
-    forward solve is held to the same residual contract as ``solve``,
-    measured on the free dofs; when it needs iterative refinement to meet
-    it, every later forward and adjoint solve of the estimate is refined
-    once too.
+    ``_lanczos`` on the normal operator S^-H M S^-1 M with one
+    factorization of S, stopped once the top Ritz value theta is certified
+    to ``tol``; returns omega^2 sqrt(theta).  On a mesh whose sectors are
+    sector 0 rotated (``_sector_cells``), only the cells around sector 0
+    are assembled (``_sector_rows``), and Lanczos runs on the half-spectrum
+    mode blocks of S_ff and M_ff (``_sector_modes``), which hold the whole
+    spectrum: modes m and n - m of the normal operator share theirs.  Its
+    start vector is the one drawn on the free dofs, projected onto those
+    modes (``_modal``).  Any other mesh, or blocks that fail the symmetry
+    checks, get the full assembly and the direct LU of S_ff.  The first
+    forward solve is held to the same residual contract as ``solve``, in
+    the factor's own coordinates: the mode blocks are the unitary image of
+    S_ff (rotation, then the DFT over sectors), so a relative residual
+    there is one on the free dofs.  When it needs iterative refinement to
+    meet it, every later forward and adjoint solve of the estimate is
+    refined once too.
 
-    Returns the ``ConstantEstimate`` (constant, step count, certificate and
-    history).  Raises ``IterationError`` when ``iters`` steps certify
-    nothing.
+    Returns the ``ConstantEstimate`` (constant, step count, certificate,
+    history, factor and first-solve residual).  Raises ``IterationError``
+    when ``iters`` steps certify nothing.
     """
-    system = assemble(mesh, material, robin, omega)
-    s_ff, _ = system.free_blocks
-    lu = system.lu
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=s_ff.shape[0]) + 1j * rng.normal(size=s_ff.shape[0])
-    if isinstance(lu, _SectorLU):
-        solves, m_mat, v = _CheckedSolves(lu, lu.lu, s_ff, lu.nodal, lu.modal), lu.m_modes, lu.modal(v)
-    else:
-        solves, m_mat = _CheckedSolves(lu, lu, s_ff), system.free_mass.astype(complex).tocsr()
+    n = mesh.n_theta
     try:
-        ritz = _lanczos(solves.forward, solves.adjoint, m_mat, v, iters, tol)
+        s_mat, m_mat = _sector_modes(n, *_sector_rows(mesh, material, robin, omega))
+        modes, size = n, s_mat.shape[0] // (n // 2 + 1) * n
+    except _NotSectorInvariant:
+        system = assemble(mesh, material, robin, omega)
+        s_mat, m_mat = system.free_blocks[0], system.free_mass.astype(complex)
+        modes, size = None, s_mat.shape[0]
+    factor = _factor(s_mat)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=size) + 1j * rng.normal(size=size)
+    if modes is not None:
+        v = _modal(n, v)
+    solves = _CheckedSolves(factor, s_mat)
+    try:
+        ritz = _lanczos(solves.forward, solves.adjoint, m_mat.tocsr(), v, iters, tol)
     except IterationError as exc:
         last = tuple(omega**2 * math.sqrt(theta) for theta in exc.last_iterates)
         raise IterationError(str(exc), last_iterates=last) from None
     history = tuple(omega**2 * math.sqrt(theta) for theta in ritz.thetas)
-    return ConstantEstimate(history[-1], ritz.steps, ritz.residual, history, *_factor_summary(lu))
+    return ConstantEstimate(
+        c_emp=history[-1],
+        steps=ritz.steps,
+        ritz_residual=ritz.residual,
+        history=history,
+        factor_kind="direct" if modes is None else "sector",
+        factor_modes=modes,
+        lu_nnz=factor.L.nnz + factor.U.nnz,
+        solve_residual=solves.residual,
+        refined=solves.s_ext is not None,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,8 @@ class TestFemSweepCommand:
         n_theta = int(row["n_theta"])
         assert est["factor"]["kind"] == "sector" and est["factor"]["modes"] == n_theta
         assert est["factor"]["lu_nnz"] > 0
+        assert 0.0 <= est["first_solve"]["residual"] <= 1e-8
+        assert est["first_solve"]["refined"] is False
 
     @pytest.mark.parametrize(
         "line,env",
@@ -488,6 +490,7 @@ class TestFemSweepCommand:
         [est] = json.loads((out / "manifest.json").read_text())["estimates"]
         assert est["lanczos_steps"] is None and est["ritz_residual"] is None
         assert est["factor"] == {"kind": None, "modes": None, "lu_nnz": None}
+        assert est["first_solve"] == {"residual": None, "refined": None}
 
     @pytest.mark.parametrize(
         "doc,fields",

@@ -519,10 +519,12 @@ def _radial_material(kind, lam_ratio):
     if kind == "constant":
         return core.MaterialField.constant(1.0, 1.0, lam_ratio)
     if kind == "radial-profile":
+        # bounds certified on r in [0.4, 1]: straight P1 edges on the inner
+        # circle reach below r_in = 0.5
         return core.MaterialField.radial(
             core.radial_profile(lambda r: 1.0 + r**2, 1.0, 2.0),
-            core.radial_profile(lambda r: 2.0 - r, 1.0, 1.5),
-            core.radial_profile(lambda r: lam_ratio * (2.0 - r), lam_ratio, 1.5 * lam_ratio),
+            core.radial_profile(lambda r: 2.0 - r, 1.0, 1.6),
+            core.radial_profile(lambda r: lam_ratio * (2.0 - r), lam_ratio, 1.6 * lam_ratio),
         )
     return core.MaterialField.radial(
         core.constant_profile(1.0),
@@ -542,6 +544,27 @@ def _assert_solves_match_the_direct_factor(m, material):
         exact = direct.solve(rhs, trans=trans)
         got = s.lu.solve(rhs, trans=trans)
         assert np.abs(got - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
+def _half_spectrum_projection(n, v):
+    """The free-dof vector whose angular modes 0..floor(n/2) are v's and
+    whose higher modes vanish."""
+    modes = fem._to_modes(n, v)
+    modes[n // 2 + 1 :] = 0.0
+    return fem._from_modes(modes)
+
+
+def _counting_cells(monkeypatch):
+    """Record the cell count of every ``fem._assemble_cells`` call."""
+    counts = []
+    assemble_cells = fem._assemble_cells
+
+    def counted(mesh, material, robin, cells=None):
+        counts.append(mesh.n_cells if cells is None else len(cells))
+        return assemble_cells(mesh, material, robin, cells)
+
+    monkeypatch.setattr(fem, "_assemble_cells", counted)
+    return counts
 
 
 class TestSectorFactor:
@@ -574,6 +597,23 @@ class TestSectorFactor:
         assert shapes == [(rows, rows)]
         assert (est.factor_kind, est.factor_modes) == ("sector", n_theta)
 
+    @pytest.mark.parametrize("n_theta", [15, 24])
+    @pytest.mark.parametrize("lam_ratio", [1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("kind", ["constant", "radial-profile", "piecewise-radial"])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_sector_rows_give_the_mode_blocks_of_the_full_system(self, order, kind, lam_ratio, n_theta):
+        # the estimate's mode blocks, from the cells around sector 0, against
+        # those of S_ff and M_ff assembled over the whole mesh
+        material = _radial_material(kind, lam_ratio)
+        robin = core.RobinSpec.shear_matched(material)
+        m = build_annulus_mesh(0.5, 1.0, 3, n_theta, order=order)
+        s = fem.assemble(m, material, robin, omega=2.0)
+        full = fem._sector_modes(n_theta, s.free_blocks[0], s.free_mass)
+        native = fem._sector_modes(n_theta, *fem._sector_rows(m, material, robin, 2.0))
+        for got, exact in zip(native, full):
+            assert got.shape == exact.shape
+            assert abs(got - exact).max() <= 1e-12 * abs(exact).max()
+
     @pytest.mark.parametrize("lam_ratio", [1.0, 1e4])
     @pytest.mark.parametrize("kind", ["constant", "piecewise-radial"])
     def test_empirical_constant_matches_the_direct_factor(self, kind, lam_ratio, monkeypatch):
@@ -582,33 +622,102 @@ class TestSectorFactor:
         m = build_annulus_mesh(0.5, 1.0, 3, 24)
         sector = fem.empirical_constant(m, material, robin, omega=2.0)
 
-        def no_symmetry(*args):
+        def no_symmetry(mesh):
             raise fem._NotSectorInvariant
 
         with monkeypatch.context() as patch:
-            patch.setattr(fem, "_sector_modes", no_symmetry)
+            patch.setattr(fem, "_sector_cells", no_symmetry)
             direct = fem.empirical_constant(m, material, robin, omega=2.0)
         assert (sector.factor_kind, sector.factor_modes) == ("sector", 24)
         assert (direct.factor_kind, direct.factor_modes) == ("direct", None)
         assert sector.c_emp == pytest.approx(direct.c_emp, rel=1e-10)
         # the sector estimate starts from the seed's draw projected onto
-        # modes 0..floor(n/2); a direct Lanczos started from that projection
-        # on the free dofs is the same Krylov process, for every seed
+        # modes 0..floor(n/2); a Lanczos run on the direct factor of the
+        # fully assembled S_ff, started from that projection on the free
+        # dofs, is the same Krylov process, for every seed
         for n_theta in (15, 24):
             m = build_annulus_mesh(0.5, 1.0, 3, n_theta)
             s = fem.assemble(m, material, robin, omega=2.0)
             s_ff, _ = s.free_blocks
-            lu, factor = s.lu, fem._factor(s_ff)
+            factor = fem._factor(s_ff)
             m_ff = s.free_mass.astype(complex).tocsr()
             for seed in range(8):
                 est = fem.empirical_constant(m, material, robin, omega=2.0, seed=seed)
                 rng = np.random.default_rng(seed)
                 v = rng.normal(size=s_ff.shape[0]) + 1j * rng.normal(size=s_ff.shape[0])
                 ritz = fem._lanczos(
-                    factor.solve, lambda b: factor.solve(b, trans="H"), m_ff, lu.nodal(lu.modal(v))
+                    factor.solve,
+                    lambda b: factor.solve(b, trans="H"),
+                    m_ff,
+                    _half_spectrum_projection(n_theta, v),
                 )
                 assert est.steps == ritz.steps, (n_theta, seed)
                 assert est.c_emp == pytest.approx(4.0 * math.sqrt(ritz.theta), rel=1e-10)
+
+    @pytest.mark.parametrize("n_theta", [15, 24])
+    def test_mode_residual_is_the_free_dof_residual(self, n_theta, material, robin):
+        # the mode blocks are the unitary image of S_ff, so a relative
+        # residual measured on them is the free-dof residual against the
+        # fully assembled S_ff of the vectors with those modes
+        m = build_annulus_mesh(0.5, 1.0, 3, n_theta)
+        s_modes, _ = fem._sector_modes(n_theta, *fem._sector_rows(m, material, robin, 2.0))
+        s_ff, _ = fem.assemble(m, material, robin, omega=2.0).free_blocks
+        rng = np.random.default_rng(9)
+        size = s_modes.shape[0]
+        b = rng.normal(size=size) + 1j * rng.normal(size=size)
+        u = fem._factor(s_modes).solve(b)
+        u = u + 1e-6 * np.abs(u).max() * (rng.normal(size=size) + 1j * rng.normal(size=size))
+        in_modes = np.linalg.norm(s_modes @ u - b) / np.linalg.norm(b)
+
+        def nodal(y):
+            modes = np.zeros((n_theta,) + (size // (n_theta // 2 + 1) // 2, 2), dtype=complex)
+            modes[: n_theta // 2 + 1] = y.reshape(n_theta // 2 + 1, -1, 2)
+            return fem._from_modes(modes)
+
+        on_free = np.linalg.norm(s_ff @ nodal(u) - nodal(b)) / np.linalg.norm(nodal(b))
+        assert in_modes > 1e-9  # the perturbation, not rounding, sets it
+        assert in_modes == pytest.approx(on_free, rel=1e-8)
+        assert np.abs(fem._modal(n_theta, nodal(b)) - b).max() <= 1e-12 * np.abs(b).max()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_estimate_assembles_only_the_cells_around_sector_0(self, order, material, robin, monkeypatch):
+        m = build_annulus_mesh(0.5, 1.0, 4, 24, order=order)
+        counts = _counting_cells(monkeypatch)
+        est = fem.empirical_constant(m, material, robin, omega=2.0)
+        assert est.factor_kind == "sector" and counts == [4 * m.n_r]
+        counts.clear()
+        fem.assemble(m, material, robin, omega=2.0)
+        assert counts == [m.n_cells]
+
+    @pytest.mark.parametrize("defect", ["node-off-its-ring", "permuted-conn", "one-edge-traction-free"])
+    def test_non_lattice_mesh_estimate_takes_the_direct_path(self, defect, material, robin, monkeypatch):
+        m = build_annulus_mesh(0.5, 1.0, 3, 24)
+        if defect == "node-off-its-ring":
+            nodes = m.nodes.copy()
+            nodes[10 * 7 + 2] *= 1.0 + 1e-3  # lattice point (2, 10): a first-ring vertex
+            m = dataclasses.replace(m, nodes=nodes)
+        elif defect == "one-edge-traction-free":
+            # sector 5's edge on the outer circle leaves the impedance boundary
+            edges = list(m.boundary_edges)
+            edges[2 * 5 + 1] = dataclasses.replace(edges[2 * 5 + 1], tag="traction-free")
+            m = dataclasses.replace(m, boundary_edges=tuple(edges))
+        else:
+            # the same triangulation with its cells in another order
+            perm = np.random.default_rng(1).permutation(m.n_cells)
+            where = np.argsort(perm)
+            edges = tuple(dataclasses.replace(e, cell=int(where[e.cell])) for e in m.boundary_edges)
+            m = dataclasses.replace(m, conn=m.conn[perm], boundary_edges=edges)
+        with pytest.raises(fem._NotSectorInvariant, match="different"):
+            fem._sector_cells(m)
+        counts = _counting_cells(monkeypatch)
+        est = fem.empirical_constant(m, material, robin, omega=2.0)
+        assert (est.factor_kind, est.factor_modes) == ("direct", None) and counts == [m.n_cells]
+        s = fem.assemble(m, material, robin, omega=2.0)
+        s_ff = s.free_blocks[0].toarray()
+        chol = la.cholesky(s.free_mass.toarray(), lower=True)
+        exact = 4.0 * la.svdvals(chol.T @ la.solve(s_ff, chol))[0]
+        assert est.c_emp == pytest.approx(exact, rel=1e-9)
+        assert est.ritz_residual <= 1e-8
 
     @pytest.mark.parametrize("defect", ["node-off-its-ring", "one-entry"])
     def test_broken_symmetry_takes_the_direct_path(self, defect, material, robin):
@@ -623,7 +732,6 @@ class TestSectorFactor:
             bump = sp.csr_matrix(([1e-9 * s.stiffness[2 * k, 2 * k]], ([2 * k], [2 * k])), s.stiffness.shape)
             s = dataclasses.replace(s, stiffness=s.stiffness + bump)
         assert not isinstance(s.lu, fem._SectorLU)
-        assert fem._factor_summary(s.lu)[:2] == ("direct", None)
         f = np.random.default_rng(3).normal(size=(m.n_nodes, 2))
         assert fem.solve(s, f).residual_norm <= 1e-8
 
@@ -637,7 +745,7 @@ class TestSectorFactor:
         s = dataclasses.replace(s, stiffness=s.stiffness + sp.kron(sp.identity(m.n_nodes), turn, format="csr"))
         with pytest.raises(fem._NotSectorInvariant, match="not symmetric"):
             fem._sector_modes(m.n_theta, s.free_blocks[0], s.free_mass)
-        assert fem._factor_summary(s.lu)[:2] == ("direct", None)
+        assert not isinstance(s.lu, fem._SectorLU)
         f = np.random.default_rng(3).normal(size=(m.n_nodes, 2))
         assert fem.solve(s, f).residual_norm <= 1e-8
 
@@ -661,7 +769,7 @@ class TestSectorFactor:
             reason = "different node counts"
         with pytest.raises(fem._NotSectorInvariant, match=reason):
             fem._sector_modes(m.n_theta, s.free_blocks[0], s.free_mass)
-        assert fem._factor_summary(s.lu)[:2] == ("direct", None)
+        assert not isinstance(s.lu, fem._SectorLU)
         f = np.random.default_rng(3).normal(size=(m.n_nodes, 2))
         assert fem.solve(s, f).residual_norm <= 1e-8
 
@@ -674,9 +782,8 @@ class TestSectorFactor:
         for lam_ratio in (1.0, 1e8):
             material = cfg.material(lam_ratio)
             s = fem.assemble(m, material, cfg.robin(material), omega=16.0)
-            kind, modes, fill = fem._factor_summary(s.lu)
-            assert (kind, modes) == ("sector", m.n_theta)
-            nnz.append(fill)
+            assert isinstance(s.lu, fem._SectorLU) and s.lu.modes == m.n_theta
+            nnz.append(s.lu.lu.L.nnz + s.lu.lu.U.nnz)
         assert nnz[1] <= 1.25 * nnz[0]
 
     @pytest.mark.parametrize("order", [1, 2])
@@ -687,8 +794,8 @@ class TestSectorFactor:
             cfg = fem.SweepConfig(kappa_s=(kappa,), order=order)
             m = fem.resolution_mesh(cfg, kappa)
             material = cfg.material(1.0)
-            s = fem.assemble(m, material, cfg.robin(material), omega=kappa)
-            assert isinstance(s.lu, fem._SectorLU), (kappa, order)
+            est = fem.empirical_constant(m, material, cfg.robin(material), omega=kappa)
+            assert est.factor_kind == "sector", (kappa, order)
 
     def test_every_identity_check_mesh_takes_the_sector_path(self, monkeypatch):
         from elastab import cli
