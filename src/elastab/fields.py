@@ -8,8 +8,8 @@ The identity audits consume fields through three evaluators:
 
 Everything else (strain, div sigma for constant coefficients)
 derives from those.  The library ships constants, rigid rotations, general
-polynomials to degree 3 (and products thereof), plane P/S waves, and
-compactly supported radial bumps.
+polynomials (and products thereof), plane P/S waves, and compactly supported
+radial bumps.
 """
 
 from __future__ import annotations
@@ -113,7 +113,11 @@ class _Monomial:
 
 class PolynomialField(AnalyticField):
     """Multivariate vector polynomial given as (component, exponents, coeff)
-    monomials; all derivatives are exact exponent bookkeeping."""
+    monomials; all derivatives are exact exponent bookkeeping.
+
+    The evaluators compute each power x[:, a] ** e once per point set,
+    accumulate into component-major (d, ..., Q) buffers and
+    return their transposed (Q, ...) views."""
 
     def __init__(self, d: int, monomials):
         self.d = d
@@ -124,49 +128,70 @@ class PolynomialField(AnalyticField):
             if len(m.exponents) != d or m.component >= d:
                 raise ValueError("monomial shape mismatch")
 
-    @staticmethod
-    def _eval_mono(x, exponents):
-        out = np.ones(x.shape[0], dtype=float)
-        for axis, e in enumerate(exponents):
-            if e:
-                out = out * x[:, axis] ** e
-        return out
+    @property
+    def degree(self) -> int:
+        """Largest total degree of the monomials (0 for none)."""
+        return max((sum(m.exponents) for m in self.monomials), default=0)
+
+    @property
+    def exact_order(self) -> int:
+        """Smallest ``quadrature_for`` order that integrates every audit
+        integrand of this field exactly, for constant coefficients.
+
+        Each integrand is a product of two factors among v, grad v and
+        second derivatives of v, where a factor x only comes with a
+        derivative ((x.grad)v, (x.n)), so it is a polynomial of total degree
+        at most 2p for p = ``degree``.  In polar or
+        spherical coordinates a degree-q polynomial is a sum of r^k times
+        angular terms of trig degree <= k <= q, and the Jacobian r^(d-1)
+        raises the radial degree to at most 2p + 2 (d <= 3).  The rule of
+        ``quadrature_for(order)`` has n_r = order Gauss-Legendre radial
+        nodes, exact to degree 2 order - 1 >= 2p + 2 once order >= p + 2;
+        its 2 order polar Gauss nodes and 4 order azimuthal nodes are exact
+        to trig degree 4 order - 1 > 2p.  Boundary rules use the same
+        angular nodes.  Order p falls short: at d = 3, p = 4 the radial
+        degree 2p + 2 = 10 exceeds 2p - 1 = 7.
+        """
+        return self.degree + 2
 
     def value(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros((x.shape[0], self.d), dtype=complex)
+        mono = _monomial_table(x)
+        out = np.zeros((self.d, x.shape[0]), dtype=complex)
         for m in self.monomials:
-            out[:, m.component] += m.coeff * self._eval_mono(x, m.exponents)
-        return out
+            out[m.component] += m.coeff * mono(m.exponents)
+        return out.T
 
     def grad(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros((x.shape[0], self.d, self.d), dtype=complex)
+        mono = _monomial_table(x)
+        out = np.zeros((self.d, self.d, x.shape[0]), dtype=complex)  # [l, j, q]
         for m in self.monomials:
             for j, e in enumerate(m.exponents):
                 if e == 0:
                     continue
                 de = list(m.exponents)
                 de[j] -= 1
-                out[:, j, m.component] += m.coeff * e * self._eval_mono(x, de)
-        return out
+                out[m.component, j] += m.coeff * e * mono(de)
+        return out.T
 
     def second(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros((x.shape[0], self.d, self.d, self.d), dtype=complex)
+        mono = _monomial_table(x)
+        out = np.zeros((self.d, self.d, self.d, x.shape[0]), dtype=complex)  # [l, k, j, q]
         for m in self.monomials:
             for j, ej in enumerate(m.exponents):
                 if ej == 0:
                     continue
-                for k, ek in enumerate(m.exponents):
+                for k in range(self.d):
                     de = list(m.exponents)
                     de[j] -= 1
                     factor = ej * de[k]
                     if factor == 0:
                         continue
                     de[k] -= 1
-                    out[:, j, k, m.component] += m.coeff * factor * self._eval_mono(x, de)
-        return out
+                    out[m.component, k, j] += m.coeff * factor * mono(de)
+        return out.T
 
     def multiply_scalar_polynomial(self, scalar_monomials) -> "PolynomialField":
         """Product with a scalar polynomial given as (exponents, coeff) pairs."""
@@ -176,6 +201,23 @@ class PolynomialField(AnalyticField):
                 combined = tuple(e1 + e2 for e1, e2 in zip(m.exponents, ex))
                 prod.append((m.component, combined, m.coeff * complex(a)))
         return PolynomialField(self.d, prod)
+
+
+def _monomial_table(x):
+    """``mono(exponents)`` = prod_a x[:, a] ** e_a, each power x[:, a] ** e
+    computed once per point set."""
+    powers = {}
+
+    def mono(exponents):
+        out = np.ones(x.shape[0], dtype=float)
+        for axis, e in enumerate(exponents):
+            if e:
+                if (axis, e) not in powers:
+                    powers[axis, e] = x[:, axis] ** e
+                out = out * powers[axis, e]
+        return out
+
+    return mono
 
 
 def constant_field(vec) -> PolynomialField:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -114,19 +115,30 @@ def _inequality_report(name, lhs, rhs, terms, tol) -> IdentityReport:
 
 @dataclass(frozen=True)
 class _Vol:
+    """Samples of v and grad v; |eps(v)|^2, div v and |div v|^2 are computed
+    once per sample set."""
+
     x: np.ndarray
     w: np.ndarray
     val: np.ndarray
     grad: np.ndarray  # grad[q, j, l] = d_j v_l
 
+    @cached_property
+    def eps2(self) -> np.ndarray:
+        return _frob2(_strain(self.grad))
+
+    @cached_property
+    def div(self) -> np.ndarray:
+        return np.trace(self.grad, axis1=-2, axis2=-1)
+
+    @cached_property
+    def div2(self) -> np.ndarray:
+        return np.abs(self.div) ** 2
+
 
 @dataclass(frozen=True)
-class _Surf:
-    x: np.ndarray
-    w: np.ndarray
+class _Surf(_Vol):
     normal: np.ndarray
-    val: np.ndarray
-    grad: np.ndarray
 
     @property
     def hn(self) -> np.ndarray:
@@ -166,15 +178,9 @@ def _strain(grad):
     return 0.5 * (grad + np.swapaxes(grad, -2, -1))
 
 
-def _div(grad):
-    return np.trace(grad, axis1=-2, axis2=-1)
-
-
-def _stress(grad, mu, lam):
-    eps = _strain(grad)
-    div = _div(grad)
-    d = grad.shape[-1]
-    return 2.0 * mu[..., None, None] * eps + lam[..., None, None] * div[..., None, None] * np.eye(d)
+def _stress(s: _Vol, mu, lam):
+    eye = np.eye(s.grad.shape[-1])
+    return 2.0 * mu[..., None, None] * _strain(s.grad) + lam[..., None, None] * s.div[..., None, None] * eye
 
 
 def _dirdev(x, grad):
@@ -214,36 +220,26 @@ def _mass_flux(surf: _Surf, rho) -> float:
 
 
 def _r_h_omega(vol: _Vol, mu, lam, v_mu, v_lam, d: int) -> float:
-    eps = _strain(vol.grad)
-    div = _div(vol.grad)
-    growth = np.sum(
-        vol.w * ((d + v_mu) * 2.0 * mu * _frob2(eps) + (d + v_lam) * lam * np.abs(div) ** 2)
-    )
+    growth = np.sum(vol.w * ((d + v_mu) * 2.0 * mu * vol.eps2 + (d + v_lam) * lam * vol.div2))
     # grad h = I: eps(v) : (grad h grad vbar) = eps : grad vbar = |eps|^2,
     # grad h : (grad vbar)^T = conj(div v)
-    cross = np.sum(vol.w * 2.0 * (2.0 * mu * _frob2(eps) + lam * np.abs(div) ** 2))
+    cross = np.sum(vol.w * 2.0 * (2.0 * mu * vol.eps2 + lam * vol.div2))
     return float(np.real(growth - cross))
 
 
 def _r_h_omega_simplified(vol: _Vol, mu, lam, d: int) -> float:
     """R_Omega for constant coefficients: int (d-2) (2 mu |eps|^2 + lam |div|^2)."""
-    eps = _strain(vol.grad)
-    div = _div(vol.grad)
-    return float(
-        np.real(np.sum(vol.w * ((d - 2) * 2.0 * mu * _frob2(eps) + (d - 2) * lam * np.abs(div) ** 2)))
-    )
+    return float(np.real(np.sum(vol.w * ((d - 2) * 2.0 * mu * vol.eps2 + (d - 2) * lam * vol.div2))))
 
 
 def _b_boundary(surf: _Surf, mu, lam) -> float:
     """int (h.n) sigma(v):eps(vbar) with h = x."""
-    eps = _strain(surf.grad)
-    div = _div(surf.grad)
-    return float(np.real(np.sum(surf.w * surf.hn * (2.0 * mu * _frob2(eps) + lam * np.abs(div) ** 2))))
+    return float(np.real(np.sum(surf.w * surf.hn * (2.0 * mu * surf.eps2 + lam * surf.div2))))
 
 
 def _traction_term(surf: _Surf, mu, lam) -> float:
     """2 Re int (sigma(v) n) . ((h.grad) vbar) with h = x."""
-    sigma = _stress(surf.grad, mu, lam)
+    sigma = _stress(surf, mu, lam)
     sn = np.einsum("qij,qj->qi", sigma, surf.normal)
     hgrad = _dirdev(surf.x, surf.grad)
     return float(2.0 * np.real(np.sum(surf.w * np.einsum("qi,qi->q", sn, np.conj(hgrad)))))
@@ -422,7 +418,7 @@ def korn_audit(
     diss = _surf_samples(v, quad.dissipative)
     ell = domain.ell
     grad2 = float(np.sum(vol.w * _frob2(vol.grad)))
-    eps2 = float(np.sum(vol.w * _frob2(_strain(vol.grad))))
+    eps2 = float(np.sum(vol.w * vol.eps2))
     vn = diss.vn
     vt2 = np.sum(np.abs(diss.val) ** 2, axis=1) - np.abs(vn) ** 2
     norm_vt2 = float(np.sum(diss.w * vt2))
@@ -443,9 +439,9 @@ def korn_audit(
 
     mu_vol = material.mu(vol.x)
     mu_b = material.mu(diss.x)
-    eps2_mu = float(np.sum(vol.w * 2.0 * mu_vol * _frob2(_strain(vol.grad))))
+    eps2_mu = float(np.sum(vol.w * 2.0 * mu_vol * vol.eps2))
     norm_v_a2 = float(np.sum(diss.w * (robin.a_t * vt2 + robin.a_n * np.abs(vn) ** 2)))
-    eps_mu_b = math.sqrt(float(np.sum(diss.w * mu_b * _frob2(_strain(diss.grad)))))
+    eps_mu_b = math.sqrt(float(np.sum(diss.w * mu_b * diss.eps2)))
     kappa = groups.kappa_s
     theta_s_min = math.sqrt(material.mu_min / material.rho_max)
     omega = kappa * theta_s_min / ell
@@ -605,7 +601,7 @@ def estimate_chain_audit(
             _form(np.asarray(f, dtype=complex).reshape(-1), system.mass),
             _form(u, system.robin_matrix),
             float(np.sum(w * _frob2(grad_u))),
-            float(np.sum(diss.w * material.mu(diss.x) * _frob2(_strain(diss.grad)))),
+            float(np.sum(diss.w * material.mu(diss.x) * diss.eps2)),
         )
     )
     d = 2

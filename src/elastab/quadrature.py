@@ -3,12 +3,14 @@ and spheres.
 
 Radial directions use Gauss-Legendre nodes (polynomial exactness), angular
 directions use equispaced rules (spectrally accurate, exact for
-trigonometric polynomials below the node count).
+trigonometric polynomials below the node count).  Rules are cached and
+their arrays are read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,14 +20,23 @@ from .errors import UnsupportedDomainError
 __all__ = ["SurfaceRule", "VolumeRule", "DomainQuadrature", "quadrature_for"]
 
 
+class _ReadOnly:
+    """Marks every array field read-only: rules are shared through the
+    ``quadrature_for`` cache."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+
 @dataclass(frozen=True)
-class VolumeRule:
+class VolumeRule(_ReadOnly):
     points: np.ndarray  # (Q, d)
     weights: np.ndarray  # (Q,)
 
 
 @dataclass(frozen=True)
-class SurfaceRule:
+class SurfaceRule(_ReadOnly):
     points: np.ndarray   # (Q, d)
     weights: np.ndarray  # (Q,)
     normals: np.ndarray  # (Q, d), outward with respect to the domain
@@ -88,9 +99,15 @@ class DomainQuadrature:
     dirichlet: SurfaceRule | None
 
 
+@functools.lru_cache(maxsize=16)
 def quadrature_for(domain: DomainSpec, order: int = 24) -> DomainQuadrature:
     """Quadrature for a ball/annulus domain; ``order`` controls both the
-    radial Gauss count and the angular density (angular nodes = 4 * order)."""
+    radial Gauss count and the angular density (angular nodes = 4 * order,
+    polar Gauss nodes = 2 * order in 3D).
+
+    Rules are memoised on ``(domain, order)`` (a bounded cache), so a repeat
+    call returns the same object; every array of a rule is read-only, and a
+    caller that needs to modify one must copy it first."""
     if domain.shape == "ball-minus-obstacle":
         raise UnsupportedDomainError(
             "analytic quadrature supports balls and annuli; general obstacles "

@@ -1,0 +1,57 @@
+"""Per-monomial evaluator of ``fields.PolynomialField``, the oracle for its
+power-table fast path.
+
+Each monomial and each of its derivatives is evaluated on its own, as
+prod_a x[:, a] ** e_a from a fresh array of ones, and added into a
+point-major (Q, ...) array in monomial order.  It shares no evaluation
+code with the package.
+"""
+
+import numpy as np
+
+
+def _eval_mono(x, exponents):
+    out = np.ones(x.shape[0], dtype=float)
+    for axis, e in enumerate(exponents):
+        if e:
+            out = out * x[:, axis] ** e
+    return out
+
+
+def value(field, x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out = np.zeros((x.shape[0], field.d), dtype=complex)
+    for m in field.monomials:
+        out[:, m.component] += m.coeff * _eval_mono(x, m.exponents)
+    return out
+
+
+def grad(field, x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out = np.zeros((x.shape[0], field.d, field.d), dtype=complex)
+    for m in field.monomials:
+        for j, e in enumerate(m.exponents):
+            if e == 0:
+                continue
+            de = list(m.exponents)
+            de[j] -= 1
+            out[:, j, m.component] += m.coeff * e * _eval_mono(x, de)
+    return out
+
+
+def second(field, x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    out = np.zeros((x.shape[0], field.d, field.d, field.d), dtype=complex)
+    for m in field.monomials:
+        for j, ej in enumerate(m.exponents):
+            if ej == 0:
+                continue
+            for k in range(field.d):
+                de = list(m.exponents)
+                de[j] -= 1
+                factor = ej * de[k]
+                if factor == 0:
+                    continue
+                de[k] -= 1
+                out[:, j, k, m.component] += m.coeff * factor * _eval_mono(x, de)
+    return out

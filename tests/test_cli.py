@@ -549,6 +549,25 @@ class TestIdentityCheckCommand:
         reports = json.loads((out / "identity_report.json").read_text())
         assert reports and all(r["passed"] for r in reports)
 
+    def test_manifest_times_each_suite(self, tmp_path):
+        from elastab.cli import _SUITES
+
+        def run(suite):
+            out = tmp_path / suite
+            assert main(["identity-check", "--suite", suite, "--seed", "3", "--out-dir", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            return manifest["stages"], json.loads((out / "identity_report.json").read_text())
+
+        stages, reports = run("all")
+        assert set(stages) == set(_SUITES)
+        # the report does not depend on how the stages are cut
+        singles = []
+        for name in _SUITES:
+            one_stage, one_reports = run(name)
+            assert list(one_stage) == [name]
+            singles.extend(one_reports)
+        assert singles == reports
+
 
 class TestFormatFlag:
     @pytest.mark.parametrize("argv", [

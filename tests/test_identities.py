@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
+import field_oracle
 import numpy as np
 import pytest
 
 from elastab import core, fem, fields
 from elastab import identities as idn
 from elastab.mesh import build_annulus_mesh
+from elastab.quadrature import quadrature_for
 
 VANISH_INNER = [((2, 0), 1.0), ((0, 2), 1.0), ((0, 0), -0.25)]  # r^2 - r_in^2
 
@@ -56,6 +59,130 @@ class TestFieldLibrary:
         rot = fields.rigid_rotation(2)
         pts = np.random.default_rng(3).uniform(-1, 1, size=(6, 2))
         assert np.abs(rot.strain(pts)).max() < 1e-15
+
+
+
+def _assert_matches_oracle(field, points, evaluate=None):
+    """value/grad/second of ``field`` equal, bit for bit, ``evaluate(name)``
+    (default: the per-monomial oracle of the same polynomial)."""
+    if evaluate is None:
+        def evaluate(name):
+            return getattr(field_oracle, name)(field, points)
+    for name in ("value", "grad", "second"):
+        fast, ref = getattr(field, name)(points), evaluate(name)
+        assert fast.shape == ref.shape, name
+        assert np.array_equal(fast, ref), name
+
+
+class TestPolynomialFastPath:
+    """The power-table evaluators of PolynomialField against the
+    per-monomial oracle in tests/field_oracle.py."""
+
+    @staticmethod
+    def _points(d):
+        return np.random.default_rng(d).uniform(-1.0, 1.0, size=(40, d))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("degree", range(5))
+    def test_random_polynomials(self, d, degree):
+        field = fields.random_polynomial(d, degree, seed=degree)
+        assert field.degree == degree
+        _assert_matches_oracle(field, self._points(d))
+
+    @pytest.mark.parametrize("d, vanish", [
+        (2, VANISH_INNER),
+        (3, [((2, 0, 0), 1.0), ((0, 2, 0), 1.0), ((0, 0, 2), 1.0), ((0, 0, 0), -0.25)]),
+    ])
+    def test_products_carry_duplicate_monomials(self, d, vanish):
+        field = fields.random_polynomial(d, 2, seed=5).multiply_scalar_polynomial(vanish)
+        keys = [(m.component, m.exponents) for m in field.monomials]
+        assert len(set(keys)) < len(keys)
+        assert field.degree == 4
+        _assert_matches_oracle(field, self._points(d))
+
+    @pytest.mark.parametrize("field", [
+        fields.constant_field([1.0 + 0.5j, -0.3]),
+        fields.constant_field([0.2, 1.0j, -2.0]),
+        fields.rigid_rotation(2),
+        fields.rigid_rotation(3, 0.5j),
+    ], ids=["constant-2d", "constant-3d", "rotation-2d", "rotation-3d"])
+    def test_library_fields(self, field):
+        _assert_matches_oracle(field, self._points(field.d))
+
+    def test_sum_and_scaled_fields(self):
+        a = fields.random_polynomial(3, 3, seed=1)
+        b = fields.random_polynomial(3, 2, seed=2).multiply_scalar_polynomial([((1, 0, 1), 2.0)])
+        pts = self._points(3)
+
+        def oracle(f, name):
+            return getattr(field_oracle, name)(f, pts)
+
+        _assert_matches_oracle(a + b, pts, lambda name: oracle(a, name) + oracle(b, name))
+        _assert_matches_oracle(2.5j * a, pts, lambda name: 2.5j * oracle(a, name))
+
+
+class TestExactOrder:
+    """``PolynomialField.exact_order`` integrates every Rellich term exactly:
+    it agrees with a much finer rule to rounding."""
+
+    @pytest.mark.parametrize("domain, high", [
+        (core.DomainSpec(d=2, ell=1.0, shape="annulus", r_in=0.5), 24),
+        (core.DomainSpec(d=2, ell=1.0, shape="ball"), 24),
+        (core.DomainSpec(d=3, ell=1.0, shape="ball"), 16),
+        (core.DomainSpec(d=3, ell=1.0, shape="annulus", r_in=0.5), 16),
+    ], ids=["annulus-2d", "disk", "ball-3d", "shell-3d"])
+    @pytest.mark.parametrize("p", range(1, 6))
+    def test_rellich_matches_high_order(self, domain, high, p, generic_material):
+        v = fields.random_polynomial(domain.d, p, seed=p)
+        assert v.degree == p
+        exact = idn.rellich_audit(v, domain, generic_material, order=v.exact_order)
+        ref = idn.rellich_audit(v, domain, generic_material, order=high)
+        assert exact.passed
+        tol = 1e-13 * ref.scale
+        assert abs(exact.lhs - ref.lhs) <= tol
+        assert abs(exact.rhs - ref.rhs) <= tol
+        assert exact.terms.keys() == ref.terms.keys()
+        for name, value in ref.terms.items():
+            assert abs(exact.terms[name] - value) <= tol, name
+
+
+class TestQuadratureCache:
+    def test_repeat_call_returns_the_same_rule(self):
+        first = quadrature_for(core.DomainSpec(d=2, ell=1.0, shape="annulus", r_in=0.5), 8)
+        # the key is the domain's value, not its identity
+        again = quadrature_for(core.DomainSpec(d=2, ell=1.0, shape="annulus", r_in=0.5), 8)
+        assert again is first
+
+    @pytest.mark.parametrize("domain", [
+        core.DomainSpec(d=2, ell=1.0, shape="annulus", r_in=0.5),
+        core.DomainSpec(d=3, ell=1.0, shape="annulus", r_in=0.5),
+    ], ids=["annulus-2d", "shell-3d"])
+    def test_cached_arrays_are_read_only(self, domain):
+        quad = quadrature_for(domain, 6)
+        arrays = [
+            getattr(rule, f.name)
+            for rule in (quad.volume, quad.dissipative, quad.dirichlet)
+            for f in dataclasses.fields(rule)
+        ]
+        assert len(arrays) == 8
+        for arr in arrays:
+            before = arr.copy()
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+            with pytest.raises(ValueError):
+                arr *= 2.0
+            assert np.array_equal(arr, before)
+
+    def test_distinct_domains_get_distinct_rules(self):
+        from elastab.cli import _ANNULUS, _DISK
+
+        annulus, disk = quadrature_for(_ANNULUS, 32), quadrature_for(_DISK, 32)
+        assert annulus is not disk
+        assert annulus.domain == _ANNULUS and disk.domain == _DISK
+        assert annulus.dirichlet is not None and disk.dirichlet is None
+        r_annulus = np.linalg.norm(annulus.volume.points, axis=1)
+        r_disk = np.linalg.norm(disk.volume.points, axis=1)
+        assert r_annulus.min() > 0.5 > r_disk.min()
 
 
 class TestRellich:
