@@ -610,8 +610,12 @@ def identity_reports(suite: str, seed: int):
 def _run_identity_check(args) -> int:
     out_dir = Path(args.out_dir)
     manifest = _Manifest("identity-check", {"suite": args.suite}, args.seed)
+    names = _suite_names(args.suite)
+    # timed apart, so no suite's stage depends on whether it ran first
+    with manifest.stage("import"):
+        from . import fem, identities  # noqa: F401  (both load scipy)
     reports = []
-    for name in _suite_names(args.suite):
+    for name in names:
         with manifest.stage(name):
             reports.extend(_SUITES[name](args.seed))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -29,7 +29,6 @@ __all__ = [
     "radial_profile",
     "piecewise_radial_profile",
     "MaterialField",
-    "WaveSpeeds",
     "DomainSpec",
     "RobinSpec",
     "PerturbationSpec",
@@ -160,7 +159,6 @@ class MaterialField:
     rho: CoefficientProfile
     mu: CoefficientProfile
     lam: CoefficientProfile
-    description: str = "constant"
 
     def __post_init__(self):
         if not (self.rho.vmin > 0.0 and math.isfinite(self.rho.vmax)):
@@ -169,6 +167,16 @@ class MaterialField:
             raise InvalidMaterialError(f"mu bounds invalid: [{self.mu.vmin}, {self.mu.vmax}]")
         if not (self.lam.vmin >= 0.0 and math.isfinite(self.lam.vmax)):
             raise InvalidMaterialError(f"lambda bounds invalid: [{self.lam.vmin}, {self.lam.vmax}]")
+
+    @property
+    def description(self) -> str:
+        """The label of the profiles' kinds: "constant" when all three are
+        constant, "piecewise-radial" when any is piecewise, "radial-profile"
+        otherwise."""
+        kinds = {self.rho.kind, self.mu.kind, self.lam.kind}
+        if kinds == {"constant"}:
+            return "constant"
+        return "piecewise-radial" if "piecewise-radial" in kinds else "radial-profile"
 
     @property
     def rho_min(self):
@@ -183,16 +191,13 @@ class MaterialField:
         return self.mu.vmin
 
     @property
-    def mu_max(self):
-        return self.mu.vmax
-
-    @property
     def lam_min(self):
         return self.lam.vmin
 
     @property
-    def lam_max(self):
-        return self.lam.vmax
+    def theta_s_min(self) -> float:
+        """Worst-case shear wave speed sqrt(mu_min / rho_max)."""
+        return math.sqrt(self.mu_min / self.rho_max)
 
     @property
     def is_constant(self) -> bool:
@@ -200,42 +205,11 @@ class MaterialField:
 
     @classmethod
     def constant(cls, rho: float, mu: float, lam: float) -> "MaterialField":
-        return cls(
-            rho=constant_profile(rho),
-            mu=constant_profile(mu),
-            lam=constant_profile(lam),
-            description="constant",
-        )
+        return cls(rho=constant_profile(rho), mu=constant_profile(mu), lam=constant_profile(lam))
 
     @classmethod
     def radial(cls, rho, mu, lam) -> "MaterialField":
-        kinds = {rho.kind, mu.kind, lam.kind}
-        desc = "piecewise-radial" if "piecewise-radial" in kinds else "radial-profile"
-        return cls(rho=rho, mu=mu, lam=lam, description=desc)
-
-    def wave_speeds(self) -> "WaveSpeeds":
-        return WaveSpeeds(self)
-
-
-class WaveSpeeds:
-    """Pointwise shear/pressure wave speeds of a material field.
-
-    theta_s = sqrt(mu/rho), theta_p = sqrt((lambda + 2 mu)/rho) pointwise,
-    and the worst-case shear speed theta_s_min = sqrt(mu_min / rho_max).
-    """
-
-    def __init__(self, material: MaterialField):
-        self.material = material
-        self.theta_s_min = math.sqrt(material.mu_min / material.rho_max)
-
-    def theta_s(self, points) -> np.ndarray:
-        return np.sqrt(self.material.mu(points) / self.material.rho(points))
-
-    def theta_p(self, points) -> np.ndarray:
-        return np.sqrt(
-            (self.material.lam(points) + 2.0 * self.material.mu(points))
-            / self.material.rho(points)
-        )
+        return cls(rho=rho, mu=mu, lam=lam)
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,6 @@ system alone takes 0.19 s.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -327,7 +325,6 @@ def boundary_load(mesh: Mesh, tag: str, fn) -> np.ndarray:
 class SolveResult:
     u: np.ndarray  # (Nn, 2) complex nodal field
     residual_norm: float
-    omega: float
 
 
 def _flat(field: np.ndarray) -> np.ndarray:
@@ -639,10 +636,10 @@ def solve(
     s_ff, s_fd = system.free_blocks
     rhs_f = rhs[free] - s_fd @ u[system.dirichlet_dofs]
     if not np.any(rhs_f):
-        return SolveResult(u=u.reshape(-1, 2), residual_norm=0.0, omega=system.omega)
+        return SolveResult(u=u.reshape(-1, 2), residual_norm=0.0)
     u_f, residual, _ = _solve_checked(system.lu, s_ff, rhs_f)
     u[free] = u_f
-    return SolveResult(u=u.reshape(-1, 2), residual_norm=residual, omega=system.omega)
+    return SolveResult(u=u.reshape(-1, 2), residual_norm=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -987,10 +984,9 @@ def _sweep_row(cfg: SweepConfig, kappa: float, lam_ratio: float) -> SweepRow:
     (alpha_n = sqrt(2 + lambda/mu)), and the simple-Robin bound for the
     annulus at a custom (alpha_t, alpha_n)."""
     material = cfg.material(lam_ratio)
-    theta_s_min = math.sqrt(material.mu_min / material.rho_max)
-    omega = kappa * theta_s_min / cfg.ell
+    omega = kappa * material.theta_s_min / cfg.ell
     mesh = resolution_mesh(cfg, kappa)
-    ppw = mesh.points_per_wavelength(omega, theta_s_min)
+    ppw = mesh.points_per_wavelength(omega, material.theta_s_min)
     ideal = bound_obstacle_ideal(kappa, d=2)
     realistic = bound_obstacle_realistic(kappa, lam_ratio)
     robin = cfg.robin(material)
@@ -1026,27 +1022,10 @@ def _sweep_row(cfg: SweepConfig, kappa: float, lam_ratio: float) -> SweepRow:
     return SweepRow(estimate=est, **base)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ELASTAB_THREADS") or "1"
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"ELASTAB_THREADS must be a positive integer, got {raw!r}")
-    return threads
-
-
 def sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """One row per (kappa_s, lambda/mu) pair; rows violating the resolution
-    policy are refused (not solved) unless forced.  Row errors are recorded
-    and the sweep continues.  ELASTAB_THREADS > 1 runs rows in parallel;
-    results keep the input order either way.  An invalid configuration or
-    thread count raises ConfigError before any row is solved."""
+    """One row per (kappa_s, lambda/mu) pair, kappa_s-major, solved one
+    after another; rows violating the resolution policy are refused (not
+    solved) unless forced.  Row errors are recorded and the sweep continues.
+    An invalid configuration raises ConfigError before any row is solved."""
     cfg.validate()
-    threads = _thread_count()
-    tasks = [(k, lr) for k in cfg.kappa_s for lr in cfg.lambda_over_mu]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda t: _sweep_row(cfg, *t), tasks))
-    return [_sweep_row(cfg, k, lr) for k, lr in tasks]
+    return [_sweep_row(cfg, k, lr) for k in cfg.kappa_s for lr in cfg.lambda_over_mu]

@@ -443,8 +443,7 @@ def korn_audit(
     norm_v_a2 = float(np.sum(diss.w * (robin.a_t * vt2 + robin.a_n * np.abs(vn) ** 2)))
     eps_mu_b = math.sqrt(float(np.sum(diss.w * mu_b * diss.eps2)))
     kappa = groups.kappa_s
-    theta_s_min = math.sqrt(material.mu_min / material.rho_max)
-    omega = kappa * theta_s_min / ell
+    omega = kappa * material.theta_s_min / ell
     lhs_w = material.mu_min * grad2
     if kappa > 0.0:
         rhs_w = (

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -209,6 +210,27 @@ class TestDeterminism:
             assert code == 0
         assert (a / "greens_report.json").read_bytes() == (b / "greens_report.json").read_bytes()
 
+    def test_package_reads_no_environment_and_starts_no_threads(self):
+        # argv, config and seed are a run's whole input
+        banned_modules = ("threading", "concurrent", "multiprocessing")
+        found = []
+        for path in sorted(Path(elastab.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                    if node.module == "os":
+                        modules += [f"os.{alias.name}" for alias in node.names]
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id == "os"):
+                    modules = [f"os.{node.attr}"]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {m}" for m in modules
+                          if m.split(".")[0] in banned_modules or m in ("os.environ", "os.getenv")]
+        assert found == []
+
 
 class TestGreensCommand:
     def test_report_fields(self, tmp_path):
@@ -401,25 +423,21 @@ class TestFemSweepCommand:
         assert est["first_solve"]["refined"] is False
 
     @pytest.mark.parametrize(
-        "line,env",
+        "line",
         [
-            ("kappa_s = [-2]", None),
-            ("kappa_s = [NaN]", None),
-            ("order = 3", None),
-            ("material.mu = 0", None),
-            ("lambda_over_mu = [-5]", None),
-            ("geometry.r_in = 1.5", None),
-            ("geometry = 5", None),
-            ("order = 2", "two"),
-            ("order = 2", "0"),
-            ("robin.choice = nonsense", None),
+            "kappa_s = [-2]",
+            "kappa_s = [NaN]",
+            "order = 3",
+            "material.mu = 0",
+            "lambda_over_mu = [-5]",
+            "geometry.r_in = 1.5",
+            "geometry = 5",
+            "robin.choice = nonsense",
         ],
         ids=["kappa-negative", "kappa-nan", "order-3", "mu-zero", "lambda-negative",
-             "r_in-outside", "geometry-scalar", "threads-word", "threads-zero", "robin-unknown"],
+             "r_in-outside", "geometry-scalar", "robin-unknown"],
     )
-    def test_invalid_input_exits_2_without_output(self, line, env, tmp_path, capsys, monkeypatch):
-        if env is not None:
-            monkeypatch.setenv("ELASTAB_THREADS", env)
+    def test_invalid_input_exits_2_without_output(self, line, tmp_path, capsys):
         cfg = tmp_path / "sweep.txt"
         cfg.write_text(SWEEP_CFG_TEXT + line + "\n")
         out = tmp_path / "s"
@@ -559,12 +577,12 @@ class TestIdentityCheckCommand:
             return manifest["stages"], json.loads((out / "identity_report.json").read_text())
 
         stages, reports = run("all")
-        assert set(stages) == set(_SUITES)
+        assert set(stages) == {"import", *_SUITES}
         # the report does not depend on how the stages are cut
         singles = []
         for name in _SUITES:
             one_stage, one_reports = run(name)
-            assert list(one_stage) == [name]
+            assert set(one_stage) == {"import", name}
             singles.extend(one_reports)
         assert singles == reports
 

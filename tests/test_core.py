@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from elastab import core
+from elastab import core, fields, identities
 from elastab.errors import (
     InadmissibleCoefficientsError,
     InadmissibleMultiplierError,
@@ -35,15 +35,29 @@ class TestMaterialField:
         vals = mat.rho.at_radius(r)
         assert vals.min() >= 1.0 and vals.max() <= 2.0
 
-    def test_wave_speeds(self):
+    def test_theta_s_min(self):
         mat = core.MaterialField.constant(4.0, 9.0, 2.0)
-        ws = mat.wave_speeds()
-        pts = np.zeros((3, 2))
-        assert np.allclose(ws.theta_s(pts), math.sqrt(9.0 / 4.0))
-        assert np.allclose(ws.theta_p(pts), math.sqrt((2.0 + 18.0) / 4.0))
-        assert ws.theta_s_min == math.sqrt(9.0 / 4.0)
-        # pressure speed is at least sqrt(2) times the shear speed (lam >= 0)
-        assert np.all(ws.theta_p(pts) >= math.sqrt(2.0) * ws.theta_s(pts) - 1e-15)
+        assert mat.theta_s_min == math.sqrt(9.0 / 4.0)
+
+    def test_description_follows_the_profiles(self):
+        c = core.constant_profile(1.0)
+        mu = core.radial_profile(lambda r: 1.0 + 0.5 * r**2, 1.0, 1.5, derivative=lambda r: r)
+        v = fields.random_polynomial(2, 3, seed=0)
+        domain = core.DomainSpec(d=2, ell=1.0, shape="annulus", r_in=0.5)
+        # a variable mu built directly is not constant: the constant-coefficient
+        # Rellich identity refuses it instead of reporting a spurious gap
+        variable = core.MaterialField(rho=c, mu=mu, lam=c)
+        assert variable.description == "radial-profile"
+        with pytest.raises(ValueError):
+            identities.rellich_audit(v, domain, variable)
+        # three constant profiles make a constant field, however they are joined
+        joined = core.MaterialField.radial(c, c, c)
+        constant = core.MaterialField.constant(1.0, 1.0, 1.0)
+        assert joined.description == "constant"
+        assert (identities.rellich_audit(v, domain, joined).as_dict()
+                == identities.rellich_audit(v, domain, constant).as_dict())
+        pw = core.piecewise_radial_profile([0.0, 0.5], [1.0, 2.0])
+        assert core.MaterialField(rho=pw, mu=mu, lam=c).description == "piecewise-radial"
 
 
 class TestDomainSpec:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -858,14 +859,18 @@ class TestSweep:
         cs = [r.c_emp for r in rows]
         assert max(cs) / min(cs) < 1.25
 
-    def test_thread_pool_preserves_order_and_values(self, monkeypatch):
-        cfg = fem.SweepConfig(kappa_s=(1.0, 2.0), lambda_over_mu=(1.0,), seed=5)
-        sequential = fem.sweep(cfg)
-        monkeypatch.setenv("ELASTAB_THREADS", "2")
-        threaded = fem.sweep(cfg)
-        assert [r.kappa_s for r in threaded] == [r.kappa_s for r in sequential]
-        for a, b in zip(sequential, threaded):
-            assert a.c_emp == b.c_emp
+    def test_rows_are_kappa_major_and_made_on_the_calling_thread(self, monkeypatch):
+        calls = []
+
+        def row(cfg, kappa, lam_ratio):
+            calls.append((threading.get_ident(), kappa, lam_ratio))
+            return (kappa, lam_ratio)
+
+        monkeypatch.setattr(fem, "_sweep_row", row)
+        cfg = fem.SweepConfig(kappa_s=(1.0, 2.0), lambda_over_mu=(1.0, 100.0))
+        expected = [(1.0, 1.0), (1.0, 100.0), (2.0, 1.0), (2.0, 100.0)]
+        assert fem.sweep(cfg) == expected
+        assert calls == [(threading.get_ident(), k, lr) for k, lr in expected]
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_node_budget_counts_the_built_mesh(self, order, monkeypatch):
