@@ -366,7 +366,7 @@ def sweep_config_from(cfg: dict, seed: int) -> fem.SweepConfig:
         kappas = cfg.get("kappa_s")
         if kappas is None:
             sweep_cfg.validate()  # theta_s below needs rho, mu > 0
-            theta = math.sqrt(sweep_cfg.mu / sweep_cfg.rho)
+            theta = sweep_cfg.material(1.0).theta_s_min  # the same at every lambda/mu
             kappas = [float(w) * sweep_cfg.ell / theta for w in cfg["omega"]]
         sweep_cfg = dataclasses.replace(sweep_cfg, kappa_s=tuple(float(k) for k in kappas))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -409,6 +409,7 @@ def _run_fem_sweep(args) -> int:
             "lambda_over_mu": r.lambda_over_mu,
             "lanczos_steps": getattr(r.estimate, "steps", None),
             "ritz_residual": getattr(r.estimate, "ritz_residual", None),
+            "top_mode": getattr(r.estimate, "top_mode", None),
             "factor": {
                 "kind": getattr(r.estimate, "factor_kind", None),
                 "modes": getattr(r.estimate, "factor_modes", None),

@@ -11,8 +11,9 @@ Dirichlet conditions on the inner circle are imposed by elimination.
 
 The module also measures the empirical stability constant
 omega^2 * sup ||u||_rho / ||f||_rho: Lanczos in the rho-weighted (mass)
-inner product on the normal operator of the discrete solution map, stopped
-on a Ritz-residual certificate (``_lanczos``).  Every ``solve`` with one
+inner product on the normal operator of the discrete solution map, one
+Krylov space per angular mode where the system has them, stopped on a
+Ritz-residual certificate (``_lanczos``).  Every ``solve`` with one
 assembled system shares its factorization; each estimate makes one.  Both
 hold their solves to one residual check, which refines a solve that misses
 the contract once, on a long-double residual.
@@ -39,7 +40,9 @@ Where the structure is decided:
   sector 0 are then assembled (``_sector_rows``); sector 0's free rows
   give the blocks B_-1, B_0, B_1, checked for B_0 = B_0^T and
   B_-1 = B_1^T, and the half-spectrum mode blocks of S_ff and M_ff
-  (``_sector_modes``).  Lanczos runs on those, with no FFT per step.
+  (``_sector_modes``).  Lanczos runs on those, with no FFT per step,
+  in every mode block at once: the normal operator is block-diagonal
+  over the modes.
 * ``AssembledSystem.lu``, behind ``solve``, decides it from the entries
   of the fully assembled S_ff: every sector's rows must repeat sector 0's
   and be symmetric, and the factor (``_SectorLU``) reaches the high modes
@@ -52,7 +55,7 @@ coordinates of the factor: ``solve`` on the free dofs against S_ff, the
 estimate against its mode blocks, which are the unitary image of S_ff
 (rotation, then the DFT over sectors), so a relative residual there is
 one on the free dofs.  At kappa_s = 32 (20,500 nodes, 2 vCPU) an
-estimate takes 0.26 s and never holds the whole system; assembling that
+estimate takes 0.21 s and never holds the whole system; assembling that
 system alone takes 0.19 s.
 """
 
@@ -66,7 +69,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
 
 from . import mesh as _mesh
 from .bounds import bound_obstacle_ideal, bound_obstacle_realistic, stability_simple_robin
@@ -95,8 +97,8 @@ _RESIDUAL_TOL = 1e-8
 # Largest resolution mesh a sweep builds: kappa_s ~ 100 at the default
 # policy (order 2, 10 points per wavelength).  Peak memory grows about
 # linearly in the node count.  On 2 vCPU one kappa_s = 64 row (80,676
-# nodes) peaks at 0.25 GB in 1.7 s, and a kappa_s = 100 row (194,500
-# nodes) at 0.47 GB in 3.9 s; the direct factor, which a mesh that is not
+# nodes) peaks at 0.21 GB in 0.97 s, and a kappa_s = 100 row (194,500
+# nodes) at 0.39 GB in 2.4 s; the direct factor, which a mesh that is not
 # sector 0 rotated gets, took 1.55 GB and 12.5 s at kappa_s = 64.
 NODE_BUDGET = 200_000
 
@@ -287,10 +289,9 @@ def _assemble_cells(mesh: Mesh, material: MaterialField, robin: RobinSpec, cells
 def _free_dofs(mesh: Mesh) -> tuple:
     """(free, dirichlet): the sorted dof numbers off and on the Dirichlet
     circle, whose nodes are eliminated whole."""
-    dir_nodes = mesh.boundary_nodes(DIRICHLET)
-    dirichlet_dofs = np.concatenate([2 * dir_nodes, 2 * dir_nodes + 1])
-    dirichlet_dofs.sort()
-    return np.setdiff1d(np.arange(2 * mesh.n_nodes), dirichlet_dofs), dirichlet_dofs
+    on = np.zeros((mesh.n_nodes, 2), dtype=bool)
+    on[mesh.boundary_nodes(DIRICHLET)] = True
+    return np.flatnonzero(~on), np.flatnonzero(on)
 
 
 def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float) -> AssembledSystem:
@@ -689,56 +690,75 @@ class _Ritz(NamedTuple):
     """The top Ritz pair's value after a certified Lanczos run."""
 
     theta: float       # top Ritz value
+    block: int         # the block whose Krylov space holds it
     steps: int
     residual: float    # beta_k |y_k| / theta
     thetas: tuple      # the top Ritz value after each step (nondecreasing)
 
 
-def _lanczos(forward, adjoint, m_mat, v, iters: int = 400, tol: float = 1e-8) -> _Ritz:
+def _lanczos(forward, adjoint, m_mat, v, iters: int = 400, tol: float = 1e-8, blocks: int = 1) -> _Ritz:
     """Top eigenvalue of the M-self-adjoint operator x -> adjoint(M
     forward(M x)): with forward = S^-1 and adjoint = S^-H it is
     sigma_max^2 of L^H S^-1 L, M = L L^H.
 
-    Lanczos in the M inner product (``m_mat``) from the start vector ``v``,
-    with full M-reorthogonalisation against the kept M-images M v_j of the
-    basis: one forward and one adjoint solve and two products with M per
-    step.  The iteration stops once the top Ritz
-    pair (theta, y) of the tridiagonal T_k is certified, beta_k |y_k| <=
-    ``tol`` * theta.  The Ritz values never decrease with k.  Raises
-    ``IterationError`` (its ``last_iterates`` the last two Ritz values) when
-    ``iters`` steps certify nothing."""
-    size = v.size
+    S and M are block-diagonal over ``blocks`` equal runs of the vector
+    (the angular modes of ``_sector_modes``; one block is the whole
+    vector).  Lanczos in the M inner product (``m_mat``) runs in every
+    block at once, from that block's run of the start vector ``v``, with
+    full M-reorthogonalisation of each block against the kept M-images
+    M v_j of its basis: one forward and one adjoint solve and two products
+    with M per step, whatever the block count.  Each block keeps its own
+    tridiagonal T_k, and the iteration stops once the top Ritz pair
+    (theta, y) of the block holding the largest Ritz value is certified,
+    beta_k |y_k| <= ``tol`` * theta.  The Ritz vector lies in that block, so
+    this is its residual under the whole operator.  A block whose beta_k is
+    0 has found an invariant subspace and is never divided by it: its
+    later vectors are 0, which keeps its Ritz values.  The top Ritz value
+    never decreases with k.  Raises
+    ``IterationError`` (its ``last_iterates`` the last two top Ritz values)
+    when ``iters`` steps certify nothing."""
+    size = v.size // blocks
 
-    def m_norm(z, mz):
-        return math.sqrt(max(float(np.real(np.vdot(z, mz))), 0.0))
+    def m_dot(z, mz):  # per block: ||z||_M^2 = Re z^H (M z)
+        return np.einsum("bi,bi->b", z.conj(), mz).real
+
+    def m_apply(z):
+        return (m_mat @ z.reshape(-1)).reshape(blocks, size)
+
+    def normalised(z, mz):  # z / ||z||_M per block, 0 where the norm is 0
+        norm = np.sqrt(np.maximum(m_dot(z, mz), 0.0))
+        inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)[:, None]
+        return norm, z * inv, mz * inv
 
     steps = min(iters, size)
-    basis = np.empty((steps, size), dtype=complex)  # rows: M-orthonormal v_j
-    m_basis = np.empty_like(basis)  # rows: M v_j
-    alphas, betas, thetas = [], [], []
-    mv = m_mat @ v
-    scale = m_norm(v, mv)
-    v, mv = v / scale, mv / scale
+    # step-major, so that each step fills one contiguous slab of all blocks
+    basis = np.empty((steps, blocks, size), dtype=complex)  # [j, b]: block b's M-orthonormal v_j
+    m_basis = np.empty_like(basis)  # [j, b]: M v_j
+    alphas, betas, thetas = np.zeros((blocks, steps)), np.zeros((blocks, steps)), []
+    v = v.reshape(blocks, size)
+    _, v, mv = normalised(v, m_apply(v))
     for k in range(steps):
         basis[k], m_basis[k] = v, mv
-        u = forward(mv)
-        mu = m_mat @ u
-        alphas.append(float(np.real(np.vdot(u, mu))))  # ||S^-1 M v_k||_M^2
-        w = adjoint(mu)
+        u = forward(mv.reshape(-1)).reshape(blocks, size)
+        mu = m_apply(u)
+        alphas[:, k] = m_dot(u, mu)  # ||S^-1 M v_k||_M^2
+        w = adjoint(mu.reshape(-1)).reshape(blocks, size)
         for _ in range(2):  # full M-reorthogonalisation, twice is enough
-            coeffs = (m_basis[: k + 1] @ w.conj()).conj()  # <v_j, w>_M = (M v_j)^H w
-            w -= basis[: k + 1].T @ coeffs
-        mw = m_mat @ w
-        beta = m_norm(w, mw)
-        theta, y = eigh_tridiagonal(
-            np.array(alphas), np.array(betas), select="i", select_range=(k, k)
-        )
-        thetas.append(float(theta[0]))
-        residual = beta * abs(float(y[-1, 0]))
+            # per block: <v_j, w>_M = (M v_j)^H w
+            coeffs = np.matmul(w.conj()[:, None], m_basis[: k + 1].transpose(1, 2, 0)).conj()
+            w -= np.matmul(coeffs, basis[: k + 1].transpose(1, 0, 2))[:, 0]
+        betas[:, k], w, mw = normalised(w, m_apply(w))
+        t = np.zeros((blocks, k + 1, k + 1))  # each block's tridiagonal T_k
+        i = np.arange(k + 1)
+        t[:, i, i] = alphas[:, : k + 1]
+        t[:, i[1:], i[:-1]] = t[:, i[:-1], i[1:]] = betas[:, :k]
+        ritz, y = np.linalg.eigh(t)
+        top = int(np.argmax(ritz[:, -1]))
+        thetas.append(float(ritz[top, -1]))
+        residual = betas[top, k] * abs(float(y[top, -1, -1]))
         if residual <= tol * thetas[-1]:
-            return _Ritz(thetas[-1], k + 1, residual / thetas[-1], tuple(thetas))
-        betas.append(beta)
-        v, mv = w / beta, mw / beta
+            return _Ritz(thetas[-1], top, k + 1, residual / thetas[-1], tuple(thetas))
+        v, mv = w, mw
     raise IterationError(
         f"Lanczos estimate not certified in {steps} steps", last_iterates=tuple(thetas[-2:])
     )
@@ -781,7 +801,9 @@ class ConstantEstimate:
     within ``ritz_residual * theta`` of theta.  ``history`` holds
     omega^2 sqrt(theta) after each Lanczos step (nondecreasing).  The
     factor of S_ff is ``factor_kind`` ("sector" or "direct") and covers
-    ``factor_modes`` angular modes (n_theta; None for "direct").  ``lu_nnz``
+    ``factor_modes`` angular modes (n_theta; None for "direct").
+    ``top_mode`` is the angular mode m in 0..floor(n_theta/2) whose
+    Krylov space holds theta (None for "direct").  ``lu_nnz``
     counts the nonzeros in L + U of what was factored: for "sector", the
     h = floor(n_theta/2) + 1 mode blocks that serve all n_theta modes.
     ``solve_residual`` is the relative residual on which the first solve
@@ -794,6 +816,7 @@ class ConstantEstimate:
     history: tuple
     factor_kind: str
     factor_modes: int | None
+    top_mode: int | None
     lu_nnz: int
     solve_residual: float
     refined: bool
@@ -817,7 +840,10 @@ def empirical_constant(
     sector 0 rotated (``_sector_cells``), only the cells around sector 0
     are assembled (``_sector_rows``), and Lanczos runs on the half-spectrum
     mode blocks of S_ff and M_ff (``_sector_modes``), which hold the whole
-    spectrum: modes m and n - m of the normal operator share theirs.  Its
+    spectrum: modes m and n - m of the normal operator share theirs.  The
+    normal operator is block-diagonal over those modes, so Lanczos runs
+    one Krylov space per mode, in lockstep, and certifies the mode that
+    holds the top value (``_lanczos``, ``blocks`` = floor(n/2) + 1).  The
     start vector is the one drawn on the free dofs, projected onto those
     modes (``_modal``).  Any other mesh, or blocks that fail the symmetry
     checks, get the full assembly and the direct LU of S_ff.  The first
@@ -829,17 +855,18 @@ def empirical_constant(
     refined once too.
 
     Returns the ``ConstantEstimate`` (constant, step count, certificate,
-    history, factor and first-solve residual).  Raises ``IterationError``
-    when ``iters`` steps certify nothing.
+    history, factor, top mode and first-solve residual).  Raises
+    ``IterationError`` when ``iters`` steps certify nothing.
     """
     n = mesh.n_theta
     try:
         s_mat, m_mat = _sector_modes(n, *_sector_rows(mesh, material, robin, omega))
-        modes, size = n, s_mat.shape[0] // (n // 2 + 1) * n
+        modes, blocks = n, n // 2 + 1
+        size = s_mat.shape[0] // blocks * n
     except _NotSectorInvariant:
         system = assemble(mesh, material, robin, omega)
         s_mat, m_mat = system.free_blocks[0], system.free_mass.astype(complex)
-        modes, size = None, s_mat.shape[0]
+        modes, blocks, size = None, 1, s_mat.shape[0]
     factor = _factor(s_mat)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=size) + 1j * rng.normal(size=size)
@@ -847,7 +874,7 @@ def empirical_constant(
         v = _modal(n, v)
     solves = _CheckedSolves(factor, s_mat)
     try:
-        ritz = _lanczos(solves.forward, solves.adjoint, m_mat.tocsr(), v, iters, tol)
+        ritz = _lanczos(solves.forward, solves.adjoint, m_mat.tocsr(), v, iters, tol, blocks)
     except IterationError as exc:
         last = tuple(omega**2 * math.sqrt(theta) for theta in exc.last_iterates)
         raise IterationError(str(exc), last_iterates=last) from None
@@ -859,6 +886,7 @@ def empirical_constant(
         history=history,
         factor_kind="direct" if modes is None else "sector",
         factor_modes=modes,
+        top_mode=None if modes is None else ritz.block,
         lu_nnz=factor.L.nnz + factor.U.nnz,
         solve_residual=solves.residual,
         refined=solves.s_ext is not None,

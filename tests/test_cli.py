@@ -404,14 +404,16 @@ class TestFemSweepCommand:
         assert int(first["n_dofs"]) == rows[0]["n_dofs"]
         assert set(rows[0]) == set(header)
 
-    def test_manifest_records_certificates(self, tmp_path):
+    def test_manifest_records_certificates(self, tmp_path, monkeypatch):
+        from elastab import fem
+
         cfg = tmp_path / "sweep.txt"
         cfg.write_text(SWEEP_CFG_TEXT)
         out = tmp_path / "s"
         assert main(["fem-sweep", "--config", str(cfg), "--out-dir", str(out)]) == 0
         header = (out / "fem_sweep.csv").read_text().splitlines()[0].split(",")
         assert "lanczos_steps" not in header and "ritz_residual" not in header
-        assert not {"factor", "lu_nnz"} & set(header)
+        assert not {"factor", "lu_nnz", "top_mode"} & set(header)
         [est] = json.loads((out / "manifest.json").read_text())["estimates"]
         assert est["kappa_s"] == 1.0 and est["lanczos_steps"] >= 1
         assert 0.0 <= est["ritz_residual"] <= 1e-8
@@ -421,6 +423,21 @@ class TestFemSweepCommand:
         assert est["factor"]["lu_nnz"] > 0
         assert 0.0 <= est["first_solve"]["residual"] <= 1e-8
         assert est["first_solve"]["refined"] is False
+        # the angular mode m in 0..n_theta/2 whose block holds the top value
+        sweep_cfg = fem.SweepConfig()
+        material = sweep_cfg.material(1.0)
+        mesh = fem.resolution_mesh(sweep_cfg, 1.0)
+        in_process = fem.empirical_constant(mesh, material, sweep_cfg.robin(material), 1.0)
+        assert est["top_mode"] == in_process.top_mode and 0 <= est["top_mode"] <= n_theta // 2
+
+        # the direct path has no angular modes
+        def no_symmetry(mesh):
+            raise fem._NotSectorInvariant
+
+        monkeypatch.setattr(fem, "_sector_cells", no_symmetry)
+        assert main(["fem-sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]) == 0
+        [est] = json.loads((tmp_path / "d" / "manifest.json").read_text())["estimates"]
+        assert est["factor"]["kind"] == "direct" and est["top_mode"] is None
 
     @pytest.mark.parametrize(
         "line",
@@ -507,6 +524,7 @@ class TestFemSweepCommand:
         assert row["error"] == "solve residual 2e-08 above 1e-08"
         [est] = json.loads((out / "manifest.json").read_text())["estimates"]
         assert est["lanczos_steps"] is None and est["ritz_residual"] is None
+        assert est["top_mode"] is None
         assert est["factor"] == {"kind": None, "modes": None, "lu_nnz": None}
         assert est["first_solve"] == {"residual": None, "refined": None}
 

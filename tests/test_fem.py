@@ -515,6 +515,53 @@ class TestLanczos:
         assert ritz.steps == len(ritz.thetas) < n and ritz.thetas[-1] == ritz.theta
         assert all(b >= a - 1e-12 * b for a, b in zip(ritz.thetas, ritz.thetas[1:]))
 
+    @pytest.mark.parametrize("scale,top_block", [(2.0, 3), (1.0 / 64.0, 2)])
+    def test_block_diagonal_operator_with_an_exhausted_block(self, scale, top_block):
+        # four blocks run in lockstep; block 2 is S = scale I, M = I, and its
+        # start run 2 e_0 is an eigenvector: beta = 0 exactly after one step.
+        # The random blocks come in ascending order of their top value, and
+        # block 2's value 1/scale^2 is below block 3's at scale 2 (the run
+        # goes on past the frozen block) and above it at scale 1/64
+        rng = np.random.default_rng(5)
+        n = 12
+
+        def top_value(s_b, m_b):
+            chol = np.linalg.cholesky(m_b)
+            c = chol.T @ np.linalg.solve(s_b, chol)
+            return np.linalg.eigh(c.conj().T @ c)[0][-1]
+
+        pairs = []
+        for _ in range(3):
+            s_b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 4.0 * np.eye(n)
+            a = rng.normal(size=(n, n))
+            pairs.append((s_b, a @ a.T + np.eye(n)))
+        pairs.sort(key=lambda pair: top_value(*pair))
+        pairs.insert(2, (scale * np.eye(n), np.eye(n)))
+        top = [top_value(*pair) for pair in pairs]
+        s, mass = la.block_diag(*(p[0] for p in pairs)), la.block_diag(*(p[1] for p in pairs))
+        v = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+        v[2] = 0.0
+        v[2, 0] = 2.0
+
+        def run(s, mass, v, blocks):
+            return fem._lanczos(
+                lambda b: np.linalg.solve(s, b),
+                lambda b: np.linalg.solve(s.conj().T, b),
+                mass,
+                v.reshape(-1),
+                blocks=blocks,
+            )
+
+        alone = run(*pairs[2], v[2], 1)
+        assert (alone.steps, alone.residual, alone.theta) == (1, 0.0, 1.0 / scale**2)
+        ritz = run(s, mass, v, 4)
+        assert ritz.block == top_block == int(np.argmax(top))
+        assert ritz.theta == pytest.approx(max(top), rel=1e-10)
+        assert ritz.residual <= 1e-8
+        assert ritz.steps == len(ritz.thetas) and ritz.thetas[-1] == ritz.theta
+        assert (ritz.steps == 1) == (top_block == 2)
+        assert all(b >= a - 1e-12 * b for a, b in zip(ritz.thetas, ritz.thetas[1:]))
+
 
 def _radial_material(kind, lam_ratio):
     if kind == "constant":
@@ -633,9 +680,11 @@ class TestSectorFactor:
         assert (direct.factor_kind, direct.factor_modes) == ("direct", None)
         assert sector.c_emp == pytest.approx(direct.c_emp, rel=1e-10)
         # the sector estimate starts from the seed's draw projected onto
-        # modes 0..floor(n/2); a Lanczos run on the direct factor of the
-        # fully assembled S_ff, started from that projection on the free
-        # dofs, is the same Krylov process, for every seed
+        # modes 0..floor(n/2) and runs one Krylov space per mode; their sum
+        # holds the one Krylov space of a run on the direct factor of the
+        # fully assembled S_ff started from that projection on the free
+        # dofs, so step by step its top Ritz value is at least that run's,
+        # for every seed
         for n_theta in (15, 24):
             m = build_annulus_mesh(0.5, 1.0, 3, n_theta)
             s = fem.assemble(m, material, robin, omega=2.0)
@@ -652,7 +701,10 @@ class TestSectorFactor:
                     m_ff,
                     _half_spectrum_projection(n_theta, v),
                 )
-                assert est.steps == ritz.steps, (n_theta, seed)
+                assert est.steps <= ritz.steps, (n_theta, seed)
+                for k in range(est.steps):
+                    floor = 4.0 * math.sqrt(ritz.thetas[k]) * (1.0 - 1e-12)
+                    assert est.history[k] >= floor, (n_theta, seed, k)
                 assert est.c_emp == pytest.approx(4.0 * math.sqrt(ritz.theta), rel=1e-10)
 
     @pytest.mark.parametrize("n_theta", [15, 24])
@@ -788,15 +840,20 @@ class TestSectorFactor:
         assert nnz[1] <= 1.25 * nnz[0]
 
     @pytest.mark.parametrize("order", [1, 2])
-    def test_every_sweep_mesh_takes_the_sector_path(self, order):
+    def test_every_sweep_mesh_takes_the_sector_path(self, order, monkeypatch):
         # the benchmark's kappa_s; the direct factor of the largest is ~9x
-        # the sector factor's fill
+        # the sector factor's fill.  Lanczos runs one block per mode
+        # 0..n_theta/2
+        blocks = []
+        lanczos = fem._lanczos
+        monkeypatch.setattr(fem, "_lanczos", lambda *a: blocks.append(a[-1]) or lanczos(*a))
         for kappa in (1.0, 2.0, 4.0, 16.0, 24.0, 32.0):
             cfg = fem.SweepConfig(kappa_s=(kappa,), order=order)
             m = fem.resolution_mesh(cfg, kappa)
             material = cfg.material(1.0)
             est = fem.empirical_constant(m, material, cfg.robin(material), omega=kappa)
             assert est.factor_kind == "sector", (kappa, order)
+            assert blocks.pop() == m.n_theta // 2 + 1 and 0 <= est.top_mode <= m.n_theta // 2
 
     def test_every_identity_check_mesh_takes_the_sector_path(self, monkeypatch):
         from elastab import cli
