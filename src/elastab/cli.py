@@ -410,11 +410,7 @@ def _run_fem_sweep(args) -> int:
             "lanczos_steps": getattr(r.estimate, "steps", None),
             "ritz_residual": getattr(r.estimate, "ritz_residual", None),
             "top_mode": getattr(r.estimate, "top_mode", None),
-            "factor": {
-                "kind": getattr(r.estimate, "factor_kind", None),
-                "modes": getattr(r.estimate, "factor_modes", None),
-                "lu_nnz": getattr(r.estimate, "lu_nnz", None),
-            },
+            "factor": {"lu_nnz": getattr(r.estimate, "lu_nnz", None)},
             "first_solve": {
                 "residual": getattr(r.estimate, "solve_residual", None),
                 "refined": getattr(r.estimate, "refined", None),

@@ -30,9 +30,10 @@ is the transpose of mode m, and only the modes 0..floor(n_theta/2) are
 factored, as one block-diagonal sparse LU.  M is real symmetric, so the
 normal operator of mode n - m has the spectrum of mode m's.
 
-Where the structure is decided:
+The mode blocks are the only factor the module makes.  Where the
+structure is checked:
 
-* ``empirical_constant`` decides it from its inputs.  Every
+* ``empirical_constant`` checks it on its inputs.  Every
   ``MaterialField`` is radial and every ``RobinSpec`` constant by
   construction, and ``_sector_cells`` checks that the mesh is sector 0
   rotated (nodes to 1e-12 of the outer radius; cells and boundary edges
@@ -43,20 +44,21 @@ Where the structure is decided:
   (``_sector_modes``).  Lanczos runs on those, with no FFT per step,
   in every mode block at once: the normal operator is block-diagonal
   over the modes.
-* ``AssembledSystem.lu``, behind ``solve``, decides it from the entries
-  of the fully assembled S_ff: every sector's rows must repeat sector 0's
+* ``AssembledSystem.lu``, behind ``solve``, checks it on the entries of
+  the fully assembled S_ff: every sector's rows must repeat sector 0's
   and be symmetric, and the factor (``_SectorLU``) reaches the high modes
   through the transposed factor.
 
-A mesh or system that fails these checks gets the full assembly and the
-direct LU of S_ff.  Both factors use the same symmetric-pattern ordering
-with diagonal-preferring pivoting.  Residuals are measured in the
-coordinates of the factor: ``solve`` on the free dofs against S_ff, the
-estimate against its mode blocks, which are the unitary image of S_ff
-(rotation, then the DFT over sectors), so a relative residual there is
-one on the free dofs.  At kappa_s = 32 (20,500 nodes, 2 vCPU) an
-estimate takes 0.21 s and never holds the whole system; assembling that
-system alone takes 0.19 s.
+A mesh or system that fails these checks raises ``SolverError`` naming
+the check.  The direct LU of S_ff, with the same symmetric-pattern
+ordering and diagonal-preferring pivoting (``_factor``), is the tests'
+oracle.  Residuals are measured in the coordinates of the factor:
+``solve`` on the free dofs against S_ff, the estimate against its mode
+blocks, which are the unitary image of S_ff (rotation, then the DFT over
+sectors), so a relative residual there is one on the free dofs.  At
+kappa_s = 32 (20,500 nodes, 2 vCPU) an estimate takes 0.19-0.20 s and
+never holds the whole system; assembling that system alone takes
+0.28-0.34 s.
 """
 
 from __future__ import annotations
@@ -98,8 +100,8 @@ _RESIDUAL_TOL = 1e-8
 # policy (order 2, 10 points per wavelength).  Peak memory grows about
 # linearly in the node count.  On 2 vCPU one kappa_s = 64 row (80,676
 # nodes) peaks at 0.21 GB in 0.97 s, and a kappa_s = 100 row (194,500
-# nodes) at 0.39 GB in 2.4 s; the direct factor, which a mesh that is not
-# sector 0 rotated gets, took 1.55 GB and 12.5 s at kappa_s = 64.
+# nodes) at 0.39 GB in 2.4 s.  The direct factor of S_ff, which only the
+# tests build (as the oracle), took 1.55 GB and 12.5 s at kappa_s = 64.
 NODE_BUDGET = 200_000
 
 _EDGE_QP, _EDGE_QW = np.polynomial.legendre.leggauss(4)
@@ -221,27 +223,18 @@ class AssembledSystem:
         return s_f[:, self.free].tocsc(), s_f[:, self.dirichlet_dofs]
 
     @cached_property
-    def free_mass(self) -> sp.csr_matrix:
-        """M_ff: the mass on the free rows and columns."""
-        return self.mass[self.free][:, self.free]
-
-    @cached_property
-    def lu(self):
-        """Factorization of S_ff, made on first use and shared by every
-        later solve with this system.  When S_ff is invariant under rotation
-        by one angular sector and complex symmetric (every mesh
-        ``build_annulus_mesh`` makes, with radial coefficients), it is
-        factored by angular Fourier modes (``_SectorLU``); otherwise by a
-        direct sparse LU of S_ff.  Both offer ``solve(rhs, trans)`` with
-        trans "N" or "H"."""
-        s_ff, free = self.free_blocks[0], self.free
+    def lu(self) -> _SectorLU:
+        """Factorization of S_ff by angular Fourier modes (``_SectorLU``),
+        made on first use and shared by every later solve with this system;
+        it offers ``solve(rhs, trans)`` with trans "N" or "H".  S_ff must be
+        invariant under rotation by one angular sector and complex symmetric,
+        as on every mesh ``build_annulus_mesh`` makes with radial
+        coefficients; SolverError names the check it fails."""
+        free = self.free
         # Dirichlet data eliminate whole nodes: free dofs pair up as (2k, 2k+1)
-        if np.array_equal(free[0::2] + 1, free[1::2]) and not np.any(free[0::2] % 2):
-            try:
-                return _SectorLU(self.mesh.n_theta, s_ff)
-            except _NotSectorInvariant:
-                pass
-        return _factor(s_ff)
+        if not (np.array_equal(free[0::2] + 1, free[1::2]) and not np.any(free[0::2] % 2)):
+            raise SolverError("the free dofs are not whole nodes")
+        return _SectorLU(self.mesh.n_theta, self.free_blocks[0])
 
 
 def _assemble_cells(mesh: Mesh, material: MaterialField, robin: RobinSpec, cells=None) -> tuple:
@@ -334,8 +327,9 @@ def _flat(field: np.ndarray) -> np.ndarray:
 
 
 def _factor(s_ff: sp.csc_matrix):
-    """Sparse LU of a system block: S_ff itself, or the block-diagonal
-    matrix of its angular mode blocks (``_SectorLU``, the estimate).
+    """Sparse LU of the block-diagonal matrix of the angular mode blocks
+    of S_ff (``_SectorLU``, the estimate); the tests also factor S_ff
+    itself with it, as the oracle.
 
     Both have a symmetric pattern (S is complex symmetric), so the
     fill-reducing ordering is taken on the pattern of A + A^T with
@@ -354,11 +348,6 @@ def _factor(s_ff: sp.csc_matrix):
         raise SolverError(f"system matrix is singular: {exc}") from exc
 
 
-class _NotSectorInvariant(Exception):
-    """A mesh is not invariant under rotation by one of its angular sectors,
-    or a matrix not block-circulant over them, or not symmetric there."""
-
-
 # S_ff and M_ff count as sector-invariant and symmetric when every sector's
 # rows repeat sector 0's entries, and sector 0's couplings their transposes,
 # to this fraction of the matrix's largest entry; a mesh's nodes count as
@@ -373,21 +362,21 @@ def _sector_cells(mesh: Mesh) -> np.ndarray:
     the boundary edges of sector s are sector 0's with every node id
     shifted by s P (mod the node count).  Every mesh ``build_annulus_mesh``
     makes is; its cells touching sector 0 are the 4 n_r of sectors
-    n_theta - 1 and 0.  Raises _NotSectorInvariant otherwise."""
+    n_theta - 1 and 0.  Raises SolverError otherwise."""
     n, total = mesh.n_theta, mesh.n_nodes
     edges = sorted(mesh.boundary_edges, key=lambda e: (e.cell, e.local_edge))
     if n < 3 or total % n or mesh.n_cells % n or len(edges) % n:
-        raise _NotSectorInvariant("sectors hold different node, cell or edge counts")
+        raise SolverError("sectors hold different node, cell or edge counts")
     per_node, per_cell = total // n, mesh.n_cells // n
     shift = np.arange(n)[:, None, None]
     angle = 2.0 * math.pi / n * shift[..., 0]
     x, y = mesh.nodes[:per_node].T
     turned = np.stack([np.cos(angle) * x - np.sin(angle) * y, np.sin(angle) * x + np.cos(angle) * y], axis=-1)
     if np.abs(turned - mesh.nodes.reshape(n, per_node, 2)).max() > _SECTOR_RTOL * mesh.ell:
-        raise _NotSectorInvariant("sectors hold different nodes")
+        raise SolverError("sectors hold different nodes")
     conn = mesh.conn.reshape(n, per_cell, -1)
     if not np.array_equal(conn, (conn[0] + per_node * shift) % total):
-        raise _NotSectorInvariant("sectors hold different cells")
+        raise SolverError("sectors hold different cells")
     # per edge: cell, local edge, tag, node ids; sector s's rows follow sector 0's
     table = np.array(
         [(e.cell, e.local_edge, e.tag == DIRICHLET, e.tag == DISSIPATIVE, *e.nodes) for e in edges]
@@ -397,37 +386,27 @@ def _sector_cells(mesh: Mesh) -> np.ndarray:
     expected = table[0] + step * shift
     expected[..., 4:] %= total
     if not np.array_equal(table, expected):
-        raise _NotSectorInvariant("sectors hold different boundary edges")
+        raise SolverError("sectors hold different boundary edges")
     return np.flatnonzero(np.any(mesh.conn < per_node, axis=1))
 
 
-def _sector_modes(n: int, *matrices) -> list:
-    """Half-spectrum angular Fourier decomposition of free-dof matrices.
+def _sector_couplings(n: int, *matrices) -> tuple:
+    """(L, pairs, couplings): the blocks B_0, B_1, B_-1 of free-dof
+    matrices that couple each angular sector to itself and its neighbours
+    (``_sector_modes``), on their union pattern.
 
-    The free nodes of a ``build_annulus_mesh`` system come sector by sector,
-    the same count L in each (the mesh numbers its nodes sector-major and
-    the Dirichlet circle removes the same nodes from every sector), so
-    block (2x2 node block) index k holds local node k % L of sector
-    k // L.  Rotated back by its sector angle s 2 pi / n, that node lands
-    on the same local node of sector 0.  In the coordinates of (sector,
-    local node, rotated component) a matrix A becomes T A T^T, T
-    orthogonal, and when that matrix is block-circulant with blocks B_-1,
-    B_0, B_1 coupling each sector to itself and its neighbours, the DFT
-    over sectors splits it into the mode blocks A_m = B_0 + B_1 w^m +
-    B_-1 w^-m, w = exp(2 pi i / n).  A symmetric A (B_0 = B_0^T, B_-1 =
-    B_1^T) has A_{n-m} = A_m^T, so the h = floor(n/2) + 1 modes
-    m = 0..floor(n/2) determine all n.  The union pattern of the blocks is
-    shared by every matrix.
-
-    Each matrix holds the columns of all n L free nodes and the rows of
-    every sector (S_ff, M_ff) or of sector 0 alone (``_sector_rows``);
-    every sector's rows are checked against sector 0's.  Returns, per
-    matrix, its h mode blocks as one block-diagonal CSC.  Raises
-    _NotSectorInvariant when the sectors hold different node counts or
-    the entries break the rotation symmetry or the symmetry."""
+    ``pairs`` holds the union pattern's (row node, column node) pairs of
+    sector 0's L local nodes as row node * L + column node, sorted; each
+    coupling is a (3, pairs, 2, 2) array of the matrix's B_0, B_1 and B_-1
+    2x2 node blocks on those pairs, rotated into sector 0's frame.  Each
+    matrix holds the columns of all n L free nodes and the rows of every
+    sector (S_ff, M_ff) or of sector 0 alone (``_sector_rows``); every
+    sector's rows are checked against sector 0's.  Raises SolverError when
+    the sectors hold different node counts or the entries break the
+    rotation symmetry or the symmetry."""
     size = matrices[0].shape[1]
     if n < 3 or size % (2 * n):
-        raise _NotSectorInvariant("sectors hold different node counts")
+        raise SolverError("sectors hold different node counts")
     nodes = size // (2 * n)
     row_sectors = matrices[0].shape[0] // (2 * nodes)
 
@@ -440,7 +419,7 @@ def _sector_modes(n: int, *matrices) -> list:
         col_sector, b = np.divmod(bsr.indices, nodes)
         shift = (col_sector - row_sector) % n  # 0, 1 or n - 1 for B_0, B_1, B_-1
         if np.any((shift > 1) & (shift < n - 1)):
-            raise _NotSectorInvariant("coupling beyond neighbouring sectors")
+            raise SolverError("coupling beyond neighbouring sectors")
         slot = (np.where(shift == n - 1, 2, shift) * nodes + a) * nodes + b
         blocks.append((row_sector, slot, bsr.data.reshape(-1, 4).T))
 
@@ -455,7 +434,7 @@ def _sector_modes(n: int, *matrices) -> list:
     flipped = pairs % nodes * nodes + pairs // nodes
     partner = np.minimum(np.searchsorted(pairs, flipped), pairs.size - 1)
     if np.any(pairs[partner] != flipped):
-        raise _NotSectorInvariant("the couplings are not symmetric")
+        raise SolverError("the couplings are not symmetric")
     # the sector angles of each block's row and column nodes
     step = 2.0 * math.pi / n
     row_angle = step * np.arange(row_sectors)[:, None]
@@ -465,14 +444,7 @@ def _sector_modes(n: int, *matrices) -> list:
     def turn(x, y, c, s):
         return c * x + s * y, c * y - s * x
 
-    half = n // 2 + 1
-    twiddle = np.exp(2j * math.pi * np.arange(half) / n)[:, None, None, None]
-    nl = 2 * nodes  # local dofs per sector
-    offset = nl * np.arange(half)[:, None, None, None]
-    rows = offset + (2 * (pairs // nodes))[:, None, None] + np.array([0, 1])[:, None]
-    cols = offset + (2 * (pairs % nodes))[:, None, None] + np.array([0, 1])
-    rows, cols = np.broadcast_arrays(rows, cols)
-    modes = []
+    couplings = []
     for row_sector, slot, data in blocks:
         # every sector's blocks on the union pattern, entries 00, 01, 10, 11
         # first; a sum that rounds to an exact zero in one sector and not in
@@ -486,16 +458,55 @@ def _sector_modes(n: int, *matrices) -> list:
         v[1], v[3] = turn(v[1], v[3], ca, sa)
         tol = _SECTOR_RTOL * np.abs(v).max(initial=0.0)
         if np.abs(v - v[:, :1]).max(initial=0.0) > tol:
-            raise _NotSectorInvariant("sectors hold different entries")
+            raise SolverError("sectors hold different entries")
         coeffs = np.zeros((3, pairs.size, 2, 2), dtype=complex)
         coeffs[block, where] = v[:, 0].T.reshape(-1, 2, 2)
         # B_0 = B_0^T and B_-1 = B_1^T, pair by pair
         if np.abs(coeffs - coeffs[[0, 2, 1]][:, partner].swapaxes(-1, -2)).max(initial=0.0) > tol:
-            raise _NotSectorInvariant("the blocks are not symmetric")
-        data = coeffs[0] + coeffs[1] * twiddle + coeffs[2] * twiddle.conj()  # (h, pairs, 2, 2)
-        modes.append(
-            sp.csc_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(half * nl, half * nl))
-        )
+            raise SolverError("the blocks are not symmetric")
+        couplings.append(coeffs)
+    return nodes, pairs, couplings
+
+
+def _sector_modes(n: int, *matrices) -> list:
+    """Half-spectrum angular Fourier decomposition of free-dof matrices.
+
+    The free nodes of a ``build_annulus_mesh`` system come sector by sector,
+    the same count L in each (the mesh numbers its nodes sector-major and
+    the Dirichlet circle removes the same nodes from every sector), so
+    block (2x2 node block) index k holds local node k % L of sector
+    k // L.  Rotated back by its sector angle s 2 pi / n, that node lands
+    on the same local node of sector 0.  In the coordinates of (sector,
+    local node, rotated component) a matrix A becomes T A T^T, T
+    orthogonal, and when that matrix is block-circulant with blocks B_-1,
+    B_0, B_1 coupling each sector to itself and its neighbours
+    (``_sector_couplings``, which checks this), the DFT over sectors splits
+    it into the mode blocks A_m = B_0 + B_1 w^m + B_-1 w^-m,
+    w = exp(2 pi i / n).  A symmetric A (B_0 = B_0^T, B_-1 = B_1^T) has
+    A_{n-m} = A_m^T, so the h = floor(n/2) + 1 modes m = 0..floor(n/2)
+    determine all n.
+
+    Returns, per matrix, its h mode blocks as one block-diagonal CSC.  The
+    union pattern of the blocks is shared by every matrix and every mode,
+    so one mode block's CSC structure, sorted by column and then row, is
+    built once and tiled over the h modes."""
+    nodes, pairs, couplings = _sector_couplings(n, *matrices)
+    half, nl = n // 2 + 1, 2 * nodes  # nl: local dofs per sector
+    # one mode block's entries, pair by pair, then row and column component
+    rows = ((2 * (pairs // nodes))[:, None] + np.array([0, 0, 1, 1])).ravel()
+    cols = ((2 * (pairs % nodes))[:, None] + np.array([0, 1, 0, 1])).ravel()
+    order = np.lexsort((rows, cols))
+    indices = (rows[order] + nl * np.arange(half)[:, None]).ravel()
+    col_ptr = np.cumsum(np.bincount(cols, minlength=nl))
+    indptr = np.concatenate([[0], (col_ptr + order.size * np.arange(half)[:, None]).ravel()])
+    twiddle = np.exp(2j * math.pi * np.arange(half) / n)[:, None]
+    modes = []
+    for coeffs in couplings:
+        c0, c1, c2 = coeffs.reshape(3, -1)[:, order]
+        data = c1 * twiddle  # (h, entries): B_0 + B_1 w^m + B_-1 w^-m
+        data += c0
+        data += c2 * twiddle.conj()
+        modes.append(sp.csc_matrix((data.reshape(-1), indices, indptr), shape=(half * nl, half * nl)))
     return modes
 
 
@@ -619,11 +630,12 @@ def solve(
     """Solve S u = M f (+ extra_load) with Dirichlet lifting.
 
     f is a nodal field (Nn, 2); extra_load is an already-assembled dual
-    vector (surface data for manufactured solutions).  Direct sparse
-    factorization, made once per system (``AssembledSystem.lu``); each
-    solve must reach relative residual 1e-8 on the free rows, after one step
-    of iterative refinement if the first solve misses it.  A singular system
-    or a missed residual raises SolverError.
+    vector (surface data for manufactured solutions).  S_ff is factored
+    by angular modes once per system (``AssembledSystem.lu``); each solve
+    must reach relative residual 1e-8 on the free rows, after one step of
+    iterative refinement if the first solve misses it.  A system that
+    fails the sector checks, a singular system or a missed residual raises
+    SolverError.
     """
     rhs = system.mass @ _flat(np.asarray(f, dtype=complex))
     if extra_load is not None:
@@ -766,11 +778,11 @@ def _lanczos(forward, adjoint, m_mat, v, iters: int = 400, tol: float = 1e-8, bl
 
 class _CheckedSolves:
     """The forward and adjoint solves of one estimate with ``factor``, a
-    factor of ``s`` in the same coordinates: S_ff on the free dofs, or its
-    half-spectrum mode blocks.  The first forward solve is held to the
-    residual contract against ``s``; its relative residual is kept as
-    ``residual``.  When it needs iterative refinement to meet it, that
-    solve and every later one is refined once."""
+    factor of ``s``, the half-spectrum mode blocks of S_ff, in their
+    coordinates.  The first forward solve is held to the residual contract
+    against ``s``; its relative residual is kept as ``residual``.  When it
+    needs iterative refinement to meet it, that solve and every later one
+    is refined once."""
 
     def __init__(self, factor, s):
         self.factor, self.s = factor, s
@@ -799,13 +811,11 @@ class ConstantEstimate:
     ``ritz_residual`` is the M-norm residual of the top Ritz pair relative
     to its Ritz value theta: some eigenvalue of the normal operator lies
     within ``ritz_residual * theta`` of theta.  ``history`` holds
-    omega^2 sqrt(theta) after each Lanczos step (nondecreasing).  The
-    factor of S_ff is ``factor_kind`` ("sector" or "direct") and covers
-    ``factor_modes`` angular modes (n_theta; None for "direct").
+    omega^2 sqrt(theta) after each Lanczos step (nondecreasing).
     ``top_mode`` is the angular mode m in 0..floor(n_theta/2) whose
-    Krylov space holds theta (None for "direct").  ``lu_nnz``
-    counts the nonzeros in L + U of what was factored: for "sector", the
-    h = floor(n_theta/2) + 1 mode blocks that serve all n_theta modes.
+    Krylov space holds theta.  ``lu_nnz`` counts the nonzeros in L + U of
+    the factor of the h = floor(n_theta/2) + 1 mode blocks that serve all
+    n_theta modes.
     ``solve_residual`` is the relative residual on which the first solve
     met the contract, after one refinement step when ``refined``.
     A sweep row carries it as ``SweepRow.estimate``."""
@@ -814,9 +824,7 @@ class ConstantEstimate:
     steps: int
     ritz_residual: float
     history: tuple
-    factor_kind: str
-    factor_modes: int | None
-    top_mode: int | None
+    top_mode: int
     lu_nnz: int
     solve_residual: float
     refined: bool
@@ -836,8 +844,8 @@ def empirical_constant(
 
     ``_lanczos`` on the normal operator S^-H M S^-1 M with one
     factorization of S, stopped once the top Ritz value theta is certified
-    to ``tol``; returns omega^2 sqrt(theta).  On a mesh whose sectors are
-    sector 0 rotated (``_sector_cells``), only the cells around sector 0
+    to ``tol``; returns omega^2 sqrt(theta).  The mesh's sectors must be
+    sector 0 rotated (``_sector_cells``): only the cells around sector 0
     are assembled (``_sector_rows``), and Lanczos runs on the half-spectrum
     mode blocks of S_ff and M_ff (``_sector_modes``), which hold the whole
     spectrum: modes m and n - m of the normal operator share theirs.  The
@@ -845,36 +853,27 @@ def empirical_constant(
     one Krylov space per mode, in lockstep, and certifies the mode that
     holds the top value (``_lanczos``, ``blocks`` = floor(n/2) + 1).  The
     start vector is the one drawn on the free dofs, projected onto those
-    modes (``_modal``).  Any other mesh, or blocks that fail the symmetry
-    checks, get the full assembly and the direct LU of S_ff.  The first
-    forward solve is held to the same residual contract as ``solve``, in
-    the factor's own coordinates: the mode blocks are the unitary image of
-    S_ff (rotation, then the DFT over sectors), so a relative residual
-    there is one on the free dofs.  When it needs iterative refinement to
+    modes (``_modal``).  The first forward solve is held to the same
+    residual contract as ``solve``, in the factor's own coordinates: the
+    mode blocks are the unitary image of S_ff (rotation, then the DFT over
+    sectors), so a relative residual there is one on the free dofs.  When it needs iterative refinement to
     meet it, every later forward and adjoint solve of the estimate is
     refined once too.
 
     Returns the ``ConstantEstimate`` (constant, step count, certificate,
-    history, factor, top mode and first-solve residual).  Raises
-    ``IterationError`` when ``iters`` steps certify nothing.
+    history, top mode, factor fill and first-solve residual).  Raises
+    ``SolverError`` when the mesh or the mode blocks fail the sector
+    checks, and ``IterationError`` when ``iters`` steps certify nothing.
     """
-    n = mesh.n_theta
-    try:
-        s_mat, m_mat = _sector_modes(n, *_sector_rows(mesh, material, robin, omega))
-        modes, blocks = n, n // 2 + 1
-        size = s_mat.shape[0] // blocks * n
-    except _NotSectorInvariant:
-        system = assemble(mesh, material, robin, omega)
-        s_mat, m_mat = system.free_blocks[0], system.free_mass.astype(complex)
-        modes, blocks, size = None, 1, s_mat.shape[0]
+    n, blocks = mesh.n_theta, mesh.n_theta // 2 + 1
+    s_mat, m_mat = _sector_modes(n, *_sector_rows(mesh, material, robin, omega))
     factor = _factor(s_mat)
+    size = s_mat.shape[0] // blocks * n
     rng = np.random.default_rng(seed)
     v = rng.normal(size=size) + 1j * rng.normal(size=size)
-    if modes is not None:
-        v = _modal(n, v)
     solves = _CheckedSolves(factor, s_mat)
     try:
-        ritz = _lanczos(solves.forward, solves.adjoint, m_mat.tocsr(), v, iters, tol, blocks)
+        ritz = _lanczos(solves.forward, solves.adjoint, m_mat.tocsr(), _modal(n, v), iters, tol, blocks)
     except IterationError as exc:
         last = tuple(omega**2 * math.sqrt(theta) for theta in exc.last_iterates)
         raise IterationError(str(exc), last_iterates=last) from None
@@ -884,10 +883,8 @@ def empirical_constant(
         steps=ritz.steps,
         ritz_residual=ritz.residual,
         history=history,
-        factor_kind="direct" if modes is None else "sector",
-        factor_modes=modes,
-        top_mode=None if modes is None else ritz.block,
-        lu_nnz=factor.L.nnz + factor.U.nnz,
+        top_mode=ritz.block,
+        lu_nnz=factor.nnz,
         solve_residual=solves.residual,
         refined=solves.s_ext is not None,
     )

@@ -220,7 +220,9 @@ def build_annulus_mesh(r_in: float, ell: float, n_r: int, n_theta: int, order: i
             BoundaryEdge(cell_out, 1, DISSIPATIVE, tuple(nodes_out)),
         ]
 
-    _jacobian(_shapes(p, _TRI_QP)[1], nodes[conn][:, None])  # the assembly's check, on its rule
+    # the assembly's check, on its rule, on sector 0's 2 n_r cells: every
+    # sector is sector 0 rotated
+    _jacobian(_shapes(p, _TRI_QP)[1], nodes[conn[: 2 * n_r]][:, None])
     return Mesh(
         nodes=nodes,
         conn=conn,

@@ -404,7 +404,7 @@ class TestFemSweepCommand:
         assert int(first["n_dofs"]) == rows[0]["n_dofs"]
         assert set(rows[0]) == set(header)
 
-    def test_manifest_records_certificates(self, tmp_path, monkeypatch):
+    def test_manifest_records_certificates(self, tmp_path):
         from elastab import fem
 
         cfg = tmp_path / "sweep.txt"
@@ -419,8 +419,7 @@ class TestFemSweepCommand:
         assert 0.0 <= est["ritz_residual"] <= 1e-8
         [row] = csv.DictReader((out / "fem_sweep.csv").read_text().splitlines())
         n_theta = int(row["n_theta"])
-        assert est["factor"]["kind"] == "sector" and est["factor"]["modes"] == n_theta
-        assert est["factor"]["lu_nnz"] > 0
+        assert set(est["factor"]) == {"lu_nnz"} and est["factor"]["lu_nnz"] > 0
         assert 0.0 <= est["first_solve"]["residual"] <= 1e-8
         assert est["first_solve"]["refined"] is False
         # the angular mode m in 0..n_theta/2 whose block holds the top value
@@ -429,15 +428,6 @@ class TestFemSweepCommand:
         mesh = fem.resolution_mesh(sweep_cfg, 1.0)
         in_process = fem.empirical_constant(mesh, material, sweep_cfg.robin(material), 1.0)
         assert est["top_mode"] == in_process.top_mode and 0 <= est["top_mode"] <= n_theta // 2
-
-        # the direct path has no angular modes
-        def no_symmetry(mesh):
-            raise fem._NotSectorInvariant
-
-        monkeypatch.setattr(fem, "_sector_cells", no_symmetry)
-        assert main(["fem-sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "d")]) == 0
-        [est] = json.loads((tmp_path / "d" / "manifest.json").read_text())["estimates"]
-        assert est["factor"]["kind"] == "direct" and est["top_mode"] is None
 
     @pytest.mark.parametrize(
         "line",
@@ -525,7 +515,7 @@ class TestFemSweepCommand:
         [est] = json.loads((out / "manifest.json").read_text())["estimates"]
         assert est["lanczos_steps"] is None and est["ritz_residual"] is None
         assert est["top_mode"] is None
-        assert est["factor"] == {"kind": None, "modes": None, "lu_nnz": None}
+        assert est["factor"] == {"lu_nnz": None}
         assert est["first_solve"] == {"residual": None, "refined": None}
 
     @pytest.mark.parametrize(
