@@ -413,7 +413,7 @@ def _run_fem_sweep(args) -> int:
             "factor": {"lu_nnz": getattr(r.estimate, "lu_nnz", None)},
             "first_solve": {
                 "residual": getattr(r.estimate, "solve_residual", None),
-                "refined": getattr(r.estimate, "refined", None),
+                "backward_error": getattr(r.estimate, "backward_error", None),
             },
         }
         for r in rows

@@ -34,11 +34,9 @@ class MeshError(ElastabError):
 
 
 class SolverError(ElastabError):
-    """Linear solve failed to reach the residual contract."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """A linear system could not be factored or solved: the sector checks
+    failed, the factor is singular, or a solve missed the backward-error
+    contract (its message says "residual")."""
 
 
 class IterationError(ElastabError):

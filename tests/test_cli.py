@@ -420,8 +420,9 @@ class TestFemSweepCommand:
         [row] = csv.DictReader((out / "fem_sweep.csv").read_text().splitlines())
         n_theta = int(row["n_theta"])
         assert set(est["factor"]) == {"lu_nnz"} and est["factor"]["lu_nnz"] > 0
+        assert set(est["first_solve"]) == {"residual", "backward_error"}
         assert 0.0 <= est["first_solve"]["residual"] <= 1e-8
-        assert est["first_solve"]["refined"] is False
+        assert 0.0 < est["first_solve"]["backward_error"] <= 1e-14
         # the angular mode m in 0..n_theta/2 whose block holds the top value
         sweep_cfg = fem.SweepConfig()
         material = sweep_cfg.material(1.0)
@@ -516,7 +517,21 @@ class TestFemSweepCommand:
         assert est["lanczos_steps"] is None and est["ritz_residual"] is None
         assert est["top_mode"] is None
         assert est["factor"] == {"lu_nnz": None}
-        assert est["first_solve"] == {"residual": None, "refined": None}
+        assert est["first_solve"] == {"residual": None, "backward_error": None}
+
+    def test_nearly_incompressible_row_solves(self, tmp_path):
+        # lambda/mu = 1e8: the relative residual of the first solve is ~4e-8,
+        # its backward error ~5e-17, and the row is a finite c_emp
+        cfg = tmp_path / "sweep.txt"
+        cfg.write_text(SWEEP_CFG_TEXT.replace("kappa_s = [1.0]", "kappa_s = [8]")
+                       .replace("lambda_over_mu = [1.0]", "lambda_over_mu = [1e8]"))
+        out = tmp_path / "s"
+        assert main(["fem-sweep", "--config", str(cfg), "--out-dir", str(out), "--seed", "3"]) == 0
+        [row] = csv.DictReader((out / "fem_sweep.csv").read_text().splitlines())
+        assert row["error"] == "" and float(row["lambda_over_mu"]) == 1e8
+        assert math.isfinite(float(row["c_emp"]))
+        [est] = json.loads((out / "manifest.json").read_text())["estimates"]
+        assert 0.0 < est["first_solve"]["backward_error"] <= 1e-14
 
     @pytest.mark.parametrize(
         "doc,fields",
