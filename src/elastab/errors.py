@@ -26,7 +26,7 @@ class DomainEvaluationError(ElastabError):
 
 
 class SingularityError(ElastabError):
-    """Kernel evaluated at (or convolved through) the source point without a rule."""
+    """Kernel evaluated at the source point r = 0, where it has no finite value."""
 
 
 class MeshError(ElastabError):

@@ -5,10 +5,10 @@ midpoint-grid convolution over a ball with an analytic singular-cell rule,
 numerical verification of the whole-space stability bound 4 + 17 kappa_s,
 and the cos-transform norm that certifies the elastic part.
 
-Same-grid convolutions run as zero-padded FFTs on the (2n)^3 offset lattice
-(the kernel table is block-Toeplitz; see Vico, Greengard & Ferrando, J.
-Comput. Phys. 323, 2016); the direct pairwise sum over arbitrary targets is
-kept as the independent path.  The kernels are radial, so a table is
+Convolutions run as zero-padded FFTs on the (2n)^3 offset lattice (the
+kernel table is block-Toeplitz; see Vico, Greengard & Ferrando, J. Comput.
+Phys. 323, 2016); the direct pairwise sum is the tests' oracle
+(``tests/greens_oracle.py``).  The kernels are radial, so a table is
 evaluated on one octant of offsets and mirrored, and a tensor kernel is
 kept, transformed and contracted as its six symmetric components.  The
 self-cell and near-field series run in powers of the dimensionless i k a.
@@ -29,18 +29,14 @@ from .errors import SingularityError
 
 __all__ = [
     "WaveNumbers",
-    "scalar_kernels",
     "hessian_radial",
     "kelvin_tensor",
     "green_tensor",
     "elastic_hessian_kernel",
     "BallGrid",
     "ball_grid",
-    "SourceField",
-    "convolve",
     "random_ball_sources",
     "FundamentalBoundReport",
-    "verify_fundamental_bound",
     "verify_fundamental_sweep",
     "fourier_multiplier_entry",
     "fourier_multiplier_norm",
@@ -83,45 +79,6 @@ def _radii(y):
     y = np.atleast_2d(y)
     r = np.linalg.norm(y, axis=-1)
     return y, r, single
-
-
-def scalar_kernels(y, k: WaveNumbers, theta_s: float):
-    """Acoustic kernel g_a = e^{i k_s r}/(4 pi theta_s^2 r) and the
-    difference kernel g_e = (e^{i k_s r} - e^{i k_p r})/(4 pi r).
-
-    g_e extends continuously to r = 0 with limit i (k_s - k_p)/(4 pi);
-    g_a has no finite limit there, so r = 0 raises.
-    """
-    y, r, single = _radii(y)
-    if np.any(r == 0.0):
-        raise SingularityError("acoustic kernel evaluated at r = 0")
-    g_a = np.exp(1j * k.k_s * r) / (4.0 * math.pi * theta_s**2 * r)
-    g_e = _difference_kernel(r, k.k_s, k.k_p)
-    if single:
-        return complex(g_a[0]), complex(g_e[0])
-    return g_a, g_e
-
-
-def _difference_kernel(r, k_s, k_p):
-    """(e^{i k_s r} - e^{i k_p r})/(4 pi r), series-stabilized near r = 0:
-    sum_m ((i k_s r)^m - (i k_p r)^m)/m! over 4 pi r, in powers of the
-    dimensionless i k r, so no power of k or r alone can overflow."""
-    r = np.asarray(r, dtype=float)
-    kmax = max(abs(k_s), abs(k_p))
-    out = np.zeros(r.shape, dtype=complex)
-    near = kmax * r < 1e-3
-    far = ~near
-    if np.any(far):
-        rf = r[far]
-        out[far] = (np.exp(1j * k_s * rf) - np.exp(1j * k_p * rf)) / (4.0 * math.pi * rf)
-    if np.any(near):
-        rn = r[near]
-        xs, xp = 1j * k_s * rn, 1j * k_p * rn
-        acc = np.zeros(rn.shape, dtype=complex)
-        for m in range(1, 12):
-            acc += (xs**m - xp**m) / math.factorial(m)
-        out[near] = acc / (4.0 * math.pi * rn)
-    return out
 
 
 def hessian_radial(k: float, y) -> np.ndarray:
@@ -221,16 +178,14 @@ def green_tensor(y, rho: float, mu: float, lam: float, omega: float) -> np.ndarr
     y_arr, r, single = _radii(y)
     if np.any(r == 0.0):
         raise SingularityError("Green tensor evaluated at r = 0")
-    k = WaveNumbers.from_material(rho, mu, lam, omega)
-    theta_s = math.sqrt(mu / rho)
-    g_a = np.exp(1j * k.k_s * r) / (4.0 * math.pi * theta_s**2 * r)
-    hess = elastic_hessian_kernel(y_arr, k)
+    g_a = _scalar_kernel(y_arr, rho, mu, lam, omega)
+    hess = elastic_hessian_kernel(y_arr, WaveNumbers.from_material(rho, mu, lam, omega))
     out = g_a[..., None, None] * np.eye(3) + hess / omega**2
     return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
-# Midpoint grid over the ball and source fields
+# Midpoint grid over the ball and random sources
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -249,7 +204,6 @@ def ball_grid(ell: float, n: int) -> BallGrid:
     if n < 2:
         raise ValueError("grid must have at least 2 cells per axis")
     h = 2.0 * ell / n
-    centers = -ell + (np.arange(n) + 0.5) * h
     ii, jj, kk = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
     idx = np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
     nodes = -ell + (idx + 0.5) * h
@@ -257,31 +211,6 @@ def ball_grid(ell: float, n: int) -> BallGrid:
     nodes, idx = nodes[inside], idx[inside]
     weights = np.full(nodes.shape[0], h**3)
     return BallGrid(ell=ell, n=n, h=h, nodes=nodes, weights=weights, idx=idx)
-
-
-@dataclass(frozen=True)
-class SourceField:
-    """Quadrature-sampled volumetric load supported in B_ell."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    values: np.ndarray
-    ell: float
-    grid: BallGrid | None = None
-
-    def __post_init__(self):
-        if np.any(self.weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
-
-    @classmethod
-    def from_function(cls, grid: BallGrid, fn: Callable[[np.ndarray], np.ndarray]) -> "SourceField":
-        vals = np.asarray(fn(grid.nodes), dtype=complex)
-        if vals.shape != grid.nodes.shape:
-            raise ValueError("source function must return one 3-vector per node")
-        return cls(nodes=grid.nodes, weights=grid.weights, values=vals, ell=grid.ell, grid=grid)
-
-    def norm_rho(self, rho: float = 1.0) -> float:
-        return math.sqrt(rho * float(np.sum(self.weights * np.sum(np.abs(self.values) ** 2, axis=1))))
 
 
 def random_ball_sources(ell: float, count: int, seed: int, n_bumps: int = 3):
@@ -303,10 +232,6 @@ def random_ball_sources(ell: float, count: int, seed: int, n_bumps: int = 3):
 
         sources.append(fn)
     return sources
-
-
-def _cell_ball_radius(weight: float) -> float:
-    return (3.0 * weight / (4.0 * math.pi)) ** (1.0 / 3.0)
 
 
 def _ball_moment(w) -> complex:
@@ -335,22 +260,11 @@ def _elastic_self_integral(a: float, rho, mu, lam, omega) -> complex:
     return (xs * xs * _ball_moment(xs) - xp * xp * _ball_moment(xp)) / 3.0
 
 
-def _total_self_integral(a: float, rho, mu, lam, omega) -> complex:
-    """Integral of the fundamental tensor over the ball of radius a (times
-    the identity); the Kelvin closed form at omega = 0."""
-    if omega == 0.0:
-        beta = mu / (lam + 2.0 * mu)
-        return rho * a**2 * (2.0 + beta) / (6.0 * mu)
-    return (
-        _scalar_self_integral(a, rho, mu, lam, omega)
-        + _elastic_self_integral(a, rho, mu, lam, omega) / omega**2
-    )
-
-
 # Kernel evaluators at offsets z (M, 3).  They look the public kernels up at
 # call time, so a wrapper installed on the module sees every call.
 
 def _scalar_kernel(z, rho, mu, lam, omega):
+    """The acoustic kernel g_a = e^{i k_s r}/(4 pi theta_s^2 r)."""
     r = np.linalg.norm(z, axis=-1)
     k_s = WaveNumbers.from_material(rho, mu, lam, omega).k_s
     theta_s = math.sqrt(mu / rho)
@@ -359,10 +273,6 @@ def _scalar_kernel(z, rho, mu, lam, omega):
 
 def _elastic_kernel(z, rho, mu, lam, omega):
     return elastic_hessian_kernel(z, WaveNumbers.from_material(rho, mu, lam, omega))
-
-
-def _total_kernel(z, rho, mu, lam, omega):
-    return green_tensor(z, rho, mu, lam, omega)
 
 
 @dataclass(frozen=True)
@@ -378,22 +288,7 @@ class _Kernel:
 _KERNELS = {
     "scalar": _Kernel(_scalar_kernel, _scalar_self_integral),
     "elastic": _Kernel(_elastic_kernel, _elastic_self_integral),
-    "total": _Kernel(_total_kernel, _total_self_integral),
 }
-
-
-def _kernel(kernel: str) -> _Kernel:
-    try:
-        return _KERNELS[kernel]
-    except KeyError:
-        raise ValueError(f"unknown kernel {kernel!r}") from None
-
-
-def _self_coefficients(weight: float, rho, mu, lam, omega, kernel: str) -> complex:
-    """Coefficient c such that the singular-cell contribution is c * f(x)
-    (isotropic for every kernel)."""
-    a = _cell_ball_radius(weight)
-    return complex(_kernel(kernel).self_integral(a, rho, mu, lam, omega))
 
 
 # The independent components of a symmetric 3x3 kernel, in table order, and
@@ -424,7 +319,7 @@ def _kernel_table(grid: BallGrid, rho, mu, lam, omega, kernel: str):
     zi, zj, zk = np.meshgrid(offs, offs, offs, indexing="ij")
     z = np.stack([zi.ravel(), zj.ravel(), zk.ravel()], axis=1)
     z[0] = (grid.h, 0.0, 0.0)  # origin placeholder; the entry is zeroed below
-    octant = _kernel(kernel).evaluate(z, rho, mu, lam, omega)
+    octant = _KERNELS[kernel].evaluate(z, rho, mu, lam, omega)
     octant[0] = 0.0
     if octant.ndim == 1:
         table, parity = octant.reshape(1, n, n, n), np.ones((1, 3))
@@ -489,99 +384,9 @@ def _apply_kernel(grid: BallGrid, values, spectrum, rho, mu, lam, omega, kernel:
     u = np.fft.ifft(u, axis=-2)[..., :n, :]
     u = np.fft.ifft(u, axis=-1)[..., :n]
     out = np.transpose(u.reshape(3, values.shape[2], n**3)[:, :, _box_index(grid)], (2, 0, 1))
-    return out + _self_coefficients(float(grid.h**3), rho, mu, lam, omega, kernel) * values
-
-
-def _convolve_grid_batch(grid: BallGrid, values, rho, mu, lam, omega, kernel: str):
-    """Batched same-grid convolution: values of shape (N, 3) or (N, 3, S).
-
-    The kernel table is block-Toeplitz, so the pairwise sums are a linear
-    convolution, computed as a cyclic one by zero-padded FFT on the (2n)^3
-    lattice: one kernel transform shared by all S sources.
-    """
-    values = np.asarray(values, dtype=complex)
-    squeeze = values.ndim == 2
-    if squeeze:
-        values = values[:, :, None]
-    out = _apply_kernel(
-        grid, values, _source_spectrum(grid, values), rho, mu, lam, omega, kernel
-    )
-    return out[:, :, 0] if squeeze else out
-
-
-def _convolve_generic(
-    source: SourceField, rho, mu, lam, omega, targets, kernel: str,
-    singular_rule: bool = True, chunk: int = 128,
-):
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    evaluate = _kernel(kernel).evaluate
-    out = np.zeros((targets.shape[0], 3), dtype=complex)
-    tol = 1e-12 * source.ell
-    for start in range(0, targets.shape[0], chunk):
-        sl = slice(start, min(start + chunk, targets.shape[0]))
-        diff = targets[sl][:, None, :] - source.nodes[None, :, :]
-        r = np.linalg.norm(diff, axis=-1)
-        coincident = r < tol
-        if np.any(coincident) and not singular_rule:
-            raise SingularityError(
-                "target coincides with a quadrature node and the singular-cell "
-                "rule is disabled"
-            )
-        diff_safe = np.where(coincident[..., None], source.ell, diff)
-        g = evaluate(diff_safe.reshape(-1, 3), rho, mu, lam, omega)
-        g = g.reshape(diff.shape[:2] + g.shape[1:])
-        if g.ndim == 2:
-            g = np.where(coincident, 0.0, g)
-            out[sl] = np.einsum("tn,nj->tj", g, source.weights[:, None] * source.values)
-        else:
-            g = np.where(coincident[..., None, None], 0.0, g)
-            out[sl] = np.einsum(
-                "tnij,nj->ti", g, source.weights[:, None] * source.values
-            )
-        if np.any(coincident):
-            ti, si = np.nonzero(coincident)
-            for t, s in zip(ti, si):
-                coef = _self_coefficients(source.weights[s], rho, mu, lam, omega, kernel)
-                out[start + t] += coef * source.values[s]
-    return out
-
-
-def convolve(
-    source: SourceField,
-    rho: float,
-    mu: float,
-    lam: float,
-    omega: float,
-    targets: np.ndarray | None = None,
-    kernel: str = "total",
-    singular_rule: bool = True,
-) -> np.ndarray:
-    """u(x) = sum_j w_j K(x - y_j) f(y_j), with the cell containing x
-    replaced by the analytic integral of the kernel over the equal-volume
-    ball (``singular_rule``; disabling it makes a coincident target an
-    error).
-
-    kernel:
-      "total"   the fundamental tensor (u solves the whole-space problem),
-      "scalar"  the acoustic part g_a I applied componentwise,
-      "elastic" the difference-kernel Hessian (omega^2 times the elastic
-                part of u).
-
-    With ``targets=None`` and a grid-backed source, kernel values are
-    tabulated on the offset lattice (one evaluation per distinct offset)
-    and convolved by zero-padded FFT; arbitrary targets fall back to direct
-    pairwise evaluation.
-    """
-    if targets is None:
-        if source.grid is None:
-            raise ValueError("grid-free sources need explicit targets")
-        if not singular_rule:
-            raise SingularityError(
-                "same-grid convolution always passes through the source nodes; "
-                "the singular-cell rule cannot be disabled"
-            )
-        return _convolve_grid_batch(source.grid, source.values, rho, mu, lam, omega, kernel)
-    return _convolve_generic(source, rho, mu, lam, omega, targets, kernel, singular_rule)
+    # the self cell is replaced by the ball of equal volume, integrated exactly
+    a = (3.0 * grid.h**3 / (4.0 * math.pi)) ** (1.0 / 3.0)
+    return out + complex(_KERNELS[kernel].self_integral(a, rho, mu, lam, omega)) * values
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +403,6 @@ class FundamentalBoundReport:
     scalar_bound: float
     elastic_ratio: float
     elastic_bound: float
-
-    @property
-    def passed(self) -> bool:
-        return self.slack >= 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -628,8 +429,6 @@ def verify_fundamental_sweep(
     forward FFT of the sources feeds both the acoustic and the elastic
     kernel, and each kernel transform is shared across sources."""
     values = np.asarray(values, dtype=complex)
-    if values.ndim == 2:
-        values = values[:, :, None]
     k = WaveNumbers.from_material(rho, mu, lam, omega)
     kappa = k.k_s * grid.ell
     spectrum = _source_spectrum(grid, values)
@@ -672,18 +471,6 @@ def verify_fundamental_sweep(
         )
         for s in range(values.shape[2])
     ]
-
-
-def verify_fundamental_bound(
-    source: SourceField, rho: float, mu: float, lam: float, omega: float
-) -> FundamentalBoundReport:
-    """Measure omega^2 ||u||_rho / ||f||_rho on the source grid and report
-    the slack against 4 + 17 kappa_s, together with the componentwise
-    acoustic-part ratios (bounded by kappa_s) and the elastic-part ratio
-    (bounded by 4 + 16 kappa_s)."""
-    if source.grid is None:
-        raise ValueError("verification needs a grid-backed source")
-    return verify_fundamental_sweep(source.grid, source.values, rho, mu, lam, omega)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from elastab import greens
 from elastab.errors import SingularityError
+from greens_oracle import pairwise
 
 RHO, MU, LAM = 1.3, 2.0, 5.0
 THETA_S = math.sqrt(MU / RHO)
@@ -22,35 +23,49 @@ def poisson_form_kelvin(y, rho, mu, lam):
 
 class TestScalarKernels:
     def test_static_limit(self):
-        k = greens.WaveNumbers(k_s=0.0, k_p=0.0, omega=0.0)
-        y = np.array([0.3, -0.4, 0.5])
+        y = np.array([[0.3, -0.4, 0.5]])
         r = np.linalg.norm(y)
-        g_a, g_e = greens.scalar_kernels(y, k, THETA_S)
+        (g_a,) = greens._scalar_kernel(y, RHO, MU, LAM, 0.0)
         assert g_a == pytest.approx(1.0 / (4.0 * math.pi * THETA_S**2 * r))
-        assert g_e == 0.0
-
-    def test_equal_wavenumbers_kill_difference(self):
-        k = greens.WaveNumbers(k_s=2.0, k_p=2.0, omega=1.0)
-        y = np.random.default_rng(0).normal(size=(5, 3))
-        _, g_e = greens.scalar_kernels(y, k, THETA_S)
-        assert np.abs(g_e).max() == 0.0
 
     def test_unit_wavenumber_at_pi(self):
-        k = greens.WaveNumbers(k_s=1.0, k_p=0.5, omega=1.0)
-        y = np.array([math.pi, 0.0, 0.0])
-        g_a, _ = greens.scalar_kernels(y, k, THETA_S)
+        # omega = theta_s puts k_s at 1
+        y = np.array([[math.pi, 0.0, 0.0]])
+        (g_a,) = greens._scalar_kernel(y, RHO, MU, LAM, THETA_S)
         assert g_a == pytest.approx(-1.0 / (4.0 * math.pi**2 * THETA_S**2))
 
-    def test_difference_kernel_small_r_limit(self):
-        k = greens.WaveNumbers(k_s=2.0, k_p=1.0, omega=1.0)
-        y = np.array([[1e-9, 0.0, 0.0]])
-        _, g_e = greens.scalar_kernels(y, k, THETA_S)
-        assert g_e[0] == pytest.approx(1j * (2.0 - 1.0) / (4.0 * math.pi), rel=1e-6)
+    def test_equal_wavenumbers_kill_difference(self):
+        # G^E = (e^{i k_s r} - e^{i k_p r})/(4 pi r) vanishes, and its
+        # Hessian with it, on both the series and the closed-form branch
+        k = greens.WaveNumbers(k_s=2.0, k_p=2.0, omega=1.0)
+        y = np.random.default_rng(0).normal(size=(5, 3))
+        y = np.concatenate([y, 1e-3 * y])
+        assert np.abs(greens.elastic_hessian_kernel(y, k)).max() == 0.0
 
-    def test_origin_raises(self):
-        k = greens.WaveNumbers(k_s=1.0, k_p=0.5, omega=1.0)
+    def test_difference_kernel_small_r_limit(self):
+        # G^E = (1/4pi) [i (k_s - k_p) - (k_s^2 - k_p^2) r / 2 + O(r^2)], and
+        # Hess(r) = (I - yhat yhat)/r
+        k = greens.WaveNumbers(k_s=2.0, k_p=1.0, omega=1.0)
+        r = 1e-9
+        y = np.array([[r, 0.0, 0.0]])
+        (got,) = greens.elastic_hessian_kernel(y, k)
+        want = -(2.0**2 - 1.0**2) / (8.0 * math.pi * r) * np.diag([0.0, 1.0, 1.0])
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda y: greens.hessian_radial(1.0, y),
+            lambda y: greens.elastic_hessian_kernel(y, greens.WaveNumbers.from_material(RHO, MU, LAM, 2.0)),
+            lambda y: greens.green_tensor(y, RHO, MU, LAM, 2.0),
+            lambda y: greens.green_tensor(y, RHO, MU, LAM, 0.0),
+        ],
+        ids=["hessian_radial", "elastic_hessian_kernel", "green_tensor", "kelvin_tensor"],
+    )
+    def test_origin_raises(self, evaluate):
+        y = np.array([[0.3, -0.4, 0.5], [0.0, 0.0, 0.0]])
         with pytest.raises(SingularityError):
-            greens.scalar_kernels(np.zeros(3), k, THETA_S)
+            evaluate(y)
 
 
 class TestHessianRadial:
@@ -105,7 +120,8 @@ class TestGreenTensor:
         y = np.array([0.4, 0.8, -0.3])
         omega = 3.0
         k = greens.WaveNumbers.from_material(RHO, MU, LAM, omega)
-        g_a, _ = greens.scalar_kernels(y, k, math.sqrt(MU / RHO))
+        r = np.linalg.norm(y)
+        g_a = np.exp(1j * k.k_s * r) / (4.0 * math.pi * THETA_S**2 * r)
         hess = (greens.hessian_radial(k.k_s, y) - greens.hessian_radial(k.k_p, y)) / (4.0 * math.pi)
         assembled = g_a * np.eye(3) + hess / omega**2
         g = greens.green_tensor(y, RHO, MU, LAM, omega)
@@ -168,80 +184,82 @@ class TestGreenTensor:
         assert np.abs(g.real - k0.real).max() / np.abs(k0).max() < 1e-5
 
 
+def fft_apply(grid, values, omega, kernel):
+    """The package's same-grid convolution of values (N, 3) with a kernel."""
+    values = values[:, :, None]
+    spectrum = greens._source_spectrum(grid, values)
+    return greens._apply_kernel(grid, values, spectrum, RHO, MU, LAM, omega, kernel)[:, :, 0]
+
+
+def oracle_apply(nodes, h, values, omega, kernel):
+    """The same convolution by the pairwise oracle."""
+    entry = greens._KERNELS[kernel]
+    return pairwise(
+        nodes, h, values,
+        lambda z: entry.evaluate(z, RHO, MU, LAM, omega),
+        lambda a: entry.self_integral(a, RHO, MU, LAM, omega),
+    )
+
+
+def total_apply(nodes, h, values, omega):
+    """Convolution with the full tensor G by the pairwise oracle, omega > 0;
+    the self cell integrates G = g_a I + Hess(G^E)/omega^2 term by term."""
+    return pairwise(
+        nodes, h, values,
+        lambda z: greens.green_tensor(z, RHO, MU, LAM, omega),
+        lambda a: (
+            greens._scalar_self_integral(a, RHO, MU, LAM, omega)
+            + greens._elastic_self_integral(a, RHO, MU, LAM, omega) / omega**2
+        ),
+    )
+
+
+KERNELS = ["scalar", "elastic"]
+
+
 class TestConvolution:
-    def test_zero_source(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_zero_source(self, kernel):
         grid = greens.ball_grid(1.0, 8)
-        src = greens.SourceField.from_function(grid, lambda x: np.zeros((x.shape[0], 3)))
-        u = greens.convolve(src, RHO, MU, LAM, 2.0)
+        u = fft_apply(grid, np.zeros((grid.nodes.shape[0], 3), complex), 2.0, kernel)
         assert np.abs(u).max() == 0.0
 
-    def test_linearity(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_linearity(self, kernel):
         grid = greens.ball_grid(1.0, 8)
         fn1, fn2 = greens.random_ball_sources(1.0, 2, seed=5)
-        s1 = greens.SourceField.from_function(grid, fn1)
-        s2 = greens.SourceField.from_function(grid, fn2)
-        s12 = greens.SourceField(
-            nodes=grid.nodes, weights=grid.weights,
-            values=2.0 * s1.values + s2.values, ell=1.0, grid=grid,
-        )
-        u1 = greens.convolve(s1, RHO, MU, LAM, 2.0)
-        u2 = greens.convolve(s2, RHO, MU, LAM, 2.0)
-        u12 = greens.convolve(s12, RHO, MU, LAM, 2.0)
+        f1, f2 = fn1(grid.nodes), fn2(grid.nodes)
+        u1 = fft_apply(grid, f1, 2.0, kernel)
+        u2 = fft_apply(grid, f2, 2.0, kernel)
+        u12 = fft_apply(grid, 2.0 * f1 + f2, 2.0, kernel)
         assert np.abs(u12 - 2.0 * u1 - u2).max() / np.abs(u12).max() < 1e-13
 
-    def test_grid_and_generic_paths_agree(self):
-        grid = greens.ball_grid(1.0, 6)
-        (fn,) = greens.random_ball_sources(1.0, 1, seed=6)
-        src = greens.SourceField.from_function(grid, fn)
-        u_grid = greens.convolve(src, RHO, MU, LAM, 2.0)
-        u_gen = greens.convolve(src, RHO, MU, LAM, 2.0, targets=grid.nodes)
-        assert np.abs(u_grid - u_gen).max() / np.abs(u_grid).max() < 1e-12
-
     @pytest.mark.parametrize("n", [6, 7])
-    @pytest.mark.parametrize("omega", [0.0, 2.0])
-    @pytest.mark.parametrize("kernel", ["scalar", "elastic", "total"])
+    @pytest.mark.parametrize("omega", [0.0, 2.0, 7.0])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_fft_path_matches_pairwise_oracle(self, kernel, omega, n):
-        # odd and even n, and omega = 0 where "total" is the Kelvin tensor
-        # and the elastic kernel vanishes identically
+        # odd and even n, omega = 0 where the elastic kernel vanishes
+        # identically, and omega = 7 where several wavelengths fit the ball
         grid = greens.ball_grid(1.0, n)
         (fn,) = greens.random_ball_sources(1.0, 1, seed=11)
-        src = greens.SourceField.from_function(grid, fn)
-        u_grid = greens.convolve(src, RHO, MU, LAM, omega, kernel=kernel)
-        u_gen = greens.convolve(src, RHO, MU, LAM, omega, targets=grid.nodes, kernel=kernel)
-        assert np.abs(u_grid - u_gen).max() <= 1e-12 * np.abs(u_gen).max()
-
-    def test_unknown_kernel_raises(self):
-        grid = greens.ball_grid(1.0, 6)
-        src = greens.SourceField.from_function(grid, lambda x: np.ones((x.shape[0], 3)))
-        for targets in (None, grid.nodes[:3]):
-            with pytest.raises(ValueError, match="unknown kernel"):
-                greens.convolve(src, RHO, MU, LAM, 2.0, targets=targets, kernel="acoustic")
-
-    def test_coincident_target_without_rule_raises(self):
-        grid = greens.ball_grid(1.0, 6)
-        (fn,) = greens.random_ball_sources(1.0, 1, seed=6)
-        src = greens.SourceField.from_function(grid, fn)
-        with pytest.raises(SingularityError):
-            greens.convolve(src, RHO, MU, LAM, 2.0, targets=grid.nodes[:4],
-                            singular_rule=False)
-        # off-node targets are fine without the rule
-        u = greens.convolve(src, RHO, MU, LAM, 2.0,
-                            targets=grid.nodes[:4] + 1e-3, singular_rule=False)
-        assert np.all(np.isfinite(u))
+        values = fn(grid.nodes)
+        u_fft = fft_apply(grid, values, omega, kernel)
+        u_pair = oracle_apply(grid.nodes, grid.h, values, omega, kernel)
+        assert np.abs(u_fft - u_pair).max() <= 1e-12 * np.abs(u_pair).max()
 
     def test_grid_weights_are_cell_volumes(self):
         grid = greens.ball_grid(1.0, 12)
-        src = greens.SourceField.from_function(grid, lambda x: np.ones((x.shape[0], 3)))
         # weights sum exactly to the volume of the union of included cells
-        assert np.sum(src.weights) == pytest.approx(src.weights.size * grid.h**3, rel=1e-14)
+        assert np.sum(grid.weights) == pytest.approx(grid.weights.size * grid.h**3, rel=1e-14)
         # which approximates the ball volume
-        assert np.sum(src.weights) == pytest.approx(4.0 * math.pi / 3.0, rel=0.05)
+        assert np.sum(grid.weights) == pytest.approx(4.0 * math.pi / 3.0, rel=0.05)
 
-    def test_rotation_covariance(self):
-        # rotating source values, nodes, and targets rotates the field
+    @pytest.mark.parametrize("kernel", KERNELS + ["green"])
+    def test_rotation_covariance(self, kernel):
+        # rotating source values and nodes rotates the field
         grid = greens.ball_grid(1.0, 6)
         (fn,) = greens.random_ball_sources(1.0, 1, seed=7)
-        src = greens.SourceField.from_function(grid, fn)
+        values = fn(grid.nodes)
         theta = 0.7
         rot = np.array(
             [
@@ -250,12 +268,12 @@ class TestConvolution:
                 [0.0, 0.0, 1.0],
             ]
         )
-        u = greens.convolve(src, RHO, MU, LAM, 2.0, targets=grid.nodes)
-        src_rot = greens.SourceField(
-            nodes=grid.nodes @ rot.T, weights=grid.weights,
-            values=src.values @ rot.T, ell=1.0, grid=None,
-        )
-        u_rot = greens.convolve(src_rot, RHO, MU, LAM, 2.0, targets=grid.nodes @ rot.T)
+        if kernel == "green":
+            u = total_apply(grid.nodes, grid.h, values, 2.0)
+            u_rot = total_apply(grid.nodes @ rot.T, grid.h, values @ rot.T, 2.0)
+        else:
+            u = oracle_apply(grid.nodes, grid.h, values, 2.0, kernel)
+            u_rot = oracle_apply(grid.nodes @ rot.T, grid.h, values @ rot.T, 2.0, kernel)
         assert np.abs(u_rot - u @ rot.T).max() / np.abs(u).max() < 1e-12
 
     def test_two_grid_consistency_constant_source(self):
@@ -274,10 +292,8 @@ class TestConvolution:
         ratios = []
         for n in (16, 24):
             grid = greens.ball_grid(1.0, n)
-            src = greens.SourceField.from_function(grid, fn)
-            u = greens.convolve(src, RHO, MU, LAM, omega)
-            norm_u = math.sqrt(float(np.sum(grid.weights * np.sum(np.abs(u) ** 2, axis=1))))
-            ratios.append(norm_u / src.norm_rho(RHO))
+            values = fn(grid.nodes)[:, :, None]
+            ratios.append(greens.verify_fundamental_sweep(grid, values, RHO, MU, LAM, omega)[0].ratio)
         assert abs(ratios[0] - ratios[1]) / ratios[1] < 0.02
 
 
@@ -289,14 +305,14 @@ def full_lattice_table(grid, kernel, omega):
     offs = np.where(j < n, j, j - m) * grid.h
     z = np.stack(np.meshgrid(offs, offs, offs, indexing="ij"), axis=-1).reshape(-1, 3)
     z[0] = (grid.h, 0.0, 0.0)
-    table = greens._kernel(kernel).evaluate(z, RHO, MU, LAM, omega)
+    table = greens._KERNELS[kernel].evaluate(z, RHO, MU, LAM, omega)
     table[0] = 0.0
     return np.moveaxis(table, 0, -1).reshape(table.shape[1:] + (m, m, m))
 
 
 class TestKernelTable:
     @pytest.mark.parametrize("n", [6, 7, 16])
-    @pytest.mark.parametrize("kernel", ["scalar", "elastic", "total"])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_mirrored_table_matches_full_lattice(self, kernel, n):
         # the octant mirrored with the tensor parities equals a direct
         # evaluation at every reachable offset; the index-n planes are zero
@@ -313,7 +329,7 @@ class TestKernelTable:
         for axis in (-3, -2, -1):
             assert not np.any(np.take(table, n, axis=axis))
 
-    @pytest.mark.parametrize("kernel", ["scalar", "elastic", "total"])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_evaluator_sees_n_cubed_points(self, kernel, monkeypatch):
         sizes = []
         real = greens._KERNELS[kernel]
@@ -369,7 +385,7 @@ class TestSelfCell:
     @pytest.mark.parametrize("scale", [1e-13, 1e-40, 1e13])
     def test_series_depend_on_k_times_length_only(self, scale):
         # lengths scaled by s and wavenumbers by 1/s: the self integrals
-        # scale as s^2 and 1, the near-field kernels as 1/s and 1/s^3
+        # scale as s^2 and 1, the near-field Hessian kernel as 1/s^3
         a, omega = 0.05, 2.0
         y = np.array([[0.01, 0.02, -0.015], [1e-5, 0.0, 0.0]])
         k = greens.WaveNumbers.from_material(RHO, MU, LAM, omega)
@@ -381,64 +397,56 @@ class TestSelfCell:
              greens._elastic_self_integral(a, RHO, MU, LAM, omega)),
             (greens.elastic_hessian_kernel(y * scale, ks) * scale**3,
              greens.elastic_hessian_kernel(y, k)),
-            (greens._difference_kernel(np.linalg.norm(y, axis=1) * scale, ks.k_s, ks.k_p) * scale,
-             greens._difference_kernel(np.linalg.norm(y, axis=1), k.k_s, k.k_p)),
         ]
         for got, want in pairs:
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
 
 
+def verify_one(ell, n, seed, rho, mu, lam, omega):
+    """The report of one random source on an n-grid."""
+    grid = greens.ball_grid(ell, n)
+    (fn,) = greens.random_ball_sources(ell, 1, seed=seed)
+    return greens.verify_fundamental_sweep(grid, fn(grid.nodes)[:, :, None], rho, mu, lam, omega)[0]
+
+
 class TestVerifyFundamental:
     def test_low_frequency_ratio_small(self):
-        grid = greens.ball_grid(1.0, 10)
-        (fn,) = greens.random_ball_sources(1.0, 1, seed=8)
-        src = greens.SourceField.from_function(grid, fn)
-        rep = greens.verify_fundamental_bound(src, RHO, MU, LAM, omega=1e-3)
+        rep = verify_one(1.0, 10, 8, RHO, MU, LAM, omega=1e-3)
         assert rep.ratio < 0.1
         assert rep.bound >= 4.0
-        assert rep.passed
+        assert rep.slack >= 0.0
 
     def test_static_limit_trivial(self):
         # the omega^2 prefactor kills the ratio at zero frequency while the
         # bound keeps its constant term
-        grid = greens.ball_grid(1.0, 8)
-        (fn,) = greens.random_ball_sources(1.0, 1, seed=8)
-        src = greens.SourceField.from_function(grid, fn)
-        rep = greens.verify_fundamental_bound(src, RHO, MU, LAM, omega=0.0)
+        rep = verify_one(1.0, 8, 8, RHO, MU, LAM, omega=0.0)
         assert rep.kappa_s == 0.0
         assert rep.ratio == 0.0
         assert rep.bound == 4.0
-        assert rep.passed
+        assert rep.slack >= 0.0
 
     def test_unit_kappa_within_bound(self):
         ell = 1.0
         omega = THETA_S / ell  # kappa_s = 1
-        grid = greens.ball_grid(ell, 12)
-        (fn,) = greens.random_ball_sources(ell, 1, seed=9)
-        src = greens.SourceField.from_function(grid, fn)
-        rep = greens.verify_fundamental_bound(src, RHO, MU, LAM, omega)
+        rep = verify_one(ell, 12, 9, RHO, MU, LAM, omega)
         assert rep.kappa_s == pytest.approx(1.0)
         assert rep.ratio <= 21.0
         assert max(rep.scalar_ratios) <= rep.scalar_bound * 1.02
         assert rep.elastic_ratio <= rep.elastic_bound * 1.02
 
     def test_incompressible_sweep_stays_bounded(self):
-        ell, omega = 1.0, 1.5
-        grid = greens.ball_grid(ell, 10)
-        (fn,) = greens.random_ball_sources(ell, 1, seed=10)
         for ratio in (1.0, 1e3):
             mu = 1.0
             lam = ratio * mu
-            src = greens.SourceField.from_function(grid, fn)
-            rep = greens.verify_fundamental_bound(src, 1.0, mu, lam, omega)
+            rep = verify_one(1.0, 10, 10, 1.0, mu, lam, omega=1.5)
             assert rep.slack >= 0.0
 
-
     @pytest.mark.parametrize("n", [6, 7])
-    @pytest.mark.parametrize("omega", [0.0, 2.0])
+    @pytest.mark.parametrize("omega", [0.0, 2.0, 7.0])
     def test_sweep_batch_matches_pairwise_oracle(self, omega, n):
         # three sources through one source spectrum, against per-source
-        # pairwise convolutions with each kernel
+        # pairwise convolutions with each kernel; the total ratio is checked
+        # against the full tensor G, not against the split verify applies
         grid = greens.ball_grid(1.0, n)
         fns = greens.random_ball_sources(1.0, 3, seed=12)
         values = np.stack([fn(grid.nodes) for fn in fns], axis=2)
@@ -449,16 +457,14 @@ class TestVerifyFundamental:
             return np.sqrt(np.sum(w * np.abs(v) ** 2, axis=axis))
 
         for s, rep in enumerate(reports):
-            src = greens.SourceField(
-                nodes=grid.nodes, weights=grid.weights, values=values[:, :, s], ell=1.0, grid=grid,
-            )
-            u = {
-                kern: greens.convolve(src, RHO, MU, LAM, omega, targets=grid.nodes, kernel=kern)
-                for kern in ("scalar", "elastic", "total")
-            }
             f = values[:, :, s]
+            u = {kern: oracle_apply(grid.nodes, grid.h, f, omega, kern) for kern in KERNELS}
             expected = {
-                "ratio": omega**2 * norm(u["total"]) / norm(f),
+                # omega^2 ||u|| vanishes at omega = 0, where the split is singular
+                "ratio": (
+                    omega**2 * norm(total_apply(grid.nodes, grid.h, f, omega)) / norm(f)
+                    if omega > 0.0 else 0.0
+                ),
                 "elastic_ratio": norm(u["elastic"]) / norm(f),
             }
             for name, want in expected.items():
