@@ -331,6 +331,19 @@ def _run_greens(args) -> int:
 # fem-sweep
 # ---------------------------------------------------------------------------
 
+def _integer(value) -> int:
+    """An integral number as an int; ValueError for a fraction or a bool."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 # document key path -> the SweepConfig field it sets and the conversion of
 # its value; a key the document leaves out keeps the field's default
 _SWEEP_FIELDS = {
@@ -342,9 +355,9 @@ _SWEEP_FIELDS = {
     "robin.choice": ("robin_choice", lambda choice: choice),
     "robin.alpha_t": ("alpha_t", float),
     "robin.alpha_n": ("alpha_n", float),
-    "order": ("order", int),
+    "order": ("order", _integer),
     "points_per_wavelength": ("points_per_wavelength", float),
-    "force": ("force", bool),
+    "force": ("force", _boolean),
 }
 
 

@@ -10,7 +10,7 @@ constants (M, m, nu, eta, epsilon, gamma), and the derived groups
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -418,18 +418,7 @@ class DimensionlessGroups:
     c_rob: float
 
     def as_dict(self) -> dict:
-        return {
-            "kappa_s": self.kappa_s,
-            "alpha_t": self.alpha_t,
-            "alpha_n": self.alpha_n,
-            "alpha_min": self.alpha_min,
-            "alpha_max": self.alpha_max,
-            "beta_t": self.beta_t,
-            "beta_n": self.beta_n,
-            "chi": self.chi,
-            "zeta": self.zeta,
-            "c_rob": self.c_rob,
-        }
+        return asdict(self)
 
 
 def derive_groups(

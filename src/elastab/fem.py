@@ -33,24 +33,22 @@ normal operator of mode n - m has the spectrum of mode m's.
 The mode blocks are the only factor the module makes.  Where the
 structure is checked:
 
-* ``empirical_constant`` checks it on its inputs.  Every
-  ``MaterialField`` is radial and every ``RobinSpec`` constant by
-  construction, and ``_sector_cells`` checks that the mesh is sector 0
-  rotated (nodes to 1e-12 of the outer radius; cells and boundary edges
-  shifted by one sector's node count).  Only the 4 n_r cells around
-  sector 0 are then assembled (``_sector_rows``); sector 0's free rows
-  give the blocks B_-1, B_0, B_1, checked for B_0 = B_0^T and
-  B_-1 = B_1^T, and the half-spectrum mode blocks of S_ff and M_ff
-  (``_sector_modes``).  Lanczos runs on those, with no FFT per step,
-  in every mode block at once: the normal operator is block-diagonal
-  over the modes.
+* ``empirical_constant`` decides it from its inputs.  Every
+  ``MaterialField`` is radial, every ``RobinSpec`` constant and every
+  ``Mesh`` its polar lattice by construction, so only the 4 n_r cells
+  around sector 0 are assembled (``_sector_cells``, ``_sector_rows``),
+  with no check of the mesh.  Sector 0's free rows give the blocks
+  B_-1, B_0, B_1, checked for B_0 = B_0^T and B_-1 = B_1^T, and the
+  half-spectrum mode blocks of S_ff and M_ff (``_sector_modes``).
+  Lanczos runs on those, with no FFT per step, in every mode block at
+  once: the normal operator is block-diagonal over the modes.
 * ``AssembledSystem.lu``, behind ``solve``, checks it on the entries of
   the fully assembled S_ff: every sector's rows must repeat sector 0's
   and be symmetric, and the factor (``_SectorLU``) reaches the high modes
   through the transposed factor.
 
-A mesh or system that fails these checks raises ``SolverError`` naming
-the check.  The direct LU of S_ff, with the same symmetric-pattern
+A system that fails these checks raises ``SolverError`` naming the
+check.  The direct LU of S_ff, with the same symmetric-pattern
 ordering and diagonal-preferring pivoting (``_factor``), is the tests'
 oracle.  Backward errors are measured on the system that was factored:
 ``solve`` on the free dofs against S_ff, the estimate against its mode
@@ -140,8 +138,8 @@ def _geometry(mesh: Mesh, pts: np.ndarray, conn=None):
 
 
 class _EdgeQuadrature(NamedTuple):
-    """Edge-quadrature data of one boundary tag, edges in ``boundary_edges``
-    order."""
+    """Edge-quadrature data of one boundary tag, one edge per sector in
+    sector order (``Mesh.boundary``)."""
 
     cells: np.ndarray   # (E,) owning triangles
     local: np.ndarray   # (E,) local edge numbers
@@ -156,21 +154,18 @@ def _edge_quadrature(mesh: Mesh, tag: str, cells=None) -> _EdgeQuadrature:
     of them, or on those of the cells ``cells`` only.  Normals are radial
     (origin-centered circles): outward from the domain, so away from the
     origin on the dissipative circle and towards it on the Dirichlet one."""
-    edges = [e for e in mesh.boundary_edges if e.tag == tag]
-    if not edges:
-        raise ValueError(f"no boundary edges tagged {tag!r}")
+    owners, local, nodes = mesh.boundary(tag)
     if cells is not None:
-        keep = set(cells.tolist())
-        edges = [e for e in edges if e.cell in keep]
-    nodes = np.array([e.nodes for e in edges], dtype=int).reshape(len(edges), mesh.order + 1)
+        keep = np.isin(owners, cells)
+        owners, local, nodes = owners[keep], local[keep], nodes[keep]
     en, edn = _edge_shapes(mesh.order, _EDGE_QP)
     xe = mesh.nodes[nodes]  # (E, ae, 2)
     x = en @ xe
     w = np.linalg.norm(edn @ xe, axis=-1) * _EDGE_QW
     sign = 1.0 if tag == DISSIPATIVE else -1.0
     return _EdgeQuadrature(
-        cells=np.array([e.cell for e in edges], dtype=int),
-        local=np.array([e.local_edge for e in edges], dtype=int),
+        cells=owners,
+        local=local,
         nodes=nodes,
         x=x,
         w=w,
@@ -351,44 +346,14 @@ def _factor(s_ff: sp.csc_matrix):
 
 # S_ff and M_ff count as sector-invariant and symmetric when every sector's
 # rows repeat sector 0's entries, and sector 0's couplings their transposes,
-# to this fraction of the matrix's largest entry; a mesh's nodes count as
-# sector 0's rotated to this fraction of its outer radius
+# to this fraction of the matrix's largest entry
 _SECTOR_RTOL = 1e-12
 
 
 def _sector_cells(mesh: Mesh) -> np.ndarray:
-    """The cells that touch a node of sector 0, when every sector of the
-    mesh is sector 0 rotated: with P nodes and C cells per sector, node
-    s P + k is node k turned by s 2 pi / n_theta, and cell s C + c and
-    the boundary edges of sector s are sector 0's with every node id
-    shifted by s P (mod the node count).  Every mesh ``build_annulus_mesh``
-    makes is; its cells touching sector 0 are the 4 n_r of sectors
-    n_theta - 1 and 0.  Raises SolverError otherwise."""
-    n, total = mesh.n_theta, mesh.n_nodes
-    edges = sorted(mesh.boundary_edges, key=lambda e: (e.cell, e.local_edge))
-    if n < 3 or total % n or mesh.n_cells % n or len(edges) % n:
-        raise SolverError("sectors hold different node, cell or edge counts")
-    per_node, per_cell = total // n, mesh.n_cells // n
-    shift = np.arange(n)[:, None, None]
-    angle = 2.0 * math.pi / n * shift[..., 0]
-    x, y = mesh.nodes[:per_node].T
-    turned = np.stack([np.cos(angle) * x - np.sin(angle) * y, np.sin(angle) * x + np.cos(angle) * y], axis=-1)
-    if np.abs(turned - mesh.nodes.reshape(n, per_node, 2)).max() > _SECTOR_RTOL * mesh.ell:
-        raise SolverError("sectors hold different nodes")
-    conn = mesh.conn.reshape(n, per_cell, -1)
-    if not np.array_equal(conn, (conn[0] + per_node * shift) % total):
-        raise SolverError("sectors hold different cells")
-    # per edge: cell, local edge, tag, node ids; sector s's rows follow sector 0's
-    table = np.array(
-        [(e.cell, e.local_edge, e.tag == DIRICHLET, e.tag == DISSIPATIVE, *e.nodes) for e in edges]
-    ).reshape(n, len(edges) // n, -1)
-    step = np.zeros(table.shape[-1], dtype=int)
-    step[0], step[4:] = per_cell, per_node
-    expected = table[0] + step * shift
-    expected[..., 4:] %= total
-    if not np.array_equal(table, expected):
-        raise SolverError("sectors hold different boundary edges")
-    return np.flatnonzero(np.any(mesh.conn < per_node, axis=1))
+    """The 4 n_r cells that touch a node of sector 0, ascending: sector 0's
+    and sector n_theta - 1's (``Mesh``)."""
+    return np.r_[: 2 * mesh.n_r, mesh.n_cells - 2 * mesh.n_r : mesh.n_cells]
 
 
 def _sector_couplings(n: int, *matrices) -> tuple:
@@ -515,10 +480,10 @@ def _sector_rows(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: f
     """(S_0f, M_0f): the free rows of sector 0 of S_ff and M_ff, against
     all free columns, assembled from only the cells that touch sector 0
     (``_sector_cells``).  Those cells hold every entry of those rows.  The
-    mode blocks of the whole system follow (``_sector_modes``) when the
-    mesh is sector 0 rotated, which ``_sector_cells`` checks: every
-    ``MaterialField`` is radial and every ``RobinSpec`` is constant, so the
-    coefficients are invariant by construction."""
+    mode blocks of the whole system follow (``_sector_modes``): every
+    ``Mesh`` is sector 0 rotated, every ``MaterialField`` is radial and
+    every ``RobinSpec`` is constant, so the system is invariant by
+    construction."""
     cells = _sector_cells(mesh)
     stiffness, mass, robin_matrix = _assemble_cells(mesh, material, robin, cells)
     free, _ = _free_dofs(mesh)
@@ -800,14 +765,14 @@ def empirical_constant(
 
     ``_lanczos`` on the normal operator S^-H M S^-1 M with one
     factorization of S, stopped once the top Ritz value theta is certified
-    to ``tol``; returns omega^2 sqrt(theta).  The mesh's sectors must be
-    sector 0 rotated (``_sector_cells``): only the cells around sector 0
-    are assembled (``_sector_rows``), and Lanczos runs on the half-spectrum
-    mode blocks of S_ff and M_ff (``_sector_modes``), which hold the whole
-    spectrum: modes m and n - m of the normal operator share theirs.  The
-    normal operator is block-diagonal over those modes, so Lanczos runs
-    one Krylov space per mode, in lockstep, and certifies the mode that
-    holds the top value (``_lanczos``, ``blocks`` = floor(n/2) + 1).  The
+    to ``tol``; returns omega^2 sqrt(theta).  Every mesh is sector 0
+    rotated, so only the cells around sector 0 are assembled
+    (``_sector_cells``, ``_sector_rows``), and Lanczos runs on the
+    half-spectrum mode blocks of S_ff and M_ff (``_sector_modes``), which
+    hold the whole spectrum: modes m and n - m of the normal operator
+    share theirs.  The normal operator is block-diagonal over those modes,
+    so Lanczos runs one Krylov space per mode, in lockstep, and certifies
+    the mode that holds the top value (``_lanczos``, ``blocks`` = floor(n/2) + 1).  The
     start vector is the one drawn on the free dofs, projected onto those
     modes (``_modal``).  The first forward solve is held to the same
     backward-error contract as ``solve`` (``_check_solve``), against the
@@ -817,8 +782,8 @@ def empirical_constant(
 
     Returns the ``ConstantEstimate`` (constant, step count, certificate,
     history, top mode, factor fill, first-solve residual and backward
-    error).  Raises ``SolverError`` when the mesh or the mode blocks fail
-    the sector checks or the first solve misses the contract, and
+    error).  Raises ``SolverError`` when the mode blocks fail the sector
+    checks or the first solve misses the contract, and
     ``IterationError`` when ``iters`` steps certify nothing.
     """
     n, blocks = mesh.n_theta, mesh.n_theta // 2 + 1

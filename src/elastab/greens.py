@@ -3,7 +3,8 @@
 Kernel evaluation (acoustic part, elastic Hessian part, full tensor),
 midpoint-grid convolution over a ball with an analytic singular-cell rule,
 numerical verification of the whole-space stability bound 4 + 17 kappa_s,
-and the cos-transform norm that certifies the elastic part.
+and the cos-transform norm of the elastic part, sampled on a grid (a lower
+bound on its supremum, not a certificate).
 
 Convolutions run as zero-padded FFTs on the (2n)^3 offset lattice (the
 kernel table is block-Toeplitz; see Vico, Greengard & Ferrando, J. Comput.
@@ -101,18 +102,20 @@ def hessian_radial(k: float, y) -> np.ndarray:
 def elastic_hessian_kernel(y, k: WaveNumbers) -> np.ndarray:
     """Hessian of the difference kernel G^E(y) = g(|y|):
 
-        (1/4pi) [ coef_I(r) I + coef_yy(r) yhat (x) yhat ].
+        (1/4pi) [ g'(r)/r (I - yhat (x) yhat) + g''(r) yhat (x) yhat ].
 
     The 1/r^3 singularities of the two exponential Hessians cancel, leaving
     an integrable O(k^2/r) kernel; a power series in the dimensionless
-    i k r avoids the cancellation for k_max r < 0.1.
+    i k r avoids the cancellation for k_max r < 0.1.  Each coefficient is
+    formed on its own, so the radial one g'' does not cancel against the
+    transverse one g'/r.
     """
     y, r, single = _radii(y)
     if np.any(r == 0.0):
         raise SingularityError("elastic Hessian kernel evaluated at r = 0")
     kmax = max(abs(k.k_s), abs(k.k_p))
     coef_i = np.zeros(r.shape, dtype=complex)
-    coef_yy = np.zeros(r.shape, dtype=complex)
+    coef_rr = np.zeros(r.shape, dtype=complex)
     near = kmax * r < _SERIES_CUTOFF
     far = ~near
     if np.any(far):
@@ -124,7 +127,7 @@ def elastic_hessian_kernel(y, k: WaveNumbers) -> np.ndarray:
             - ep * (2.0 - 2j * k.k_p * rf - (k.k_p * rf) ** 2)
         ) / rf**3
         coef_i[far] = hp / rf
-        coef_yy[far] = hpp - hp / rf
+        coef_rr[far] = hpp
     if np.any(near):
         rn = r[near]
         xs, xp = 1j * k.k_s * rn, 1j * k.k_p * rn
@@ -136,13 +139,12 @@ def elastic_hessian_kernel(y, k: WaveNumbers) -> np.ndarray:
             if m >= 3:
                 ce += (m - 1) * (m - 2) * dm
         coef_i[near] = ci / rn**3
-        coef_yy[near] = (ce - ci) / rn**3
+        coef_rr[near] = ce / rn**3
     yhat = y / r[..., None]
-    eye = np.eye(3)
-    out = (
-        coef_i[..., None, None] * eye
-        + coef_yy[..., None, None] * (yhat[..., :, None] * yhat[..., None, :])
-    ) / (4.0 * math.pi)
+    yy = yhat[..., :, None] * yhat[..., None, :]
+    out = coef_i[..., None, None] * (np.eye(3) - yy)
+    out += coef_rr[..., None, None] * yy
+    out /= 4.0 * math.pi
     return out[0] if single else out
 
 
@@ -531,11 +533,14 @@ def fourier_multiplier_norm(
 ) -> float:
     """Max over the xi grid of |cos-transform of d/dr[eta * (e^{iksr}-e^{ikpr})]|.
 
-    Certifies the elastic-part Fourier multiplier; the analytic bound is
-    2 + 8 k_s ell.  The default grid spans [0, 20 k_s] (with a fallback
-    scale 1/ell when k_s = 0).  Every entry is in closed form, exact up to
-    rounding, so the accuracy target ``tol`` is always met; it is accepted
-    so that callers can state one.
+    The elastic-part Fourier multiplier, against its analytic bound
+    2 + 8 k_s ell.  The default grid holds 321 points on [0, 20 k_s] (with
+    a fallback scale 1/ell when k_s = 0).  The maximum over a grid is a
+    lower bound on the supremum over all xi, not a certificate: at
+    rho = mu = lambda = ell = 1 and omega = 8 the default grid reads
+    12.0011 and a 200,001-point grid 12.0298.  Every entry is in closed
+    form, exact up to rounding, so the accuracy target ``tol`` is always
+    met; it is accepted so that callers can state one.
     """
     if xi_grid is None:
         scale = k.k_s if k.k_s > 0.0 else 1.0 / ell

@@ -562,14 +562,6 @@ class ChainReport:
     def passed(self) -> bool:
         return all(link.passed for link in self.links)
 
-    def as_dict(self) -> dict:
-        return {
-            "links": [link.as_dict() for link in self.links],
-            "assembled_bound": self.assembled_bound,
-            "theorem_bound": self.theorem_bound,
-            "passed": self.passed,
-        }
-
 
 def estimate_chain_audit(
     result,

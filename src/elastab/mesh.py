@@ -7,7 +7,9 @@ circumferential edges sit on their circle, so the discrete geometry follows
 the curved boundary to fourth order.  Nodes and cells are numbered sector
 by sector: each of the n_theta angular sectors owns one contiguous run of
 node ids and one of cell ids, and rotating the mesh by one sector maps
-every node onto the node one run later (``build_annulus_mesh``).
+every node onto the node one run later.  A ``Mesh`` holds only its
+lattice parameters (r_in, ell, n_r, n_theta, order), from which its
+arrays are derived, so every mesh is numbered this way.
 
 The module also holds the reference-triangle geometry shared with the
 finite elements: the quadrature rule, the shape functions and the
@@ -16,14 +18,17 @@ Jacobian map, which rejects inverted cells.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import MeshError
 
-__all__ = ["BoundaryEdge", "Mesh", "build_annulus_mesh"]
+__all__ = ["Boundary", "Mesh", "build_annulus_mesh"]
 
 # degree-5 rule on the reference triangle (weights sum to 1/2)
 _TRI_QP = np.array(
@@ -113,24 +118,67 @@ def _grad_x(dn, xc):
     return det, dn @ inv
 
 
-@dataclass(frozen=True)
-class BoundaryEdge:
-    cell: int        # owning triangle
-    local_edge: int  # edge k runs from local node k to node (k+1) % 3
-    tag: str
-    nodes: tuple     # node ids along the edge: (start, end) or (start, end, midside)
+class Boundary(NamedTuple):
+    """The edges of one boundary circle, one per sector in sector order
+    (``Mesh.boundary``)."""
+
+    cells: np.ndarray  # (n_theta,) owning triangles
+    local: np.ndarray  # (n_theta,) local edge k runs from local node k to node (k+1) % 3
+    nodes: np.ndarray  # (n_theta, p + 1) node ids along each edge: start, end, then the midside
 
 
 @dataclass(frozen=True)
 class Mesh:
-    nodes: np.ndarray        # (Nn, 2), lattice point (I, J) at row J (order n_r + 1) + I
-    conn: np.ndarray         # (Nc, 3) or (Nc, 6): corners then midsides of edges (0,1),(1,2),(2,0)
-    order: int
+    """Structured polar mesh: n_r x n_theta quads between the circles, each
+    split into two positively oriented triangles (2 n_r n_theta cells),
+    numbered on the order-p polar lattice of (p n_r + 1) x p n_theta points.
+
+    Lattice point (I, J), I = 0..p n_r outwards from the inner circle and
+    J = 0..p n_theta - 1 by angle, is node J (p n_r + 1) + I.  Sector s,
+    between the angles 2 pi s / n_theta and 2 pi (s + 1) / n_theta, owns
+    nodes s P .. (s + 1) P - 1, P = p (p n_r + 1), and cells
+    2 n_r s .. 2 n_r (s + 1) - 1.  Even rows I sit on their circle at angle
+    2 pi J / (p n_theta).  Odd rows (P2 only) hold the midsides of radial
+    edges (even J) and of quad diagonals (odd J), at the chord midpoint of
+    the lattice points (I - 1, J - J % 2) and (I + 1, J + J % 2).
+
+    A mesh is its five parameters: its node, cell and boundary arrays
+    (``nodes``, ``conn``, ``boundary``) are derived from them once per
+    mesh and are read-only.  Raises MeshError when a cell's
+    Jacobian is not positive at every point of the triangle rule (coarse
+    angular against fine radial steps invert curved P2 cells)."""
+
     r_in: float
     ell: float
     n_r: int
     n_theta: int
-    boundary_edges: tuple = field(default_factory=tuple)
+    order: int = 2
+
+    def __post_init__(self):
+        if not (0.0 < self.r_in < self.ell):
+            raise MeshError(f"need 0 < r_in < ell, got r_in={self.r_in}, ell={self.ell}")
+        if self.n_r < 2 or self.n_theta < 8:
+            raise MeshError(f"need n_r >= 2 and n_theta >= 8, got {self.n_r}, {self.n_theta}")
+        if self.order not in (1, 2):
+            raise MeshError(f"basis order must be 1 or 2, got {self.order}")
+        # the assembly's check, on its rule, on sector 0's 2 n_r cells: every
+        # sector is sector 0 rotated
+        _jacobian(_shapes(self.order, _TRI_QP)[1], self.nodes[self.conn[: 2 * self.n_r]][:, None])
+
+    @functools.cached_property
+    def _arrays(self) -> _Lattice:
+        return _lattice(self.r_in, self.ell, self.n_r, self.n_theta, self.order)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """(Nn, 2) node coordinates, lattice point (I, J) at row J (p n_r + 1) + I."""
+        return self._arrays.nodes
+
+    @property
+    def conn(self) -> np.ndarray:
+        """(Nc, 3) or (Nc, 6) node ids per cell: corners, then the midsides of
+        the edges (0, 1), (1, 2), (2, 0)."""
+        return self._arrays.conn
 
     @property
     def n_nodes(self) -> int:
@@ -140,12 +188,17 @@ class Mesh:
     def n_cells(self) -> int:
         return self.conn.shape[0]
 
+    def boundary(self, tag: str) -> Boundary:
+        """The edges tagged ``tag``, one per sector in sector order;
+        ValueError for a tag with no edges."""
+        try:
+            return self._arrays.boundaries[tag]
+        except KeyError:
+            raise ValueError(f"no boundary edges tagged {tag!r}") from None
+
     def boundary_nodes(self, tag: str) -> np.ndarray:
-        ids: set[int] = set()
-        for e in self.boundary_edges:
-            if e.tag == tag:
-                ids.update(e.nodes)
-        return np.array(sorted(ids), dtype=int)
+        """The sorted ids of the nodes on the edges tagged ``tag``."""
+        return np.unique(self.boundary(tag).nodes)
 
     def max_edge_length(self) -> float:
         corners = self.nodes[self.conn[:, :3]]
@@ -163,30 +216,14 @@ class Mesh:
         return wavelength / (self.max_edge_length() / self.order)
 
 
-def build_annulus_mesh(r_in: float, ell: float, n_r: int, n_theta: int, order: int = 2) -> Mesh:
-    """Structured polar mesh: n_r x n_theta quads between the circles, each
-    split into two positively oriented triangles (2 n_r n_theta cells),
-    numbered on the order-p polar lattice of (p n_r + 1) x p n_theta points.
+class _Lattice(NamedTuple):
+    nodes: np.ndarray  # (Nn, 2), lattice point (I, J) at row J (p n_r + 1) + I
+    conn: np.ndarray   # (Nc, 3 p): corners then midsides of edges (0,1),(1,2),(2,0)
+    boundaries: dict   # tag -> Boundary
 
-    Lattice point (I, J), I = 0..p n_r outwards from the inner circle and
-    J = 0..p n_theta - 1 by angle, is node J (p n_r + 1) + I.  Sector s,
-    between the angles 2 pi s / n_theta and 2 pi (s + 1) / n_theta, owns
-    nodes s P .. (s + 1) P - 1, P = p (p n_r + 1), and cells
-    2 n_r s .. 2 n_r (s + 1) - 1.  Even rows I sit on their circle at angle
-    2 pi J / (p n_theta).  Odd rows (P2 only) hold the midsides of radial
-    edges (even J) and of quad diagonals (odd J), at the chord midpoint of
-    the lattice points (I - 1, J - J % 2) and (I + 1, J + J % 2).  Raises
-    MeshError when a cell's Jacobian is not positive at every point of the
-    triangle rule (coarse angular against fine radial steps invert curved
-    P2 cells)."""
-    if not (0.0 < r_in < ell):
-        raise MeshError(f"need 0 < r_in < ell, got r_in={r_in}, ell={ell}")
-    if n_r < 2 or n_theta < 8:
-        raise MeshError(f"need n_r >= 2 and n_theta >= 8, got {n_r}, {n_theta}")
-    if order not in (1, 2):
-        raise MeshError(f"basis order must be 1 or 2, got {order}")
 
-    p = order
+def _lattice(r_in: float, ell: float, n_r: int, n_theta: int, p: int) -> _Lattice:
+    """The read-only arrays of ``Mesh(r_in, ell, n_r, n_theta, p)``."""
     rows, cols = p * n_r + 1, p * n_theta
     radii = np.linspace(r_in, ell, n_r + 1)
     angles = 2.0 * math.pi * np.arange(cols) / cols
@@ -210,26 +247,13 @@ def build_annulus_mesh(r_in: float, ell: float, n_r: int, n_theta: int, order: i
 
     # per sector: the inner circle is local edge 2 (d -> a) of cell (a, c, d)
     # at i = 0, the outer circle local edge 1 (b -> c) of (a, b, c) at i = n_r - 1
-    inner, outer = range(1, conn.shape[0], 2 * n_r), range(2 * n_r - 2, conn.shape[0], 2 * n_r)
-    on_inner = conn[inner][:, [2, 0, 5][: p + 1]].tolist()
-    on_outer = conn[outer][:, [1, 2, 4][: p + 1]].tolist()
-    edges = []
-    for cell_in, nodes_in, cell_out, nodes_out in zip(inner, on_inner, outer, on_outer):
-        edges += [
-            BoundaryEdge(cell_in, 2, DIRICHLET, tuple(nodes_in)),
-            BoundaryEdge(cell_out, 1, DISSIPATIVE, tuple(nodes_out)),
-        ]
+    boundaries = {}
+    for tag, first, local, along in ((DIRICHLET, 1, 2, [2, 0, 5]), (DISSIPATIVE, 2 * n_r - 2, 1, [1, 2, 4])):
+        cells = np.arange(first, conn.shape[0], 2 * n_r)
+        boundaries[tag] = Boundary(cells, np.full(n_theta, local), conn[cells][:, along[: p + 1]])
+    for array in (nodes, conn, *itertools.chain(*boundaries.values())):
+        array.flags.writeable = False
+    return _Lattice(nodes, conn, boundaries)
 
-    # the assembly's check, on its rule, on sector 0's 2 n_r cells: every
-    # sector is sector 0 rotated
-    _jacobian(_shapes(p, _TRI_QP)[1], nodes[conn[: 2 * n_r]][:, None])
-    return Mesh(
-        nodes=nodes,
-        conn=conn,
-        order=order,
-        r_in=r_in,
-        ell=ell,
-        n_r=n_r,
-        n_theta=n_theta,
-        boundary_edges=tuple(edges),
-    )
+
+build_annulus_mesh = Mesh  # the name the callers build a mesh by

@@ -436,13 +436,17 @@ class TestFemSweepCommand:
             "kappa_s = [-2]",
             "kappa_s = [NaN]",
             "order = 3",
+            "order = 1.5",
+            "order = true",
+            'force = "false"',
             "material.mu = 0",
             "lambda_over_mu = [-5]",
             "geometry.r_in = 1.5",
             "geometry = 5",
             "robin.choice = nonsense",
         ],
-        ids=["kappa-negative", "kappa-nan", "order-3", "mu-zero", "lambda-negative",
+        ids=["kappa-negative", "kappa-nan", "order-3", "order-fraction", "order-bool",
+             "force-string", "mu-zero", "lambda-negative",
              "r_in-outside", "geometry-scalar", "robin-unknown"],
     )
     def test_invalid_input_exits_2_without_output(self, line, tmp_path, capsys):
@@ -682,6 +686,32 @@ _BOUNDS_DOC = st.fixed_dictionaries(
         "constants": st.fixed_dictionaries({}, optional={"c_general": _FIELD}),
     },
 )
+# fem-sweep documents: every _SWEEP_FIELDS key and kappa_s or omega; the
+# valid ranges keep kappa_s <= 4 (omega ell / theta_s <= 1 * 2 / 0.5)
+def _within(lo, hi):
+    return _mostly(st.floats(lo, hi), _SCALAR)
+
+
+def _list_within(lo, hi):
+    return _mostly(st.lists(_within(lo, hi), min_size=1, max_size=2), _SCALAR)
+
+
+_SWEEP_OPTIONAL = {
+    "geometry": st.fixed_dictionaries({}, optional={"r_in": _within(0.1, 0.9), "ell": _within(1.0, 2.0)}),
+    "material": st.fixed_dictionaries({}, optional={"rho": _within(0.5, 2.0), "mu": _within(0.5, 2.0)}),
+    "lambda_over_mu": _list_within(0.0, 1e4),
+    "robin": st.fixed_dictionaries({}, optional={
+        "choice": st.sampled_from(["shear", "pressure", "custom", "x"]),
+        "alpha_t": _FIELD, "alpha_n": _FIELD,
+    }),
+    "order": _mostly(st.sampled_from([1, 2]), _SCALAR),
+    "points_per_wavelength": _within(4.0, 12.0),
+    "force": _mostly(st.booleans(), _SCALAR),
+}
+_SWEEP_DOC = st.one_of(
+    st.fixed_dictionaries({"kappa_s": _list_within(0.5, 4.0)}, optional=_SWEEP_OPTIONAL),
+    st.fixed_dictionaries({"omega": _list_within(0.1, 1.0)}, optional=_SWEEP_OPTIONAL),
+)
 _GREENS_FLAGS = st.fixed_dictionaries(
     {"--omega": _FIELD},
     optional={flag: _FIELD for flag in ("--rho", "--mu", "--lam", "--ell")},
@@ -704,6 +734,11 @@ def _assert_contract(code, err, out, result):
         assert not out.exists()
     if code == 0:
         assert result.exists()
+        # non-finite values never reach a table
+        if result.suffix == ".csv":
+            for line in result.read_text().splitlines()[1:]:
+                for cell in line.split(","):
+                    assert cell.lower() not in ("nan", "inf", "-inf")
 
 
 class TestCliFuzz:
@@ -726,10 +761,28 @@ class TestCliFuzz:
             out = Path(tmp) / "out"
             code, err = _run_cli(["bounds", "--config", str(cfg), "--out-dir", str(out)])
             _assert_contract(code, err, out, out / "bounds.csv")
-            if code == 0:  # non-finite values never reach the table
-                for line in (out / "bounds.csv").read_text().splitlines()[1:]:
-                    for cell in line.split(","):
-                        assert cell.lower() not in ("nan", "inf", "-inf")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=_SWEEP_DOC)
+    @example(doc={"kappa_s": [1e3]})  # over the node budget
+    @example(doc={"kappa_s": [1.0], "points_per_wavelength": 1e300})
+    @example(doc={"omega": [1.0], "material": {"rho": 1e300, "mu": 1.0}})  # kappa_s = inf
+    @example(doc={"kappa_s": [2.0], "lambda_over_mu": [1e308], "robin": {"choice": "pressure"}})
+    @example(doc={"kappa_s": [1.0], "geometry": {"r_in": 0.5, "ell": 0.5}})
+    @example(doc={"kappa_s": [2.0], "points_per_wavelength": 0.5, "force": True, "order": 1})
+    def test_sweep_documents(self, doc):
+        # a 10,000-node budget keeps every fuzzed row cheap (kappa_s ~ 25 at
+        # 10 points per wavelength); larger meshes take the over-budget exit
+        from elastab import fem
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fem, "NODE_BUDGET", 10_000)
+            cfg = Path(tmp) / "sweep.json"
+            cfg.write_text(json.dumps(doc))
+            out = Path(tmp) / "out"
+            code, err = _run_cli(["fem-sweep", "--config", str(cfg), "--out-dir", str(out)])
+            _assert_contract(code, err, out, out / "fem_sweep.csv")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -36,9 +36,23 @@ class TestMesh:
         outer = m.boundary_nodes(DISSIPATIVE)
         assert np.allclose(np.linalg.norm(m.nodes[inner], axis=1), 0.5)
         assert np.allclose(np.linalg.norm(m.nodes[outer], axis=1), 1.0)
+        assert inner.size == outer.size == 2 * 12
         # every angular segment contributes one edge per circle
-        assert sum(1 for e in m.boundary_edges if e.tag == DIRICHLET) == 12
-        assert sum(1 for e in m.boundary_edges if e.tag == DISSIPATIVE) == 12
+        for tag in (DIRICHLET, DISSIPATIVE):
+            cells, local, nodes = m.boundary(tag)
+            assert cells.shape == local.shape == (12,) and nodes.shape == (12, 3)
+        with pytest.raises(ValueError, match="no boundary edges"):
+            m.boundary("neumann")
+
+    def test_is_its_lattice_parameters(self):
+        # a mesh is its five parameters; its derived arrays are read-only
+        m = build_annulus_mesh(0.5, 1.0, 3, 12, order=2)
+        assert [f.name for f in dataclasses.fields(m)] == ["r_in", "ell", "n_r", "n_theta", "order"]
+        assert build_annulus_mesh(0.5, 1.0, 3, 12) == m
+        for array in (m.nodes, m.conn, *m.boundary(DIRICHLET), *m.boundary(DISSIPATIVE)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert m.nodes.shape == (m.n_nodes, 2) and m.conn.shape == (m.n_cells, 6)
 
     def test_area_convergence(self):
         exact = math.pi * (1.0 - 0.25)
@@ -86,14 +100,20 @@ class TestMesh:
                         assert np.array_equal(m.nodes[node], 0.5 * (m.nodes[a] + m.nodes[b]))
                     else:
                         assert I[a] == I[b] == I[node]
-        edges = [(e.cell, e.local_edge, e.tag, e.nodes) for e in m.boundary_edges[:2]]
+        # sector 0's edge on each circle: cell, local edge, nodes; sector s's
+        # is sector 0's shifted by s sectors' cells and nodes
+        inner, outer = m.boundary(DIRICHLET), m.boundary(DISSIPATIVE)
+        edges = [(b.cells[0], b.local[0], b.nodes[0].tolist()) for b in (inner, outer)]
         if order == 1:
-            assert edges == [(1, 2, DIRICHLET, (3, 0)), (2, 1, DISSIPATIVE, (2, 5))]
+            assert edges == [(1, 2, [3, 0]), (2, 1, [2, 5])]
         else:
-            assert edges == [(1, 2, DIRICHLET, (10, 0, 5)), (2, 1, DISSIPATIVE, (4, 14, 9))]
-        assert [tuple(e.nodes) for e in m.boundary_edges[2:4]] == [
-            tuple(k + per_sector for k in e.nodes) for e in m.boundary_edges[:2]
-        ]
+            assert edges == [(1, 2, [10, 0, 5]), (2, 1, [4, 14, 9])]
+        shift = np.arange(8)
+        for b in (inner, outer):
+            assert np.array_equal(b.cells, b.cells[0] + 4 * shift) and np.all(b.local == b.local[0])
+            assert np.array_equal(b.nodes, (b.nodes[0] + per_sector * shift[:, None]) % m.n_nodes)
+        # the estimate's cells are those with a node in sector 0
+        assert np.array_equal(fem._sector_cells(m), np.flatnonzero(np.any(m.conn < per_sector, axis=1)))
 
     def test_builder_rejects_exactly_the_inverted_meshes(self, monkeypatch):
         # with curved midsides, a coarse angular step against a fine radial
@@ -193,29 +213,28 @@ def _per_edge(mesh, tag):
     weights, one edge at a time: the loop the vectorised boundary path
     replaced, kept as its oracle."""
     en, edn = fem._edge_shapes(mesh.order, fem._EDGE_QP)
-    for e in mesh.boundary_edges:
-        if e.tag == tag:
-            xe = mesh.nodes[list(e.nodes)]
-            yield e, en, en @ xe, np.linalg.norm(edn @ xe, axis=1) * fem._EDGE_QW
+    for cell, local, nodes in zip(*mesh.boundary(tag)):
+        xe = mesh.nodes[nodes]
+        yield (cell, local, nodes.tolist()), en, en @ xe, np.linalg.norm(edn @ xe, axis=1) * fem._EDGE_QW
 
 
 def _robin_reference(mesh, robin):
     r = np.zeros((2 * mesh.n_nodes, 2 * mesh.n_nodes))
-    for e, en, xq, ds in _per_edge(mesh, DISSIPATIVE):
+    for (_, _, nodes), en, xq, ds in _per_edge(mesh, DISSIPATIVE):
         for q, x in enumerate(xq):
             n = x / np.linalg.norm(x)
             amat = robin.a_t * np.eye(2) + (robin.a_n - robin.a_t) * np.outer(n, n)
-            for a, na in enumerate(e.nodes):
-                for b, nb in enumerate(e.nodes):
+            for a, na in enumerate(nodes):
+                for b, nb in enumerate(nodes):
                     r[2 * na:2 * na + 2, 2 * nb:2 * nb + 2] += ds[q] * en[q, a] * en[q, b] * amat
     return r
 
 
 def _load_reference(mesh, tag, fn):
     load = np.zeros((mesh.n_nodes, 2), dtype=complex)
-    for e, en, xq, ds in _per_edge(mesh, tag):
+    for (_, _, nodes), en, xq, ds in _per_edge(mesh, tag):
         g = fn(xq)
-        for a, node in enumerate(e.nodes):
+        for a, node in enumerate(nodes):
             load[node] += (ds * en[:, a]) @ g
     return load.reshape(-1)
 
@@ -227,9 +246,9 @@ def _samples_reference(mesh, tag, u):
     on_edge = {0: (t, 0 * t), 1: (1 - t, t), 2: (0 * t, 1 - t)}  # edge k: node k -> k+1
     sign = 1.0 if tag == DISSIPATIVE else -1.0
     out = [[] for _ in range(5)]
-    for e, _, xq, ds in _per_edge(mesh, tag):
-        n, dn = fem._shapes(mesh.order, np.stack(on_edge[e.local_edge], axis=1))
-        xc, uc = mesh.nodes[mesh.conn[e.cell]], u[mesh.conn[e.cell]]
+    for (cell, local, _), _, xq, ds in _per_edge(mesh, tag):
+        n, dn = fem._shapes(mesh.order, np.stack(on_edge[local], axis=1))
+        xc, uc = mesh.nodes[mesh.conn[cell]], u[mesh.conn[cell]]
         for q, x in enumerate(xq):
             assert np.allclose(n[q] @ xc, x, rtol=0, atol=1e-14)  # cell and edge maps agree
             dnx = dn[q] @ np.linalg.inv(xc.T @ dn[q])  # dnx[a, j] = d_j N_a
@@ -275,14 +294,15 @@ class TestBoundaryQuadrature:
         with pytest.raises(ValueError, match="no boundary edges"):
             fem.evaluate_boundary(m, "neumann", [np.zeros((m.n_nodes, 2))])
 
-    def test_inverted_boundary_cell_raises(self):
-        m = build_annulus_mesh(0.5, 1.0, 2, 8, 1)
-        e = next(e for e in m.boundary_edges if e.tag == DISSIPATIVE)
-        nodes = m.nodes.copy()
-        nodes[m.conn[e.cell, 0]] *= 2.5  # push the interior corner past the edge
-        flipped = dataclasses.replace(m, nodes=nodes)
+    def test_inverted_boundary_cell_raises(self, monkeypatch):
+        # the P2 mesh (n_r, n_theta) = (3, 8) has inverted cells on its inner
+        # circle (test_builder_rejects_exactly_the_inverted_meshes); built
+        # past the builder's check, its boundary samples refuse them too
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh_module, "_jacobian", lambda dn, xc: None)
+            m = build_annulus_mesh(0.5, 1.0, 3, 8, order=2)
         with pytest.raises(MeshError):
-            fem.evaluate_boundary(flipped, DISSIPATIVE, [np.zeros((m.n_nodes, 2))])
+            fem.evaluate_boundary(m, DIRICHLET, [np.zeros((m.n_nodes, 2))])
 
     @pytest.mark.parametrize("order,rate,final", [(1, 1.9, 5e-4), (2, 3.8, 2e-7)])
     def test_translation_energy_converges_to_closed_form(self, order, rate, final):
@@ -760,48 +780,12 @@ class TestSectorFactor:
         fem.assemble(m, material, robin, omega=2.0)
         assert counts == [m.n_cells]
 
-    @pytest.mark.parametrize("defect", ["node-off-its-ring", "permuted-conn", "one-edge-traction-free"])
-    def test_non_lattice_mesh_estimate_raises(self, defect, material, robin, monkeypatch):
-        m = build_annulus_mesh(0.5, 1.0, 3, 24)
-        if defect == "node-off-its-ring":
-            nodes = m.nodes.copy()
-            nodes[10 * 7 + 2] *= 1.0 + 1e-3  # lattice point (2, 10): a first-ring vertex
-            m = dataclasses.replace(m, nodes=nodes)
-        elif defect == "one-edge-traction-free":
-            # sector 5's edge on the outer circle leaves the impedance boundary
-            edges = list(m.boundary_edges)
-            edges[2 * 5 + 1] = dataclasses.replace(edges[2 * 5 + 1], tag="traction-free")
-            m = dataclasses.replace(m, boundary_edges=tuple(edges))
-        else:
-            # the same triangulation with its cells in another order
-            perm = np.random.default_rng(1).permutation(m.n_cells)
-            where = np.argsort(perm)
-            edges = tuple(dataclasses.replace(e, cell=int(where[e.cell])) for e in m.boundary_edges)
-            m = dataclasses.replace(m, conn=m.conn[perm], boundary_edges=edges)
-        # the mesh check names the defect before any cell is assembled, and
-        # a sweep row records it as its error
-        with pytest.raises(SolverError, match="different") as info:
-            fem._sector_cells(m)
-        counts = _counting_cells(monkeypatch)
-        with pytest.raises(SolverError, match=str(info.value)):
-            fem.empirical_constant(m, material, robin, omega=2.0)
-        assert counts == []
-        monkeypatch.setattr(fem, "resolution_mesh", lambda cfg, kappa: m)
-        [row] = fem.sweep(fem.SweepConfig(kappa_s=(2.0,), force=True))
-        assert row.estimate is None and row.c_emp is None and row.error == str(info.value)
-
-    @pytest.mark.parametrize("defect", ["node-off-its-ring", "one-entry"])
-    def test_broken_symmetry_raises(self, defect, material, robin):
+    def test_broken_symmetry_raises(self, material, robin):
         m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
         k = 10 * 7 + 2  # lattice point (2, 10): a vertex of the first interior ring
-        if defect == "node-off-its-ring":
-            nodes = m.nodes.copy()
-            nodes[k] *= 1.0 + 1e-3
-            s = fem.assemble(dataclasses.replace(m, nodes=nodes), material, robin, omega=2.0)
-        else:
-            s = fem.assemble(m, material, robin, omega=2.0)
-            bump = sp.csr_matrix(([1e-9 * s.stiffness[2 * k, 2 * k]], ([2 * k], [2 * k])), s.stiffness.shape)
-            s = dataclasses.replace(s, stiffness=s.stiffness + bump)
+        s = fem.assemble(m, material, robin, omega=2.0)
+        bump = sp.csr_matrix(([1e-9 * s.stiffness[2 * k, 2 * k]], ([2 * k], [2 * k])), s.stiffness.shape)
+        s = dataclasses.replace(s, stiffness=s.stiffness + bump)
         f = np.random.default_rng(3).normal(size=(m.n_nodes, 2))
         with pytest.raises(SolverError, match="sectors hold different entries"):
             fem.solve(s, f)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -51,6 +52,31 @@ class TestScalarKernels:
         (got,) = greens.elastic_hessian_kernel(y, k)
         want = -(2.0**2 - 1.0**2) / (8.0 * math.pi * r) * np.diag([0.0, 1.0, 1.0])
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 1e4, 1e8])
+    def test_elastic_hessian_entries_match_mpmath(self, lam):
+        # on y = r e_x the kernel is diag(g'', g'/r, g'/r)/(4 pi) for
+        # g = (e^{i k_s r} - e^{i k_p r})/r; mpmath differentiates g at 60
+        # digits.  The series branch (k_s r < 0.1) holds both entries to
+        # 1e-14; the closed form loses ~ 1/(k r)^2 of a rounding just above
+        # its cutoff
+        k = greens.WaveNumbers.from_material(1.0, 1.0, lam, 3.0)
+        ks, kp = mp.mpf(k.k_s), mp.mpf(k.k_p)
+
+        def g(r):
+            return (mp.exp(1j * ks * r) - mp.exp(1j * kp * r)) / r
+
+        series = np.geomspace(1e-8, 0.099, 15)
+        closed = np.array([0.1, 0.101, 0.15, 0.3, 1.0, 3.0, 10.0, 30.0])
+        for ksr, tol in [(series, 1e-14), (closed, 2e-12)]:
+            r = ksr / k.k_s
+            hess = 4.0 * math.pi * greens.elastic_hessian_kernel(r[:, None] * np.eye(3)[0], k)
+            for x, got in zip(r, hess):
+                with mp.workdps(60):
+                    radial = complex(mp.diff(g, mp.mpf(x), 2))
+                    transverse = complex(mp.diff(g, mp.mpf(x), 1) / x)
+                assert abs(got[0, 0] - radial) <= tol * abs(radial), (lam, x * k.k_s)
+                assert abs(got[1, 1] - transverse) <= tol * abs(transverse), (lam, x * k.k_s)
 
     @pytest.mark.parametrize(
         "evaluate",
