@@ -8,10 +8,12 @@ bound on its supremum, not a certificate).
 
 Convolutions run as zero-padded FFTs on the (2n)^3 offset lattice (the
 kernel table is block-Toeplitz; see Vico, Greengard & Ferrando, J. Comput.
-Phys. 323, 2016); the direct pairwise sum is the tests' oracle
-(``tests/greens_oracle.py``).  The kernels are radial, so a table is
-evaluated on one octant of offsets and mirrored, and a tensor kernel is
-kept, transformed and contracted as its six symmetric components.  The
+Phys. 323, 2016), every transform on one lattice array; the direct pairwise
+sum is the tests' oracle (``tests/greens_oracle.py``).  The kernels are
+radial, so a table is evaluated on one octant of offsets and mirrored, and
+of a tensor kernel only H_00 and H_01 are transformed: on the cubic lattice
+the other four components are axis permutations of those two.  Kernel
+spectra are made once per grid; sources are convolved one at a time.  The
 self-cell and near-field series run in powers of the dimensionless i k a.
 The cos transform is in closed form: the cutoff is piecewise linear, so
 every piece integrates exactly.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,17 +48,18 @@ __all__ = [
 _SERIES_CUTOFF = 0.1
 _SERIES_TERMS = 24
 
-# Peak memory of one verification on an n-grid grows with its (2n)^3
-# lattice and the number of sources S: measured peak RSS is about
-# (240 + 144 S) bytes per lattice point (n = 16 to 64, S = 1 to 10).
-# greens-verify refuses a grid whose finer two-grid partner would pass the
-# budget: with three sources it accepts grid_n <= 65 (64 measured 2.5 GB).
+# Peak memory of one greens-verify run grows with the (2n)^3 lattice of its
+# finer n-grid and, per source, with that grid's ~(pi/6) n^3 nodes: measured
+# peak RSS is about 250 bytes per lattice point plus 100 bytes per node per
+# source (n = 16 to 64, S = 1 to 10).  greens-verify refuses a grid whose
+# finer two-grid partner would pass the budget: with three sources it
+# accepts grid_n <= 88.
 MEMORY_BUDGET = 3 * 2**30
 
 
 def verify_bytes(n: int, n_sources: int) -> int:
-    """Estimated peak bytes of ``verify_fundamental_sweep`` on an n-grid."""
-    return (240 + 144 * n_sources) * (2 * n) ** 3
+    """Estimated peak bytes of a greens-verify run whose finer grid is an n-grid."""
+    return 250 * (2 * n) ** 3 + 100 * n_sources * math.ceil(math.pi / 6.0 * n**3)
 
 
 @dataclass(frozen=True)
@@ -293,25 +296,24 @@ _KERNELS = {
 }
 
 
-# The independent components of a symmetric 3x3 kernel, in table order, and
-# the parity of each under y_c -> -y_c (rows: components, columns: axes c).
-# A radial tensor kernel f(r) I + g(r) yhat (x) yhat is even in every axis on
-# its diagonal; component (a, b), a != b, is odd along axes a and b.
-_TENSOR_ROWS = np.array([0, 1, 2, 0, 0, 1])
-_TENSOR_COLS = np.array([0, 1, 2, 1, 2, 2])
-_TENSOR_PARITY = np.array(
-    [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
-     [-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, -1.0]]
-)
+# A radial tensor kernel f(r) I + g(r) yhat (x) yhat on the cubic lattice is
+# fixed by H_00 (even in every axis) and H_01 (odd along axes 0 and 1), the
+# rows of parities under y_c -> -y_c below.  H_ab = transpose(H_q, axes):
+# H_aa is H_00 with axes 0 and a swapped, H_ab is H_01 with axes 0, 1 sent
+# to a, b.
+_TENSOR_PARITY = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
+_TENSOR_PERMUTATIONS = {  # (a, b) -> (q, axes)
+    (0, 0): (0, (0, 1, 2)), (1, 1): (0, (1, 0, 2)), (2, 2): (0, (2, 1, 0)),
+    (0, 1): (1, (0, 1, 2)), (0, 2): (1, (0, 2, 1)), (1, 2): (1, (2, 0, 1)),
+}
 
 
 def _kernel_table(grid: BallGrid, rho, mu, lam, omega, kernel: str):
     """Kernel values on the wrapped (2n)^3 offset lattice, spatial axes last:
-    shape (m, m, m) for the scalar kernel, or (6, m, m, m) for a tensor one
-    (components 00, 11, 22, 01, 02, 12 of the symmetric tensor), m = 2n.
-    Index j < n holds offset j h, index j > n offset (j - 2n) h; index n is
-    never reached by an n-grid and holds zero.  Zero at the origin (the self
-    cell is handled analytically).
+    shape (m, m, m) for the scalar kernel, or (2, m, m, m) for a tensor one
+    (its components 00 and 01), m = 2n.  Index j < n holds offset j h,
+    index j > n offset (j - 2n) h; index n is never reached by an n-grid and
+    holds zero.  Zero at the origin (the self cell is handled analytically).
 
     The kernels are radial, so each distinct value is evaluated once, on the
     n^3 non-negative offsets, and mirrored into the other seven octants with
@@ -326,8 +328,7 @@ def _kernel_table(grid: BallGrid, rho, mu, lam, omega, kernel: str):
     if octant.ndim == 1:
         table, parity = octant.reshape(1, n, n, n), np.ones((1, 3))
     else:
-        table = octant[:, _TENSOR_ROWS, _TENSOR_COLS].T.reshape(6, n, n, n)
-        parity = _TENSOR_PARITY
+        table, parity = octant[:, 0, :2].T.reshape(2, n, n, n), _TENSOR_PARITY
     # per axis, (lattice indices, octant indices) of the non-negative offsets
     # 0..n-1 and of the negative ones -(n-1)..-1
     halves = ((slice(0, n), slice(0, n)), (slice(n + 1, None), slice(n - 1, 0, -1)))
@@ -340,55 +341,61 @@ def _kernel_table(grid: BallGrid, rho, mu, lam, omega, kernel: str):
     return full[0] if octant.ndim == 1 else full
 
 
-def _contract(table, spectrum):
-    """Pointwise product of a kernel spectrum with the source spectrum
-    (3, S, m, m, m): a scalar kernel (m, m, m) scales each component; a tensor
-    kernel, held as its six symmetric components (6, m, m, m), is summed as
-    three terms per row."""
+def _kernel_spectrum(grid: BallGrid, rho, mu, lam, omega, kernel: str):
+    """What a same-grid convolution needs of a kernel: its FFT on the (2n)^3
+    lattice as three rows of (source component b, spectrum) pairs, row a
+    giving component a of the product, and its self-cell integral over the
+    ball of the cell's volume.  The scalar kernel scales each component; of
+    the tensor kernel's rows only H_00 and H_01 are transformed, and the
+    other four components are transposed copies of their spectra (the FFT
+    commutes with axis permutations)."""
+    radius = (3.0 * grid.h**3 / (4.0 * math.pi)) ** (1.0 / 3.0)
+    self_cell = complex(_KERNELS[kernel].self_integral(radius, rho, mu, lam, omega))
+    table = _kernel_table(grid, rho, mu, lam, omega, kernel)
     if table.ndim == 3:
-        return table * spectrum
-    h00, h11, h22, h01, h02, h12 = table[:, None]
-    s0, s1, s2 = spectrum
-    return np.stack([
-        h00 * s0 + h01 * s1 + h02 * s2,
-        h01 * s0 + h11 * s1 + h12 * s2,
-        h02 * s0 + h12 * s1 + h22 * s2,
-    ])
+        g = np.fft.fftn(table)
+        return [[(b, g)] for b in range(3)], self_cell
+    spectra = [np.fft.fftn(table[0]), np.fft.fftn(table[1])]
+    h = {}
+    for (a, b), (q, axes) in _TENSOR_PERMUTATIONS.items():
+        h[a, b] = h[b, a] = np.ascontiguousarray(np.transpose(spectra[q], axes))
+    return [[(b, h[a, b]) for b in range(3)] for a in range(3)], self_cell
 
 
-def _box_index(grid: BallGrid) -> np.ndarray:
-    """Flat index of each grid node in its n^3 bounding box."""
+def _contract(row, s_hat, out, tmp):
+    """out = the sum over a kernel row's (b, spectrum) pairs of spectrum *
+    s_hat[b], accumulated in place; tmp holds each further product."""
+    (b, spectrum), *rest = row
+    np.multiply(spectrum, s_hat[b], out=out)
+    for b, spectrum in rest:
+        out += np.multiply(spectrum, s_hat[b], out=tmp)
+    return out
+
+
+def _convolve(grid: BallGrid, f, kernels):
+    """Same-grid convolutions of one source's values f (N, 3) with each of
+    the ``_kernel_spectrum`` kernels: one (N, 3) array per kernel.  Every
+    FFT acts on one (2n)^3 lattice array: each weighted component is
+    zero-padded from its n^3 box and transformed (numpy pads one axis at a
+    time, so the padding rows are never transformed), and each product is
+    transformed back one axis at a time, keeping the n^3 box the grid reads."""
     n = grid.n
-    return (grid.idx[:, 0] * n + grid.idx[:, 1]) * n + grid.idx[:, 2]
-
-
-def _source_spectrum(grid: BallGrid, values) -> np.ndarray:
-    """FFT of the weighted values (N, 3, S) zero-padded from their n^3 box to
-    the (2n)^3 lattice: shape (3, S, m, m, m).  numpy pads and transforms one
-    axis at a time, so the all-zero rows of the padding are never transformed."""
-    n, n_src = grid.n, values.shape[2]
-    box = np.zeros((3, n_src, n**3), dtype=complex)
-    box[:, :, _box_index(grid)] = np.transpose(grid.h**3 * values, (1, 2, 0))
-    return np.fft.fftn(box.reshape(3, n_src, n, n, n), s=(2 * n,) * 3, axes=(-3, -2, -1))
-
-
-def _apply_kernel(grid: BallGrid, values, spectrum, rho, mu, lam, omega, kernel: str):
-    """Same-grid convolution of values (N, 3, S), whose source spectrum is
-    given, with the analytic self-cell term added: (N, 3, S)."""
-    n = grid.n
-    # the kernel spectrum is a temporary, freed before the inverse transforms
-    u = _contract(
-        np.fft.fftn(_kernel_table(grid, rho, mu, lam, omega, kernel), axes=(-3, -2, -1)),
-        spectrum,
-    )
-    # inverse FFT one axis at a time, keeping only the n^3 box the grid reads
-    u = np.fft.ifft(u, axis=-3)[..., :n, :, :]
-    u = np.fft.ifft(u, axis=-2)[..., :n, :]
-    u = np.fft.ifft(u, axis=-1)[..., :n]
-    out = np.transpose(u.reshape(3, values.shape[2], n**3)[:, :, _box_index(grid)], (2, 0, 1))
-    # the self cell is replaced by the ball of equal volume, integrated exactly
-    a = (3.0 * grid.h**3 / (4.0 * math.pi)) ** (1.0 / 3.0)
-    return out + complex(_KERNELS[kernel].self_integral(a, rho, mu, lam, omega)) * values
+    index = (grid.idx[:, 0] * n + grid.idx[:, 1]) * n + grid.idx[:, 2]
+    box = np.zeros(n**3, dtype=complex)
+    s_hat = []
+    for b in range(3):
+        box[index] = grid.h**3 * f[:, b]
+        s_hat.append(np.fft.fftn(box.reshape(n, n, n), s=(2 * n,) * 3, axes=(0, 1, 2)))
+    acc, tmp = np.empty_like(s_hat[0]), np.empty_like(s_hat[0])
+    out = []
+    for rows, self_cell in kernels:
+        u = np.empty(f.shape, dtype=complex)
+        for a, row in enumerate(rows):
+            v = np.fft.ifft(_contract(row, s_hat, acc, tmp), axis=0)[:n]
+            v = np.fft.ifft(v, axis=1)[:, :n]
+            u[:, a] = np.fft.ifft(v, axis=2)[:, :, :n].reshape(n**3)[index]
+        out.append(u + self_cell * f)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +414,7 @@ class FundamentalBoundReport:
     elastic_bound: float
 
     def as_dict(self) -> dict:
-        return {
-            "kappa_s": self.kappa_s,
-            "ratio": self.ratio,
-            "bound": self.bound,
-            "slack": self.slack,
-            "scalar_ratios": list(self.scalar_ratios),
-            "scalar_bound": self.scalar_bound,
-            "elastic_ratio": self.elastic_ratio,
-            "elastic_bound": self.elastic_bound,
-        }
+        return {**asdict(self), "scalar_ratios": list(self.scalar_ratios)}
 
 
 def verify_fundamental_sweep(
@@ -427,52 +425,47 @@ def verify_fundamental_sweep(
     lam: float,
     omega: float,
 ) -> list[FundamentalBoundReport]:
-    """Verify all S sources stacked as values (N, 3, S) in one pass: one
-    forward FFT of the sources feeds both the acoustic and the elastic
-    kernel, and each kernel transform is shared across sources."""
+    """Verify the S sources stacked as values (N, 3, S).  The acoustic and
+    the elastic kernel are transformed once and shared across sources, which
+    are convolved one at a time, each from one transform of its components;
+    a source's report does not depend on the others."""
     values = np.asarray(values, dtype=complex)
-    k = WaveNumbers.from_material(rho, mu, lam, omega)
-    kappa = k.k_s * grid.ell
-    spectrum = _source_spectrum(grid, values)
-    u_scalar = _apply_kernel(grid, values, spectrum, rho, mu, lam, omega, "scalar")
-    u_elastic = _apply_kernel(grid, values, spectrum, rho, mu, lam, omega, "elastic")
+    kappa = WaveNumbers.from_material(rho, mu, lam, omega).k_s * grid.ell
+    bound = 4.0 + 17.0 * kappa
+    kernels = [_kernel_spectrum(grid, rho, mu, lam, omega, kernel) for kernel in ("scalar", "elastic")]
     # numpy's square overflows to inf, where a float's raises OverflowError
     omega2 = np.float64(omega) ** 2
-    # the split u = u_scalar + u_elastic / omega^2 is singular at omega = 0;
-    # u_total enters only the ratio omega^2 ||u_total||, which vanishes there
-    u_total = u_scalar + u_elastic / omega2 if omega > 0.0 else u_scalar
-    w = grid.weights
-
-    def _norms(v):
-        # (N, 3, S) -> per-source rho-free L2 norms (the rho factor cancels
-        # from every ratio for constant density)
-        return np.sqrt(np.sum(w[:, None, None] * np.abs(v) ** 2, axis=(0, 1)))
+    w = grid.weights[:, None]
 
     def _comp_norms(v):
-        return np.sqrt(np.sum(w[:, None, None] * np.abs(v) ** 2, axis=0))  # (3, S)
+        # (N, 3) -> rho-free L2 norm of each component (the rho factor
+        # cancels from every ratio for constant density)
+        return np.sqrt(np.sum(w * np.abs(v) ** 2, axis=0))
 
-    norm_f = _norms(values)
-    norm_f_comp = _comp_norms(values)
-    ratios = omega2 * _norms(u_total) / norm_f
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scalar_ratios = np.where(
-            norm_f_comp > 0.0, omega2 * _comp_norms(u_scalar) / norm_f_comp, 0.0
-        )
-    elastic_ratios = _norms(u_elastic) / norm_f
-    bound = 4.0 + 17.0 * kappa
-    return [
-        FundamentalBoundReport(
-            kappa_s=kappa,
-            ratio=float(ratios[s]),
-            bound=bound,
-            slack=bound - float(ratios[s]),
-            scalar_ratios=tuple(float(x) for x in scalar_ratios[:, s]),
-            scalar_bound=kappa,
-            elastic_ratio=float(elastic_ratios[s]),
-            elastic_bound=4.0 + 16.0 * kappa,
-        )
-        for s in range(values.shape[2])
-    ]
+    def _norm(v):
+        # summed sequentially in node order (np.sum would sum pairwise), the
+        # order of the stacked-source sums behind earlier reports: their bits
+        return np.sqrt(np.cumsum(w * np.abs(v) ** 2)[-1])
+
+    reports = []
+    for s in range(values.shape[2]):
+        f = values[:, :, s]
+        u_scalar, u_elastic = _convolve(grid, f, kernels)
+        # the split u = u_scalar + u_elastic / omega^2 is singular at omega = 0;
+        # u_total enters only the ratio omega^2 ||u_total||, which vanishes there
+        u_total = u_scalar + u_elastic / omega2 if omega > 0.0 else u_scalar
+        norm_f, norm_f_comp = _norm(f), _comp_norms(f)
+        ratio = float(omega2 * _norm(u_total) / norm_f)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scalar_ratios = np.where(
+                norm_f_comp > 0.0, omega2 * _comp_norms(u_scalar) / norm_f_comp, 0.0
+            )
+        reports.append(FundamentalBoundReport(
+            kappa_s=kappa, ratio=ratio, bound=bound, slack=bound - ratio,
+            scalar_ratios=tuple(float(x) for x in scalar_ratios), scalar_bound=kappa,
+            elastic_ratio=float(_norm(u_elastic) / norm_f), elastic_bound=4.0 + 16.0 * kappa,
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

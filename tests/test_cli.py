@@ -330,11 +330,12 @@ class TestGreensCommand:
         assert greens.verify_bytes(25, 20) <= greens.MEMORY_BUDGET
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
-    def test_memory_estimate_tracks_peak_rss(self, tmp_path):
+    @pytest.mark.parametrize("n_sources", [1, 10])
+    def test_memory_estimate_tracks_peak_rss(self, n_sources, tmp_path):
         # the budget's model against the peak resident memory of one run in a
-        # fresh interpreter (grid_n = 24, three sources: a 62^3 fine lattice);
-        # VmHWM, unlike ru_maxrss, starts afresh at exec
-        script = textwrap.dedent("""
+        # fresh interpreter (grid_n = 24: a 62^3 fine lattice), with one
+        # source and with ten; VmHWM, unlike ru_maxrss, starts afresh at exec
+        script = textwrap.dedent(f"""
             from elastab import cli, greens
 
             def peak_kb():
@@ -342,8 +343,8 @@ class TestGreensCommand:
                     return next(int(line.split()[1]) for line in status if line.startswith("VmHWM"))
 
             before = peak_kb()
-            cli.greens_report(2.0, 1.0, 1.0, 1.0, 1.0, 24, 3, 0)
-            print((peak_kb() - before) * 1024 / greens.verify_bytes(cli._fine_grid_n(24), 3))
+            cli.greens_report(2.0, 1.0, 1.0, 1.0, 1.0, 24, {n_sources}, 0)
+            print((peak_kb() - before) * 1024 / greens.verify_bytes(cli._fine_grid_n(24), {n_sources}))
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(elastab.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

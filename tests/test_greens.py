@@ -212,9 +212,8 @@ class TestGreenTensor:
 
 def fft_apply(grid, values, omega, kernel):
     """The package's same-grid convolution of values (N, 3) with a kernel."""
-    values = values[:, :, None]
-    spectrum = greens._source_spectrum(grid, values)
-    return greens._apply_kernel(grid, values, spectrum, RHO, MU, LAM, omega, kernel)[:, :, 0]
+    (u,) = greens._convolve(grid, values, [greens._kernel_spectrum(grid, RHO, MU, LAM, omega, kernel)])
+    return u
 
 
 def oracle_apply(nodes, h, values, omega, kernel):
@@ -346,7 +345,7 @@ class TestKernelTable:
         table = greens._kernel_table(grid, RHO, MU, LAM, 2.0, kernel)
         full = full_lattice_table(grid, kernel, 2.0)
         if kernel != "scalar":
-            full = full[greens._TENSOR_ROWS, greens._TENSOR_COLS]
+            full = full[0, :2]  # the tabulated components 00 and 01
         assert table.shape == full.shape
         keep = np.arange(2 * n) != n
         reach = (Ellipsis, keep[:, None, None] & keep[None, :, None] & keep[None, None, :])
@@ -368,19 +367,44 @@ class TestKernelTable:
         greens._kernel_table(greens.ball_grid(1.0, 7), RHO, MU, LAM, 2.0, kernel)
         assert sizes == [7**3]
 
+    @pytest.mark.parametrize("n", [6, 7, 16])
+    def test_permuted_spectra_match_transformed_components(self, n):
+        # the two transformed spectra and their four transposed copies equal
+        # the FFTs of the nine components evaluated directly on the lattice
+        # (index-n planes zeroed: no n-grid reaches them, and the table
+        # holds zero there)
+        grid = greens.ball_grid(1.0, n)
+        rows, _ = greens._kernel_spectrum(grid, RHO, MU, LAM, 2.0, "elastic")
+        keep = np.arange(2 * n) != n
+        full = full_lattice_table(grid, "elastic", 2.0) * (
+            keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+        )
+        for a in range(3):
+            assert [b for b, _ in rows[a]] == [0, 1, 2]
+            for b, spectrum in rows[a]:
+                want = np.fft.fftn(full[a, b])
+                assert spectrum.flags.c_contiguous
+                assert np.abs(spectrum - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_six_spectrum_contraction_matches_einsum(self):
+        # each row of a symmetric tensor held as its six components, summed
+        # in place, against the full 3x3 contraction; a scalar row is one
+        # exact product
         rng = np.random.default_rng(3)
         shape = (5, 6, 7)
         six = rng.normal(size=(6,) + shape) + 1j * rng.normal(size=(6,) + shape)
-        spectrum = rng.normal(size=(3, 2) + shape) + 1j * rng.normal(size=(3, 2) + shape)
+        s_hat = rng.normal(size=(3,) + shape) + 1j * rng.normal(size=(3,) + shape)
         nine = np.empty((3, 3) + shape, dtype=complex)
-        for q, (a, b) in enumerate(zip(greens._TENSOR_ROWS, greens._TENSOR_COLS)):
+        for q, (a, b) in enumerate(((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))):
             nine[a, b] = nine[b, a] = six[q]
-        want = np.einsum("ijabc,jsabc->isabc", nine, spectrum)
-        got = greens._contract(six, spectrum)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        scalar = greens._contract(six[0], spectrum)
-        assert np.array_equal(scalar, six[0] * spectrum)
+        want = np.einsum("ijabc,jabc->iabc", nine, s_hat)
+        out, tmp = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        for a in range(3):
+            got = greens._contract([(b, nine[a, b]) for b in range(3)], s_hat, out, tmp)
+            assert got is out
+            assert np.abs(got - want[a]).max() <= 1e-14 * np.abs(want).max()
+            scalar = greens._contract([(a, six[0])], s_hat, out, tmp)
+            assert np.array_equal(scalar, six[0] * s_hat[a])
 
 
 class TestSelfCell:
@@ -467,10 +491,50 @@ class TestVerifyFundamental:
             rep = verify_one(1.0, 10, 10, 1.0, mu, lam, omega=1.5)
             assert rep.slack >= 0.0
 
+    def test_each_source_report_is_independent_of_the_others(self):
+        # a source's report from a four-source sweep is bit for bit its
+        # report from a sweep of that source alone
+        grid = greens.ball_grid(1.0, 9)
+        fns = greens.random_ball_sources(1.0, 4, seed=13)
+        values = np.stack([fn(grid.nodes) for fn in fns], axis=2)
+        reports = greens.verify_fundamental_sweep(grid, values, RHO, MU, LAM, 2.0)
+        assert len(reports) == 4
+        for s, rep in enumerate(reports):
+            (alone,) = greens.verify_fundamental_sweep(grid, values[:, :, s:s + 1], RHO, MU, LAM, 2.0)
+            assert rep == alone
+
+    def test_every_fft_acts_on_one_lattice_array(self, monkeypatch):
+        # nothing re-batches: every transform gets an array of at most three
+        # axes, and each grid transforms its kernels three times (the scalar
+        # kernel, H_00 and H_01), then three components per source
+        calls = []
+        for name in ("fftn", "ifft", "fft"):
+            real = getattr(np.fft, name)
+
+            def spy(a, *args, real=real, name=name, **kwargs):
+                calls.append((name, np.shape(a)))
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, spy)
+        n, n_sources = 8, 3
+        grid = greens.ball_grid(1.0, n)
+        fns = greens.random_ball_sources(1.0, n_sources, seed=14)
+        values = np.stack([fn(grid.nodes) for fn in fns], axis=2)
+        greens.verify_fundamental_sweep(grid, values, RHO, MU, LAM, 2.0)
+        assert all(len(shape) <= 3 for _, shape in calls)
+        forward = [shape for name, shape in calls if name == "fftn"]
+        assert forward.count((2 * n,) * 3) == 3
+        assert forward.count((n,) * 3) == 3 * n_sources
+        assert len(forward) == 3 + 3 * n_sources
+        # six pruned inverses per source (two kernels, three components),
+        # one axis at a time
+        assert sum(name == "ifft" for name, _ in calls) == 6 * 3 * n_sources
+        assert not any(name == "fft" for name, _ in calls)
+
     @pytest.mark.parametrize("n", [6, 7])
     @pytest.mark.parametrize("omega", [0.0, 2.0, 7.0])
     def test_sweep_batch_matches_pairwise_oracle(self, omega, n):
-        # three sources through one source spectrum, against per-source
+        # three sources through shared kernel spectra, against per-source
         # pairwise convolutions with each kernel; the total ratio is checked
         # against the full tensor G, not against the split verify applies
         grid = greens.ball_grid(1.0, n)
