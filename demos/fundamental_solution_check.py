@@ -31,13 +31,12 @@ print(f"\nmidpoint grid: {grid.nodes.shape[0]} nodes inside the unit ball "
       f"(16^3 bounding box, h = {grid.h:.4f})")
 
 sources = greens.random_ball_sources(ell, 5, seed=2024)
-values = np.stack([fn(grid.nodes) for fn in sources], axis=2)
 
 print(f"\n{'kappa_s':>8} {'max ratio':>10} {'bound':>8} {'acoustic part':>14} "
       f"{'elastic part':>13}")
 for kappa in (0.5, 1.0, 2.0, 4.0):
     omega = kappa  # theta_s = ell = 1
-    reports = greens.verify_fundamental_sweep(grid, values, rho, mu, lam, omega)
+    (reports,) = greens.verify_fundamental_sweep([grid], sources, rho, mu, lam, omega)
     worst = max(reports, key=lambda r: r.ratio)
     print(f"{kappa:>8.1f} {worst.ratio:>10.4f} {worst.bound:>8.1f} "
           f"{max(max(r.scalar_ratios) for r in reports):>7.4f} <= {kappa:<5.1f}"

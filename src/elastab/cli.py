@@ -241,12 +241,8 @@ def greens_report(
     grid_n: int, n_sources: int, seed: int,
 ) -> dict:
     sources = greens.random_ball_sources(ell, n_sources, seed)
-    grid = greens.ball_grid(ell, grid_n)
-    vals = np.stack([fn(grid.nodes) for fn in sources], axis=2)
-    reports = greens.verify_fundamental_sweep(grid, vals, rho, mu, lam, omega)
-    fine = greens.ball_grid(ell, _fine_grid_n(grid_n))
-    vals_f = np.stack([fn(fine.nodes) for fn in sources], axis=2)
-    reports_f = greens.verify_fundamental_sweep(fine, vals_f, rho, mu, lam, omega)
+    grid, fine = greens.ball_grid(ell, grid_n), greens.ball_grid(ell, _fine_grid_n(grid_n))
+    reports, reports_f = greens.verify_fundamental_sweep([grid, fine], sources, rho, mu, lam, omega)
     consistency = max(
         abs(a.ratio - b.ratio) / b.ratio if b.ratio > 0 else 0.0
         for a, b in zip(reports, reports_f)
@@ -300,11 +296,12 @@ def _run_greens(args) -> int:
         raise ConfigError("grid size too small (need >= 8 cells per axis)")
     if args.n_sources < 1:
         raise ConfigError("greens-verify needs at least one source (--n-sources >= 1)")
-    need = greens.verify_bytes(_fine_grid_n(args.grid_n), args.n_sources)
+    grid_ns = (args.grid_n, _fine_grid_n(args.grid_n))
+    need = greens.verify_bytes(grid_ns, 1)
     if need > greens.MEMORY_BUDGET:
         raise ConfigError(
-            f"--grid-n {args.grid_n} with --n-sources {args.n_sources} needs about "
-            f"{need / 2**30:.1f} GiB, above the {greens.MEMORY_BUDGET / 2**30:g} GiB budget"
+            f"--grid-n {args.grid_n} needs about {need / 2**30:.1f} GiB, "
+            f"above the {greens.MEMORY_BUDGET / 2**30:g} GiB budget"
         )
     out_dir = Path(args.out_dir)
     manifest = _Manifest(
@@ -315,6 +312,7 @@ def _run_greens(args) -> int:
         },
         args.seed,
     )
+    manifest.data["workers"] = greens.worker_count(grid_ns, args.n_sources)
     with manifest.stage("verify"):
         report = greens_report(
             args.omega, args.rho, args.mu, args.lam, args.ell,

@@ -14,15 +14,21 @@ radial, so a table is evaluated on one octant of offsets and mirrored, and
 of a tensor kernel only H_00 and H_01 are transformed: on the cubic lattice
 the other four components are axis permutations of those two.  Kernel
 spectra are made once per grid; sources are convolved one at a time.  The
-self-cell and near-field series run in powers of the dimensionless i k a.
+transforms run as jobs on worker threads (numpy's FFTs release the GIL),
+the kernel tables on the calling thread.  The self-cell and near-field
+series run in powers of the dimensionless i k a.
 The cos transform is in closed form: the cutoff is piecewise linear, so
 every piece integrates exactly.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -48,18 +54,39 @@ __all__ = [
 _SERIES_CUTOFF = 0.1
 _SERIES_TERMS = 24
 
-# Peak memory of one greens-verify run grows with the (2n)^3 lattice of its
-# finer n-grid and, per source, with that grid's ~(pi/6) n^3 nodes: measured
-# peak RSS is about 250 bytes per lattice point plus 100 bytes per node per
-# source (n = 16 to 64, S = 1 to 10).  greens-verify refuses a grid whose
-# finer two-grid partner would pass the budget: with three sources it
-# accepts grid_n <= 88.
+# Peak memory of a verify_fundamental_sweep run grows with the (2n)^3
+# lattices of its grids (their kernel tables and spectra) and, per worker,
+# with the finest lattice (the transforms of one source).  Measured peak RSS
+# of greens-verify is about 75 bytes per lattice point of both grids plus
+# 140 per finest lattice point per worker (grid_n = 16 to 56, 1 and 2
+# workers).  Sources are sampled inside their jobs, so their count costs no
+# memory.  greens-verify refuses a grid whose estimate at one worker passes
+# the budget, so it accepts grid_n <= 90, and runs on as many workers as fit.
 MEMORY_BUDGET = 3 * 2**30
 
 
-def verify_bytes(n: int, n_sources: int) -> int:
-    """Estimated peak bytes of a greens-verify run whose finer grid is an n-grid."""
-    return 250 * (2 * n) ** 3 + 100 * n_sources * math.ceil(math.pi / 6.0 * n**3)
+def verify_bytes(grid_ns, workers: int) -> int:
+    """Estimated peak bytes of a sweep over n-grids ``grid_ns`` on ``workers`` threads."""
+    lattice = [(2 * n) ** 3 for n in grid_ns]
+    return 75 * sum(lattice) + 140 * workers * max(lattice)
+
+
+def _cores() -> int:
+    """The CPU cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def worker_count(grid_ns, n_sources: int) -> int:
+    """Threads a sweep of ``n_sources`` sources over n-grids ``grid_ns``
+    runs its jobs on: the most, up to the cores and the job count, whose
+    memory estimate fits the budget, and at least one."""
+    workers = min(_cores(), len(grid_ns) * (1 + n_sources))
+    while workers > 1 and verify_bytes(grid_ns, workers) > MEMORY_BUDGET:
+        workers -= 1
+    return workers
 
 
 @dataclass(frozen=True)
@@ -341,25 +368,27 @@ def _kernel_table(grid: BallGrid, rho, mu, lam, omega, kernel: str):
     return full[0] if octant.ndim == 1 else full
 
 
-def _kernel_spectrum(grid: BallGrid, rho, mu, lam, omega, kernel: str):
-    """What a same-grid convolution needs of a kernel: its FFT on the (2n)^3
-    lattice as three rows of (source component b, spectrum) pairs, row a
-    giving component a of the product, and its self-cell integral over the
-    ball of the cell's volume.  The scalar kernel scales each component; of
-    the tensor kernel's rows only H_00 and H_01 are transformed, and the
-    other four components are transposed copies of their spectra (the FFT
-    commutes with axis permutations)."""
+def _self_cell(grid: BallGrid, rho, mu, lam, omega, kernel: str) -> complex:
+    """A kernel's integral over the ball of a grid cell's volume."""
     radius = (3.0 * grid.h**3 / (4.0 * math.pi)) ** (1.0 / 3.0)
-    self_cell = complex(_KERNELS[kernel].self_integral(radius, rho, mu, lam, omega))
-    table = _kernel_table(grid, rho, mu, lam, omega, kernel)
+    return complex(_KERNELS[kernel].self_integral(radius, rho, mu, lam, omega))
+
+
+def _kernel_spectrum(table):
+    """What a same-grid convolution needs of a ``_kernel_table`` table: its
+    FFT on the (2n)^3 lattice as three rows of (source component b,
+    spectrum) pairs, row a giving component a of the product.  The scalar
+    kernel scales each component; of the tensor kernel's rows only H_00 and
+    H_01 are transformed, and the other four components are transposed
+    copies of their spectra (the FFT commutes with axis permutations)."""
     if table.ndim == 3:
         g = np.fft.fftn(table)
-        return [[(b, g)] for b in range(3)], self_cell
+        return [[(b, g)] for b in range(3)]
     spectra = [np.fft.fftn(table[0]), np.fft.fftn(table[1])]
     h = {}
     for (a, b), (q, axes) in _TENSOR_PERMUTATIONS.items():
         h[a, b] = h[b, a] = np.ascontiguousarray(np.transpose(spectra[q], axes))
-    return [[(b, h[a, b]) for b in range(3)] for a in range(3)], self_cell
+    return [[(b, h[a, b]) for b in range(3)] for a in range(3)]
 
 
 def _contract(row, s_hat, out, tmp):
@@ -373,12 +402,13 @@ def _contract(row, s_hat, out, tmp):
 
 
 def _convolve(grid: BallGrid, f, kernels):
-    """Same-grid convolutions of one source's values f (N, 3) with each of
-    the ``_kernel_spectrum`` kernels: one (N, 3) array per kernel.  Every
-    FFT acts on one (2n)^3 lattice array: each weighted component is
-    zero-padded from its n^3 box and transformed (numpy pads one axis at a
-    time, so the padding rows are never transformed), and each product is
-    transformed back one axis at a time, keeping the n^3 box the grid reads."""
+    """Same-grid convolutions of one source's values f (N, 3) with each
+    kernel, a (``_kernel_spectrum`` rows, self-cell integral) pair: one
+    (N, 3) array per kernel.  Every FFT acts on one (2n)^3 lattice array:
+    each weighted component is zero-padded from its n^3 box and transformed
+    (numpy pads one axis at a time, so the padding rows are never
+    transformed), and each product is transformed back one axis at a time,
+    keeping the n^3 box the grid reads."""
     n = grid.n
     index = (grid.idx[:, 0] * n + grid.idx[:, 1]) * n + grid.idx[:, 2]
     box = np.zeros(n**3, dtype=complex)
@@ -391,7 +421,7 @@ def _convolve(grid: BallGrid, f, kernels):
     for rows, self_cell in kernels:
         u = np.empty(f.shape, dtype=complex)
         for a, row in enumerate(rows):
-            v = np.fft.ifft(_contract(row, s_hat, acc, tmp), axis=0)[:n]
+            v = np.fft.ifft(_contract(row, s_hat, acc, tmp), axis=0, out=tmp)[:n]
             v = np.fft.ifft(v, axis=1)[:, :n]
             u[:, a] = np.fft.ifft(v, axis=2)[:, :, :n].reshape(n**3)[index]
         out.append(u + self_cell * f)
@@ -417,22 +447,10 @@ class FundamentalBoundReport:
         return {**asdict(self), "scalar_ratios": list(self.scalar_ratios)}
 
 
-def verify_fundamental_sweep(
-    grid: BallGrid,
-    values: np.ndarray,
-    rho: float,
-    mu: float,
-    lam: float,
-    omega: float,
-) -> list[FundamentalBoundReport]:
-    """Verify the S sources stacked as values (N, 3, S).  The acoustic and
-    the elastic kernel are transformed once and shared across sources, which
-    are convolved one at a time, each from one transform of its components;
-    a source's report does not depend on the others."""
-    values = np.asarray(values, dtype=complex)
-    kappa = WaveNumbers.from_material(rho, mu, lam, omega).k_s * grid.ell
+def _source_report(grid: BallGrid, f, u_scalar, u_elastic, omega, kappa) -> FundamentalBoundReport:
+    """The report of one source's values f (N, 3) and its convolutions with
+    the acoustic and the elastic kernel."""
     bound = 4.0 + 17.0 * kappa
-    kernels = [_kernel_spectrum(grid, rho, mu, lam, omega, kernel) for kernel in ("scalar", "elastic")]
     # numpy's square overflows to inf, where a float's raises OverflowError
     omega2 = np.float64(omega) ** 2
     w = grid.weights[:, None]
@@ -447,24 +465,126 @@ def verify_fundamental_sweep(
         # order of the stacked-source sums behind earlier reports: their bits
         return np.sqrt(np.cumsum(w * np.abs(v) ** 2)[-1])
 
-    reports = []
-    for s in range(values.shape[2]):
-        f = values[:, :, s]
-        u_scalar, u_elastic = _convolve(grid, f, kernels)
-        # the split u = u_scalar + u_elastic / omega^2 is singular at omega = 0;
-        # u_total enters only the ratio omega^2 ||u_total||, which vanishes there
-        u_total = u_scalar + u_elastic / omega2 if omega > 0.0 else u_scalar
-        norm_f, norm_f_comp = _norm(f), _comp_norms(f)
-        ratio = float(omega2 * _norm(u_total) / norm_f)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scalar_ratios = np.where(
-                norm_f_comp > 0.0, omega2 * _comp_norms(u_scalar) / norm_f_comp, 0.0
-            )
-        reports.append(FundamentalBoundReport(
-            kappa_s=kappa, ratio=ratio, bound=bound, slack=bound - ratio,
-            scalar_ratios=tuple(float(x) for x in scalar_ratios), scalar_bound=kappa,
-            elastic_ratio=float(_norm(u_elastic) / norm_f), elastic_bound=4.0 + 16.0 * kappa,
-        ))
+    # the split u = u_scalar + u_elastic / omega^2 is singular at omega = 0;
+    # u_total enters only the ratio omega^2 ||u_total||, which vanishes there
+    u_total = u_scalar + u_elastic / omega2 if omega > 0.0 else u_scalar
+    norm_f, norm_f_comp = _norm(f), _comp_norms(f)
+    ratio = float(omega2 * _norm(u_total) / norm_f)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scalar_ratios = np.where(
+            norm_f_comp > 0.0, omega2 * _comp_norms(u_scalar) / norm_f_comp, 0.0
+        )
+    return FundamentalBoundReport(
+        kappa_s=kappa, ratio=ratio, bound=bound, slack=bound - ratio,
+        scalar_ratios=tuple(float(x) for x in scalar_ratios), scalar_bound=kappa,
+        elastic_ratio=float(_norm(u_elastic) / norm_f), elastic_bound=4.0 + 16.0 * kappa,
+    )
+
+
+def _grid_jobs(grid: BallGrid, sources, rho, mu, lam, omega, reports: list) -> collections.deque:
+    """The jobs of one grid, its kernel tables made here: transforming the
+    tables, then one check per source, which samples the source on the grid
+    and writes its report to ``reports``.  Only the jobs hold the spectra,
+    so they are freed when the grid's last check is dropped."""
+    kappa = WaveNumbers.from_material(rho, mu, lam, omega).k_s * grid.ell
+    tables = [
+        (_kernel_table(grid, rho, mu, lam, omega, kernel), _self_cell(grid, rho, mu, lam, omega, kernel))
+        for kernel in ("scalar", "elastic")
+    ]
+    kernels = []
+
+    def transform():
+        while tables:
+            table, self_cell = tables.pop(0)
+            kernels.append((_kernel_spectrum(table), self_cell))
+
+    def check(s):
+        f = sources[s](grid.nodes)
+        reports[s] = _source_report(grid, f, *_convolve(grid, f, kernels), omega, kappa)
+
+    return collections.deque([transform] + [functools.partial(check, s) for s in range(len(sources))])
+
+
+def _run_jobs(queues: list, workers: int) -> None:
+    """Run the jobs of ``queues`` (deques, emptied as their jobs start) on
+    ``workers`` threads, the calling thread one of them.  A queue's first
+    job ends before the rest of that queue starts; a thread takes the next
+    job of the first queue that can start one.  The first exception a job
+    raises is re-raised here once every thread has ended; no job starts
+    after it."""
+    started = [False] * len(queues)
+    blocked = [False] * len(queues)
+    errors = []
+    cond = threading.Condition()
+
+    def take():
+        # under cond: (queue index, job), or None once no job is left to start
+        while not errors and any(queues):
+            for i, queue in enumerate(queues):
+                if queue and not blocked[i]:
+                    blocked[i], started[i] = not started[i], True
+                    return i, queue.popleft()
+            cond.wait()
+        return None
+
+    def work():
+        while True:
+            with cond:
+                taken = take()
+            if taken is None:
+                return
+            i, job = taken
+            try:
+                job()
+            except BaseException as exc:
+                with cond:
+                    errors.append(exc)
+                    cond.notify_all()
+                return
+            with cond:
+                if blocked[i]:
+                    blocked[i] = False
+                    cond.notify_all()
+
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        with cond:  # the calling thread has stopped: so does every other
+            for queue in queues:
+                queue.clear()
+            cond.notify_all()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
+def verify_fundamental_sweep(
+    grids: list,
+    sources: list,
+    rho: float,
+    mu: float,
+    lam: float,
+    omega: float,
+) -> list[list[FundamentalBoundReport]]:
+    """Verify every source callable (``random_ball_sources``) sampled on
+    every grid: one report list per grid, in the order of ``grids``.
+
+    The kernel tables are made on the calling thread, finest grid first.
+    The rest runs as jobs on ``worker_count`` threads: per grid, one job
+    transforms the acoustic and the elastic kernel, and then one job per
+    source samples it, convolves it and takes the norms.  Every job's
+    arithmetic is independent of the others, so the reports do not depend
+    on the worker count, and a source's report not on the other sources."""
+    reports = [[None] * len(sources) for _ in grids]
+    order = sorted(range(len(grids)), key=lambda g: -grids[g].n)
+    queues = [_grid_jobs(grids[g], sources, rho, mu, lam, omega, reports[g]) for g in order]
+    _run_jobs(queues, worker_count([grid.n for grid in grids], len(sources)))
     return reports
 
 

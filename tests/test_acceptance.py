@@ -55,17 +55,12 @@ def fundamental_sweep():
     lam = 1.0
     theta_s = math.sqrt(MU / RHO)
     sources = greens.random_ball_sources(ELL, 20, seed=42)
-    grids = {n: greens.ball_grid(ELL, n) for n in (20, 25)}
-    values = {
-        n: np.stack([fn(g.nodes) for fn in sources], axis=2) for n, g in grids.items()
-    }
+    grids = [greens.ball_grid(ELL, n) for n in (20, 25)]
     t0 = time.perf_counter()
     out = {}
     for kappa in (0.5, 1.0, 2.0, 4.0):
         omega = kappa * theta_s / ELL
-        reports = greens.verify_fundamental_sweep(grids[20], values[20], RHO, MU, lam, omega)
-        reports_fine = greens.verify_fundamental_sweep(grids[25], values[25], RHO, MU, lam, omega)
-        out[kappa] = (reports, reports_fine)
+        out[kappa] = greens.verify_fundamental_sweep(grids, sources, RHO, MU, lam, omega)
     return out, time.perf_counter() - t0
 
 

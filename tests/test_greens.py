@@ -1,4 +1,9 @@
+import collections
+import functools
 import math
+import sys
+import threading
+import time
 
 import mpmath as mp
 import numpy as np
@@ -212,7 +217,9 @@ class TestGreenTensor:
 
 def fft_apply(grid, values, omega, kernel):
     """The package's same-grid convolution of values (N, 3) with a kernel."""
-    (u,) = greens._convolve(grid, values, [greens._kernel_spectrum(grid, RHO, MU, LAM, omega, kernel)])
+    spectrum = greens._kernel_spectrum(greens._kernel_table(grid, RHO, MU, LAM, omega, kernel))
+    self_cell = greens._self_cell(grid, RHO, MU, LAM, omega, kernel)
+    (u,) = greens._convolve(grid, values, [(spectrum, self_cell)])
     return u
 
 
@@ -313,13 +320,9 @@ class TestConvolution:
             out[inside] = np.array([1.0, 0.5, -0.25])
             return out
 
-        omega = 2.0
-        ratios = []
-        for n in (16, 24):
-            grid = greens.ball_grid(1.0, n)
-            values = fn(grid.nodes)[:, :, None]
-            ratios.append(greens.verify_fundamental_sweep(grid, values, RHO, MU, LAM, omega)[0].ratio)
-        assert abs(ratios[0] - ratios[1]) / ratios[1] < 0.02
+        grids = [greens.ball_grid(1.0, n) for n in (16, 24)]
+        (coarse,), (fine,) = greens.verify_fundamental_sweep(grids, [fn], RHO, MU, LAM, 2.0)
+        assert abs(coarse.ratio - fine.ratio) / fine.ratio < 0.02
 
 
 def full_lattice_table(grid, kernel, omega):
@@ -374,7 +377,7 @@ class TestKernelTable:
         # (index-n planes zeroed: no n-grid reaches them, and the table
         # holds zero there)
         grid = greens.ball_grid(1.0, n)
-        rows, _ = greens._kernel_spectrum(grid, RHO, MU, LAM, 2.0, "elastic")
+        rows = greens._kernel_spectrum(greens._kernel_table(grid, RHO, MU, LAM, 2.0, "elastic"))
         keep = np.arange(2 * n) != n
         full = full_lattice_table(grid, "elastic", 2.0) * (
             keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
@@ -454,9 +457,9 @@ class TestSelfCell:
 
 def verify_one(ell, n, seed, rho, mu, lam, omega):
     """The report of one random source on an n-grid."""
-    grid = greens.ball_grid(ell, n)
-    (fn,) = greens.random_ball_sources(ell, 1, seed=seed)
-    return greens.verify_fundamental_sweep(grid, fn(grid.nodes)[:, :, None], rho, mu, lam, omega)[0]
+    sources = greens.random_ball_sources(ell, 1, seed=seed)
+    ((report,),) = greens.verify_fundamental_sweep([greens.ball_grid(ell, n)], sources, rho, mu, lam, omega)
+    return report
 
 
 class TestVerifyFundamental:
@@ -496,11 +499,10 @@ class TestVerifyFundamental:
         # report from a sweep of that source alone
         grid = greens.ball_grid(1.0, 9)
         fns = greens.random_ball_sources(1.0, 4, seed=13)
-        values = np.stack([fn(grid.nodes) for fn in fns], axis=2)
-        reports = greens.verify_fundamental_sweep(grid, values, RHO, MU, LAM, 2.0)
+        (reports,) = greens.verify_fundamental_sweep([grid], fns, RHO, MU, LAM, 2.0)
         assert len(reports) == 4
-        for s, rep in enumerate(reports):
-            (alone,) = greens.verify_fundamental_sweep(grid, values[:, :, s:s + 1], RHO, MU, LAM, 2.0)
+        for fn, rep in zip(fns, reports):
+            ((alone,),) = greens.verify_fundamental_sweep([grid], [fn], RHO, MU, LAM, 2.0)
             assert rep == alone
 
     def test_every_fft_acts_on_one_lattice_array(self, monkeypatch):
@@ -516,19 +518,19 @@ class TestVerifyFundamental:
                 return real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, spy)
-        n, n_sources = 8, 3
-        grid = greens.ball_grid(1.0, n)
+        ns, n_sources = (8, 11), 3
+        grids = [greens.ball_grid(1.0, n) for n in ns]
         fns = greens.random_ball_sources(1.0, n_sources, seed=14)
-        values = np.stack([fn(grid.nodes) for fn in fns], axis=2)
-        greens.verify_fundamental_sweep(grid, values, RHO, MU, LAM, 2.0)
+        greens.verify_fundamental_sweep(grids, fns, RHO, MU, LAM, 2.0)
         assert all(len(shape) <= 3 for _, shape in calls)
         forward = [shape for name, shape in calls if name == "fftn"]
-        assert forward.count((2 * n,) * 3) == 3
-        assert forward.count((n,) * 3) == 3 * n_sources
-        assert len(forward) == 3 + 3 * n_sources
+        for n in ns:
+            assert forward.count((2 * n,) * 3) == 3
+            assert forward.count((n,) * 3) == 3 * n_sources
+        assert len(forward) == len(ns) * (3 + 3 * n_sources)
         # six pruned inverses per source (two kernels, three components),
         # one axis at a time
-        assert sum(name == "ifft" for name, _ in calls) == 6 * 3 * n_sources
+        assert sum(name == "ifft" for name, _ in calls) == len(ns) * 6 * 3 * n_sources
         assert not any(name == "fft" for name, _ in calls)
 
     @pytest.mark.parametrize("n", [6, 7])
@@ -539,15 +541,14 @@ class TestVerifyFundamental:
         # against the full tensor G, not against the split verify applies
         grid = greens.ball_grid(1.0, n)
         fns = greens.random_ball_sources(1.0, 3, seed=12)
-        values = np.stack([fn(grid.nodes) for fn in fns], axis=2)
-        reports = greens.verify_fundamental_sweep(grid, values, RHO, MU, LAM, omega)
+        (reports,) = greens.verify_fundamental_sweep([grid], fns, RHO, MU, LAM, omega)
         w = grid.weights[:, None]
 
         def norm(v, axis=None):
             return np.sqrt(np.sum(w * np.abs(v) ** 2, axis=axis))
 
-        for s, rep in enumerate(reports):
-            f = values[:, :, s]
+        for fn, rep in zip(fns, reports):
+            f = fn(grid.nodes)
             u = {kern: oracle_apply(grid.nodes, grid.h, f, omega, kern) for kern in KERNELS}
             expected = {
                 # omega^2 ||u|| vanishes at omega = 0, where the split is singular
@@ -561,6 +562,124 @@ class TestVerifyFundamental:
                 assert abs(getattr(rep, name) - want) <= 1e-12 * want
             scalar = omega**2 * norm(u["scalar"], axis=0) / norm(f, axis=0)
             assert np.all(np.abs(np.array(rep.scalar_ratios) - scalar) <= 1e-12 * scalar)
+
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_reports_do_not_depend_on_the_worker_count(self, workers, monkeypatch):
+        grids = [greens.ball_grid(1.0, n) for n in (9, 12)]
+        fns = greens.random_ball_sources(1.0, 3, seed=15)
+        want = greens.verify_fundamental_sweep(grids, fns, RHO, MU, LAM, 2.0)
+        monkeypatch.setattr(greens, "worker_count", lambda *args: workers)
+        assert greens.verify_fundamental_sweep(grids, fns, RHO, MU, LAM, 2.0) == want
+
+    def test_kernels_are_evaluated_on_the_calling_thread(self, monkeypatch):
+        # the benchmark's tracer wraps these two and keeps one span stack
+        threads = []
+        for name in ("_kernel_table", "elastic_hessian_kernel"):
+            real = getattr(greens, name)
+
+            def spy(*args, real=real, name=name):
+                threads.append((name, threading.get_ident()))
+                return real(*args)
+
+            monkeypatch.setattr(greens, name, spy)
+        monkeypatch.setattr(greens, "worker_count", lambda *args: 2)
+        grids = [greens.ball_grid(1.0, n) for n in (8, 11)]
+        greens.verify_fundamental_sweep(grids, greens.random_ball_sources(1.0, 3, seed=16),
+                                        RHO, MU, LAM, 2.0)
+        assert sorted(threads) == [("_kernel_table", threading.get_ident())] * 4 + [
+            ("elastic_hessian_kernel", threading.get_ident())] * 2
+
+
+class TestRunJobs:
+    @staticmethod
+    def queues(log, sizes):
+        """Queues of jobs that log (queue, index) when they run."""
+        return [collections.deque(lambda q=q, j=j: log.append((q, j)) for j in range(size))
+                for q, size in enumerate(sizes)]
+
+    def test_one_worker_runs_the_queues_in_order_on_the_calling_thread(self):
+        log = []
+        before = threading.active_count()
+        greens._run_jobs(self.queues(log, (3, 2)), 1)
+        assert log == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_each_queue_starts_with_its_first_job_alone(self, workers):
+        # the first job of queue 0 holds the rest of its queue back, while
+        # queue 1's jobs run beside it
+        log, lock = [], threading.Lock()
+        released = threading.Event()
+
+        def first():
+            assert released.wait(10.0)
+            with lock:
+                log.append("first ends")
+
+        def later(name):
+            with lock:
+                log.append(name)
+            if name == "queue 1":
+                released.set()
+
+        queues = [collections.deque([first, lambda: later("queue 0")]),
+                  collections.deque([lambda: later("queue 1")])]
+        greens._run_jobs(queues, workers)
+        assert log == ["queue 1", "first ends", "queue 0"]
+        assert not any(queues)
+
+    def test_two_workers_run_two_jobs_at_once(self):
+        barrier = threading.Barrier(2, timeout=10.0)
+        greens._run_jobs([collections.deque([barrier.wait]), collections.deque([barrier.wait])], 2)
+        assert barrier.n_waiting == 0 and not barrier.broken
+
+    def test_stress_every_job_runs_once_after_its_queue_head(self):
+        # more workers than cores and a short switch interval: a lost update
+        # in the scheduler would run a job twice, skip one, or start a
+        # queue's body before its head ended
+        log = []
+
+        def job(q, j):
+            log.append(("start", q, j))
+            if j == 0:
+                time.sleep(1e-3)  # a head that lasts: the rest of its queue must wait
+            log.append(("end", q, j))
+
+        queues = [collections.deque(functools.partial(job, q, j) for j in range(30))
+                  for q in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=greens._run_jobs, args=(queues, 8), daemon=True)
+            runner.start()
+            runner.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        starts = [entry[1:] for entry in log if entry[0] == "start"]
+        assert sorted(starts) == [(q, j) for q in range(6) for j in range(30)]
+        for q in range(6):
+            head_end = log.index(("end", q, 0))
+            assert all(log.index(("start", q, j)) > head_end for j in range(1, 30))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_error_stops_the_jobs_and_is_raised_after_the_threads_end(self, workers):
+        log = []
+        before = set(threading.enumerate())
+
+        def fail():
+            raise MemoryError
+
+        queues = self.queues(log, (2, 0, 2))
+        queues[1].append(fail)
+        with pytest.raises(MemoryError):
+            greens._run_jobs(queues, workers)
+        assert set(threading.enumerate()) == before
+        if workers == 1:  # queue 2 never starts
+            assert log == [(0, 0), (0, 1)]
+        else:  # every thread takes the first job of queue 0 first
+            assert (0, 0) in log
 
 
 def quad_multiplier_entry(k, ell, xi):
