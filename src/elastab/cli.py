@@ -238,11 +238,13 @@ def _fine_grid_n(grid_n: int) -> int:
 
 def greens_report(
     omega: float, rho: float, mu: float, lam: float, ell: float,
-    grid_n: int, n_sources: int, seed: int,
+    grid_n: int, n_sources: int, seed: int, workers: int | None = None,
 ) -> dict:
     sources = greens.random_ball_sources(ell, n_sources, seed)
     grid, fine = greens.ball_grid(ell, grid_n), greens.ball_grid(ell, _fine_grid_n(grid_n))
-    reports, reports_f = greens.verify_fundamental_sweep([grid, fine], sources, rho, mu, lam, omega)
+    reports, reports_f = greens.verify_fundamental_sweep(
+        [grid, fine], sources, rho, mu, lam, omega, workers
+    )
     consistency = max(
         abs(a.ratio - b.ratio) / b.ratio if b.ratio > 0 else 0.0
         for a, b in zip(reports, reports_f)
@@ -312,11 +314,12 @@ def _run_greens(args) -> int:
         },
         args.seed,
     )
-    manifest.data["workers"] = greens.worker_count(grid_ns, args.n_sources)
+    workers = greens.worker_count(grid_ns, args.n_sources)
+    manifest.data["workers"] = workers
     with manifest.stage("verify"):
         report = greens_report(
             args.omega, args.rho, args.mu, args.lam, args.ell,
-            args.grid_n, args.n_sources, args.seed,
+            args.grid_n, args.n_sources, args.seed, workers,
         )
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "greens_report.json"

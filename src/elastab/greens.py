@@ -81,9 +81,9 @@ def _cores() -> int:
 
 def worker_count(grid_ns, n_sources: int) -> int:
     """Threads a sweep of ``n_sources`` sources over n-grids ``grid_ns``
-    runs its jobs on: the most, up to the cores and the job count, whose
-    memory estimate fits the budget, and at least one."""
-    workers = min(_cores(), len(grid_ns) * (1 + n_sources))
+    runs its jobs on: the most, up to the cores and the count of (grid,
+    source) checks, whose memory estimate fits the budget, and at least one."""
+    workers = min(_cores(), len(grid_ns) * n_sources)
     while workers > 1 and verify_bytes(grid_ns, workers) > MEMORY_BUDGET:
         workers -= 1
     return workers
@@ -421,6 +421,7 @@ def _convolve(grid: BallGrid, f, kernels):
     for rows, self_cell in kernels:
         u = np.empty(f.shape, dtype=complex)
         for a, row in enumerate(rows):
+            # numpy.fft's out= (numpy >= 2.0) reuses tmp for the first inverse
             v = np.fft.ifft(_contract(row, s_hat, acc, tmp), axis=0, out=tmp)[:n]
             v = np.fft.ifft(v, axis=1)[:, :n]
             u[:, a] = np.fft.ifft(v, axis=2)[:, :, :n].reshape(n**3)[index]
@@ -481,83 +482,34 @@ def _source_report(grid: BallGrid, f, u_scalar, u_elastic, omega, kappa) -> Fund
     )
 
 
-def _grid_jobs(grid: BallGrid, sources, rho, mu, lam, omega, reports: list) -> collections.deque:
-    """The jobs of one grid, its kernel tables made here: transforming the
-    tables, then one check per source, which samples the source on the grid
-    and writes its report to ``reports``.  Only the jobs hold the spectra,
-    so they are freed when the grid's last check is dropped."""
-    kappa = WaveNumbers.from_material(rho, mu, lam, omega).k_s * grid.ell
-    tables = [
-        (_kernel_table(grid, rho, mu, lam, omega, kernel), _self_cell(grid, rho, mu, lam, omega, kernel))
-        for kernel in ("scalar", "elastic")
-    ]
-    kernels = []
-
-    def transform():
-        while tables:
-            table, self_cell = tables.pop(0)
-            kernels.append((_kernel_spectrum(table), self_cell))
-
-    def check(s):
-        f = sources[s](grid.nodes)
-        reports[s] = _source_report(grid, f, *_convolve(grid, f, kernels), omega, kappa)
-
-    return collections.deque([transform] + [functools.partial(check, s) for s in range(len(sources))])
-
-
-def _run_jobs(queues: list, workers: int) -> None:
-    """Run the jobs of ``queues`` (deques, emptied as their jobs start) on
-    ``workers`` threads, the calling thread one of them.  A queue's first
-    job ends before the rest of that queue starts; a thread takes the next
-    job of the first queue that can start one.  The first exception a job
-    raises is re-raised here once every thread has ended; no job starts
-    after it."""
-    started = [False] * len(queues)
-    blocked = [False] * len(queues)
+def _run_parallel(jobs: list, workers: int) -> None:
+    """Run the callables ``jobs`` on up to ``workers`` threads, the calling
+    thread one of them; each thread takes the next job in list order.  The
+    first exception a job raises is re-raised here once every thread has
+    ended; no job starts after it."""
+    queue = collections.deque(jobs)
     errors = []
-    cond = threading.Condition()
-
-    def take():
-        # under cond: (queue index, job), or None once no job is left to start
-        while not errors and any(queues):
-            for i, queue in enumerate(queues):
-                if queue and not blocked[i]:
-                    blocked[i], started[i] = not started[i], True
-                    return i, queue.popleft()
-            cond.wait()
-        return None
 
     def work():
-        while True:
-            with cond:
-                taken = take()
-            if taken is None:
+        while queue and not errors:
+            try:
+                job = queue.popleft()
+            except IndexError:  # another thread took the last job
                 return
-            i, job = taken
             try:
                 job()
             except BaseException as exc:
-                with cond:
-                    errors.append(exc)
-                    cond.notify_all()
-                return
-            with cond:
-                if blocked[i]:
-                    blocked[i] = False
-                    cond.notify_all()
+                errors.append(exc)
 
     threads = []
     try:
-        for _ in range(workers - 1):
+        for _ in range(min(workers, len(jobs)) - 1):
             thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
         work()
     finally:
-        with cond:  # the calling thread has stopped: so does every other
-            for queue in queues:
-                queue.clear()
-            cond.notify_all()
+        queue.clear()  # the calling thread has stopped: so does every other
         for thread in threads:
             thread.join()
     if errors:
@@ -571,20 +523,51 @@ def verify_fundamental_sweep(
     mu: float,
     lam: float,
     omega: float,
+    workers: int | None = None,
 ) -> list[list[FundamentalBoundReport]]:
     """Verify every source callable (``random_ball_sources``) sampled on
     every grid: one report list per grid, in the order of ``grids``.
 
-    The kernel tables are made on the calling thread, finest grid first.
-    The rest runs as jobs on ``worker_count`` threads: per grid, one job
-    transforms the acoustic and the elastic kernel, and then one job per
-    source samples it, convolves it and takes the norms.  Every job's
+    The kernel tables are made on the calling thread.  The rest runs on
+    ``workers`` threads (default ``worker_count``) in two passes, finest grid
+    first: each grid's acoustic and elastic kernels are transformed, then
+    one job per (grid, source) samples the source, convolves it and takes
+    the norms.  On one worker the grids take their passes one after the
+    other, so that one grid's spectra are held at a time.  Every job's
     arithmetic is independent of the others, so the reports do not depend
     on the worker count, and a source's report not on the other sources."""
-    reports = [[None] * len(sources) for _ in grids]
+    if workers is None:
+        workers = worker_count([grid.n for grid in grids], len(sources))
     order = sorted(range(len(grids)), key=lambda g: -grids[g].n)
-    queues = [_grid_jobs(grids[g], sources, rho, mu, lam, omega, reports[g]) for g in order]
-    _run_jobs(queues, worker_count([grid.n for grid in grids], len(sources)))
+    reports = [[None] * len(sources) for _ in grids]
+    k_s = WaveNumbers.from_material(rho, mu, lam, omega).k_s
+    # one thread gains nothing from holding every grid's spectra at once
+    for batch in [order] if workers > 1 else [[g] for g in order]:
+        tables = {
+            g: [
+                (_kernel_table(grids[g], rho, mu, lam, omega, kernel),
+                 _self_cell(grids[g], rho, mu, lam, omega, kernel))
+                for kernel in ("scalar", "elastic")
+            ]
+            for g in batch
+        }
+        kernels = {}
+
+        def transform(g):
+            pending, kernels[g] = tables.pop(g), []
+            while pending:  # each table is freed once transformed
+                table, self_cell = pending.pop(0)
+                kernels[g].append((_kernel_spectrum(table), self_cell))
+
+        def check(g, s):
+            grid = grids[g]
+            f = sources[s](grid.nodes)
+            u_scalar, u_elastic = _convolve(grid, f, kernels[g])
+            reports[g][s] = _source_report(grid, f, u_scalar, u_elastic, omega, k_s * grid.ell)
+
+        _run_parallel([functools.partial(transform, g) for g in batch], workers)
+        _run_parallel([functools.partial(check, g, s) for g in batch for s in range(len(sources))],
+                      workers)
     return reports
 
 

@@ -227,6 +227,24 @@ class TestDeterminism:
         assert (a / "greens_report.json").read_bytes() == (b / "greens_report.json").read_bytes()
         assert json.loads((b / "manifest.json").read_text())["workers"] == workers
 
+    def test_manifest_records_the_worker_count_the_sweep_ran_on(self, tmp_path, monkeypatch):
+        # a count that would differ between two calls (a changed CPU
+        # affinity, say) is taken once, so the manifest records the one used
+        from elastab import greens
+
+        counts, used = itertools.count(1), []
+        real = greens._run_parallel
+
+        def run_parallel(jobs, workers):
+            used.append(workers)
+            return real(jobs, workers)
+
+        monkeypatch.setattr(greens, "worker_count", lambda *args: next(counts))
+        monkeypatch.setattr(greens, "_run_parallel", run_parallel)
+        out = tmp_path / "g"
+        assert main(["greens-verify", "--omega", "2", "--grid-n", "8", "--out-dir", str(out)]) == 0
+        assert set(used) == {json.loads((out / "manifest.json").read_text())["workers"]}
+
     def test_package_reads_no_environment_and_threads_only_in_greens(self):
         # argv, config and seed are a run's whole input; greens runs its jobs
         # on threads, whose count the test above shows the results ignore

@@ -1,9 +1,7 @@
-import collections
 import functools
 import math
 import sys
 import threading
-import time
 
 import mpmath as mp
 import numpy as np
@@ -572,6 +570,24 @@ class TestVerifyFundamental:
         monkeypatch.setattr(greens, "worker_count", lambda *args: workers)
         assert greens.verify_fundamental_sweep(grids, fns, RHO, MU, LAM, 2.0) == want
 
+    def test_one_worker_takes_the_grids_one_after_the_other(self, monkeypatch):
+        # on one thread a grid's tables are made after the finer grid's last
+        # check, so one grid's spectra are held at a time
+        log = []
+        for name in ("_kernel_table", "_convolve"):
+            real = getattr(greens, name)
+
+            def spy(grid, *args, real=real, name=name):
+                log.append((name, grid.n))
+                return real(grid, *args)
+
+            monkeypatch.setattr(greens, name, spy)
+        grids = [greens.ball_grid(1.0, n) for n in (8, 11)]
+        greens.verify_fundamental_sweep(grids, greens.random_ball_sources(1.0, 2, seed=17),
+                                        RHO, MU, LAM, 2.0, workers=1)
+        assert log == [("_kernel_table", 11)] * 2 + [("_convolve", 11)] * 2 + [
+            ("_kernel_table", 8)] * 2 + [("_convolve", 8)] * 2
+
     def test_kernels_are_evaluated_on_the_calling_thread(self, monkeypatch):
         # the benchmark's tracer wraps these two and keeps one span stack
         threads = []
@@ -591,77 +607,39 @@ class TestVerifyFundamental:
             ("elastic_hessian_kernel", threading.get_ident())] * 2
 
 
-class TestRunJobs:
+class TestRunParallel:
     @staticmethod
-    def queues(log, sizes):
-        """Queues of jobs that log (queue, index) when they run."""
-        return [collections.deque(lambda q=q, j=j: log.append((q, j)) for j in range(size))
-                for q, size in enumerate(sizes)]
+    def jobs(log, size):
+        """Jobs that log their index when they run."""
+        return [functools.partial(log.append, j) for j in range(size)]
 
-    def test_one_worker_runs_the_queues_in_order_on_the_calling_thread(self):
+    def test_one_worker_runs_the_jobs_in_order_on_the_calling_thread(self):
         log = []
         before = threading.active_count()
-        greens._run_jobs(self.queues(log, (3, 2)), 1)
-        assert log == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+        greens._run_parallel(self.jobs(log, 5), 1)
+        assert log == [0, 1, 2, 3, 4]
         assert threading.active_count() == before
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_each_queue_starts_with_its_first_job_alone(self, workers):
-        # the first job of queue 0 holds the rest of its queue back, while
-        # queue 1's jobs run beside it
-        log, lock = [], threading.Lock()
-        released = threading.Event()
-
-        def first():
-            assert released.wait(10.0)
-            with lock:
-                log.append("first ends")
-
-        def later(name):
-            with lock:
-                log.append(name)
-            if name == "queue 1":
-                released.set()
-
-        queues = [collections.deque([first, lambda: later("queue 0")]),
-                  collections.deque([lambda: later("queue 1")])]
-        greens._run_jobs(queues, workers)
-        assert log == ["queue 1", "first ends", "queue 0"]
-        assert not any(queues)
 
     def test_two_workers_run_two_jobs_at_once(self):
         barrier = threading.Barrier(2, timeout=10.0)
-        greens._run_jobs([collections.deque([barrier.wait]), collections.deque([barrier.wait])], 2)
+        greens._run_parallel([barrier.wait, barrier.wait], 2)
         assert barrier.n_waiting == 0 and not barrier.broken
 
-    def test_stress_every_job_runs_once_after_its_queue_head(self):
+    def test_stress_every_job_runs_once(self):
         # more workers than cores and a short switch interval: a lost update
-        # in the scheduler would run a job twice, skip one, or start a
-        # queue's body before its head ended
+        # in taking jobs would run one twice or skip one
         log = []
-
-        def job(q, j):
-            log.append(("start", q, j))
-            if j == 0:
-                time.sleep(1e-3)  # a head that lasts: the rest of its queue must wait
-            log.append(("end", q, j))
-
-        queues = [collections.deque(functools.partial(job, q, j) for j in range(30))
-                  for q in range(6)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runner = threading.Thread(target=greens._run_jobs, args=(queues, 8), daemon=True)
+            runner = threading.Thread(target=greens._run_parallel,
+                                      args=(self.jobs(log, 500), 8), daemon=True)
             runner.start()
             runner.join(timeout=60.0)
         finally:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
-        starts = [entry[1:] for entry in log if entry[0] == "start"]
-        assert sorted(starts) == [(q, j) for q in range(6) for j in range(30)]
-        for q in range(6):
-            head_end = log.index(("end", q, 0))
-            assert all(log.index(("start", q, j)) > head_end for j in range(1, 30))
+        assert sorted(log) == list(range(500))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_an_error_stops_the_jobs_and_is_raised_after_the_threads_end(self, workers):
@@ -671,15 +649,14 @@ class TestRunJobs:
         def fail():
             raise MemoryError
 
-        queues = self.queues(log, (2, 0, 2))
-        queues[1].append(fail)
+        jobs = self.jobs(log, 2) + [fail] + self.jobs(log, 50)
         with pytest.raises(MemoryError):
-            greens._run_jobs(queues, workers)
+            greens._run_parallel(jobs, workers)
         assert set(threading.enumerate()) == before
-        if workers == 1:  # queue 2 never starts
-            assert log == [(0, 0), (0, 1)]
-        else:  # every thread takes the first job of queue 0 first
-            assert (0, 0) in log
+        if workers == 1:  # nothing after the failing job starts
+            assert log == [0, 1]
+        else:  # the jobs taken before it still end
+            assert {0, 1} <= set(log)
 
 
 def quad_multiplier_entry(k, ell, xi):
