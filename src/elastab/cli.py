@@ -150,7 +150,8 @@ def _bounds_inputs(cfg: dict):
     """(domain, multiplier, constants, [(omega, ratio, groups)]) of a
     ``bounds`` document; ConfigError unless every value is finite and in
     range, every domain object can be built from it and every derived
-    kappa_s is finite (a subnormal mu can make it 0 * inf)."""
+    group is finite (a subnormal mu can make kappa_s 0 * inf, a subnormal
+    alpha_n chi and c_rob inf)."""
     try:
         mat_cfg = cfg["material"]
         dom_cfg = cfg.get("domain", {})
@@ -182,8 +183,9 @@ def _bounds_inputs(cfg: dict):
                 material = core.MaterialField.constant(rho, mu, ratio * mu)
                 robin = _robin_for(robin_cfg, material)
                 groups = core.derive_groups(material, domain, robin, omega, mult)
-                if not math.isfinite(groups.kappa_s):
-                    raise ValueError(f"kappa_s = omega ell sqrt(rho/mu) not finite at omega={omega!r}")
+                for name, value in groups.as_dict().items():
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} = {value!r} not finite at omega={omega!r}")
                 cases.append((omega, ratio, groups))
     except (AttributeError, TypeError, ValueError, ElastabError) as exc:
         raise ConfigError(f"bounds configuration invalid: {exc}") from exc
@@ -444,13 +446,13 @@ def _run_fem_sweep(args) -> int:
 # identity-check
 # ---------------------------------------------------------------------------
 
-def _probe_solves(seed: int, count: int, kappa: float = 2.0, n_theta: int = 32):
+def _probe_solves(seed: int, count: int):
     from . import fem
 
     material = core.MaterialField.constant(1.0, 1.0, 1.0)
     robin = core.RobinSpec.shear_matched(material)
-    mesh = build_annulus_mesh(0.5, 1.0, 4, n_theta, order=2)
-    system = fem.assemble(mesh, material, robin, omega=kappa)
+    mesh = build_annulus_mesh(0.5, 1.0, 4, 32, order=2)
+    system = fem.assemble(mesh, material, robin, omega=2.0)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -538,7 +540,7 @@ def _suite_morawetz(seed: int):
     return reports
 
 
-def _suite_korn(seed: int, count: int = 20):
+def _suite_korn(seed: int):
     from . import identities as idn
 
     mat = core.MaterialField.constant(1.0, 1.0, 1.0)
@@ -546,7 +548,7 @@ def _suite_korn(seed: int, count: int = 20):
     groups = core.derive_groups(mat, _DISK, robin, omega=2.0)
     rng = np.random.default_rng(seed)
     reports = []
-    for _ in range(count):
+    for _ in range(20):
         c = rng.uniform(-0.4, 0.4, size=2)
         bump = fields.RadialBumpField(c, rng.uniform(0.1, 0.3), rng.normal(size=2) + 1j * rng.normal(size=2))
         basic, weighted = idn.korn_audit(bump, _DISK, robin, groups, mat, order=32)
@@ -612,10 +614,6 @@ def _suite_names(suite: str) -> list:
     if suite not in _SUITES:
         raise ConfigError(f"unknown suite {suite!r}")
     return [suite]
-
-
-def identity_reports(suite: str, seed: int):
-    return [r for name in _suite_names(suite) for r in _SUITES[name](seed)]
 
 
 def _run_identity_check(args) -> int:

@@ -30,32 +30,30 @@ is the transpose of mode m, and only the modes 0..floor(n_theta/2) are
 factored, as one block-diagonal sparse LU.  M is real symmetric, so the
 normal operator of mode n - m has the spectrum of mode m's.
 
-The mode blocks are the only factor the module makes.  Where the
-structure is checked:
-
-* ``empirical_constant`` decides it from its inputs.  Every
-  ``MaterialField`` is radial, every ``RobinSpec`` constant and every
-  ``Mesh`` its polar lattice by construction, so only the 4 n_r cells
-  around sector 0 are assembled (``_sector_cells``, ``_sector_rows``),
-  with no check of the mesh.  Sector 0's free rows give the blocks
-  B_-1, B_0, B_1, checked for B_0 = B_0^T and B_-1 = B_1^T, and the
-  half-spectrum mode blocks of S_ff and M_ff (``_sector_modes``).
-  Lanczos runs on those, with no FFT per step, in every mode block at
-  once: the normal operator is block-diagonal over the modes.
-* ``AssembledSystem.lu``, behind ``solve``, checks it on the entries of
-  the fully assembled S_ff: every sector's rows must repeat sector 0's
-  and be symmetric, and the factor (``_SectorLU``) reaches the high modes
-  through the transposed factor.
+The mode blocks are the only factor the module makes, and they have one
+source: sector 0's free rows of S_ff and M_ff.  Every ``MaterialField`` is
+radial, every ``RobinSpec`` constant and every ``Mesh`` its polar lattice
+by construction, so those rows hold the whole system.  They give the
+blocks B_-1, B_0, B_1, checked for a coupling beyond the neighbouring
+sectors and for B_0 = B_0^T and B_-1 = B_1^T (``_sector_couplings``), and
+the half-spectrum mode blocks (``_sector_modes``).  ``empirical_constant``
+assembles only the 4 n_r cells around sector 0 (``_sector_cells``,
+``_sector_rows``) and runs Lanczos on the mode blocks, with no FFT per
+step, in every mode block at once: the normal operator is block-diagonal
+over the modes.  ``AssembledSystem.lu``, behind ``solve``, takes sector
+0's rows of the fully assembled S_ff, and its factor (``_SectorLU``)
+reaches the high modes through the transposed factor.
 
 A system that fails these checks raises ``SolverError`` naming the
-check.  The direct LU of S_ff, with the same symmetric-pattern
-ordering and diagonal-preferring pivoting (``_factor``), is the tests'
-oracle.  Backward errors are measured on the system that was factored:
-``solve`` on the free dofs against S_ff, the estimate against its mode
-blocks, the image of S_ff under a unitary map (rotation, then the DFT
-over sectors).  At kappa_s = 32 (20,500 nodes, 2 vCPU) an estimate takes
-0.19-0.20 s and never holds the whole system; assembling that system
-alone takes 0.28-0.34 s.
+check; one whose other sectors do not repeat sector 0's rows misses
+``solve``'s backward-error contract.  The direct LU of S_ff, with the same
+symmetric-pattern ordering and diagonal-preferring pivoting (``_factor``),
+is the tests' oracle.  Backward errors are measured on the system that was
+solved: ``solve`` on the free dofs against the whole S_ff, the estimate
+against its mode blocks, the image of S_ff under a unitary map (rotation,
+then the DFT over sectors).  At kappa_s = 32 (20,500 nodes, 2 vCPU, five
+runs each) an estimate takes 0.07-0.09 s and never holds the whole system;
+assembling that system alone takes 0.14-0.19 s.
 """
 
 from __future__ import annotations
@@ -94,6 +92,10 @@ __all__ = [
 # the largest normwise backward error a checked solve may have
 # (``_check_solve``); accurate factors read at most 4.1e-16 in the tests
 _BACKWARD_TOL = 1e-14
+
+# an estimate stops once its top Ritz pair's residual is at most this
+# fraction of its Ritz value (``_lanczos``)
+_RITZ_TOL = 1e-8
 
 # Largest resolution mesh a sweep builds: kappa_s ~ 100 at the default
 # policy (order 2, 10 points per wavelength).  Peak memory grows about
@@ -221,16 +223,20 @@ class AssembledSystem:
     @cached_property
     def lu(self) -> _SectorLU:
         """Factorization of S_ff by angular Fourier modes (``_SectorLU``),
-        made on first use and shared by every later solve with this system;
-        it offers ``solve(rhs, trans)`` with trans "N" or "H".  S_ff must be
-        invariant under rotation by one angular sector and complex symmetric,
-        as on every mesh ``build_annulus_mesh`` makes with radial
-        coefficients; SolverError names the check it fails."""
+        made on first use from sector 0's free rows, as the estimate makes
+        its own (``_sector_rows``), and shared by every later solve with
+        this system.  The free dofs must be whole nodes, and sector 0's
+        rows must fill an equal share of them, couple only to the
+        neighbouring sectors and be symmetric (``_sector_couplings``);
+        SolverError names the check it fails.  The other sectors' rows are
+        taken to repeat sector 0's: a system where they do not is refused
+        by ``solve``'s backward-error contract against the whole S_ff."""
         free = self.free
         # Dirichlet data eliminate whole nodes: free dofs pair up as (2k, 2k+1)
         if not (np.array_equal(free[0::2] + 1, free[1::2]) and not np.any(free[0::2] % 2)):
             raise SolverError("the free dofs are not whole nodes")
-        return _SectorLU(self.mesh.n_theta, self.free_blocks[0])
+        s_ff = self.free_blocks[0]
+        return _SectorLU(self.mesh.n_theta, s_ff[: s_ff.shape[0] // self.mesh.n_theta])
 
 
 def _assemble_cells(mesh: Mesh, material: MaterialField, robin: RobinSpec, cells=None) -> tuple:
@@ -344,9 +350,8 @@ def _factor(s_ff: sp.csc_matrix):
         raise SolverError(f"system matrix is singular: {exc}") from exc
 
 
-# S_ff and M_ff count as sector-invariant and symmetric when every sector's
-# rows repeat sector 0's entries, and sector 0's couplings their transposes,
-# to this fraction of the matrix's largest entry
+# sector 0's couplings count as symmetric when they repeat their transposes
+# to this fraction of the largest entry of sector 0's rows
 _SECTOR_RTOL = 1e-12
 
 
@@ -361,38 +366,35 @@ def _sector_couplings(n: int, *matrices) -> tuple:
     matrices that couple each angular sector to itself and its neighbours
     (``_sector_modes``), on their union pattern.
 
-    ``pairs`` holds the union pattern's (row node, column node) pairs of
-    sector 0's L local nodes as row node * L + column node, sorted; each
-    coupling is a (3, pairs, 2, 2) array of the matrix's B_0, B_1 and B_-1
-    2x2 node blocks on those pairs, rotated into sector 0's frame.  Each
-    matrix holds the columns of all n L free nodes and the rows of every
-    sector (S_ff, M_ff) or of sector 0 alone (``_sector_rows``); every
-    sector's rows are checked against sector 0's.  Raises SolverError when
-    the sectors hold different node counts or the entries break the
-    rotation symmetry or the symmetry."""
+    Each matrix holds sector 0's free rows (``_sector_rows``) against the
+    columns of all n L free nodes.  ``pairs`` holds the union pattern's
+    (row node, column node) pairs of sector 0's L local nodes as row node *
+    L + column node, sorted; each coupling is a (3, pairs, 2, 2) array of
+    the matrix's B_0, B_1 and B_-1 2x2 node blocks on those pairs, rotated
+    into sector 0's frame.  Raises SolverError when the sectors hold
+    different node counts, a row couples beyond the neighbouring sectors
+    or the blocks are not symmetric."""
     size = matrices[0].shape[1]
     if n < 3 or size % (2 * n):
         raise SolverError("sectors hold different node counts")
     nodes = size // (2 * n)
-    row_sectors = matrices[0].shape[0] // (2 * nodes)
 
-    # every matrix's 2x2 node blocks, by row sector and slot: the coupling
-    # (B_0, B_1 or B_-1) and the local nodes of its row and column
+    # every matrix's 2x2 node blocks by slot: the coupling (B_0, B_1 or
+    # B_-1) and the local nodes of its row and column
     blocks = []
     for matrix in matrices:
         bsr = matrix.tobsr(blocksize=(2, 2))
-        row_sector, a = np.divmod(np.repeat(np.arange(row_sectors * nodes), np.diff(bsr.indptr)), nodes)
-        col_sector, b = np.divmod(bsr.indices, nodes)
-        shift = (col_sector - row_sector) % n  # 0, 1 or n - 1 for B_0, B_1, B_-1
+        a = np.repeat(np.arange(nodes), np.diff(bsr.indptr))
+        shift, b = np.divmod(bsr.indices, nodes)  # 0, 1 or n - 1 for B_0, B_1, B_-1
         if np.any((shift > 1) & (shift < n - 1)):
             raise SolverError("coupling beyond neighbouring sectors")
         slot = (np.where(shift == n - 1, 2, shift) * nodes + a) * nodes + b
-        blocks.append((row_sector, slot, bsr.data.reshape(-1, 4).T))
+        blocks.append((slot, bsr.data.reshape(-1, 4).T))
 
     # the union pattern of B_-1, B_0, B_1 over all matrices, one coefficient
     # block per coupling, and each coupling's transposed partner
     present = np.zeros(3 * nodes * nodes, dtype=bool)
-    for _, slot, _ in blocks:
+    for slot, _ in blocks:
         present[slot] = True
     index = np.cumsum(present) - 1
     block, pair = np.divmod(np.flatnonzero(present), nodes * nodes)
@@ -401,32 +403,21 @@ def _sector_couplings(n: int, *matrices) -> tuple:
     partner = np.minimum(np.searchsorted(pairs, flipped), pairs.size - 1)
     if np.any(pairs[partner] != flipped):
         raise SolverError("the couplings are not symmetric")
-    # the sector angles of each block's row and column nodes
-    step = 2.0 * math.pi / n
-    row_angle = step * np.arange(row_sectors)[:, None]
-    col_angle = row_angle + step * np.array([0, 1, -1])[block]
-    ca, sa, cb, sb = np.cos(row_angle), np.sin(row_angle), np.cos(col_angle), np.sin(col_angle)
-
-    def turn(x, y, c, s):
-        return c * x + s * y, c * y - s * x
+    # the sector angle of each block's column node
+    angle = 2.0 * math.pi / n * np.array([0, 1, -1])[block]
+    c, s = np.cos(angle), np.sin(angle)
 
     couplings = []
-    for row_sector, slot, data in blocks:
-        # every sector's blocks on the union pattern, entries 00, 01, 10, 11
-        # first; a sum that rounds to an exact zero in one sector and not in
-        # another is no asymmetry
-        v = np.zeros((4, row_sectors, block.size), dtype=data.dtype)
-        v[:, row_sector, index[slot]] = data
-        # rotated into the sectors' frames: F_a B F_b^T, F = [[cos, sin], [-sin, cos]]
-        v[0], v[1] = turn(v[0], v[1], cb, sb)
-        v[2], v[3] = turn(v[2], v[3], cb, sb)
-        v[0], v[2] = turn(v[0], v[2], ca, sa)
-        v[1], v[3] = turn(v[1], v[3], ca, sa)
+    for slot, data in blocks:
+        # the blocks on the union pattern, entries 00, 01, 10, 11 first,
+        # turned into sector 0's frame: B F^T, F = [[cos, sin], [-sin, cos]]
+        v = np.zeros((4, block.size), dtype=data.dtype)
+        v[:, index[slot]] = data
+        v[0], v[1] = c * v[0] + s * v[1], c * v[1] - s * v[0]
+        v[2], v[3] = c * v[2] + s * v[3], c * v[3] - s * v[2]
         tol = _SECTOR_RTOL * np.abs(v).max(initial=0.0)
-        if np.abs(v - v[:, :1]).max(initial=0.0) > tol:
-            raise SolverError("sectors hold different entries")
         coeffs = np.zeros((3, pairs.size, 2, 2), dtype=complex)
-        coeffs[block, where] = v[:, 0].T.reshape(-1, 2, 2)
+        coeffs[block, where] = v.T.reshape(-1, 2, 2)
         # B_0 = B_0^T and B_-1 = B_1^T, pair by pair
         if np.abs(coeffs - coeffs[[0, 2, 1]][:, partner].swapaxes(-1, -2)).max(initial=0.0) > tol:
             raise SolverError("the blocks are not symmetric")
@@ -445,8 +436,8 @@ def _sector_modes(n: int, *matrices) -> list:
     on the same local node of sector 0.  In the coordinates of (sector,
     local node, rotated component) a matrix A becomes T A T^T, T
     orthogonal, and when that matrix is block-circulant with blocks B_-1,
-    B_0, B_1 coupling each sector to itself and its neighbours
-    (``_sector_couplings``, which checks this), the DFT over sectors splits
+    B_0, B_1 coupling each sector to itself and its neighbours, read off
+    sector 0's rows (``_sector_couplings``), the DFT over sectors splits
     it into the mode blocks A_m = B_0 + B_1 w^m + B_-1 w^-m,
     w = exp(2 pi i / n).  A symmetric A (B_0 = B_0^T, B_-1 = B_1^T) has
     A_{n-m} = A_m^T, so the h = floor(n/2) + 1 modes m = 0..floor(n/2)
@@ -523,30 +514,24 @@ class _SectorLU:
     sector, L nodes of (x, y) pairs each (``_sector_modes``), so a free-dof
     vector is an (n, L, 2) array.  Only the h = floor(n/2) + 1 modes
     m = 0..floor(n/2) are factored, as one sparse LU of their
-    block-diagonal matrix: a mode m > n/2 is solved with the transposed
-    factor of mode n - m, since S_{n-m} = S_m^T.  For the adjoint, the low
-    modes solve S_m^H and the high ones a conjugated solve of S_{n-m}, as
-    S_m^H = conj(S_{n-m})."""
+    block-diagonal matrix, made from sector 0's rows of S_ff
+    (``_sector_modes``): a mode m > n/2 is solved with the transposed
+    factor of mode n - m, since S_{n-m} = S_m^T."""
 
-    def __init__(self, n: int, s_ff):
-        [s_modes] = _sector_modes(n, s_ff)
+    def __init__(self, n: int, s_rows):
+        [s_modes] = _sector_modes(n, s_rows)
         self.modes = n
         self.lu = _factor(s_modes)
 
-    def solve(self, rhs, trans: str = "N"):
+    def solve(self, rhs):
         n, h = self.modes, self.modes // 2 + 1
         y = _to_modes(n, rhs)
         half = (h,) + y.shape[1:]  # (h, L, 2)
-        low = y[:h].reshape(-1)
         high = np.zeros(half, dtype=complex)  # row j: mode n - j
         high[1 : n - h + 1] = y[: h - 1 : -1]
-        high = high.reshape(-1)
-        if trans == "N":
-            low, high = self.lu.solve(low), self.lu.solve(high, trans="T")
-        else:
-            low, high = self.lu.solve(low, trans="H"), self.lu.solve(high.conj()).conj()
-        high = high.reshape(half)
-        return _from_modes(np.concatenate([low.reshape(half), high[n - h : 0 : -1]]))
+        low = self.lu.solve(y[:h].reshape(-1)).reshape(half)
+        high = self.lu.solve(high.reshape(-1), trans="T").reshape(half)
+        return _from_modes(np.concatenate([low, high[n - h : 0 : -1]]))
 
 
 def _check_solve(s, rhs, u) -> tuple:
@@ -657,7 +642,7 @@ class _Ritz(NamedTuple):
     thetas: tuple      # the top Ritz value after each step (nondecreasing)
 
 
-def _lanczos(forward, adjoint, m_mat, v, iters: int = 400, tol: float = 1e-8, blocks: int = 1) -> _Ritz:
+def _lanczos(forward, adjoint, m_mat, v, iters: int = 400, blocks: int = 1) -> _Ritz:
     """Top eigenvalue of the M-self-adjoint operator x -> adjoint(M
     forward(M x)): with forward = S^-1 and adjoint = S^-H it is
     sigma_max^2 of L^H S^-1 L, M = L L^H.
@@ -671,7 +656,7 @@ def _lanczos(forward, adjoint, m_mat, v, iters: int = 400, tol: float = 1e-8, bl
     with M per step, whatever the block count.  Each block keeps its own
     tridiagonal T_k, and the iteration stops once the top Ritz pair
     (theta, y) of the block holding the largest Ritz value is certified,
-    beta_k |y_k| <= ``tol`` * theta.  The Ritz vector lies in that block, so
+    beta_k |y_k| <= ``_RITZ_TOL`` * theta.  The Ritz vector lies in that block, so
     this is its residual under the whole operator.  A block whose beta_k is
     0 has found an invariant subspace and is never divided by it: its
     later vectors are 0, which keeps its Ritz values.  The top Ritz value
@@ -717,7 +702,7 @@ def _lanczos(forward, adjoint, m_mat, v, iters: int = 400, tol: float = 1e-8, bl
         top = int(np.argmax(ritz[:, -1]))
         thetas.append(float(ritz[top, -1]))
         residual = betas[top, k] * abs(float(y[top, -1, -1]))
-        if residual <= tol * thetas[-1]:
+        if residual <= _RITZ_TOL * thetas[-1]:
             return _Ritz(thetas[-1], top, k + 1, residual / thetas[-1], tuple(thetas))
         v, mv = w, mw
     raise IterationError(
@@ -758,14 +743,13 @@ def empirical_constant(
     omega: float,
     iters: int = 400,
     seed: int = 0,
-    tol: float = 1e-8,
 ) -> ConstantEstimate:
     """omega^2 times the largest singular value of the discrete solution map
     f -> u = S^-1 M f in rho-weighted norms.
 
     ``_lanczos`` on the normal operator S^-H M S^-1 M with one
     factorization of S, stopped once the top Ritz value theta is certified
-    to ``tol``; returns omega^2 sqrt(theta).  Every mesh is sector 0
+    to ``_RITZ_TOL``; returns omega^2 sqrt(theta).  Every mesh is sector 0
     rotated, so only the cells around sector 0 are assembled
     (``_sector_cells``, ``_sector_rows``), and Lanczos runs on the
     half-spectrum mode blocks of S_ff and M_ff (``_sector_modes``), which
@@ -777,7 +761,7 @@ def empirical_constant(
     modes (``_modal``).  The first forward solve is held to the same
     backward-error contract as ``solve`` (``_check_solve``), against the
     mode blocks that were factored.  A backward error that small does not
-    make c_emp accurate to ``tol``: near lambda/mu = 1e8 the relative
+    make c_emp accurate to ``_RITZ_TOL``: near lambda/mu = 1e8 the relative
     residual reads 3e-8 to 3e-7, and rounding moves c_emp by ~1e-7.
 
     Returns the ``ConstantEstimate`` (constant, step count, certificate,
@@ -804,7 +788,7 @@ def empirical_constant(
         return factor.solve(rhs, trans="H")
 
     try:
-        ritz = _lanczos(forward, adjoint, m_mat.tocsr(), _modal(n, v), iters, tol, blocks)
+        ritz = _lanczos(forward, adjoint, m_mat.tocsr(), _modal(n, v), iters, blocks)
     except IterationError as exc:
         last = tuple(omega**2 * math.sqrt(theta) for theta in exc.last_iterates)
         raise IterationError(str(exc), last_iterates=last) from None

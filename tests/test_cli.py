@@ -845,6 +845,8 @@ class TestCliFuzz:
                   "domain": {"d": 2}})  # the simple-Robin bound is exactly 0
     @example(doc={"material": {"rho": 1, "mu": 5e-324}, "omega": [0.0]})  # kappa_s = 0 * inf
     @example(doc={"material": {"rho": 1, "mu": 1e-320}, "omega": [0.0]})
+    @example(doc={"material": {"rho": 1, "mu": 1}, "omega": [0.0],
+                  "robin": {"alpha_t": 1.0, "alpha_n": 1.1125369292536007e-308}})  # chi = inf
     def test_bounds_documents(self, doc):
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "bounds.json"

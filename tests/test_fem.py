@@ -610,10 +610,8 @@ def _assert_solves_match_the_direct_factor(m, material):
     direct = fem._factor(s_ff)
     rng = np.random.default_rng(7)
     rhs = rng.normal(size=s.free.size) + 1j * rng.normal(size=s.free.size)
-    for trans in ("N", "H"):
-        exact = direct.solve(rhs, trans=trans)
-        got = s.lu.solve(rhs, trans=trans)
-        assert np.abs(got - exact).max() <= 1e-10 * np.abs(exact).max()
+    exact = direct.solve(rhs)
+    assert np.abs(s.lu.solve(rhs) - exact).max() <= 1e-10 * np.abs(exact).max()
 
 
 def _half_spectrum_projection(n, v):
@@ -654,6 +652,20 @@ def _coo_mode_blocks(n, nodes, pairs, coeffs):
     rows, cols = np.broadcast_arrays(rows, cols)
     data = coeffs[0] + coeffs[1] * twiddle + coeffs[2] * twiddle.conj()
     return sp.csc_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(half * nl, half * nl))
+
+
+def _sector_row_shapes(monkeypatch):
+    """Record (n_theta, shape) of every matrix ``fem._sector_couplings``
+    receives."""
+    shapes = []
+    couplings = fem._sector_couplings
+
+    def spied(n, *matrices):
+        shapes.extend((n, matrix.shape) for matrix in matrices)
+        return couplings(n, *matrices)
+
+    monkeypatch.setattr(fem, "_sector_couplings", spied)
+    return shapes
 
 
 def _counting_cells(monkeypatch):
@@ -706,13 +718,15 @@ class TestSectorFactor:
     @pytest.mark.parametrize("order", [1, 2])
     def test_sector_rows_give_the_mode_blocks_of_the_full_system(self, order, kind, lam_ratio, n_theta):
         # the estimate's mode blocks, from the cells around sector 0, against
-        # those of S_ff and M_ff assembled over the whole mesh; and array for
-        # array (so the factor is bit for bit) against their COO construction
+        # those of sector 0's rows of S_ff and M_ff assembled over the whole
+        # mesh; and array for array (so the factor is bit for bit) against
+        # their COO construction
         material = _radial_material(kind, lam_ratio)
         robin = core.RobinSpec.shear_matched(material)
         m = build_annulus_mesh(0.5, 1.0, 3, n_theta, order=order)
         s = fem.assemble(m, material, robin, omega=2.0)
-        full = fem._sector_modes(n_theta, s.free_blocks[0], s.mass[s.free][:, s.free])
+        sector = slice(s.free.size // n_theta)
+        full = fem._sector_modes(n_theta, s.free_blocks[0][sector], s.mass[s.free][:, s.free][sector])
         rows = fem._sector_rows(m, material, robin, 2.0)
         native = fem._sector_modes(n_theta, *rows)
         nodes, pairs, couplings = fem._sector_couplings(n_theta, *rows)
@@ -780,14 +794,16 @@ class TestSectorFactor:
         fem.assemble(m, material, robin, omega=2.0)
         assert counts == [m.n_cells]
 
-    def test_broken_symmetry_raises(self, material, robin):
+    def test_broken_rotation_symmetry_misses_the_contract(self, material, robin):
+        # the factor is made from sector 0's rows alone; a sector that does
+        # not repeat them is caught by the backward error against S_ff
         m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
-        k = 10 * 7 + 2  # lattice point (2, 10): a vertex of the first interior ring
+        k = 10 * 7 + 2  # lattice point (2, 10): a vertex of sector 5's first interior ring
         s = fem.assemble(m, material, robin, omega=2.0)
         bump = sp.csr_matrix(([1e-9 * s.stiffness[2 * k, 2 * k]], ([2 * k], [2 * k])), s.stiffness.shape)
         s = dataclasses.replace(s, stiffness=s.stiffness + bump)
         f = np.random.default_rng(3).normal(size=(m.n_nodes, 2))
-        with pytest.raises(SolverError, match="sectors hold different entries"):
+        with pytest.raises(SolverError, match="backward error"):
             fem.solve(s, f)
 
     def test_nonsymmetric_invariant_system_raises(self, material, robin):
@@ -802,7 +818,9 @@ class TestSectorFactor:
         with pytest.raises(SolverError, match="the blocks are not symmetric"):
             fem.solve(s, f)
 
-    @pytest.mark.parametrize("defect", ["opposite-sector-coupling", "extra-eliminated-node"])
+    @pytest.mark.parametrize(
+        "defect", ["opposite-sector-coupling", "extra-eliminated-node", "half-eliminated-node"]
+    )
     def test_irregular_sector_layout_raises(self, defect, material, robin):
         m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
         s = fem.assemble(m, material, robin, omega=2.0)
@@ -814,6 +832,12 @@ class TestSectorFactor:
             bump = sp.csr_matrix(([c, c], ([2 * k, 2 * far], [2 * far, 2 * k])), s.stiffness.shape)
             s = dataclasses.replace(s, stiffness=s.stiffness + bump)
             reason = "coupling beyond neighbouring sectors"
+        elif defect == "half-eliminated-node":
+            # only node k's x dof eliminated: the free dofs no longer pair up
+            dirichlet = np.union1d(s.dirichlet_dofs, [2 * k])
+            free = np.setdiff1d(np.arange(s.n_dofs), dirichlet)
+            s = dataclasses.replace(s, free=free, dirichlet_dofs=dirichlet)
+            reason = "the free dofs are not whole nodes"
         else:
             # node k eliminated too: the free nodes no longer fill whole sectors
             dirichlet = np.union1d(s.dirichlet_dofs, [2 * k, 2 * k + 1])
@@ -845,12 +869,15 @@ class TestSectorFactor:
         blocks = []
         lanczos = fem._lanczos
         monkeypatch.setattr(fem, "_lanczos", lambda *a: blocks.append(a[-1]) or lanczos(*a))
+        shapes = _sector_row_shapes(monkeypatch)
         for kappa in (1.0, 2.0, 4.0, 16.0, 24.0, 32.0):
             cfg = fem.SweepConfig(kappa_s=(kappa,), order=order)
             m = fem.resolution_mesh(cfg, kappa)
             material = cfg.material(1.0)
             est = fem.empirical_constant(m, material, cfg.robin(material), omega=kappa)
             assert blocks.pop() == m.n_theta // 2 + 1 and 0 <= est.top_mode <= m.n_theta // 2
+        # the mode blocks come from sector 0's rows alone
+        assert len(shapes) == 2 * 6 and all(rows * n == cols for n, (rows, cols) in shapes)
 
     def test_every_identity_check_mesh_takes_the_sector_path(self, monkeypatch):
         from elastab import cli
@@ -858,11 +885,14 @@ class TestSectorFactor:
         systems = []
         assemble = fem.assemble
         monkeypatch.setattr(fem, "assemble", lambda *a, **k: systems.append(assemble(*a, **k)) or systems[-1])
+        row_shapes = _sector_row_shapes(monkeypatch)
         for suite in ("garding", "morawetz", "chain"):
             cli._SUITES[suite](0)
         shapes = {(s.mesh.n_r, s.mesh.n_theta) for s in systems}
         assert {(4, 32), (6, 64)} <= shapes and len(systems) == 4
         assert all(isinstance(s.lu, fem._SectorLU) for s in systems)
+        # each system's factor is made from sector 0's rows of S_ff alone
+        assert len(row_shapes) == 4 and all(rows * n == cols for n, (rows, cols) in row_shapes)
 
 
 class TestSweep:
