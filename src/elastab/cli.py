@@ -159,7 +159,7 @@ def _bounds_inputs(cfg: dict):
         mu = float(mat_cfg["mu"])
         omegas = [float(w) for w in cfg["omega"]]
         ratios = [float(r) for r in cfg.get("lambda_over_mu", [1.0])]
-        d = int(dom_cfg.get("d", 3))
+        d = _integer(dom_cfg.get("d", 3))
         ell = float(dom_cfg.get("ell", 1.0))
         shape = dom_cfg.get("shape", "ball")
         r_in = dom_cfg.get("r_in")

@@ -10,11 +10,11 @@ Convolutions run as zero-padded FFTs on the (2n)^3 offset lattice (the
 kernel table is block-Toeplitz; see Vico, Greengard & Ferrando, J. Comput.
 Phys. 323, 2016), every transform on one lattice array; the direct pairwise
 sum is the tests' oracle (``tests/greens_oracle.py``).  The kernels are
-radial, so a table is evaluated on one octant of offsets and mirrored, and
-of a tensor kernel only H_00 and H_01 are transformed: on the cubic lattice
-the other four components are axis permutations of those two.  Kernel
-spectra are made once per grid; sources are convolved one at a time.  The
-transforms run as jobs on worker threads (numpy's FFTs release the GIL),
+radial, so both of a grid's tables are evaluated on one octant of offsets,
+in one call, and mirrored; of the elastic Hessian only H_00 and H_01 are
+formed and transformed: on the cubic lattice the other four components are
+axis permutations of those two.  Kernel spectra are made once per grid;
+sources are convolved one at a time.  The transforms run as jobs on worker threads (numpy's FFTs release the GIL),
 the kernel tables on the calling thread.  The self-cell and near-field
 series run in powers of the dimensionless i k a.
 The cos transform is in closed form: the cutoff is piecewise linear, so
@@ -30,7 +30,6 @@ import math
 import os
 import threading
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -129,20 +128,16 @@ def hessian_radial(k: float, y) -> np.ndarray:
     return out[0] if single else out
 
 
-def elastic_hessian_kernel(y, k: WaveNumbers) -> np.ndarray:
-    """Hessian of the difference kernel G^E(y) = g(|y|):
+def _hessian_coefficients(r, k: WaveNumbers):
+    """The radial coefficients (g'(r)/r, g''(r)) of G^E = g(|y|)/(4 pi) at
+    radii r > 0, g = e^{i k_s r}/r - e^{i k_p r}/r.
 
-        (1/4pi) [ g'(r)/r (I - yhat (x) yhat) + g''(r) yhat (x) yhat ].
-
-    The 1/r^3 singularities of the two exponential Hessians cancel, leaving
-    an integrable O(k^2/r) kernel; a power series in the dimensionless
+    The 1/r^3 singularities of the two exponentials cancel, leaving
+    integrable O(k^2/r) coefficients; a power series in the dimensionless
     i k r avoids the cancellation for k_max r < 0.1.  Each coefficient is
     formed on its own, so the radial one g'' does not cancel against the
     transverse one g'/r.
     """
-    y, r, single = _radii(y)
-    if np.any(r == 0.0):
-        raise SingularityError("elastic Hessian kernel evaluated at r = 0")
     kmax = max(abs(k.k_s), abs(k.k_p))
     coef_i = np.zeros(r.shape, dtype=complex)
     coef_rr = np.zeros(r.shape, dtype=complex)
@@ -170,6 +165,20 @@ def elastic_hessian_kernel(y, k: WaveNumbers) -> np.ndarray:
                 ce += (m - 1) * (m - 2) * dm
         coef_i[near] = ci / rn**3
         coef_rr[near] = ce / rn**3
+    return coef_i, coef_rr
+
+
+def elastic_hessian_kernel(y, k: WaveNumbers) -> np.ndarray:
+    """Hessian of the difference kernel G^E(y) = g(|y|)/(4 pi):
+
+        (1/4pi) [ g'(r)/r (I - yhat (x) yhat) + g''(r) yhat (x) yhat ],
+
+    with the coefficients of ``_hessian_coefficients``.
+    """
+    y, r, single = _radii(y)
+    if np.any(r == 0.0):
+        raise SingularityError("elastic Hessian kernel evaluated at r = 0")
+    coef_i, coef_rr = _hessian_coefficients(r, k)
     yhat = y / r[..., None]
     yy = yhat[..., :, None] * yhat[..., None, :]
     out = coef_i[..., None, None] * (np.eye(3) - yy)
@@ -210,7 +219,7 @@ def green_tensor(y, rho: float, mu: float, lam: float, omega: float) -> np.ndarr
     y_arr, r, single = _radii(y)
     if np.any(r == 0.0):
         raise SingularityError("Green tensor evaluated at r = 0")
-    g_a = _scalar_kernel(y_arr, rho, mu, lam, omega)
+    g_a = _scalar_kernel(r, rho, mu, lam, omega)
     hess = elastic_hessian_kernel(y_arr, WaveNumbers.from_material(rho, mu, lam, omega))
     out = g_a[..., None, None] * np.eye(3) + hess / omega**2
     return out[0] if single else out
@@ -292,35 +301,11 @@ def _elastic_self_integral(a: float, rho, mu, lam, omega) -> complex:
     return (xs * xs * _ball_moment(xs) - xp * xp * _ball_moment(xp)) / 3.0
 
 
-# Kernel evaluators at offsets z (M, 3).  They look the public kernels up at
-# call time, so a wrapper installed on the module sees every call.
-
-def _scalar_kernel(z, rho, mu, lam, omega):
-    """The acoustic kernel g_a = e^{i k_s r}/(4 pi theta_s^2 r)."""
-    r = np.linalg.norm(z, axis=-1)
+def _scalar_kernel(r, rho, mu, lam, omega):
+    """The acoustic kernel g_a = e^{i k_s r}/(4 pi theta_s^2 r) at radii r."""
     k_s = WaveNumbers.from_material(rho, mu, lam, omega).k_s
     theta_s = math.sqrt(mu / rho)
     return np.exp(1j * k_s * r) / (4.0 * math.pi * theta_s**2 * r)
-
-
-def _elastic_kernel(z, rho, mu, lam, omega):
-    return elastic_hessian_kernel(z, WaveNumbers.from_material(rho, mu, lam, omega))
-
-
-@dataclass(frozen=True)
-class _Kernel:
-    """A convolution kernel: its values at offsets z (M, 3), shape (M,) for a
-    scalar kernel or (M, 3, 3) for a tensor one, and its integral over the
-    ball of radius a (isotropic for every kernel, so a scalar)."""
-
-    evaluate: Callable
-    self_integral: Callable
-
-
-_KERNELS = {
-    "scalar": _Kernel(_scalar_kernel, _scalar_self_integral),
-    "elastic": _Kernel(_elastic_kernel, _elastic_self_integral),
-}
 
 
 # A radial tensor kernel f(r) I + g(r) yhat (x) yhat on the cubic lattice is
@@ -335,43 +320,51 @@ _TENSOR_PERMUTATIONS = {  # (a, b) -> (q, axes)
 }
 
 
-def _kernel_table(grid: BallGrid, rho, mu, lam, omega, kernel: str):
-    """Kernel values on the wrapped (2n)^3 offset lattice, spatial axes last:
-    shape (m, m, m) for the scalar kernel, or (2, m, m, m) for a tensor one
-    (its components 00 and 01), m = 2n.  Index j < n holds offset j h,
-    index j > n offset (j - 2n) h; index n is never reached by an n-grid and
-    holds zero.  Zero at the origin (the self cell is handled analytically).
+def _kernel_table(grid: BallGrid, rho, mu, lam, omega):
+    """The acoustic and the elastic kernel as (table, self-cell integral)
+    pairs.  A table holds the kernel on the wrapped (2n)^3 offset lattice,
+    spatial axes last: shape (m, m, m) for the acoustic kernel g_a, and
+    (2, m, m, m) for the elastic Hessian (its components 00 and 01),
+    m = 2n.  Index j < n holds offset j h, index j > n offset (j - 2n) h;
+    index n is never reached by an n-grid and holds zero.  Zero at the
+    origin: the self cell is the kernel's integral over the ball of a grid
+    cell's volume.
 
     The kernels are radial, so each distinct value is evaluated once, on the
     n^3 non-negative offsets, and mirrored into the other seven octants with
-    the parities of ``_TENSOR_PARITY``."""
+    the parities of ``_TENSOR_PARITY``.  H_00 and H_01 are formed from the
+    radial coefficients with the operations of ``elastic_hessian_kernel``,
+    so they hold its bits."""
     n = grid.n
     offs = np.arange(n) * grid.h
     zi, zj, zk = np.meshgrid(offs, offs, offs, indexing="ij")
     z = np.stack([zi.ravel(), zj.ravel(), zk.ravel()], axis=1)
-    z[0] = (grid.h, 0.0, 0.0)  # origin placeholder; the entry is zeroed below
-    octant = _KERNELS[kernel].evaluate(z, rho, mu, lam, omega)
-    octant[0] = 0.0
-    if octant.ndim == 1:
-        table, parity = octant.reshape(1, n, n, n), np.ones((1, 3))
-    else:
-        table, parity = octant[:, 0, :2].T.reshape(2, n, n, n), _TENSOR_PARITY
+    z[0] = (grid.h, 0.0, 0.0)  # origin placeholder; its entries are zeroed below
+    r = np.linalg.norm(z, axis=-1)
+    acoustic = _scalar_kernel(r, rho, mu, lam, omega)
+    coef_i, coef_rr = _hessian_coefficients(r, WaveNumbers.from_material(rho, mu, lam, omega))
+    yhat = z[:, :2] / r[:, None]
+    yy = yhat[:, :1] * yhat  # yhat_0 yhat_0, yhat_0 yhat_1
+    hessian = coef_i[:, None] * (np.eye(3)[0, :2] - yy)
+    hessian += coef_rr[:, None] * yy
+    hessian /= 4.0 * math.pi
+    acoustic[0] = hessian[0] = 0.0
     # per axis, (lattice indices, octant indices) of the non-negative offsets
     # 0..n-1 and of the negative ones -(n-1)..-1
     halves = ((slice(0, n), slice(0, n)), (slice(n + 1, None), slice(n - 1, 0, -1)))
-    full = np.zeros((table.shape[0],) + (2 * n,) * 3, dtype=complex)
-    for flip in itertools.product((0, 1), repeat=3):
-        sign = np.prod(np.where(flip, parity, 1.0), axis=1).reshape(-1, 1, 1, 1)
-        dst = (slice(None),) + tuple(halves[f][0] for f in flip)
-        src = (slice(None),) + tuple(halves[f][1] for f in flip)
-        full[dst] = sign * table[src]
-    return full[0] if octant.ndim == 1 else full
-
-
-def _self_cell(grid: BallGrid, rho, mu, lam, omega, kernel: str) -> complex:
-    """A kernel's integral over the ball of a grid cell's volume."""
+    tables = []
+    for octant, parity in ((acoustic.reshape(1, n, n, n), np.ones((1, 3))),
+                           (hessian.T.reshape(2, n, n, n), _TENSOR_PARITY)):
+        full = np.zeros((octant.shape[0],) + (2 * n,) * 3, dtype=complex)
+        for flip in itertools.product((0, 1), repeat=3):
+            sign = np.prod(np.where(flip, parity, 1.0), axis=1).reshape(-1, 1, 1, 1)
+            dst = (slice(None),) + tuple(halves[f][0] for f in flip)
+            src = (slice(None),) + tuple(halves[f][1] for f in flip)
+            full[dst] = sign * octant[src]
+        tables.append(full)
     radius = (3.0 * grid.h**3 / (4.0 * math.pi)) ** (1.0 / 3.0)
-    return complex(_KERNELS[kernel].self_integral(radius, rho, mu, lam, omega))
+    return [(tables[0][0], complex(_scalar_self_integral(radius, rho, mu, lam, omega))),
+            (tables[1], complex(_elastic_self_integral(radius, rho, mu, lam, omega)))]
 
 
 def _kernel_spectrum(table):
@@ -543,14 +536,7 @@ def verify_fundamental_sweep(
     k_s = WaveNumbers.from_material(rho, mu, lam, omega).k_s
     # one thread gains nothing from holding every grid's spectra at once
     for batch in [order] if workers > 1 else [[g] for g in order]:
-        tables = {
-            g: [
-                (_kernel_table(grids[g], rho, mu, lam, omega, kernel),
-                 _self_cell(grids[g], rho, mu, lam, omega, kernel))
-                for kernel in ("scalar", "elastic")
-            ]
-            for g in batch
-        }
+        tables = {g: _kernel_table(grids[g], rho, mu, lam, omega) for g in batch}
         kernels = {}
 
         def transform(g):

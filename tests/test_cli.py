@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import importlib
 import io
 import itertools
 import json
@@ -138,6 +139,8 @@ class TestBoundsCommand:
             {"lambda_over_mu": [-5.0]},
             {"lambda_over_mu": [float("nan")]},
             {"domain": {"d": 4}},
+            {"domain": {"d": 2.5}},
+            {"domain": {"d": 2.9}},
             {"domain": {"shape": "cube"}},
             {"domain": 5},
             {"robin": {"choice": "custom", "alpha_t": 0.0, "alpha_n": 1.0}},
@@ -148,7 +151,8 @@ class TestBoundsCommand:
             {"omega": [1e300], "domain": {"ell": 1e10}},
         ],
         ids=["omega-negative", "omega-nan", "omega-inf", "mu-zero", "rho-negative", "mu-inf",
-             "lambda-negative", "lambda-nan", "dimension-4", "shape-cube", "domain-scalar",
+             "lambda-negative", "lambda-nan", "dimension-4", "dimension-2.5", "dimension-2.9",
+             "shape-cube", "domain-scalar",
              "alpha-zero", "robin-unknown", "c_general-below-1", "c_general-nan",
              "kappa-nan", "kappa-inf"],
     )
@@ -266,6 +270,22 @@ class TestDeterminism:
                 found += [f"{path.name}:{node.lineno} {m}" for m in modules
                           if m.split(".")[0] in banned_modules or m in ("os.environ", "os.getenv")]
         assert [f for f in found if not (f.startswith("greens.py:") and f.endswith(" threading"))] == []
+
+
+class TestBenchmarkTraceTargets:
+    def test_every_trace_target_exists(self):
+        # a renamed attribute would blank one of the benchmark's per-layer
+        # metrics without failing anything; the only targets allowed absent
+        # are the two stale ones the next benchmark change removes
+        tree = ast.parse((Path(__file__).resolve().parent.parent / "bench" / "tracer.py").read_text())
+        found = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                 and node.targets[0].id in ("TARGETS", "FACTOR_TARGET")}
+        targets = [target[:2] for target in found["TARGETS"]] + [found["FACTOR_TARGET"][:2]]
+        assert len(targets) > 20
+        absent = {f"{module}.{attr}" for module, attr in targets
+                  if not hasattr(importlib.import_module(module), attr)}
+        assert absent <= {"elastab.greens.quad", "elastab.fem.build_annulus_mesh"}
 
 
 class TestGreensCommand:

@@ -27,15 +27,13 @@ def poisson_form_kelvin(y, rho, mu, lam):
 
 class TestScalarKernels:
     def test_static_limit(self):
-        y = np.array([[0.3, -0.4, 0.5]])
-        r = np.linalg.norm(y)
-        (g_a,) = greens._scalar_kernel(y, RHO, MU, LAM, 0.0)
+        r = np.linalg.norm([0.3, -0.4, 0.5])
+        g_a = greens._scalar_kernel(r, RHO, MU, LAM, 0.0)
         assert g_a == pytest.approx(1.0 / (4.0 * math.pi * THETA_S**2 * r))
 
     def test_unit_wavenumber_at_pi(self):
         # omega = theta_s puts k_s at 1
-        y = np.array([[math.pi, 0.0, 0.0]])
-        (g_a,) = greens._scalar_kernel(y, RHO, MU, LAM, THETA_S)
+        g_a = greens._scalar_kernel(math.pi, RHO, MU, LAM, THETA_S)
         assert g_a == pytest.approx(-1.0 / (4.0 * math.pi**2 * THETA_S**2))
 
     def test_equal_wavenumbers_kill_difference(self):
@@ -213,21 +211,33 @@ class TestGreenTensor:
         assert np.abs(g.real - k0.real).max() / np.abs(k0).max() < 1e-5
 
 
+KERNELS = ["scalar", "elastic"]
+
+
+def kernel_values(z, omega, kernel):
+    """A kernel at offsets z (M, 3): (M,) for the acoustic kernel, (M, 3, 3)
+    for the elastic Hessian."""
+    if kernel == "scalar":
+        return greens._scalar_kernel(np.linalg.norm(z, axis=-1), RHO, MU, LAM, omega)
+    return greens.elastic_hessian_kernel(z, greens.WaveNumbers.from_material(RHO, MU, LAM, omega))
+
+
+SELF_INTEGRALS = {"scalar": greens._scalar_self_integral, "elastic": greens._elastic_self_integral}
+
+
 def fft_apply(grid, values, omega, kernel):
     """The package's same-grid convolution of values (N, 3) with a kernel."""
-    spectrum = greens._kernel_spectrum(greens._kernel_table(grid, RHO, MU, LAM, omega, kernel))
-    self_cell = greens._self_cell(grid, RHO, MU, LAM, omega, kernel)
-    (u,) = greens._convolve(grid, values, [(spectrum, self_cell)])
+    table, self_cell = greens._kernel_table(grid, RHO, MU, LAM, omega)[KERNELS.index(kernel)]
+    (u,) = greens._convolve(grid, values, [(greens._kernel_spectrum(table), self_cell)])
     return u
 
 
 def oracle_apply(nodes, h, values, omega, kernel):
     """The same convolution by the pairwise oracle."""
-    entry = greens._KERNELS[kernel]
     return pairwise(
         nodes, h, values,
-        lambda z: entry.evaluate(z, RHO, MU, LAM, omega),
-        lambda a: entry.self_integral(a, RHO, MU, LAM, omega),
+        lambda z: kernel_values(z, omega, kernel),
+        lambda a: SELF_INTEGRALS[kernel](a, RHO, MU, LAM, omega),
     )
 
 
@@ -242,9 +252,6 @@ def total_apply(nodes, h, values, omega):
             + greens._elastic_self_integral(a, RHO, MU, LAM, omega) / omega**2
         ),
     )
-
-
-KERNELS = ["scalar", "elastic"]
 
 
 class TestConvolution:
@@ -331,7 +338,7 @@ def full_lattice_table(grid, kernel, omega):
     offs = np.where(j < n, j, j - m) * grid.h
     z = np.stack(np.meshgrid(offs, offs, offs, indexing="ij"), axis=-1).reshape(-1, 3)
     z[0] = (grid.h, 0.0, 0.0)
-    table = greens._KERNELS[kernel].evaluate(z, RHO, MU, LAM, omega)
+    table = kernel_values(z, omega, kernel)
     table[0] = 0.0
     return np.moveaxis(table, 0, -1).reshape(table.shape[1:] + (m, m, m))
 
@@ -341,9 +348,10 @@ class TestKernelTable:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_mirrored_table_matches_full_lattice(self, kernel, n):
         # the octant mirrored with the tensor parities equals a direct
-        # evaluation at every reachable offset; the index-n planes are zero
+        # evaluation at every reachable offset; the index-n planes are zero;
+        # the self cell is the integral over the ball of a cell's volume
         grid = greens.ball_grid(1.0, n)
-        table = greens._kernel_table(grid, RHO, MU, LAM, 2.0, kernel)
+        table, self_cell = greens._kernel_table(grid, RHO, MU, LAM, 2.0)[KERNELS.index(kernel)]
         full = full_lattice_table(grid, kernel, 2.0)
         if kernel != "scalar":
             full = full[0, :2]  # the tabulated components 00 and 01
@@ -354,19 +362,39 @@ class TestKernelTable:
         assert np.all(np.abs(table[reach] - full[reach]) <= 1e-14 * scale)
         for axis in (-3, -2, -1):
             assert not np.any(np.take(table, n, axis=axis))
+        radius = (3.0 * grid.h**3 / (4.0 * math.pi)) ** (1.0 / 3.0)
+        assert self_cell == SELF_INTEGRALS[kernel](radius, RHO, MU, LAM, 2.0)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_evaluator_sees_n_cubed_points(self, kernel, monkeypatch):
-        sizes = []
-        real = greens._KERNELS[kernel]
+    @pytest.mark.parametrize("n", [7, 9, 16, 21])
+    @pytest.mark.parametrize("omega", [0.0, 0.3, 2.0, 7.0])
+    def test_octant_holds_the_bits_of_the_kernel_functions(self, omega, n):
+        # the table's non-negative octant is exactly _scalar_kernel and
+        # H_00, H_01 of elastic_hessian_kernel at those offsets, origin
+        # zeroed; omega = 0.3 puts the small offsets on the series branch
+        grid = greens.ball_grid(1.0, n)
+        (acoustic, _), (hessian, _) = greens._kernel_table(grid, RHO, MU, LAM, omega)
+        offs = np.arange(n) * grid.h
+        z = np.stack(np.meshgrid(offs, offs, offs, indexing="ij"), axis=-1).reshape(-1, 3)
+        z[0] = (grid.h, 0.0, 0.0)
+        want_acoustic = kernel_values(z, omega, "scalar")
+        want_hessian = kernel_values(z, omega, "elastic")[:, 0, :2]
+        want_acoustic[0] = want_hessian[0] = 0.0
+        assert np.array_equal(acoustic[:n, :n, :n].ravel(), want_acoustic)
+        assert np.array_equal(hessian[:, :n, :n, :n].reshape(2, -1).T, want_hessian)
 
-        def counted(z, *args):
-            sizes.append(z.shape[0])
-            return real.evaluate(z, *args)
+    def test_evaluator_sees_n_cubed_points(self, monkeypatch):
+        # one octant of radii feeds both kernels, and no 3x3 tensor is built
+        log = []
+        for name in ("_scalar_kernel", "_hessian_coefficients", "elastic_hessian_kernel"):
+            real = getattr(greens, name)
 
-        monkeypatch.setitem(greens._KERNELS, kernel, greens._Kernel(counted, real.self_integral))
-        greens._kernel_table(greens.ball_grid(1.0, 7), RHO, MU, LAM, 2.0, kernel)
-        assert sizes == [7**3]
+            def spy(r, *args, real=real, name=name):
+                log.append((name, np.shape(r)))
+                return real(r, *args)
+
+            monkeypatch.setattr(greens, name, spy)
+        greens._kernel_table(greens.ball_grid(1.0, 7), RHO, MU, LAM, 2.0)
+        assert sorted(log) == [("_hessian_coefficients", (7**3,)), ("_scalar_kernel", (7**3,))]
 
     @pytest.mark.parametrize("n", [6, 7, 16])
     def test_permuted_spectra_match_transformed_components(self, n):
@@ -375,7 +403,8 @@ class TestKernelTable:
         # (index-n planes zeroed: no n-grid reaches them, and the table
         # holds zero there)
         grid = greens.ball_grid(1.0, n)
-        rows = greens._kernel_spectrum(greens._kernel_table(grid, RHO, MU, LAM, 2.0, "elastic"))
+        (_, (table, _)) = greens._kernel_table(grid, RHO, MU, LAM, 2.0)
+        rows = greens._kernel_spectrum(table)
         keep = np.arange(2 * n) != n
         full = full_lattice_table(grid, "elastic", 2.0) * (
             keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
@@ -451,6 +480,39 @@ class TestSelfCell:
         ]
         for got, want in pairs:
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
+
+
+class TestClosedFormsMatchMpmath:
+    @pytest.mark.parametrize("lam_ratio", [0.0, 1.0, 1e4, 1e8])
+    def test_closed_forms_match_mpmath(self, lam_ratio):
+        # the acoustic kernel, the ball moment F and both self integrals
+        # against their closed forms at 50 digits, for k_s a on both sides
+        # of the |w| = 1 switch between F's series and closed form.  The
+        # oracle starts from the phases k a as rounded to double, the
+        # arguments every double evaluation starts from: rounding k a itself
+        # costs up to |k a| eps/2 of relative accuracy, whatever the formula
+        a, lam = 0.1, lam_ratio * MU
+        for ka in np.geomspace(1e-8, 1e3, 45):
+            omega = ka * THETA_S / a
+            k = greens.WaveNumbers.from_material(RHO, MU, lam, omega)
+            with mp.workdps(50):
+                theta2, ra = mp.mpf(MU) / mp.mpf(RHO), mp.mpf(a)
+                xs, xp = mp.mpc(0.0, k.k_s * a), mp.mpc(0.0, k.k_p * a)
+
+                def moment(w):
+                    return (mp.exp(w) * (w - 1) + 1) / w**2
+
+                pairs = [
+                    (greens._scalar_kernel(a, RHO, MU, lam, omega),
+                     mp.exp(xs) / (4 * mp.pi * theta2 * ra)),
+                    (greens._ball_moment(1j * k.k_s * a), moment(xs)),
+                    (greens._scalar_self_integral(a, RHO, MU, lam, omega), ra**2 * moment(xs) / theta2),
+                    (greens._elastic_self_integral(a, RHO, MU, lam, omega),
+                     (xs**2 * moment(xs) - xp**2 * moment(xp)) / 3),
+                ]
+                for name, (got, want) in zip(("kernel", "moment", "scalar", "elastic"), pairs):
+                    want = complex(want)
+                    assert abs(got - want) <= 2e-15 * abs(want), (name, ka)
 
 
 def verify_one(ell, n, seed, rho, mu, lam, omega):
@@ -571,8 +633,8 @@ class TestVerifyFundamental:
         assert greens.verify_fundamental_sweep(grids, fns, RHO, MU, LAM, 2.0) == want
 
     def test_one_worker_takes_the_grids_one_after_the_other(self, monkeypatch):
-        # on one thread a grid's tables are made after the finer grid's last
-        # check, so one grid's spectra are held at a time
+        # on one thread a grid's tables are made, in one call, after the
+        # finer grid's last check, so one grid's spectra are held at a time
         log = []
         for name in ("_kernel_table", "_convolve"):
             real = getattr(greens, name)
@@ -585,26 +647,34 @@ class TestVerifyFundamental:
         grids = [greens.ball_grid(1.0, n) for n in (8, 11)]
         greens.verify_fundamental_sweep(grids, greens.random_ball_sources(1.0, 2, seed=17),
                                         RHO, MU, LAM, 2.0, workers=1)
-        assert log == [("_kernel_table", 11)] * 2 + [("_convolve", 11)] * 2 + [
-            ("_kernel_table", 8)] * 2 + [("_convolve", 8)] * 2
+        assert log == [("_kernel_table", 11)] + [("_convolve", 11)] * 2 + [
+            ("_kernel_table", 8)] + [("_convolve", 8)] * 2
 
     def test_kernels_are_evaluated_on_the_calling_thread(self, monkeypatch):
-        # the benchmark's tracer wraps these two and keeps one span stack
-        threads = []
-        for name in ("_kernel_table", "elastic_hessian_kernel"):
+        # the benchmark's tracer wraps _kernel_table and keeps one span
+        # stack; each grid's octant of radii is evaluated once, there, and
+        # the sweep never builds the 3x3 tensor of elastic_hessian_kernel
+        log = []
+        for name in ("_kernel_table", "_scalar_kernel", "_hessian_coefficients",
+                     "elastic_hessian_kernel"):
             real = getattr(greens, name)
 
-            def spy(*args, real=real, name=name):
-                threads.append((name, threading.get_ident()))
-                return real(*args)
+            def spy(first, *args, real=real, name=name):
+                size = first.n**3 if name == "_kernel_table" else np.size(first)
+                log.append((name, size, threading.get_ident()))
+                return real(first, *args)
 
             monkeypatch.setattr(greens, name, spy)
         monkeypatch.setattr(greens, "worker_count", lambda *args: 2)
         grids = [greens.ball_grid(1.0, n) for n in (8, 11)]
         greens.verify_fundamental_sweep(grids, greens.random_ball_sources(1.0, 3, seed=16),
                                         RHO, MU, LAM, 2.0)
-        assert sorted(threads) == [("_kernel_table", threading.get_ident())] * 4 + [
-            ("elastic_hessian_kernel", threading.get_ident())] * 2
+        here = threading.get_ident()
+        assert sorted(log) == [
+            (name, n**3, here)
+            for name in ("_hessian_coefficients", "_kernel_table", "_scalar_kernel")
+            for n in (8, 11)
+        ]
 
 
 class TestRunParallel:
