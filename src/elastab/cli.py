@@ -18,10 +18,11 @@ error (in which case no output file is written).  Every run writes a
 configuration echo, the seed, per-stage wall-clock, and output digests;
 result files themselves are byte-deterministic under a fixed seed.
 
-``bounds`` and ``greens-verify`` need numpy only.  ``fem`` and
-``identities``, which load scipy, are imported on the ``fem-sweep`` and
-``identity-check`` paths, and every call resolves through the module
-attribute.
+``bounds`` and ``greens-verify`` need numpy only.  Importing the CLI
+loads only ``errors`` and ``mesh`` of the package: each subcommand imports
+the modules it uses when it runs (``fem`` and ``identities``, which load
+scipy, only on the ``fem-sweep`` and ``identity-check`` paths), and every
+call resolves through the module attribute.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bounds as bnd, core, fields, greens
-from .config import load_config
+from . import __version__
 from .errors import ConfigError, ElastabError
 from .mesh import build_annulus_mesh
 
@@ -131,11 +131,33 @@ class _Manifest:
         _write_json(out_dir / "manifest.json", self.data)
 
 
+def _refuse_unknown_keys(cfg: dict, known, command: str) -> None:
+    """ConfigError naming the first key of the document, as a dotted path,
+    that ``command`` does not read (``known``: the dotted paths it reads).
+    The keys of a block are checked when the block is a table; a block of
+    another type is left to the reader, which refuses it."""
+    blocks = {path.partition(".")[0] for path in known if "." in path}
+    for key, value in cfg.items():
+        nested = key in blocks and isinstance(value, dict)
+        for path in [f"{key}.{sub}" for sub in value] if nested else [key]:
+            if path not in known and path not in blocks:
+                raise ConfigError(f"{command} does not read the key {path!r}")
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
 
+# the dotted key paths a bounds document may hold
+_BOUNDS_KEYS = frozenset({
+    "material.rho", "material.mu", "omega", "lambda_over_mu",
+    "domain.d", "domain.ell", "domain.shape", "domain.r_in",
+    "constants.c_general", "robin.choice", "robin.alpha_t", "robin.alpha_n",
+})
+
 def _robin_for(cfg_robin: dict, material: core.MaterialField) -> core.RobinSpec:
+    from . import core
+
     choice = cfg_robin.get("choice")
     if choice not in (None, "custom"):
         return core.RobinSpec.for_choice(choice, material)
@@ -151,7 +173,10 @@ def _bounds_inputs(cfg: dict):
     ``bounds`` document; ConfigError unless every value is finite and in
     range, every domain object can be built from it and every derived
     group is finite (a subnormal mu can make kappa_s 0 * inf, a subnormal
-    alpha_n chi and c_rob inf)."""
+    alpha_n chi and c_rob inf), or a key the document does not use."""
+    from . import bounds as bnd, core
+
+    _refuse_unknown_keys(cfg, _BOUNDS_KEYS, "bounds")
     try:
         mat_cfg = cfg["material"]
         dom_cfg = cfg.get("domain", {})
@@ -195,6 +220,8 @@ def _bounds_inputs(cfg: dict):
 def bounds_table(cfg: dict):
     """(header, rows) of every applicable closed-form bound, one row per
     (omega, lambda/mu) pair; ConfigError for an invalid document."""
+    from . import bounds as bnd
+
     domain, mult, constants, cases = _bounds_inputs(cfg)
     d = domain.d
     header = [
@@ -220,6 +247,8 @@ def bounds_table(cfg: dict):
 
 
 def _run_bounds(args) -> int:
+    from .config import load_config
+
     cfg = load_config(args.config)
     manifest = _Manifest("bounds", cfg, args.seed)
     with manifest.stage("evaluate"):
@@ -242,6 +271,8 @@ def greens_report(
     omega: float, rho: float, mu: float, lam: float, ell: float,
     grid_n: int, n_sources: int, seed: int, workers: int | None = None,
 ) -> dict:
+    from . import greens
+
     sources = greens.random_ball_sources(ell, n_sources, seed)
     grid, fine = greens.ball_grid(ell, grid_n), greens.ball_grid(ell, _fine_grid_n(grid_n))
     reports, reports_f = greens.verify_fundamental_sweep(
@@ -287,6 +318,8 @@ _GREENS_ELL_MAX = 1e13
 
 
 def _run_greens(args) -> int:
+    from . import greens
+
     params = (args.omega, args.rho, args.mu, args.lam, args.ell)
     if not all(math.isfinite(x) for x in params):
         raise ConfigError("greens-verify needs finite omega, rho, mu, lam and ell")
@@ -366,9 +399,11 @@ _SWEEP_FIELDS = {
 
 def sweep_config_from(cfg: dict, seed: int) -> fem.SweepConfig:
     """The sweep configuration of a document; ConfigError unless every value
-    is finite and in range."""
+    is finite and in range and every key is one it reads (``_SWEEP_FIELDS``,
+    ``kappa_s``, ``omega``)."""
     from . import fem
 
+    _refuse_unknown_keys(cfg, {*_SWEEP_FIELDS, "kappa_s", "omega"}, "fem-sweep")
     try:
         given = {}
         for path, (name, convert) in _SWEEP_FIELDS.items():
@@ -401,6 +436,7 @@ _SWEEP_HEADER = [
 
 def _run_fem_sweep(args) -> int:
     from . import fem
+    from .config import load_config
 
     cfg = load_config(args.config)
     sweep_cfg = sweep_config_from(cfg, args.seed)
@@ -447,7 +483,7 @@ def _run_fem_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _probe_solves(seed: int, count: int):
-    from . import fem
+    from . import core, fem
 
     material = core.MaterialField.constant(1.0, 1.0, 1.0)
     robin = core.RobinSpec.shear_matched(material)
@@ -470,65 +506,75 @@ def _suite_garding(seed: int):
     return reports
 
 
-_ANNULUS = core.DomainSpec(d=2, ell=1.0, shape="annulus", r_in=0.5)
-_DISK = core.DomainSpec(d=2, ell=1.0, shape="ball")
-_BALL3 = core.DomainSpec(d=3, ell=1.0, shape="ball")
+def _domain(shape: str, d: int = 2):
+    """The unit disk or ball (``shape`` "ball") or the annulus r_in = 0.5 of
+    the identity suites, built when a suite runs."""
+    from . import core
+
+    return core.DomainSpec(d=d, ell=1.0, shape=shape, r_in=0.5 if shape == "annulus" else None)
+
+
 _VANISH_INNER = [((2, 0), 1.0), ((0, 2), 1.0), ((0, 0), -0.25)]  # r^2 - r_in^2
 
 
 def _suite_rellich(seed: int):
-    from . import identities as idn
+    from . import core, fields, identities as idn
 
+    annulus = _domain("annulus")
     mat2 = core.MaterialField.constant(1.0, 1.5, 2.0)
     reports = []
     for k in range(3):
         v = fields.random_polynomial(2, 3, seed=seed + k)
-        reports.append(idn.rellich_audit(v, _ANNULUS, mat2, tol=1e-8))
+        reports.append(idn.rellich_audit(v, annulus, mat2, tol=1e-8))
     v3 = fields.random_polynomial(3, 2, seed=seed + 10)
-    reports.append(idn.rellich_audit(v3, _BALL3, mat2, order=v3.exact_order, tol=1e-8))
+    reports.append(idn.rellich_audit(v3, _domain("ball", 3), mat2, order=v3.exact_order, tol=1e-8))
     reports.append(
-        idn.rellich_audit(fields.plane_shear_wave(2, 2.0), _ANNULUS, mat2, order=32, tol=1e-6)
+        idn.rellich_audit(fields.plane_shear_wave(2, 2.0), annulus, mat2, order=32, tol=1e-6)
     )
     reports.append(
-        idn.rellich_audit(fields.plane_pressure_wave(2, 1.0), _ANNULUS, mat2, order=32, tol=1e-6)
+        idn.rellich_audit(fields.plane_pressure_wave(2, 1.0), annulus, mat2, order=32, tol=1e-6)
     )
     return reports
 
 
 def _rho_radial():
+    from . import core
+
     prof = core.radial_profile(lambda r: 1.0 + r**2, 1.0, 2.0, derivative=lambda r: 2.0 * r)
     return core.MaterialField.radial(prof, core.constant_profile(1.0), core.constant_profile(1.0))
 
 
 def _suite_mass(seed: int):
-    from . import identities as idn
+    from . import fields, identities as idn
 
     mat = _rho_radial()
+    annulus = _domain("annulus")
     reports = [
-        idn.mass_identity_audit(fields.constant_field([1.0, 2.0]), _DISK, mat, tol=1e-8),
-        idn.mass_identity_audit(fields.random_polynomial(2, 3, seed=seed), _ANNULUS, mat, tol=1e-8),
+        idn.mass_identity_audit(fields.constant_field([1.0, 2.0]), _domain("ball"), mat, tol=1e-8),
+        idn.mass_identity_audit(fields.random_polynomial(2, 3, seed=seed), annulus, mat, tol=1e-8),
         idn.mass_identity_audit(
-            fields.RadialBumpField([0.7, 0.0], 0.15, [1.0, 1.0j]), _ANNULUS, mat, order=48, tol=1e-6
+            fields.RadialBumpField([0.7, 0.0], 0.15, [1.0, 1.0j]), annulus, mat, order=48, tol=1e-6
         ),
     ]
     return reports
 
 
 def _suite_morawetz(seed: int):
-    from . import fem, identities as idn
+    from . import core, fem, fields, identities as idn
 
+    annulus = _domain("annulus")
     mat = core.MaterialField.constant(1.0, 1.5, 2.0)
     reports = []
     for k in range(3):
         u = fields.random_polynomial(2, 2, seed=seed + k).multiply_scalar_polynomial(_VANISH_INNER)
-        reports.append(idn.morawetz_audit(u, _ANNULUS, mat, omega=1.0 + k, tol=1e-6))
+        reports.append(idn.morawetz_audit(u, annulus, mat, omega=1.0 + k, tol=1e-6))
     rho_mat = core.MaterialField.radial(
         core.radial_profile(lambda r: 1.0 + 0.5 * r**2, 1.0, 1.5, derivative=lambda r: r),
         core.constant_profile(1.5),
         core.constant_profile(2.0),
     )
     u = fields.random_polynomial(2, 2, seed=seed + 50).multiply_scalar_polynomial(_VANISH_INNER)
-    reports.append(idn.morawetz_audit(u, _ANNULUS, rho_mat, omega=2.0, tol=1e-6))
+    reports.append(idn.morawetz_audit(u, annulus, rho_mat, omega=2.0, tol=1e-6))
     # discrete side: the gap measures strong-form consistency of u_h
     material = core.MaterialField.constant(1.0, 1.0, 1.0)
     robin = core.RobinSpec.shear_matched(material)
@@ -541,54 +587,57 @@ def _suite_morawetz(seed: int):
 
 
 def _suite_korn(seed: int):
-    from . import identities as idn
+    from . import core, fields, identities as idn
 
+    disk, annulus = _domain("ball"), _domain("annulus")
     mat = core.MaterialField.constant(1.0, 1.0, 1.0)
     robin = core.RobinSpec.from_alpha(1.0, 2.0, mat)
-    groups = core.derive_groups(mat, _DISK, robin, omega=2.0)
+    groups = core.derive_groups(mat, disk, robin, omega=2.0)
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(20):
         c = rng.uniform(-0.4, 0.4, size=2)
         bump = fields.RadialBumpField(c, rng.uniform(0.1, 0.3), rng.normal(size=2) + 1j * rng.normal(size=2))
-        basic, weighted = idn.korn_audit(bump, _DISK, robin, groups, mat, order=32)
+        basic, weighted = idn.korn_audit(bump, disk, robin, groups, mat, order=32)
         reports.extend([basic, weighted])
-    groups_a = core.derive_groups(mat, _ANNULUS, robin, omega=2.0)
+    groups_a = core.derive_groups(mat, annulus, robin, omega=2.0)
     for k in range(3):
         v = fields.random_polynomial(2, 1, seed=seed + k).multiply_scalar_polynomial(_VANISH_INNER)
-        basic, weighted = idn.korn_audit(v, _ANNULUS, robin, groups_a, mat)
+        basic, weighted = idn.korn_audit(v, annulus, robin, groups_a, mat)
         reports.extend([basic, weighted])
     return reports
 
 
 def _suite_robin(seed: int):
-    from . import identities as idn
+    from . import core, fields, identities as idn
 
+    disk = _domain("ball")
     mat = core.MaterialField.constant(1.0, 1.0, 1.0)
     robin = core.RobinSpec.from_alpha(1.0, 2.0, mat)
     tangential = fields.PolynomialField(2, [(0, (0, 1), -1.0), (1, (1, 0), 1.0)])
     reports = [
-        idn.robin_identity_audit(fields.constant_field([1.0 + 0.5j, -0.3]), _DISK, robin, tol=1e-8),
-        idn.robin_identity_audit(tangential, _DISK, robin, tol=1e-8),
+        idn.robin_identity_audit(fields.constant_field([1.0 + 0.5j, -0.3]), disk, robin, tol=1e-8),
+        idn.robin_identity_audit(tangential, disk, robin, tol=1e-8),
     ]
     for k in range(3):
         v = fields.random_polynomial(2, 2, seed=seed + k)
-        reports.append(idn.robin_identity_audit(v, _DISK, robin, tol=1e-8))
+        reports.append(idn.robin_identity_audit(v, disk, robin, tol=1e-8))
     return reports
 
 
 def _suite_chain(seed: int):
-    from . import fem, identities as idn
+    from . import core, fem, identities as idn
 
+    annulus = _domain("annulus")
     material = core.MaterialField.constant(1.0, 1.0, 1.0)
     robin = core.RobinSpec.shear_matched(material)
-    mult = core.multiplier_for(_ANNULUS)
+    mult = core.multiplier_for(annulus)
     reports = []
     for kappa in (1.0, 2.0):
         cfg = fem.SweepConfig(kappa_s=(kappa,), lambda_over_mu=(1.0,))
         mesh = fem.resolution_mesh(cfg, kappa)
         system = fem.assemble(mesh, material, robin, omega=kappa)
-        groups = core.derive_groups(material, _ANNULUS, robin, omega=kappa, mult=mult)
+        groups = core.derive_groups(material, annulus, robin, omega=kappa, mult=mult)
         rng = np.random.default_rng(seed + int(kappa))
         f = rng.normal(size=(mesh.n_nodes, 2)) + 1j * rng.normal(size=(mesh.n_nodes, 2))
         result = fem.solve(system, f)

@@ -36,7 +36,9 @@ radial, every ``RobinSpec`` constant and every ``Mesh`` its polar lattice
 by construction, so those rows hold the whole system.  They give the
 blocks B_-1, B_0, B_1, checked for a coupling beyond the neighbouring
 sectors and for B_0 = B_0^T and B_-1 = B_1^T (``_sector_couplings``), and
-the half-spectrum mode blocks (``_sector_modes``).  ``empirical_constant``
+the half-spectrum mode blocks (``_sector_modes``), whose local nodes
+come in one band order, so that ``_factor`` needs no ordering pass of its
+own.  ``empirical_constant``
 assembles only the 4 n_r cells around sector 0 (``_sector_cells``,
 ``_sector_rows``) and runs Lanczos on the mode blocks, with no FFT per
 step, in every mode block at once: the normal operator is block-diagonal
@@ -46,14 +48,16 @@ reaches the high modes through the transposed factor.
 
 A system that fails these checks raises ``SolverError`` naming the
 check; one whose other sectors do not repeat sector 0's rows misses
-``solve``'s backward-error contract.  The direct LU of S_ff, with the same
-symmetric-pattern ordering and diagonal-preferring pivoting (``_factor``),
-is the tests' oracle.  Backward errors are measured on the system that was
-solved: ``solve`` on the free dofs against the whole S_ff, the estimate
-against its mode blocks, the image of S_ff under a unitary map (rotation,
-then the DFT over sectors).  At kappa_s = 32 (20,500 nodes, 2 vCPU, five
-runs each) an estimate takes 0.07-0.09 s and never holds the whole system;
-assembling that system alone takes 0.14-0.19 s.
+``solve``'s backward-error contract.  The direct LU of S_ff, made by
+``_factor`` in the dofs' own order with the same diagonal-preferring
+pivoting, is the tests' oracle.  Backward errors are measured on the
+system that was solved: ``solve`` on the free dofs against the whole S_ff,
+the estimate against its mode blocks, the image of S_ff under a unitary
+map (rotation, the DFT over sectors, then the band order of the nodes).
+At kappa_s = 32 (20,500 nodes, 2 vCPU on a busy host, three processes of
+seven runs) an estimate takes 0.11-0.13 s, against 0.14-0.15 s with a
+minimum-degree ordering of the whole block-diagonal matrix, and never
+holds the whole system; assembling that system alone takes 0.14-0.19 s.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from . import mesh as _mesh
 from .bounds import bound_obstacle_ideal, bound_obstacle_realistic, stability_simple_robin
@@ -100,9 +105,10 @@ _RITZ_TOL = 1e-8
 # Largest resolution mesh a sweep builds: kappa_s ~ 100 at the default
 # policy (order 2, 10 points per wavelength).  Peak memory grows about
 # linearly in the node count.  On 2 vCPU one kappa_s = 64 row (80,676
-# nodes) peaks at 0.21 GB in 0.97 s, and a kappa_s = 100 row (194,500
-# nodes) at 0.39 GB in 2.4 s.  The direct factor of S_ff, which only the
-# tests build (as the oracle), took 1.55 GB and 12.5 s at kappa_s = 64.
+# nodes, a fresh process) peaks at 0.18 GB in 0.44-0.49 s, and a
+# kappa_s = 100 row (194,500 nodes) at 0.34 GB in 1.15-1.27 s; with a
+# minimum-degree ordering in place of the band order they read 0.20 GB in
+# 0.51-0.63 s and 0.40 GB in 1.75-1.86 s.
 NODE_BUDGET = 200_000
 
 _EDGE_QP, _EDGE_QW = np.polynomial.legendre.leggauss(4)
@@ -333,17 +339,26 @@ def _factor(s_ff: sp.csc_matrix):
     of S_ff (``_SectorLU``, the estimate); the tests also factor S_ff
     itself with it, as the oracle.
 
-    Both have a symmetric pattern (S is complex symmetric), so the
-    fill-reducing ordering is taken on the pattern of A + A^T with
-    diagonal-preferring pivoting: without the relaxed threshold, partial
-    pivoting at large lambda/mu leaves the ordering's diagonal and the fill
-    explodes.  Callers check the backward error of what they solve.
-    Factored through the module attribute ``spla``."""
+    The columns are eliminated in the order given: the mode blocks come in
+    a band order (``_sector_modes``), whose fill stays within the band, and
+    no ordering pass runs over the whole block-diagonal matrix.  Both
+    matrices have a symmetric pattern (S is complex symmetric), and the
+    pivoting prefers the diagonal: without the relaxed threshold, partial
+    pivoting at large lambda/mu leaves the diagonal and the fill grows (by
+    17% on the kappa_s = 16 mode blocks at lambda/mu = 1e4, where the
+    relaxed threshold adds 3%).
+    SuperLU's dense workspace is a panel of columns times the row count,
+    allocated per factor; a band needs no wide panel, and 4 columns in
+    place of SuperLU's default take the factors of the kappa_s = 16, 24
+    and 32 rows from 58 to 45 ms together (2 vCPU, medians of 30).
+    Callers check the backward error of what they solve.  Factored through
+    the module attribute ``spla``."""
     try:
         return spla.splu(
             s_ff,
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec="NATURAL",
             diag_pivot_thresh=0.1,
+            panel_size=4,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # SuperLU reports an exactly singular factor
@@ -425,7 +440,7 @@ def _sector_couplings(n: int, *matrices) -> tuple:
     return nodes, pairs, couplings
 
 
-def _sector_modes(n: int, *matrices) -> list:
+def _sector_modes(n: int, *matrices) -> tuple:
     """Half-spectrum angular Fourier decomposition of free-dof matrices.
 
     The free nodes of a ``build_annulus_mesh`` system come sector by sector,
@@ -443,28 +458,35 @@ def _sector_modes(n: int, *matrices) -> list:
     A_{n-m} = A_m^T, so the h = floor(n/2) + 1 modes m = 0..floor(n/2)
     determine all n.
 
-    Returns, per matrix, its h mode blocks as one block-diagonal CSC.  The
+    Returns (order, modes): the order of the L local nodes in every mode
+    block, and per matrix its h mode blocks as one block-diagonal CSC.  The
     union pattern of the blocks is shared by every matrix and every mode,
-    so one mode block's CSC structure, sorted by column and then row, is
-    built once and tiled over the h modes."""
+    and it is a thin radial strip, so its nodes are taken in reverse
+    Cuthill-McKee order (Cuthill & McKee, ACM 1969): a mode block's
+    half-bandwidth is then 11 dofs at order 2 whatever n_r, and ``_factor``
+    keeps that order.  One mode block's CSC structure, sorted by column and
+    then row, is built once and tiled over the h modes, and each matrix's
+    entries are one product of the twiddles (1, w^m, w^-m) with its
+    couplings."""
     nodes, pairs, couplings = _sector_couplings(n, *matrices)
     half, nl = n // 2 + 1, 2 * nodes  # nl: local dofs per sector
+    row_node, col_node = np.divmod(pairs, nodes)
+    graph = sp.csr_matrix((np.ones(pairs.size), (row_node, col_node)), shape=(nodes, nodes))
+    order = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(nodes)
     # one mode block's entries, pair by pair, then row and column component
-    rows = ((2 * (pairs // nodes))[:, None] + np.array([0, 0, 1, 1])).ravel()
-    cols = ((2 * (pairs % nodes))[:, None] + np.array([0, 1, 0, 1])).ravel()
-    order = np.lexsort((rows, cols))
-    indices = (rows[order] + nl * np.arange(half)[:, None]).ravel()
+    rows = ((2 * rank[row_node])[:, None] + np.array([0, 0, 1, 1])).ravel()
+    cols = ((2 * rank[col_node])[:, None] + np.array([0, 1, 0, 1])).ravel()
+    entries = np.lexsort((rows, cols))
+    indices = (rows[entries] + nl * np.arange(half)[:, None]).ravel()
     col_ptr = np.cumsum(np.bincount(cols, minlength=nl))
-    indptr = np.concatenate([[0], (col_ptr + order.size * np.arange(half)[:, None]).ravel()])
-    twiddle = np.exp(2j * math.pi * np.arange(half) / n)[:, None]
-    modes = []
-    for coeffs in couplings:
-        c0, c1, c2 = coeffs.reshape(3, -1)[:, order]
-        data = c1 * twiddle  # (h, entries): B_0 + B_1 w^m + B_-1 w^-m
-        data += c0
-        data += c2 * twiddle.conj()
-        modes.append(sp.csc_matrix((data.reshape(-1), indices, indptr), shape=(half * nl, half * nl)))
-    return modes
+    indptr = np.concatenate([[0], (col_ptr + entries.size * np.arange(half)[:, None]).ravel()])
+    twiddle = np.exp(2j * math.pi * np.arange(half) / n)
+    twiddles = np.stack([np.ones(half), twiddle, twiddle.conj()], axis=1)  # (h, 3)
+    # per matrix (h, entries): B_0 + B_1 w^m + B_-1 w^-m
+    data = [twiddles @ coeffs.reshape(3, -1)[:, entries] for coeffs in couplings]
+    return order, [sp.csc_matrix((d.reshape(-1), indices, indptr), shape=(half * nl,) * 2) for d in data]
 
 
 def _sector_rows(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float) -> tuple:
@@ -501,10 +523,11 @@ def _from_modes(y):
     return np.stack([c * yx - s * yy, s * yx + c * yy], axis=-1).reshape(-1)
 
 
-def _modal(n: int, x):
-    """The half-spectrum coordinates (modes 0..floor(n/2), flat) of a
-    free-dof vector, in which the mode blocks of ``_sector_modes`` act."""
-    return _to_modes(n, x)[: n // 2 + 1].reshape(-1)
+def _modal(n: int, x, order):
+    """The half-spectrum coordinates (modes 0..floor(n/2), local nodes in
+    ``order``, flat) of a free-dof vector, in which the mode blocks of
+    ``_sector_modes`` act."""
+    return _to_modes(n, x)[: n // 2 + 1, order].reshape(-1)
 
 
 class _SectorLU:
@@ -515,23 +538,25 @@ class _SectorLU:
     vector is an (n, L, 2) array.  Only the h = floor(n/2) + 1 modes
     m = 0..floor(n/2) are factored, as one sparse LU of their
     block-diagonal matrix, made from sector 0's rows of S_ff
-    (``_sector_modes``): a mode m > n/2 is solved with the transposed
-    factor of mode n - m, since S_{n-m} = S_m^T."""
+    (``_sector_modes``), whose local nodes come in the blocks' ``order``:
+    a mode m > n/2 is solved with the transposed factor of mode n - m,
+    since S_{n-m} = S_m^T."""
 
     def __init__(self, n: int, s_rows):
-        [s_modes] = _sector_modes(n, s_rows)
+        self.order, [s_modes] = _sector_modes(n, s_rows)
         self.modes = n
         self.lu = _factor(s_modes)
 
     def solve(self, rhs):
         n, h = self.modes, self.modes // 2 + 1
-        y = _to_modes(n, rhs)
+        y = _to_modes(n, rhs)[:, self.order]  # the mode blocks' node order
         half = (h,) + y.shape[1:]  # (h, L, 2)
         high = np.zeros(half, dtype=complex)  # row j: mode n - j
         high[1 : n - h + 1] = y[: h - 1 : -1]
         low = self.lu.solve(y[:h].reshape(-1)).reshape(half)
         high = self.lu.solve(high.reshape(-1), trans="T").reshape(half)
-        return _from_modes(np.concatenate([low, high[n - h : 0 : -1]]))
+        y[:, self.order] = np.concatenate([low, high[n - h : 0 : -1]])
+        return _from_modes(y)
 
 
 def _check_solve(s, rhs, u) -> tuple:
@@ -719,9 +744,11 @@ class ConstantEstimate:
     within ``ritz_residual * theta`` of theta.  ``history`` holds
     omega^2 sqrt(theta) after each Lanczos step (nondecreasing).
     ``top_mode`` is the angular mode m in 0..floor(n_theta/2) whose
-    Krylov space holds theta.  ``lu_nnz`` counts the nonzeros in L + U of
-    the factor of the h = floor(n_theta/2) + 1 mode blocks that serve all
-    n_theta modes.
+    Krylov space holds theta.  ``lu_nnz`` counts the entries SuperLU
+    stores for L + U of the factor of the h = floor(n_theta/2) + 1 mode
+    blocks that serve all n_theta modes, the explicit zeros of its dense
+    supernodes included (341,712 at kappa_s = 32, of which 324,576 are
+    structural nonzeros, ``L.nnz + U.nnz``).
     ``solve_residual`` and ``backward_error`` are the relative residual
     and the backward error of the first forward solve (``_check_solve``).
     A sweep row carries it as ``SweepRow.estimate``."""
@@ -771,7 +798,7 @@ def empirical_constant(
     ``IterationError`` when ``iters`` steps certify nothing.
     """
     n, blocks = mesh.n_theta, mesh.n_theta // 2 + 1
-    s_mat, m_mat = _sector_modes(n, *_sector_rows(mesh, material, robin, omega))
+    order, (s_mat, m_mat) = _sector_modes(n, *_sector_rows(mesh, material, robin, omega))
     factor = _factor(s_mat)
     size = s_mat.shape[0] // blocks * n
     rng = np.random.default_rng(seed)
@@ -788,7 +815,7 @@ def empirical_constant(
         return factor.solve(rhs, trans="H")
 
     try:
-        ritz = _lanczos(forward, adjoint, m_mat.tocsr(), _modal(n, v), iters, blocks)
+        ritz = _lanczos(forward, adjoint, m_mat, _modal(n, v, order), iters, blocks)
     except IterationError as exc:
         last = tuple(omega**2 * math.sqrt(theta) for theta in exc.last_iterates)
         raise IterationError(str(exc), last_iterates=last) from None

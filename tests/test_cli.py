@@ -185,6 +185,52 @@ class TestBoundsCommand:
         assert json.loads((out / "manifest.json").read_text())["stages"]["evaluate"] >= 0.05
 
 
+class TestDocumentKeys:
+    @pytest.mark.parametrize(
+        "command,doc,key",
+        [
+            ("fem-sweep", {"kappa_s": [2.0], "lamda_over_mu": [1e4]}, "lamda_over_mu"),
+            ("fem-sweep", {"kappa_s": [2.0], "robin": {"choise": "pressure"}}, "robin.choise"),
+            ("fem-sweep", {"kappa_s": [2.0], "geometry": {"r_in": 0.5, "el": 2.0}}, "geometry.el"),
+            ("fem-sweep", {"kappa_s": [2.0], "materials": {"mu": 2.0}}, "materials"),
+            ("bounds", {**BOUNDS_CFG, "domian": {"d": 2}}, "domian"),
+            ("bounds", {**BOUNDS_CFG, "domain": {"d": 2, "shap": "ball"}}, "domain.shap"),
+            ("bounds", {**BOUNDS_CFG, "material": {"rho": 1.0, "mu": 1.0, "lamda": 2.0}},
+             "material.lamda"),
+            ("bounds", {**BOUNDS_CFG, "constants": {"c_genral": 2.0}}, "constants.c_genral"),
+        ],
+        ids=["sweep-top", "sweep-robin", "sweep-geometry", "sweep-block",
+             "bounds-top", "bounds-domain", "bounds-material", "bounds-constants"],
+    )
+    def test_misspelt_key_exits_2_naming_it(self, command, doc, key, tmp_path, capsys):
+        # a key no reader looks at would be ignored while the manifest
+        # echoes it: lamda_over_mu = [1e4] would run lambda/mu = 1
+        cfg = tmp_path / "doc.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "configuration error" in err and repr(key) in err and "Traceback" not in err
+
+    def test_every_read_key_is_accepted(self):
+        import elastab.cli as cli
+
+        sweep = {
+            "geometry": {"r_in": 0.5, "ell": 1.0}, "material": {"rho": 1.0, "mu": 1.0},
+            "lambda_over_mu": [1.0], "order": 2, "points_per_wavelength": 10.0, "force": False,
+            "robin": {"choice": "custom", "alpha_t": 1.0, "alpha_n": 2.0},
+        }
+        for frequencies in ({"kappa_s": [1.0]}, {"omega": [1.0]}):
+            assert cli.sweep_config_from({**sweep, **frequencies}, 0).alpha_n == 2.0
+        bounds = {
+            **BOUNDS_CFG, "domain": {"d": 2, "ell": 1.0, "shape": "annulus", "r_in": 0.5},
+            "constants": {"c_general": 2.0},
+            "robin": {"choice": "custom", "alpha_t": 1.0, "alpha_n": 2.0},
+        }
+        assert len(cli.bounds_table(bounds)[1]) == 4
+
+
 class TestDeterminism:
     def test_bounds_bytes_identical(self, bounds_cfg, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -739,12 +785,22 @@ class TestColdStart:
         # fem-sweep, which needs scipy, still runs after them
         sweep_cfg = tmp_path / "sweep.txt"
         sweep_cfg.write_text(SWEEP_CFG_TEXT)
+        # importing the CLI loads only the modules every subcommand needs,
+        # and greens-verify adds only greens
         code = textwrap.dedent(
             f"""
             import sys
             from elastab import cli
+
+            def package():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "elastab")
+
+            assert package() == ["elastab", "elastab.cli", "elastab.errors", "elastab.mesh"], package()
             assert cli.main(["greens-verify", "--omega", "1.0", "--grid-n", "8",
                              "--n-sources", "1", "--out-dir", {str(tmp_path / "g")!r}]) == 0
+            assert package() == [
+                "elastab", "elastab.cli", "elastab.errors", "elastab.greens", "elastab.mesh"
+            ], package()
             assert cli.main(["bounds", "--config", {str(bounds_cfg)!r},
                              "--out-dir", {str(tmp_path / "b")!r}]) == 0
             loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")

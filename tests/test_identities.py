@@ -174,11 +174,12 @@ class TestQuadratureCache:
             assert np.array_equal(arr, before)
 
     def test_distinct_domains_get_distinct_rules(self):
-        from elastab.cli import _ANNULUS, _DISK
+        from elastab.cli import _domain
 
-        annulus, disk = quadrature_for(_ANNULUS, 32), quadrature_for(_DISK, 32)
+        annulus_domain, disk_domain = _domain("annulus"), _domain("ball")
+        annulus, disk = quadrature_for(annulus_domain, 32), quadrature_for(disk_domain, 32)
         assert annulus is not disk
-        assert annulus.domain == _ANNULUS and disk.domain == _DISK
+        assert annulus.domain == annulus_domain and disk.domain == disk_domain
         assert annulus.dirichlet is not None and disk.dirichlet is None
         r_annulus = np.linalg.norm(annulus.volume.points, axis=1)
         r_disk = np.linalg.norm(disk.volume.points, axis=1)
