@@ -30,34 +30,40 @@ is the transpose of mode m, and only the modes 0..floor(n_theta/2) are
 factored, as one block-diagonal sparse LU.  M is real symmetric, so the
 normal operator of mode n - m has the spectrum of mode m's.
 
-The mode blocks are the only factor the module makes, and they have one
-source: sector 0's free rows of S_ff and M_ff.  Every ``MaterialField`` is
+The mode blocks are the only factor the module makes, and they have two
+producers, both of sector 0's free rows.  Every ``MaterialField`` is
 radial, every ``RobinSpec`` constant and every ``Mesh`` its polar lattice
-by construction, so those rows hold the whole system.  They give the
-blocks B_-1, B_0, B_1, checked for a coupling beyond the neighbouring
-sectors and for B_0 = B_0^T and B_-1 = B_1^T (``_sector_couplings``), and
-the half-spectrum mode blocks (``_sector_modes``), whose local nodes
-come in one band order, so that ``_factor`` needs no ordering pass of its
-own.  ``empirical_constant``
-assembles only the 4 n_r cells around sector 0 (``_sector_cells``,
-``_sector_rows``) and runs Lanczos on the mode blocks, with no FFT per
+by construction, so those rows hold the whole system, and their local
+nodes come in one band order read off the lattice (radial index, then
+angular column, ``_band_order``), in which ``_factor`` needs no ordering
+pass of its own.  ``empirical_constant`` makes the mode blocks of S_ff
+and M_ff straight from the element matrices of the 4 n_r cells around
+sector 0, through a plan made once per mesh and kept with it
+(``_SectorPlan``): per estimate, the element matrices, one
+``np.bincount`` per matrix into the blocks B_-1, B_0, B_1 that couple
+sector 0 to itself and its neighbours, and the twiddle product
+(``_mode_blocks``).  It runs Lanczos on the mode blocks, with no FFT per
 step, in every mode block at once: the normal operator is block-diagonal
 over the modes.  ``AssembledSystem.lu``, behind ``solve``, takes sector
-0's rows of the fully assembled S_ff, and its factor (``_SectorLU``)
-reaches the high modes through the transposed factor.
+0's rows of the fully assembled S_ff it is given, reads B_-1, B_0, B_1
+off them, checked for a coupling beyond the neighbouring sectors and for
+B_0 = B_0^T and B_-1 = B_1^T (``_sector_couplings``), and its factor
+(``_SectorLU``) reaches the high modes through the transposed factor.
 
 A system that fails these checks raises ``SolverError`` naming the
 check; one whose other sectors do not repeat sector 0's rows misses
 ``solve``'s backward-error contract.  The direct LU of S_ff, made by
 ``_factor`` in the dofs' own order with the same diagonal-preferring
-pivoting, is the tests' oracle.  Backward errors are measured on the
+pivoting, is the tests' oracle, and so are the mode blocks of the fully
+assembled system for the plan's.  Backward errors are measured on the
 system that was solved: ``solve`` on the free dofs against the whole S_ff,
 the estimate against its mode blocks, the image of S_ff under a unitary
 map (rotation, the DFT over sectors, then the band order of the nodes).
-At kappa_s = 32 (20,500 nodes, 2 vCPU on a busy host, three processes of
-seven runs) an estimate takes 0.11-0.13 s, against 0.14-0.15 s with a
-minimum-degree ordering of the whole block-diagonal matrix, and never
-holds the whole system; assembling that system alone takes 0.14-0.19 s.
+At kappa_s = 32 (20,500 nodes, 2 vCPU on a busy host) the plan takes
+2-3 ms to make and its mode blocks 6-7 ms per estimate, against
+12-15 ms for the scatter of the cells around sector 0 into sparse rows
+and the search of their 2x2 block pattern, and an estimate takes
+0.07-0.10 s; assembling the whole system takes 0.14-0.19 s.
 """
 
 from __future__ import annotations
@@ -70,7 +76,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse import csgraph
 
 from . import mesh as _mesh
 from .bounds import bound_obstacle_ideal, bound_obstacle_realistic, stability_simple_robin
@@ -105,8 +110,8 @@ _RITZ_TOL = 1e-8
 # Largest resolution mesh a sweep builds: kappa_s ~ 100 at the default
 # policy (order 2, 10 points per wavelength).  Peak memory grows about
 # linearly in the node count.  On 2 vCPU one kappa_s = 64 row (80,676
-# nodes, a fresh process) peaks at 0.18 GB in 0.44-0.49 s, and a
-# kappa_s = 100 row (194,500 nodes) at 0.34 GB in 1.15-1.27 s; with a
+# nodes, a fresh process) peaks at 0.17 GB in 0.29-0.54 s, and a
+# kappa_s = 100 row (194,500 nodes) at 0.32 GB in 1.07-1.10 s; with a
 # minimum-degree ordering in place of the band order they read 0.20 GB in
 # 0.51-0.63 s and 0.40 GB in 1.75-1.86 s.
 NODE_BUDGET = 200_000
@@ -230,7 +235,7 @@ class AssembledSystem:
     def lu(self) -> _SectorLU:
         """Factorization of S_ff by angular Fourier modes (``_SectorLU``),
         made on first use from sector 0's free rows, as the estimate makes
-        its own (``_sector_rows``), and shared by every later solve with
+        its own (``_SectorPlan``), and shared by every later solve with
         this system.  The free dofs must be whole nodes, and sector 0's
         rows must fill an equal share of them, couple only to the
         neighbouring sectors and be symmetric (``_sector_couplings``);
@@ -242,49 +247,41 @@ class AssembledSystem:
         if not (np.array_equal(free[0::2] + 1, free[1::2]) and not np.any(free[0::2] % 2)):
             raise SolverError("the free dofs are not whole nodes")
         s_ff = self.free_blocks[0]
-        return _SectorLU(self.mesh.n_theta, s_ff[: s_ff.shape[0] // self.mesh.n_theta])
+        return _SectorLU(self.mesh.n_theta, self.mesh.order, s_ff[: s_ff.shape[0] // self.mesh.n_theta])
 
 
-def _assemble_cells(mesh: Mesh, material: MaterialField, robin: RobinSpec, cells=None) -> tuple:
-    """(K, M, R) on all 2 Nn dofs, summed over the cells ``cells`` (index
-    array; all cells when None) and the dissipative edges they own."""
-    conn = mesh.conn if cells is None else mesh.conn[cells]
-    n, x, det, dnx = _geometry(mesh, _TRI_QP, conn)
-    nc, nq, na = dnx.shape[0], dnx.shape[1], dnx.shape[2]
-    mu_q = material.mu(x.reshape(-1, 2)).reshape(nc, nq)
-    lam_q = material.lam(x.reshape(-1, 2)).reshape(nc, nq)
-    rho_q = material.rho(x.reshape(-1, 2)).reshape(nc, nq)
-    wdet = _TRI_QW[None, :] * det  # (Nc, Q)
+def _element_matrices(geometry: tuple, material: MaterialField) -> tuple:
+    """(K_e, M_e), each (Nc, 2a, 2a), of the cells whose ``_geometry`` is
+    given: element dof 2 alpha + c is component c of local node alpha."""
+    n, x, det, dnx = geometry
+    nc, nq, na = dnx.shape[:3]
+    xq = x.reshape(-1, 2)
+    wdet = _TRI_QW * det  # (Nc, Q)
+    mu_w, lam_w, rho_w = (wdet * coef(xq).reshape(nc, nq) for coef in (material.mu, material.lam, material.rho))
+    # column 2 a + i of grads is d_i N_a; pairs[c, a, i, b, j] = sum_q mu w d_i N_a d_j N_b
+    grads = dnx.reshape(nc, nq, 2 * na)
+    transposed = grads.transpose(0, 2, 1)
+    pairs = ((transposed * mu_w[:, None, :]) @ grads).reshape(nc, na, 2, na, 2)
+    # stiffness at dofs (2a + c1, 2b + c2):
+    #   mu (d_c2 N_a d_c1 N_b + delta_{c1 c2} grad N_a . grad N_b) + lam d_c1 N_a d_c2 N_b
+    ke = (transposed * lam_w[:, None, :]) @ grads + pairs.swapaxes(2, 4).reshape(nc, 2 * na, 2 * na)
+    gdot = np.einsum("cajbj->cab", pairs)
+    mass = (n.T * rho_w[:, None, :]) @ n
+    me = np.zeros_like(ke)
+    for c in range(2):
+        ke[:, c::2, c::2] += gdot
+        me[:, c::2, c::2] = mass
+    return ke, me
 
-    # stiffness: mu (dN_a[c2] dN_b[c1] + delta_{c1 c2} gradN_a.gradN_b)
-    #            + lam dN_a[c1] dN_b[c2]
-    gdot = np.einsum("cq,cqaj,cqbj->cab", wdet * mu_q, dnx, dnx, optimize=True)
-    # dN_a[i] dN_b[j]
-    cross = np.einsum("cq,cqai,cqbj->cabij", wdet * mu_q, dnx, dnx, optimize=True)
-    dil = np.einsum("cq,cqai,cqbj->cabij", wdet * lam_q, dnx, dnx, optimize=True)
-    ke = np.zeros((nc, 2 * na, 2 * na))
-    mass_n = np.einsum("cq,qa,qb->cab", wdet * rho_q, n, n, optimize=True)
-    me = np.zeros((nc, 2 * na, 2 * na))
-    for c1 in range(2):
-        for c2 in range(2):
-            blk = cross[:, :, :, c2, c1] + dil[:, :, :, c1, c2]
-            if c1 == c2:
-                blk = blk + gdot
-                me[:, c1::2, c2::2] = mass_n
-            ke[:, c1::2, c2::2] = blk
 
-    ndof = 2 * mesh.n_nodes
-    dofs = _dofs(conn)
-    stiffness = _scatter(dofs, ke, ndof)
-    mass = _scatter(dofs, me, ndof)
-
-    # impedance matrix on the dissipative circle: a_T I + (a_N - a_T) n (x) n
-    edges = _edge_quadrature(mesh, DISSIPATIVE, cells)
-    en, _ = _edge_shapes(mesh.order, _EDGE_QP)
+def _edge_matrices(edges: _EdgeQuadrature, robin: RobinSpec, order: int) -> np.ndarray:
+    """The impedance matrices (E, 2ae, 2ae) of dissipative edges, a_T I +
+    (a_N - a_T) n (x) n, element dofs as in ``_element_matrices``."""
+    en, _ = _edge_shapes(order, _EDGE_QP)
     nrm = edges.normal
     amat = robin.a_t * np.eye(2) + (robin.a_n - robin.a_t) * (nrm[..., :, None] * nrm[..., None, :])
-    blk = np.einsum("eq,qa,qb,eqij->eaibj", edges.w, en, en, amat)  # ravels as (E, 2ae, 2ae)
-    return stiffness, mass, _scatter(_dofs(edges.nodes), blk, ndof)
+    blk = np.einsum("eq,qa,qb,eqij->eaibj", edges.w, en, en, amat)
+    return blk.reshape(blk.shape[0], 2 * en.shape[1], -1)
 
 
 def _free_dofs(mesh: Mesh) -> tuple:
@@ -296,16 +293,18 @@ def _free_dofs(mesh: Mesh) -> tuple:
 
 
 def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float) -> AssembledSystem:
-    stiffness, mass, robin_matrix = _assemble_cells(mesh, material, robin)
+    ke, me = _element_matrices(_geometry(mesh, _TRI_QP), material)
+    edges = _edge_quadrature(mesh, DISSIPATIVE)
+    ndof, dofs = 2 * mesh.n_nodes, _dofs(mesh.conn)
     free, dirichlet_dofs = _free_dofs(mesh)
     return AssembledSystem(
         mesh=mesh,
         material=material,
         robin=robin,
         omega=omega,
-        stiffness=stiffness,
-        mass=mass,
-        robin_matrix=robin_matrix,
+        stiffness=_scatter(dofs, ke, ndof),
+        mass=_scatter(dofs, me, ndof),
+        robin_matrix=_scatter(_dofs(edges.nodes), _edge_matrices(edges, robin, mesh.order), ndof),
         free=free,
         dirichlet_dofs=dirichlet_dofs,
     )
@@ -340,13 +339,13 @@ def _factor(s_ff: sp.csc_matrix):
     itself with it, as the oracle.
 
     The columns are eliminated in the order given: the mode blocks come in
-    a band order (``_sector_modes``), whose fill stays within the band, and
+    a band order (``_band_order``), whose fill stays within the band, and
     no ordering pass runs over the whole block-diagonal matrix.  Both
     matrices have a symmetric pattern (S is complex symmetric), and the
     pivoting prefers the diagonal: without the relaxed threshold, partial
     pivoting at large lambda/mu leaves the diagonal and the fill grows (by
-    17% on the kappa_s = 16 mode blocks at lambda/mu = 1e4, where the
-    relaxed threshold adds 3%).
+    15% on the kappa_s = 16 mode blocks at lambda/mu = 1e4, where the
+    relaxed threshold adds 2%).
     SuperLU's dense workspace is a panel of columns times the row count,
     allocated per factor; a band needs no wide panel, and 4 columns in
     place of SuperLU's default take the factors of the kappa_s = 16, 24
@@ -381,7 +380,7 @@ def _sector_couplings(n: int, *matrices) -> tuple:
     matrices that couple each angular sector to itself and its neighbours
     (``_sector_modes``), on their union pattern.
 
-    Each matrix holds sector 0's free rows (``_sector_rows``) against the
+    Each matrix holds sector 0's free rows against the
     columns of all n L free nodes.  ``pairs`` holds the union pattern's
     (row node, column node) pairs of sector 0's L local nodes as row node *
     L + column node, sorted; each coupling is a (3, pairs, 2, 2) array of
@@ -440,8 +439,47 @@ def _sector_couplings(n: int, *matrices) -> tuple:
     return nodes, pairs, couplings
 
 
-def _sector_modes(n: int, *matrices) -> tuple:
-    """Half-spectrum angular Fourier decomposition of free-dof matrices.
+def _band_order(nodes: int, p: int) -> np.ndarray:
+    """Sector 0's ``nodes`` free local nodes in the lattice band order.
+
+    The mesh numbers them by angular column, then radial index: local node
+    k is lattice point (k % q + 1, k // q), q = nodes / p (``Mesh``).  In
+    the band order they go by radial index, then column.  A node couples
+    only to nodes of its own cells, at most p radial steps away, and a mode
+    block folds the neighbouring sectors' columns onto sector 0's p
+    columns, so two coupled nodes lie at most p p + p - 1 places apart and
+    every mode block's half-bandwidth is 2 p (p + 1) - 1 dofs: 11 at order
+    2 and 3 at order 1, whatever n_r."""
+    return np.argsort(np.arange(nodes) % (nodes // p), kind="stable")
+
+
+def _csc_layout(size: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """(indices, indptr, where): the int32 CSC structure of one size x size
+    mode block holding the entries (rows, cols), sorted by column and then
+    row, and the position of each given entry in it."""
+    codes, where = np.unique(cols * size + rows, return_inverse=True)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(codes // size, minlength=size))])
+    return (codes % size).astype(np.int32), indptr.astype(np.int32), where
+
+
+def _mode_blocks(n: int, indices, indptr, couplings) -> sp.csc_matrix:
+    """The h = floor(n/2) + 1 mode blocks A_m = B_0 + B_1 w^m + B_-1 w^-m,
+    w = exp(2 pi i / n), m = 0..floor(n/2), as one block-diagonal CSC.
+    ``couplings`` (3, nnz) holds B_0, B_1 and B_-1 on one block's CSC
+    structure (``_csc_layout``), which is tiled over the modes; the entries
+    are one product of the twiddles (1, w^m, w^-m) with the couplings."""
+    half, size, nnz = n // 2 + 1, indptr.size - 1, indices.size
+    twiddle = np.exp(2j * math.pi * np.arange(half) / n)
+    data = np.stack([np.ones(half), twiddle, twiddle.conj()], axis=1) @ couplings  # (h, nnz)
+    shift = np.arange(half, dtype=np.int32)[:, None]
+    tiled = (indices + size * shift).ravel()
+    ptr = np.append((indptr[:-1] + nnz * shift).ravel(), np.int32(half * nnz))
+    return sp.csc_matrix((data.ravel(), tiled, ptr), shape=(half * size,) * 2)
+
+
+def _sector_modes(n: int, p: int, *matrices) -> tuple:
+    """Half-spectrum angular Fourier decomposition of free-dof matrices,
+    from sector 0's free rows of each (``_sector_couplings``).
 
     The free nodes of a ``build_annulus_mesh`` system come sector by sector,
     the same count L in each (the mesh numbers its nodes sector-major and
@@ -451,58 +489,129 @@ def _sector_modes(n: int, *matrices) -> tuple:
     on the same local node of sector 0.  In the coordinates of (sector,
     local node, rotated component) a matrix A becomes T A T^T, T
     orthogonal, and when that matrix is block-circulant with blocks B_-1,
-    B_0, B_1 coupling each sector to itself and its neighbours, read off
-    sector 0's rows (``_sector_couplings``), the DFT over sectors splits
-    it into the mode blocks A_m = B_0 + B_1 w^m + B_-1 w^-m,
-    w = exp(2 pi i / n).  A symmetric A (B_0 = B_0^T, B_-1 = B_1^T) has
-    A_{n-m} = A_m^T, so the h = floor(n/2) + 1 modes m = 0..floor(n/2)
-    determine all n.
+    B_0, B_1 coupling each sector to itself and its neighbours, the DFT
+    over sectors splits it into the mode blocks A_m = B_0 + B_1 w^m +
+    B_-1 w^-m, w = exp(2 pi i / n).  A symmetric A (B_0 = B_0^T,
+    B_-1 = B_1^T) has A_{n-m} = A_m^T, so the h = floor(n/2) + 1 modes
+    m = 0..floor(n/2) determine all n.
 
     Returns (order, modes): the order of the L local nodes in every mode
-    block, and per matrix its h mode blocks as one block-diagonal CSC.  The
-    union pattern of the blocks is shared by every matrix and every mode,
-    and it is a thin radial strip, so its nodes are taken in reverse
-    Cuthill-McKee order (Cuthill & McKee, ACM 1969): a mode block's
-    half-bandwidth is then 11 dofs at order 2 whatever n_r, and ``_factor``
-    keeps that order.  One mode block's CSC structure, sorted by column and
-    then row, is built once and tiled over the h modes, and each matrix's
-    entries are one product of the twiddles (1, w^m, w^-m) with its
-    couplings."""
+    block, the band order of the lattice of order ``p`` (``_band_order``),
+    and per matrix its h mode blocks as one block-diagonal CSC
+    (``_mode_blocks``), on the union pattern of the matrices' couplings."""
     nodes, pairs, couplings = _sector_couplings(n, *matrices)
-    half, nl = n // 2 + 1, 2 * nodes  # nl: local dofs per sector
+    order = _band_order(nodes, p)
+    rank = np.argsort(order)
     row_node, col_node = np.divmod(pairs, nodes)
-    graph = sp.csr_matrix((np.ones(pairs.size), (row_node, col_node)), shape=(nodes, nodes))
-    order = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(nodes)
-    # one mode block's entries, pair by pair, then row and column component
+    # the couplings' entries, pair by pair, then row and column component
     rows = ((2 * rank[row_node])[:, None] + np.array([0, 0, 1, 1])).ravel()
     cols = ((2 * rank[col_node])[:, None] + np.array([0, 1, 0, 1])).ravel()
-    entries = np.lexsort((rows, cols))
-    indices = (rows[entries] + nl * np.arange(half)[:, None]).ravel()
-    col_ptr = np.cumsum(np.bincount(cols, minlength=nl))
-    indptr = np.concatenate([[0], (col_ptr + entries.size * np.arange(half)[:, None]).ravel()])
-    twiddle = np.exp(2j * math.pi * np.arange(half) / n)
-    twiddles = np.stack([np.ones(half), twiddle, twiddle.conj()], axis=1)  # (h, 3)
-    # per matrix (h, entries): B_0 + B_1 w^m + B_-1 w^-m
-    data = [twiddles @ coeffs.reshape(3, -1)[:, entries] for coeffs in couplings]
-    return order, [sp.csc_matrix((d.reshape(-1), indices, indptr), shape=(half * nl,) * 2) for d in data]
+    indices, indptr, where = _csc_layout(2 * nodes, rows, cols)
+    modes = []
+    for coeffs in couplings:
+        data = np.empty((3, where.size), dtype=complex)
+        data[:, where] = coeffs.reshape(3, -1)
+        modes.append(_mode_blocks(n, indices, indptr, data))
+    return order, modes
 
 
-def _sector_rows(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float) -> tuple:
-    """(S_0f, M_0f): the free rows of sector 0 of S_ff and M_ff, against
-    all free columns, assembled from only the cells that touch sector 0
-    (``_sector_cells``).  Those cells hold every entry of those rows.  The
-    mode blocks of the whole system follow (``_sector_modes``): every
-    ``Mesh`` is sector 0 rotated, every ``MaterialField`` is radial and
-    every ``RobinSpec`` is constant, so the system is invariant by
-    construction."""
-    cells = _sector_cells(mesh)
-    stiffness, mass, robin_matrix = _assemble_cells(mesh, material, robin, cells)
-    free, _ = _free_dofs(mesh)
-    rows = free[free < 2 * (mesh.n_nodes // mesh.n_theta)]
-    s_rows = (stiffness - omega**2 * mass - 1j * omega * robin_matrix)[rows]
-    return s_rows[:, free], mass[rows][:, free]
+class _Scatter(NamedTuple):
+    """Where the entries of element matrices go in sector 0's couplings
+    (``_SectorPlan``): entry ``src`` of the flattened (E, 2a, 2a) matrices,
+    times ``weight``, adds to entry ``dst`` of the flattened (3, nnz)
+    couplings B_0, B_1, B_-1, one contribution per item."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+
+
+def _contributions(mesh: Mesh, nodes: np.ndarray, rank: np.ndarray) -> tuple:
+    """(src, slot, row, col, weight) of every contribution of element
+    matrices on the node ids ``nodes`` (E, a) to sector 0's couplings.
+
+    Element entry (e, 2 alpha + i, 2 beta + j), at ``src`` in the flattened
+    (E, 2a, 2a) matrices, contributes when node alpha is a free node of
+    sector 0 and node beta a free node of sector 0, 1 or n - 1: coupling
+    ``slot`` 0, 1 or 2 (B_0, B_1, B_-1).  The column's 2x2 node block is
+    turned into sector 0's frame, B F^T with F = [[cos, sin], [-sin, cos]]
+    at the column's sector angle, so the entry adds ``weight`` = F[j', j]
+    times itself to the entry (row, col) = (2 rank(alpha) + i,
+    2 rank(beta) + j') of a mode block, for j' = 0, 1 (only j' = j in
+    sector 0).  Every node of the cells around sector 0 is in one of those
+    three sectors."""
+    n, p = mesh.n_theta, mesh.order
+    height = p * mesh.n_r + 1  # lattice points per angular column
+    column, radial = np.divmod(nodes, height)
+    sector, angular = np.divmod(column, p)
+    local = rank[angular * (height - 1) + radial - 1]  # a free node's rank (unused for radial 0)
+    slot = np.where(sector == n - 1, 2, sector)
+    e, alpha, beta = np.nonzero(((sector == 0) & (radial > 0))[:, :, None] & (radial > 0)[:, None, :])
+    col_slot = slot[e, beta]
+    angle = 2.0 * math.pi / n * np.array([0, 1, -1])[col_slot]
+    c, s = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    # the eight (i, j, j') per node pair, and F[j', j]
+    i, j, jp = (np.array([0, 0, 0, 0, 1, 1, 1, 1]), np.array([0, 0, 1, 1] * 2), np.array([0, 1] * 4))
+    weight = np.where(j == jp, c, np.where(jp == 0, s, -s))
+    width = 2 * nodes.shape[1]
+    src = ((e * width + 2 * alpha)[:, None] + i) * width + (2 * beta)[:, None] + j
+    row = (2 * local[e, alpha])[:, None] + i
+    col = (2 * local[e, beta])[:, None] + jp
+    keep = weight != 0.0  # the sines of sector 0
+    return src[keep], np.broadcast_to(col_slot[:, None], keep.shape)[keep], row[keep], col[keep], weight[keep]
+
+
+class _SectorPlan:
+    """What every estimate on one mesh shares (``_sector_plan``): the
+    ``_geometry`` of the 4 n_r cells around sector 0 (``_sector_cells``)
+    and their dissipative edges, where each entry of their element
+    matrices goes in the couplings B_0, B_1, B_-1 of sector 0's free rows
+    (``_contributions``), and one mode block's CSC structure, its local
+    nodes in the lattice band ``order`` (``_band_order``).  Those cells
+    hold every entry of sector 0's free rows, and every ``Mesh`` is sector
+    0 rotated, every ``MaterialField`` radial and every ``RobinSpec``
+    constant, so the mode blocks of the whole system follow (``modes``)."""
+
+    def __init__(self, mesh: Mesh):
+        cells = _sector_cells(mesh)
+        self.sectors, self.degree = mesh.n_theta, mesh.order
+        self.geometry = _geometry(mesh, _TRI_QP, mesh.conn[cells])
+        self.edges = _edge_quadrature(mesh, DISSIPATIVE, cells)
+        nodes = mesh.order * mesh.order * mesh.n_r  # free local nodes of a sector
+        self.order = _band_order(nodes, mesh.order)
+        rank = np.argsort(self.order)
+        cell_part = _contributions(mesh, mesh.conn[cells], rank)
+        edge_part = _contributions(mesh, self.edges.nodes, rank)
+        src, slot, row, col, weight = (np.concatenate(pair) for pair in zip(cell_part, edge_part))
+        self.indices, self.indptr, where = _csc_layout(2 * nodes, row, col)
+        dst = slot * self.indices.size + where
+        split = cell_part[0].size
+        self.cell_scatter = _Scatter(src[:split], dst[:split], weight[:split])
+        self.edge_scatter = _Scatter(src[split:], dst[split:], weight[split:])
+
+    def _couplings(self, scatter: _Scatter, matrices: np.ndarray) -> np.ndarray:
+        size = 3 * self.indices.size
+        return np.bincount(scatter.dst, matrices.reshape(-1)[scatter.src] * scatter.weight, size).reshape(3, -1)
+
+    def modes(self, material: MaterialField, robin: RobinSpec, omega: float) -> tuple:
+        """(S, M): the half-spectrum mode blocks of S_ff and M_ff
+        (``_mode_blocks``), from the element matrices of the cells around
+        sector 0, one ``np.bincount`` per real matrix."""
+        ke, me = _element_matrices(self.geometry, material)
+        re = _edge_matrices(self.edges, robin, self.degree)
+        s = self._couplings(self.cell_scatter, ke - omega**2 * me)
+        s = s - 1j * omega * self._couplings(self.edge_scatter, re)
+        m = self._couplings(self.cell_scatter, me)
+        return tuple(_mode_blocks(self.sectors, self.indices, self.indptr, c) for c in (s, m))
+
+
+def _sector_plan(mesh: Mesh) -> _SectorPlan:
+    """The mesh's ``_SectorPlan``, made on first use and kept with the mesh
+    (``Mesh.derived``), so that it is freed with it."""
+    plan = mesh.derived.get(_SectorPlan)
+    if plan is None:
+        plan = mesh.derived[_SectorPlan] = _SectorPlan(mesh)
+    return plan
 
 
 def _to_modes(n: int, x):
@@ -537,13 +646,14 @@ class _SectorLU:
     sector, L nodes of (x, y) pairs each (``_sector_modes``), so a free-dof
     vector is an (n, L, 2) array.  Only the h = floor(n/2) + 1 modes
     m = 0..floor(n/2) are factored, as one sparse LU of their
-    block-diagonal matrix, made from sector 0's rows of S_ff
-    (``_sector_modes``), whose local nodes come in the blocks' ``order``:
+    block-diagonal matrix, made from sector 0's rows of S_ff on a lattice
+    of order ``p`` (``_sector_modes``), whose local nodes come in the
+    blocks' band ``order``:
     a mode m > n/2 is solved with the transposed factor of mode n - m,
     since S_{n-m} = S_m^T."""
 
-    def __init__(self, n: int, s_rows):
-        self.order, [s_modes] = _sector_modes(n, s_rows)
+    def __init__(self, n: int, p: int, s_rows):
+        self.order, [s_modes] = _sector_modes(n, p, s_rows)
         self.modes = n
         self.lu = _factor(s_modes)
 
@@ -747,7 +857,7 @@ class ConstantEstimate:
     Krylov space holds theta.  ``lu_nnz`` counts the entries SuperLU
     stores for L + U of the factor of the h = floor(n_theta/2) + 1 mode
     blocks that serve all n_theta modes, the explicit zeros of its dense
-    supernodes included (341,712 at kappa_s = 32, of which 324,576 are
+    supernodes included (342,786 at kappa_s = 32, of which 334,722 are
     structural nonzeros, ``L.nnz + U.nnz``).
     ``solve_residual`` and ``backward_error`` are the relative residual
     and the backward error of the first forward solve (``_check_solve``).
@@ -777,10 +887,10 @@ def empirical_constant(
     ``_lanczos`` on the normal operator S^-H M S^-1 M with one
     factorization of S, stopped once the top Ritz value theta is certified
     to ``_RITZ_TOL``; returns omega^2 sqrt(theta).  Every mesh is sector 0
-    rotated, so only the cells around sector 0 are assembled
-    (``_sector_cells``, ``_sector_rows``), and Lanczos runs on the
-    half-spectrum mode blocks of S_ff and M_ff (``_sector_modes``), which
-    hold the whole spectrum: modes m and n - m of the normal operator
+    rotated, so only the element matrices of the cells around sector 0 are
+    made, through the mesh's plan (``_sector_plan``), and Lanczos runs on
+    the half-spectrum mode blocks of S_ff and M_ff (``_SectorPlan.modes``),
+    which hold the whole spectrum: modes m and n - m of the normal operator
     share theirs.  The normal operator is block-diagonal over those modes,
     so Lanczos runs one Krylov space per mode, in lockstep, and certifies
     the mode that holds the top value (``_lanczos``, ``blocks`` = floor(n/2) + 1).  The
@@ -793,12 +903,13 @@ def empirical_constant(
 
     Returns the ``ConstantEstimate`` (constant, step count, certificate,
     history, top mode, factor fill, first-solve residual and backward
-    error).  Raises ``SolverError`` when the mode blocks fail the sector
-    checks or the first solve misses the contract, and
+    error).  Raises ``SolverError`` when the mode blocks are singular or
+    the first solve misses the contract, and
     ``IterationError`` when ``iters`` steps certify nothing.
     """
     n, blocks = mesh.n_theta, mesh.n_theta // 2 + 1
-    order, (s_mat, m_mat) = _sector_modes(n, *_sector_rows(mesh, material, robin, omega))
+    plan = _sector_plan(mesh)
+    s_mat, m_mat = plan.modes(material, robin, omega)
     factor = _factor(s_mat)
     size = s_mat.shape[0] // blocks * n
     rng = np.random.default_rng(seed)
@@ -815,7 +926,7 @@ def empirical_constant(
         return factor.solve(rhs, trans="H")
 
     try:
-        ritz = _lanczos(forward, adjoint, m_mat, _modal(n, v, order), iters, blocks)
+        ritz = _lanczos(forward, adjoint, m_mat, _modal(n, v, plan.order), iters, blocks)
     except IterationError as exc:
         last = tuple(omega**2 * math.sqrt(theta) for theta in exc.last_iterates)
         raise IterationError(str(exc), last_iterates=last) from None
@@ -944,15 +1055,15 @@ def resolution_mesh(cfg: SweepConfig, kappa: float) -> Mesh:
     return _mesh.build_annulus_mesh(cfg.r_in, cfg.ell, *_resolution(cfg, kappa), cfg.order)
 
 
-def _sweep_row(cfg: SweepConfig, kappa: float, lam_ratio: float) -> SweepRow:
-    """One solved (or refused) row.  Its applicable bound is the theorem for
-    its impedance: the ideal obstacle bound for shear-matched rows
-    (alpha_t = alpha_n = 1), the realistic one for pressure-matched rows
-    (alpha_n = sqrt(2 + lambda/mu)), and the simple-Robin bound for the
-    annulus at a custom (alpha_t, alpha_n)."""
+def _sweep_row(cfg: SweepConfig, mesh: Mesh, kappa: float, lam_ratio: float) -> SweepRow:
+    """One solved (or refused) row on its kappa_s's ``resolution_mesh``.
+    Its applicable bound is the theorem for its impedance: the ideal
+    obstacle bound for shear-matched rows (alpha_t = alpha_n = 1), the
+    realistic one for pressure-matched rows (alpha_n = sqrt(2 + lambda/mu)),
+    and the simple-Robin bound for the annulus at a custom (alpha_t,
+    alpha_n)."""
     material = cfg.material(lam_ratio)
     omega = kappa * material.theta_s_min / cfg.ell
-    mesh = resolution_mesh(cfg, kappa)
     ppw = mesh.points_per_wavelength(omega, material.theta_s_min)
     ideal = bound_obstacle_ideal(kappa, d=2)
     realistic = bound_obstacle_realistic(kappa, lam_ratio)
@@ -993,6 +1104,12 @@ def sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One row per (kappa_s, lambda/mu) pair, kappa_s-major, solved one
     after another; rows violating the resolution policy are refused (not
     solved) unless forced.  Row errors are recorded and the sweep continues.
-    An invalid configuration raises ConfigError before any row is solved."""
+    Each kappa_s's mesh is built once, for all of its rows, which share its
+    sector plan (``_sector_plan``).  An invalid configuration raises
+    ConfigError before any row is solved."""
     cfg.validate()
-    return [_sweep_row(cfg, k, lr) for k in cfg.kappa_s for lr in cfg.lambda_over_mu]
+    rows = []
+    for kappa in cfg.kappa_s:
+        mesh = resolution_mesh(cfg, kappa)
+        rows.extend(_sweep_row(cfg, mesh, kappa, lam_ratio) for lam_ratio in cfg.lambda_over_mu)
+    return rows

@@ -47,6 +47,12 @@ class AnalyticField:
     def second(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def support(self, x: np.ndarray) -> np.ndarray | None:
+        """Mask of the points x (Q, d) where v may be nonzero, or None when
+        it may be anywhere: off the mask v and its derivatives vanish, so
+        volume integrals of them may skip those points."""
+        return None
+
     # -- derived quantities ------------------------------------------------
 
     def strain(self, x: np.ndarray) -> np.ndarray:
@@ -345,6 +351,10 @@ class RadialBumpField(AnalyticField):
     def _s2(self, x):
         z = (np.atleast_2d(np.asarray(x, dtype=float)) - self.c) / self.R
         return z, np.sum(z * z, axis=1)
+
+    def support(self, x):
+        """s < 1: v and its first four derivatives vanish outside."""
+        return self._s2(x)[1] < 1.0
 
     def value(self, x):
         z, s2 = self._s2(x)

@@ -152,8 +152,13 @@ class _Surf(_Vol):
 
 
 def _vol_samples(v: AnalyticField, quad: DomainQuadrature) -> _Vol:
-    x = quad.volume.points
-    return _Vol(x=x, w=quad.volume.weights, val=v.value(x), grad=v.grad(x))
+    """Samples of v at the volume rule's points where v may be nonzero
+    (``AnalyticField.support``); every volume term vanishes at the others."""
+    x, w = quad.volume.points, quad.volume.weights
+    keep = v.support(x)
+    if keep is not None:
+        x, w = x[keep], w[keep]
+    return _Vol(x=x, w=w, val=v.value(x), grad=v.grad(x))
 
 
 def _surf_samples(v: AnalyticField, rule) -> _Surf:

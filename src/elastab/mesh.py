@@ -169,6 +169,13 @@ class Mesh:
     def _arrays(self) -> _Lattice:
         return _lattice(self.r_in, self.ell, self.n_r, self.n_theta, self.order)
 
+    @functools.cached_property
+    def derived(self) -> dict:
+        """Data another module derives from this mesh once, by key (the
+        finite elements' sector plan, ``fem._sector_plan``): kept with the
+        mesh and freed with it, never shared between meshes."""
+        return {}
+
     @property
     def nodes(self) -> np.ndarray:
         """(Nn, 2) node coordinates, lattice point (I, J) at row J (p n_r + 1) + I."""

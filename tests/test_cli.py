@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import elastab
@@ -879,6 +879,44 @@ _SWEEP_DOC = st.one_of(
     st.fixed_dictionaries({"kappa_s": _list_within(0.5, 4.0)}, optional=_SWEEP_OPTIONAL),
     st.fixed_dictionaries({"omega": _list_within(0.1, 1.0)}, optional=_SWEEP_OPTIONAL),
 )
+# the keys each document kind is read by: a block's keys, or None for a value
+_BOUNDS_READ = {
+    "material": {"rho", "mu"}, "omega": None, "lambda_over_mu": None,
+    "domain": {"d", "ell", "shape", "r_in"}, "robin": {"choice", "alpha_t", "alpha_n"},
+    "constants": {"c_general"},
+}
+_SWEEP_READ = {
+    "kappa_s": None, "omega": None, "geometry": {"r_in", "ell"}, "material": {"rho", "mu"},
+    "lambda_over_mu": None, "robin": {"choice", "alpha_t", "alpha_n"}, "order": None,
+    "points_per_wavelength": None, "force": None,
+}
+
+
+@st.composite
+def _with_unknown_key(draw, docs, read):
+    """(document, dotted key): a document from ``docs`` with one key that no
+    reader looks at (``read``), at the top level or inside a block, which
+    is made when the document has none; the key is a read key of that level
+    with one character inserted, dropped or replaced."""
+    doc = dict(draw(docs))
+    places = [None] + [block for block, keys in read.items() if keys and isinstance(doc.get(block, {}), dict)]
+    place = draw(st.sampled_from(places))
+    names = set(read) if place is None else read[place]
+    base = draw(st.sampled_from(sorted(names)))
+    at = draw(st.integers(0, len(base)))
+    edit = draw(st.sampled_from(["insert", "drop", "replace"]))
+    char = draw(st.sampled_from("abcdefghijklmnopqrstuvwxyz_"))
+    tail = base[at:] if edit == "insert" else base[at + 1 :]
+    name = base[:at] + (char if edit != "drop" else "") + tail
+    assume(name and name not in names)
+    value = draw(_SCALAR)
+    if place is None:
+        doc[name] = value
+        return doc, name
+    doc[place] = {**doc.get(place, {}), name: value}
+    return doc, f"{place}.{name}"
+
+
 _GREENS_FLAGS = st.fixed_dictionaries(
     {"--omega": _FIELD},
     optional={flag: _FIELD for flag in ("--rho", "--mu", "--lam", "--ell")},
@@ -952,6 +990,26 @@ class TestCliFuzz:
             out = Path(tmp) / "out"
             code, err = _run_cli(["fem-sweep", "--config", str(cfg), "--out-dir", str(out)])
             _assert_contract(code, err, out, out / "fem_sweep.csv")
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=st.one_of(
+        st.tuples(st.just("bounds"), _with_unknown_key(_BOUNDS_DOC, _BOUNDS_READ)),
+        st.tuples(st.just("fem-sweep"), _with_unknown_key(_SWEEP_DOC, _SWEEP_READ)),
+    ))
+    def test_unknown_key_exits_2_naming_it(self, case):
+        # a misspelt key anywhere in a valid or broken document: exit 2, no
+        # output, and the dotted key in the message, before any row is solved
+        from elastab import fem
+
+        command, (doc, key) = case
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fem, "NODE_BUDGET", 10_000)
+            cfg = Path(tmp) / "doc.json"
+            cfg.write_text(json.dumps(doc))
+            out = Path(tmp) / "out"
+            code, err = _run_cli([command, "--config", str(cfg), "--out-dir", str(out)])
+        assert code == 2 and not out.exists()
+        assert "configuration error" in err and repr(key) in err and "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

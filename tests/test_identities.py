@@ -351,6 +351,49 @@ class TestKorn:
         assert weighted.passed and weighted.slack > 0.0
 
 
+def _report_values(report) -> dict:
+    """lhs, rhs and every term of a report, as complex numbers."""
+    out = {"lhs": complex(report.lhs), "rhs": complex(report.rhs)}
+    for name, value in report.terms.items():
+        out[name] = complex(value["re"], value["im"]) if isinstance(value, dict) else complex(value)
+    return out
+
+
+class TestSupportSizedSamples:
+    def test_bump_audits_match_the_full_rule(self, disk_domain, unit_material, monkeypatch):
+        # a bump's volume samples keep only the rule points inside its
+        # support; every audit of the suites' bumps matches the same audit
+        # on the whole rule, term by term
+        from elastab import cli
+
+        robin = core.RobinSpec.from_alpha(1.0, 2.0, unit_material)
+        groups = core.derive_groups(unit_material, disk_domain, robin, omega=2.0)
+        # a bump between the order-32 rule's points: no point inside
+        centre = np.array([0.013, -0.021])
+        rule = quadrature_for(disk_domain, 32).volume.points
+        empty = fields.RadialBumpField(centre, 0.5 * np.linalg.norm(rule - centre, axis=1).min(), [1.0, 1.0j])
+        assert not empty.support(rule).any()
+        assert idn._vol_samples(empty, quadrature_for(disk_domain, 32)).w.size == 0
+
+        def audits():
+            # the Korn suite's 20 bumps (and its 3 annulus fields) at two
+            # seeds, the mass suite's bump, and the empty bump
+            reports = cli._SUITES["korn"](0) + cli._SUITES["korn"](1) + cli._SUITES["mass"](0)
+            reports += idn.korn_audit(empty, disk_domain, robin, groups, unit_material, order=32)
+            return reports + [idn.mass_identity_audit(empty, disk_domain, unit_material, order=32)]
+
+        sized = audits()
+        monkeypatch.setattr(fields.RadialBumpField, "support", fields.AnalyticField.support)
+        full = audits()
+        assert len(sized) == len(full) == 2 * 46 + 3 + 3
+        for got, exact in zip(sized, full):
+            assert got.name == exact.name and got.passed and exact.passed
+            got_values, exact_values = _report_values(got), _report_values(exact)
+            assert got_values.keys() == exact_values.keys()
+            for name, value in exact_values.items():
+                assert abs(got_values[name] - value) <= 1e-14 * abs(value), (got.name, name)
+
+
 class TestRobinIdentity:
     def test_constant_field(self, disk_domain, unit_material):
         robin = core.RobinSpec.from_alpha(1.0, 2.0, unit_material)
