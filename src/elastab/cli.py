@@ -463,6 +463,11 @@ def _run_fem_sweep(args) -> int:
             "ritz_residual": getattr(r.estimate, "ritz_residual", None),
             "top_mode": getattr(r.estimate, "top_mode", None),
             "factor": {"lu_nnz": getattr(r.estimate, "lu_nnz", None)},
+            "modes": {
+                "run": None if r.estimate is None else len(r.estimate.modes_run),
+                "certified": None if r.estimate is None else len(r.estimate.modes_certified),
+                "tau": getattr(r.estimate, "tau", None),
+            },
             "first_solve": {
                 "residual": getattr(r.estimate, "solve_residual", None),
                 "backward_error": getattr(r.estimate, "backward_error", None),

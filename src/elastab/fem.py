@@ -28,7 +28,9 @@ n_theta small angular mode blocks (the discrete counterpart of the mode
 separation of the spectral oracle).  S is complex symmetric, so mode n - m
 is the transpose of mode m, and only the modes 0..floor(n_theta/2) are
 factored, as one block-diagonal sparse LU.  M is real symmetric, so the
-normal operator of mode n - m has the spectrum of mode m's.
+normal operator of mode n - m has the spectrum of mode m's, and the
+estimate needs only the modes 0..floor(n_theta/2) too: of those, only
+the ones that can hold the top value.
 
 The mode blocks are the only factor the module makes, and they have two
 producers, both of sector 0's free rows.  Every ``MaterialField`` is
@@ -42,13 +44,18 @@ sector 0, through a plan made once per mesh and kept with it
 (``_SectorPlan``): per estimate, the element matrices, one
 ``np.bincount`` per matrix into the blocks B_-1, B_0, B_1 that couple
 sector 0 to itself and its neighbours, and the twiddle product
-(``_mode_blocks``).  It runs Lanczos on the mode blocks, with no FFT per
-step, in every mode block at once: the normal operator is block-diagonal
-over the modes.  ``AssembledSystem.lu``, behind ``solve``, takes sector
-0's rows of the fully assembled S_ff it is given, reads B_-1, B_0, B_1
-off them, checked for a coupling beyond the neighbouring sectors and for
-B_0 = B_0^T and B_-1 = B_1^T (``_sector_couplings``), and its factor
-(``_SectorLU``) reaches the high modes through the transposed factor.
+(``_mode_blocks``).  Before it factors anything it proves most modes
+unable to hold the top value: a mode m whose Hermitian part H_m = K_m -
+omega^2 M_m satisfies H_m - tau M_m > 0 has a constant of at most
+omega^2 / tau, and a shifted banded Cholesky factorization certifies
+that (``_SectorPlan.certify``).  It runs Lanczos on the mode blocks of
+the other modes, with no FFT per step, in every one of them at once: the
+normal operator is block-diagonal over the modes.
+``AssembledSystem.lu``, behind ``solve``, takes sector 0's rows of the
+fully assembled S_ff it is given, reads B_-1, B_0, B_1 off them, checked
+for a coupling beyond the neighbouring sectors and for B_0 = B_0^T and
+B_-1 = B_1^T (``_sector_couplings``), and its factor (``_SectorLU``)
+reaches the high modes through the transposed factor.
 
 A system that fails these checks raises ``SolverError`` naming the
 check; one whose other sectors do not repeat sector 0's rows misses
@@ -59,11 +66,12 @@ assembled system for the plan's.  Backward errors are measured on the
 system that was solved: ``solve`` on the free dofs against the whole S_ff,
 the estimate against its mode blocks, the image of S_ff under a unitary
 map (rotation, the DFT over sectors, then the band order of the nodes).
-At kappa_s = 32 (20,500 nodes, 2 vCPU on a busy host) the plan takes
-2-3 ms to make and its mode blocks 6-7 ms per estimate, against
-12-15 ms for the scatter of the cells around sector 0 into sparse rows
-and the search of their 2x2 block pattern, and an estimate takes
-0.07-0.10 s; assembling the whole system takes 0.14-0.19 s.
+At kappa_s = 32 (20,500 nodes, 2 vCPU on a busy host, fresh meshes) the
+plan takes 2-3 ms to make; per estimate the couplings take 1 ms, the test
+of the 126 modes 7-9 ms, the mode blocks of the 39 it runs 1-3 ms and
+their factor 5-9 ms, and the whole estimate 0.03-0.05 s (0.07-0.10 s
+when it factored and ran every mode); assembling the whole system takes
+0.16-0.24 s.
 """
 
 from __future__ import annotations
@@ -76,6 +84,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack as _lapack
 
 from . import mesh as _mesh
 from .bounds import bound_obstacle_ideal, bound_obstacle_realistic, stability_simple_robin
@@ -110,10 +119,10 @@ _RITZ_TOL = 1e-8
 # Largest resolution mesh a sweep builds: kappa_s ~ 100 at the default
 # policy (order 2, 10 points per wavelength).  Peak memory grows about
 # linearly in the node count.  On 2 vCPU one kappa_s = 64 row (80,676
-# nodes, a fresh process) peaks at 0.17 GB in 0.29-0.54 s, and a
-# kappa_s = 100 row (194,500 nodes) at 0.32 GB in 1.07-1.10 s; with a
-# minimum-degree ordering in place of the band order they read 0.20 GB in
-# 0.51-0.63 s and 0.40 GB in 1.75-1.86 s.
+# nodes, a fresh process, 73 of 250 modes run) peaks at 0.10 GB in
+# 0.18-0.46 s, and a kappa_s = 100 row (194,500 nodes, 112 of 390 modes)
+# at 0.15 GB in 0.40-0.47 s; factoring and running every mode they read
+# 0.17 GB in 0.35-0.65 s and 0.32 GB in 0.91-1.09 s.
 NODE_BUDGET = 200_000
 
 _EDGE_QP, _EDGE_QW = np.polynomial.legendre.leggauss(4)
@@ -230,6 +239,11 @@ class AssembledSystem:
         Dirichlet columns."""
         s_f = self.system_matrix()[self.free]
         return s_f[:, self.free].tocsc(), s_f[:, self.dirichlet_dofs]
+
+    @cached_property
+    def free_norm(self) -> float:
+        """||S_ff||_1 (``_norm1``), once for every solve with this system."""
+        return _norm1(self.free_blocks[0])
 
     @cached_property
     def lu(self) -> _SectorLU:
@@ -462,19 +476,26 @@ def _csc_layout(size: int, rows: np.ndarray, cols: np.ndarray) -> tuple:
     return (codes % size).astype(np.int32), indptr.astype(np.int32), where
 
 
-def _mode_blocks(n: int, indices, indptr, couplings) -> sp.csc_matrix:
-    """The h = floor(n/2) + 1 mode blocks A_m = B_0 + B_1 w^m + B_-1 w^-m,
-    w = exp(2 pi i / n), m = 0..floor(n/2), as one block-diagonal CSC.
+def _twiddles(n: int, modes) -> np.ndarray:
+    """(k, 3): the twiddles (1, w^m, w^-m), w = exp(2 pi i / n), of the
+    angular modes m in ``modes``, which weigh B_0, B_1, B_-1 in mode m."""
+    twiddle = np.exp(2j * math.pi * np.asarray(modes) / n)
+    return np.stack([np.ones(twiddle.size), twiddle, twiddle.conj()], axis=1)
+
+
+def _mode_blocks(n: int, indices, indptr, couplings, modes) -> sp.csc_matrix:
+    """The mode blocks A_m = B_0 + B_1 w^m + B_-1 w^-m of the angular modes
+    m in ``modes`` (ascending, in 0..floor(n/2)), as one block-diagonal CSC.
     ``couplings`` (3, nnz) holds B_0, B_1 and B_-1 on one block's CSC
     structure (``_csc_layout``), which is tiled over the modes; the entries
-    are one product of the twiddles (1, w^m, w^-m) with the couplings."""
-    half, size, nnz = n // 2 + 1, indptr.size - 1, indices.size
-    twiddle = np.exp(2j * math.pi * np.arange(half) / n)
-    data = np.stack([np.ones(half), twiddle, twiddle.conj()], axis=1) @ couplings  # (h, nnz)
-    shift = np.arange(half, dtype=np.int32)[:, None]
+    are one product of the twiddles (``_twiddles``) with the couplings, so
+    a mode's block does not depend on which other modes come with it."""
+    count, size, nnz = len(modes), indptr.size - 1, indices.size
+    data = _twiddles(n, modes) @ couplings  # (k, nnz)
+    shift = np.arange(count, dtype=np.int32)[:, None]
     tiled = (indices + size * shift).ravel()
-    ptr = np.append((indptr[:-1] + nnz * shift).ravel(), np.int32(half * nnz))
-    return sp.csc_matrix((data.ravel(), tiled, ptr), shape=(half * size,) * 2)
+    ptr = np.append((indptr[:-1] + nnz * shift).ravel(), np.int32(count * nnz))
+    return sp.csc_matrix((data.ravel(), tiled, ptr), shape=(count * size,) * 2)
 
 
 def _sector_modes(n: int, p: int, *matrices) -> tuple:
@@ -511,7 +532,7 @@ def _sector_modes(n: int, p: int, *matrices) -> tuple:
     for coeffs in couplings:
         data = np.empty((3, where.size), dtype=complex)
         data[:, where] = coeffs.reshape(3, -1)
-        modes.append(_mode_blocks(n, indices, indptr, data))
+        modes.append(_mode_blocks(n, indices, indptr, data, np.arange(n // 2 + 1)))
     return order, modes
 
 
@@ -561,16 +582,38 @@ def _contributions(mesh: Mesh, nodes: np.ndarray, rank: np.ndarray) -> tuple:
     return src[keep], np.broadcast_to(col_slot[:, None], keep.shape)[keep], row[keep], col[keep], weight[keep]
 
 
+class _Couplings(NamedTuple):
+    """Sector 0's couplings B_0, B_1, B_-1 (each (3, nnz), on one mode
+    block's CSC structure) of one estimate's real symmetric matrices: the
+    cells' K - omega^2 M, the impedance matrix R of the dissipative edges
+    and the mass M.  S = K - omega^2 M - i omega R."""
+
+    hermitian: np.ndarray
+    robin: np.ndarray
+    mass: np.ndarray
+
+
+# the unit roundoff of double precision
+_UNIT = 2.0**-53
+
+# modes per banded Cholesky call in ``_SectorPlan.certify``: at kappa_s = 32
+# and 64, 16 modes per call test in 4.4 and 23 ms, one call for all modes in
+# 6.7 and 33 ms (the fresh memory of a large band), 4 modes in 5.1 and 30 ms
+_CERTIFY_CHUNK = 16
+
+
 class _SectorPlan:
     """What every estimate on one mesh shares (``_sector_plan``): the
     ``_geometry`` of the 4 n_r cells around sector 0 (``_sector_cells``)
     and their dissipative edges, where each entry of their element
     matrices goes in the couplings B_0, B_1, B_-1 of sector 0's free rows
     (``_contributions``), and one mode block's CSC structure, its local
-    nodes in the lattice band ``order`` (``_band_order``).  Those cells
-    hold every entry of sector 0's free rows, and every ``Mesh`` is sector
-    0 rotated, every ``MaterialField`` radial and every ``RobinSpec``
-    constant, so the mode blocks of the whole system follow (``modes``)."""
+    nodes in the lattice band ``order`` (``_band_order``), with the place
+    of each entry of its lower triangle in LAPACK's lower band storage
+    (``certify``).  Those cells hold every entry of sector 0's free rows,
+    and every ``Mesh`` is sector 0 rotated, every ``MaterialField`` radial
+    and every ``RobinSpec`` constant, so the mode blocks of the whole
+    system follow (``blocks``)."""
 
     def __init__(self, mesh: Mesh):
         cells = _sector_cells(mesh)
@@ -588,21 +631,104 @@ class _SectorPlan:
         split = cell_part[0].size
         self.cell_scatter = _Scatter(src[:split], dst[:split], weight[:split])
         self.edge_scatter = _Scatter(src[split:], dst[split:], weight[split:])
+        # LAPACK's lower band storage of a block, band[j, i - j] = A[i, j]
+        # for 0 <= i - j <= kd: the entry that fills each slot (one past the
+        # last entry for a slot outside the pattern), and the row and column
+        # of each entry of the lower triangle (``certify``)
+        size = 2 * nodes
+        column = np.repeat(np.arange(size), np.diff(self.indptr))
+        offset = self.indices - column
+        self.lower = np.flatnonzero(offset >= 0)
+        self.lower_entries = self.indices[self.lower], column[self.lower]
+        self.kd = int(offset.max())
+        self.band = np.full(size * (self.kd + 1), self.indices.size)
+        self.band[column[self.lower] * (self.kd + 1) + offset[self.lower]] = self.lower
 
     def _couplings(self, scatter: _Scatter, matrices: np.ndarray) -> np.ndarray:
         size = 3 * self.indices.size
         return np.bincount(scatter.dst, matrices.reshape(-1)[scatter.src] * scatter.weight, size).reshape(3, -1)
 
-    def modes(self, material: MaterialField, robin: RobinSpec, omega: float) -> tuple:
-        """(S, M): the half-spectrum mode blocks of S_ff and M_ff
-        (``_mode_blocks``), from the element matrices of the cells around
-        sector 0, one ``np.bincount`` per real matrix."""
+    def couplings(self, material: MaterialField, robin: RobinSpec, omega: float) -> _Couplings:
+        """The ``_Couplings`` of S_ff and M_ff, from the element matrices of
+        the cells around sector 0, one ``np.bincount`` per real matrix."""
         ke, me = _element_matrices(self.geometry, material)
         re = _edge_matrices(self.edges, robin, self.degree)
-        s = self._couplings(self.cell_scatter, ke - omega**2 * me)
-        s = s - 1j * omega * self._couplings(self.edge_scatter, re)
-        m = self._couplings(self.cell_scatter, me)
-        return tuple(_mode_blocks(self.sectors, self.indices, self.indptr, c) for c in (s, m))
+        return _Couplings(
+            hermitian=self._couplings(self.cell_scatter, ke - omega**2 * me),
+            robin=self._couplings(self.edge_scatter, re),
+            mass=self._couplings(self.cell_scatter, me),
+        )
+
+    def blocks(self, couplings: np.ndarray, modes) -> sp.csc_matrix:
+        """The mode blocks of one matrix's couplings in the angular modes
+        ``modes`` (``_mode_blocks``)."""
+        return _mode_blocks(self.sectors, self.indices, self.indptr, couplings, modes)
+
+    def modes(self, material: MaterialField, robin: RobinSpec, omega: float) -> tuple:
+        """(S, M): the half-spectrum mode blocks of S_ff and M_ff, modes
+        0..floor(n_theta/2)."""
+        parts = self.couplings(material, robin, omega)
+        every = np.arange(self.sectors // 2 + 1)
+        return self.blocks(parts.hermitian - 1j * omega * parts.robin, every), self.blocks(parts.mass, every)
+
+    def certify(self, parts: _Couplings, tau: float, modes) -> int:
+        """How many of the angular ``modes``, taken in the order given, have
+        H_m - tau M_m proven positive definite before the first that has
+        not.  H_m and M_m are the mode blocks (``_mode_blocks``) of
+        ``parts.hermitian`` and ``parts.mass``, taken as the Hermitian
+        matrices of their lower triangles, as formed in double precision.
+
+        The proof is a banded Cholesky factorization (LAPACK ``zpbtrf``) of
+        A~ = fl(A - C), A = fl(H_m - tau M_m), that runs to completion with
+        a finite factor R.  The diagonal shift C covers every rounding on
+        the way, after Rump (BIT Numer. Math. 46, 2006), with the short
+        inner products of a band of half-bandwidth kd:
+        - each entry of R sums at most kd + 1 terms, each a complex product
+          (relative error at most sqrt(2) gamma_2 <= gamma_3; Higham,
+          Accuracy and Stability of Numerical Algorithms, 2002, Lemma 3.5),
+          then is scaled by a computed reciprocal or is a square root;
+        - so R^H R = A~ + D with |D_ij| <= g d_i d_j for |i - j| <= kd,
+          g = gamma_{kd+6} / (1 - gamma_{kd+6}), d_i^2 = A_ii >= A~_ii
+          (Higham, Thm 10.3, and (|R^H| |R|)_ij <= ||r_i|| ||r_j||);
+        - H_m - tau M_m = R^H R - D + C - F - E, with F the rounding of the
+          shifted diagonal, |F_ii| <= u (|A_ii| + C_ii), and E that of
+          forming A, |E_ij| <= 2.1 u (|H_ij| + tau |M_ij|) <= 2.2 u (b_ij +
+          tau c_ij), b and c the sums of |B_0|, |B_1|, |B_-1| of H and M;
+        - that is positive definite when C - F - D - E is diagonally
+          dominant.  C_ii is twice u |A_ii| plus the row sums of g d_i d_j
+          and of the bound on |E_ij|; the factor 2 covers C's own rounding.
+        The entries lie far above the underflow threshold, and a factor with
+        a non-finite entry proves nothing.  The modes are factored
+        ``_CERTIFY_CHUNK`` at a time as one block-diagonal band."""
+        size, width = self.indptr.size - 1, self.kd + 1
+        # the couplings in band storage, and the mode-independent row sums of
+        # the bound on |E|, over the Hermitian matrix of the lower triangle
+        h, m = (np.append(c, np.zeros((3, 1)), axis=1)[:, self.band] for c in (parts.hermitian, parts.mass))
+        rows, cols = self.lower_entries
+        bound = (np.abs(parts.hermitian).sum(axis=0) + tau * np.abs(parts.mass).sum(axis=0))[self.lower]
+        e = np.bincount(rows, bound, size) + np.bincount(cols, np.where(rows != cols, bound, 0.0), size)
+        gamma = (self.kd + 6) * _UNIT / (1.0 - (self.kd + 6) * _UNIT)
+        proven = 0
+        for first in range(0, len(modes), _CERTIFY_CHUNK):
+            twiddles = _twiddles(self.sectors, modes[first : first + _CERTIFY_CHUNK])
+            a = twiddles @ h - tau * (twiddles @ m)  # (k, N (kd + 1)): the blocks' bands
+            band = a.reshape(-1, size, width)
+            diag = band[:, :, 0].real
+            d = np.sqrt(np.maximum(diag, 0.0))
+            window = d.copy()  # sum of d_j over |i - j| <= kd
+            for k in range(1, width):
+                window[:, k:] += d[:, :-k]
+                window[:, :-k] += d[:, k:]
+            band[:, :, 0] -= 2.0 * (_UNIT * np.abs(diag) + 2.2 * _UNIT * e + gamma / (1.0 - gamma) * d * window)
+            # (kd + 1, k N) in Fortran order, factored in place
+            _, info = _lapack.zpbtrf(a.reshape(-1, width).T, lower=1, overwrite_ab=1)
+            factored = len(twiddles) if info == 0 else (info - 1) // size
+            finite = np.isfinite(band[:factored]).all(axis=(1, 2))
+            passed = factored if finite.all() else int(np.argmin(finite))
+            proven += passed
+            if passed < len(twiddles):
+                break
+        return proven
 
 
 def _sector_plan(mesh: Mesh) -> _SectorPlan:
@@ -669,9 +795,15 @@ class _SectorLU:
         return _from_modes(y)
 
 
-def _check_solve(s, rhs, u) -> tuple:
+def _norm1(s) -> float:
+    """||s||_1, the largest column sum of |s| (``_check_solve``)."""
+    return float(abs(s).sum(axis=0).max())
+
+
+def _check_solve(s, s_norm: float, rhs, u) -> tuple:
     """(residual, backward_error) of a solution u of s u = rhs, with s the
-    system that was factored (S_ff, or its mode blocks): the relative
+    system that was factored (S_ff, or its mode blocks) and s_norm its
+    ``_norm1``: the relative
     residual ||r||_2 / ||rhs||_2 and the normwise backward error
     ||r||_1 / (||s||_1 ||u||_1 + ||rhs||_1) (Rigal & Gaches, J. ACM 14,
     1967), r = rhs - s u.  u is held to the backward-error contract: it
@@ -682,7 +814,6 @@ def _check_solve(s, rhs, u) -> tuple:
     3e-7 at lambda/mu = 1e8).  SolverError if the contract is missed."""
     r = s @ u - rhs
     residual = float(np.linalg.norm(r) / np.linalg.norm(rhs))
-    s_norm = abs(s).sum(axis=0).max()  # the largest column sum
     eta = float(np.abs(r).sum() / (s_norm * np.abs(u).sum() + np.abs(rhs).sum()))
     if not eta <= _BACKWARD_TOL:
         raise SolverError(f"solve residual: backward error {eta:.2g} above {_BACKWARD_TOL:g}")
@@ -719,7 +850,7 @@ def solve(
     if not np.any(rhs_f):
         return SolveResult(u=u.reshape(-1, 2), residual_norm=0.0)
     u_f = system.lu.solve(rhs_f)
-    residual, _ = _check_solve(s_ff, rhs_f, u_f)
+    residual, _ = _check_solve(s_ff, system.free_norm, rhs_f, u_f)
     u[free] = u_f
     return SolveResult(u=u.reshape(-1, 2), residual_norm=residual)
 
@@ -783,12 +914,14 @@ def _lanczos(forward, adjoint, m_mat, v, iters: int = 400, blocks: int = 1) -> _
     sigma_max^2 of L^H S^-1 L, M = L L^H.
 
     S and M are block-diagonal over ``blocks`` equal runs of the vector
-    (the angular modes of ``_sector_modes``; one block is the whole
-    vector).  Lanczos in the M inner product (``m_mat``) runs in every
-    block at once, from that block's run of the start vector ``v``, with
-    full M-reorthogonalisation of each block against the kept M-images
-    M v_j of its basis: one forward and one adjoint solve and two products
-    with M per step, whatever the block count.  Each block keeps its own
+    (the angular modes an estimate runs, ``empirical_constant``; one block
+    is the whole vector).  Lanczos in the M inner product (``m_mat``) runs
+    in every block at once, from that block's run of the start vector
+    ``v``, with full M-reorthogonalisation of each block against the kept
+    M-images M v_j of its basis: one forward and one adjoint solve and two
+    products with M per step, whatever the block count.  A block's Krylov
+    space depends only on its own blocks of S and M and its run of ``v``,
+    not on which blocks run beside it.  Each block keeps its own
     tridiagonal T_k, and the iteration stops once the top Ritz pair
     (theta, y) of the block holding the largest Ritz value is certified,
     beta_k |y_k| <= ``_RITZ_TOL`` * theta.  The Ritz vector lies in that block, so
@@ -852,13 +985,16 @@ class ConstantEstimate:
     ``ritz_residual`` is the M-norm residual of the top Ritz pair relative
     to its Ritz value theta: some eigenvalue of the normal operator lies
     within ``ritz_residual * theta`` of theta.  ``history`` holds
-    omega^2 sqrt(theta) after each Lanczos step (nondecreasing).
-    ``top_mode`` is the angular mode m in 0..floor(n_theta/2) whose
-    Krylov space holds theta.  ``lu_nnz`` counts the entries SuperLU
-    stores for L + U of the factor of the h = floor(n_theta/2) + 1 mode
-    blocks that serve all n_theta modes, the explicit zeros of its dense
-    supernodes included (342,786 at kappa_s = 32, of which 334,722 are
-    structural nonzeros, ``L.nnz + U.nnz``).
+    omega^2 sqrt(theta) after each Lanczos step (nondecreasing), the top
+    over the modes that were run.  ``modes_run`` and ``modes_certified``
+    split the angular modes 0..floor(n_theta/2) (ascending, together all
+    of them): Lanczos ran on the first, and each of the second has H_m -
+    tau M_m proven positive definite (``_SectorPlan.certify``), so its
+    constant is at most omega^2 / ``tau`` <= ``c_emp``.  ``top_mode`` is
+    the angular mode m whose Krylov space holds theta.  ``lu_nnz``
+    counts the entries SuperLU stores for L + U of the factor of the
+    mode blocks that were run, the explicit zeros of its dense supernodes
+    included (106,146 at kappa_s = 32, 39 of its 126 modes).
     ``solve_residual`` and ``backward_error`` are the relative residual
     and the backward error of the first forward solve (``_check_solve``).
     A sweep row carries it as ``SweepRow.estimate``."""
@@ -871,6 +1007,39 @@ class ConstantEstimate:
     lu_nnz: int
     solve_residual: float
     backward_error: float
+    modes_run: tuple
+    modes_certified: tuple
+    tau: float
+
+
+# The estimate first certifies the modes whose constants lie below the
+# guard c_g = _GUARD kappa_s (``empirical_constant``).  Every measured
+# c_emp / kappa_s at order 2 and lambda/mu <= 1e4 is at least 0.135, so
+# there c_g lies below c_emp and each mode is tested once.  Rows whose
+# locking makes c_emp small (order 1, or lambda/mu = 1e8) find every mode
+# below c_g and halve it, up to 20 times at order 1 and lambda/mu = 1e8
+_GUARD = 0.1
+
+
+def _run_modes(plan: _SectorPlan, s_couplings, m_couplings, modes, v, iters: int) -> tuple:
+    """(ritz, lu_nnz, first solve's (residual, backward error)): ``_lanczos``
+    on the mode blocks of the angular ``modes``, from their runs of v
+    (h, 2L), one Krylov space per mode."""
+    s_mat, m_mat = plan.blocks(s_couplings, modes), plan.blocks(m_couplings, modes)
+    factor = _factor(s_mat)
+    first_solve = []  # (residual, backward error)
+
+    def forward(rhs):
+        u = factor.solve(rhs)
+        if not first_solve:
+            first_solve.extend(_check_solve(s_mat, _norm1(s_mat), rhs, u))
+        return u
+
+    def adjoint(rhs):
+        return factor.solve(rhs, trans="H")
+
+    ritz = _lanczos(forward, adjoint, m_mat, v[modes].reshape(-1), iters, len(modes))
+    return ritz, factor.nnz, first_solve
 
 
 def empirical_constant(
@@ -888,58 +1057,85 @@ def empirical_constant(
     factorization of S, stopped once the top Ritz value theta is certified
     to ``_RITZ_TOL``; returns omega^2 sqrt(theta).  Every mesh is sector 0
     rotated, so only the element matrices of the cells around sector 0 are
-    made, through the mesh's plan (``_sector_plan``), and Lanczos runs on
-    the half-spectrum mode blocks of S_ff and M_ff (``_SectorPlan.modes``),
-    which hold the whole spectrum: modes m and n - m of the normal operator
-    share theirs.  The normal operator is block-diagonal over those modes,
-    so Lanczos runs one Krylov space per mode, in lockstep, and certifies
-    the mode that holds the top value (``_lanczos``, ``blocks`` = floor(n/2) + 1).  The
-    start vector is the one drawn on the free dofs, projected onto those
-    modes (``_modal``).  The first forward solve is held to the same
-    backward-error contract as ``solve`` (``_check_solve``), against the
-    mode blocks that were factored.  A backward error that small does not
-    make c_emp accurate to ``_RITZ_TOL``: near lambda/mu = 1e8 the relative
-    residual reads 3e-8 to 3e-7, and rounding moves c_emp by ~1e-7.
+    made, through the mesh's plan (``_sector_plan``), and the estimate
+    works on the half-spectrum mode blocks of S_ff and M_ff, which hold the
+    whole spectrum: modes m and n - m of the normal operator share theirs.
+    The normal operator is block-diagonal over those modes, so Lanczos runs
+    one Krylov space per mode, in lockstep, and certifies the mode that
+    holds the top value (``_lanczos``).  The start vector is the one drawn
+    on the free dofs, projected onto the modes that are run (``_modal``),
+    so each mode's Krylov space does not depend on which others run.
+
+    Only the modes that can hold the top value are factored and run.  With
+    H_m = K_m - omega^2 M_m, the Hermitian part of S_m (R_m >= 0), S_m u =
+    M_m f gives u^H H_m u = Re (M_m f, u) <= ||f||_M ||u||_M: a mode with
+    H_m - tau M_m positive definite has omega^2 ||S_m^-1 M_m||_M <=
+    omega^2 / tau.  The modes are tested first (``_SectorPlan.certify``)
+    at tau = omega^2 / c_g, c_g = ``_GUARD`` kappa_s, kappa_s = omega ell /
+    theta_s_min, from the top mode down: the modes down to the first that
+    fails are certified, and c_g is halved while every mode passes.  The
+    rest are run.  If the estimate then lies below omega^2 / tau, the
+    certified modes are tested again at tau = omega^2 / c_emp, and those
+    from the first that fails down join the run, which starts over; so
+    every certified mode is at most c_emp.  The first forward solve is
+    held to the same backward-error
+    contract as ``solve`` (``_check_solve``), against the mode blocks
+    that were factored.  A backward error that small does not make c_emp
+    accurate to ``_RITZ_TOL``: near lambda/mu = 1e8 the relative residual
+    reads 3e-8 to 3e-7, and rounding moves c_emp by ~1e-7.
 
     Returns the ``ConstantEstimate`` (constant, step count, certificate,
     history, top mode, factor fill, first-solve residual and backward
-    error).  Raises ``SolverError`` when the mode blocks are singular or
-    the first solve misses the contract, and
-    ``IterationError`` when ``iters`` steps certify nothing.
+    error, the modes run and certified, and tau).  Raises ``ValueError``
+    unless omega > 0, ``SolverError`` when the mode blocks are singular or
+    the first solve misses the contract, and ``IterationError`` when
+    ``iters`` steps certify nothing.
     """
-    n, blocks = mesh.n_theta, mesh.n_theta // 2 + 1
+    if not omega > 0.0:
+        raise ValueError(f"omega must be positive, got {omega!r}")
+    n, half = mesh.n_theta, mesh.n_theta // 2 + 1
     plan = _sector_plan(mesh)
-    s_mat, m_mat = plan.modes(material, robin, omega)
-    factor = _factor(s_mat)
-    size = s_mat.shape[0] // blocks * n
+    parts = plan.couplings(material, robin, omega)
+    s_couplings = parts.hermitian - 1j * omega * parts.robin
+    size = 2 * plan.order.size * n
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=size) + 1j * rng.normal(size=size)
-    first_solve = []  # (residual, backward error)
-
-    def forward(rhs):
-        u = factor.solve(rhs)
-        if not first_solve:
-            first_solve.extend(_check_solve(s_mat, rhs, u))
-        return u
-
-    def adjoint(rhs):
-        return factor.solve(rhs, trans="H")
-
-    try:
-        ritz = _lanczos(forward, adjoint, m_mat, _modal(n, v, plan.order), iters, blocks)
-    except IterationError as exc:
-        last = tuple(omega**2 * math.sqrt(theta) for theta in exc.last_iterates)
-        raise IterationError(str(exc), last_iterates=last) from None
-    history = tuple(omega**2 * math.sqrt(theta) for theta in ritz.thetas)
+    v = _modal(n, rng.normal(size=size) + 1j * rng.normal(size=size), plan.order).reshape(half, -1)
+    top_down = np.arange(half)[::-1]
+    guard = _GUARD * omega * mesh.ell / material.theta_s_min
+    while True:
+        tau = omega**2 / guard
+        count = plan.certify(parts, tau, top_down)
+        if count < half:
+            break
+        guard /= 2.0  # every mode lies below the guard: lower it
+    certified, run = top_down[:count], top_down[count:][::-1]
+    while True:
+        try:
+            ritz, lu_nnz, first_solve = _run_modes(plan, s_couplings, parts.mass, run, v, iters)
+        except IterationError as exc:
+            last = tuple(omega**2 * math.sqrt(theta) for theta in exc.last_iterates)
+            raise IterationError(str(exc), last_iterates=last) from None
+        history = tuple(omega**2 * math.sqrt(theta) for theta in ritz.thetas)
+        if history[-1] >= omega**2 / tau:
+            break
+        tau = omega**2 / history[-1]
+        count = plan.certify(parts, tau, certified)
+        if count == certified.size:
+            break
+        run = np.union1d(run, certified[count:])
+        certified = certified[:count]
     return ConstantEstimate(
         c_emp=history[-1],
         steps=ritz.steps,
         ritz_residual=ritz.residual,
         history=history,
-        top_mode=ritz.block,
-        lu_nnz=factor.nnz,
+        top_mode=int(run[ritz.block]),
+        lu_nnz=lu_nnz,
         solve_residual=first_solve[0],
         backward_error=first_solve[1],
+        modes_run=tuple(run.tolist()),
+        modes_certified=tuple(certified[::-1].tolist()),
+        tau=tau,
     )
 
 

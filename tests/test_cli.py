@@ -581,6 +581,15 @@ class TestFemSweepCommand:
         mesh = fem.resolution_mesh(sweep_cfg, 1.0)
         in_process = fem.empirical_constant(mesh, material, sweep_cfg.robin(material), 1.0)
         assert est["top_mode"] == in_process.top_mode and 0 <= est["top_mode"] <= n_theta // 2
+        # the modes Lanczos ran and those proven below c_emp, with the shift
+        # tau that proves them
+        assert est["modes"] == {
+            "run": len(in_process.modes_run),
+            "certified": len(in_process.modes_certified),
+            "tau": in_process.tau,
+        }
+        assert est["modes"]["run"] + est["modes"]["certified"] == n_theta // 2 + 1
+        assert est["modes"]["certified"] >= 1 and 1.0 / est["modes"]["tau"] <= float(row["c_emp"])
 
     @pytest.mark.parametrize(
         "line",
@@ -673,6 +682,7 @@ class TestFemSweepCommand:
         assert est["lanczos_steps"] is None and est["ritz_residual"] is None
         assert est["top_mode"] is None
         assert est["factor"] == {"lu_nnz": None}
+        assert est["modes"] == {"run": None, "certified": None, "tau": None}
         assert est["first_solve"] == {"residual": None, "backward_error": None}
 
     def test_nearly_incompressible_row_solves(self, tmp_path):

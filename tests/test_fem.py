@@ -350,12 +350,14 @@ class TestSolve:
         rng = np.random.default_rng(4)
         loads = [rng.normal(size=(m.n_nodes, 2)) + 1j * rng.normal(size=(m.n_nodes, 2)) for _ in range(3)]
         fresh = [fem.solve(fem.assemble(m, material, robin, omega=2.0), f) for f in loads]
-        calls = []
-        exact_factor = fem._factor
+        calls, norms = [], []
+        exact_factor, norm1 = fem._factor, fem._norm1
         monkeypatch.setattr(fem, "_factor", lambda s_ff: calls.append(1) or exact_factor(s_ff))
+        monkeypatch.setattr(fem, "_norm1", lambda a: norms.append(1) or norm1(a))
         s = fem.assemble(m, material, robin, omega=2.0)
         shared = [fem.solve(s, f) for f in loads]
-        assert len(calls) == 1
+        # one factor and one ||S_ff||_1 for the backward errors of all solves
+        assert len(calls) == 1 and len(norms) == 1
         for a, b in zip(shared, fresh):
             assert np.array_equal(a.u, b.u) and a.residual_norm == b.residual_norm <= 1e-8
 
@@ -503,6 +505,13 @@ class TestEmpiricalConstant:
             fem.empirical_constant(m, material, robin, omega=2.0, iters=2)
         assert len(info.value.last_iterates) == 2
 
+    @pytest.mark.parametrize("omega", [0.0, -2.0, float("nan")])
+    def test_nonpositive_frequency_raises(self, material, robin, omega):
+        # the mode test's shift omega^2 / c_g needs a positive kappa_s
+        m = build_annulus_mesh(0.5, 1.0, 3, 24, order=2)
+        with pytest.raises(ValueError, match="omega must be positive"):
+            fem.empirical_constant(m, material, robin, omega=omega)
+
     def test_below_closed_form_bound_at_kappa_2(self, material, robin):
         from elastab.bounds import bound_obstacle_ideal
 
@@ -621,28 +630,31 @@ def _assert_solves_match_the_direct_factor(m, material):
     assert np.abs(s.lu.solve(rhs) - exact).max() <= 1e-10 * np.abs(exact).max()
 
 
-def _half_spectrum_projection(n, v):
-    """The free-dof vector whose angular modes 0..floor(n/2) are v's and
-    whose higher modes vanish."""
+def _mode_projection(n, v, keep):
+    """The free-dof vector whose angular modes ``keep`` (in 0..floor(n/2))
+    are v's and whose other modes vanish."""
     modes = fem._to_modes(n, v)
-    modes[n // 2 + 1 :] = 0.0
+    modes[np.setdiff1d(np.arange(n), keep)] = 0.0
     return fem._from_modes(modes)
 
 
-def _direct_lanczos(m, material, robin, omega, seeds):
-    """The estimate's oracle, per seed: ``fem._lanczos`` in one Krylov space
-    on the direct LU of the fully assembled S_ff, started from the seed's
-    draw on the free dofs projected onto the angular modes 0..floor(n/2)."""
+def _direct_lanczos(m, material, robin, omega):
+    """The estimate's oracle: a function of (seed, modes) that runs
+    ``fem._lanczos`` in one Krylov space on the direct LU of the fully
+    assembled S_ff, started from the seed's draw on the free dofs
+    projected onto the angular modes ``modes``."""
     s = fem.assemble(m, material, robin, omega)
     s_ff, _ = s.free_blocks
     factor = fem._factor(s_ff)
     m_ff = s.mass[s.free][:, s.free].astype(complex).tocsr()
-    for seed in seeds:
+
+    def run(seed, modes):
         rng = np.random.default_rng(seed)
         v = rng.normal(size=s_ff.shape[0]) + 1j * rng.normal(size=s_ff.shape[0])
-        yield fem._lanczos(
-            factor.solve, lambda b: factor.solve(b, trans="H"), m_ff, _half_spectrum_projection(m.n_theta, v)
-        )
+        start = _mode_projection(m.n_theta, v, modes)
+        return fem._lanczos(factor.solve, lambda b: factor.solve(b, trans="H"), m_ff, start)
+
+    return run
 
 
 def _coo_mode_blocks(n, nodes, pairs, coeffs, order):
@@ -718,11 +730,15 @@ class TestSectorFactor:
         splu = fem.spla.splu
         monkeypatch.setattr(fem.spla, "splu", lambda a, **kw: factors.append(splu(a, **kw)) or factors[-1])
         est = fem.empirical_constant(m, material, robin, omega=2.0)
-        rows = (n_theta // 2 + 1) * local_dofs
+        # the modes run and those certified split the half spectrum, and the
+        # one factor holds the mode blocks that were run
+        assert sorted(est.modes_run + est.modes_certified) == list(range(n_theta // 2 + 1))
+        assert est.modes_certified
+        rows = len(est.modes_run) * local_dofs
         assert [lu.shape for lu in factors] == [(rows, rows)]
         # SuperLU's stored entries, explicit zeros in its supernodes included
         assert est.lu_nnz == factors[0].nnz >= factors[0].L.nnz + factors[0].U.nnz
-        assert 0 <= est.top_mode <= n_theta // 2
+        assert est.top_mode in est.modes_run
 
     @pytest.mark.parametrize("n_theta", [15, 24])
     @pytest.mark.parametrize("lam_ratio", [1.0, 1e4, 1e8])
@@ -829,20 +845,25 @@ class TestSectorFactor:
     def test_empirical_constant_matches_the_direct_factor(self, kind, lam_ratio):
         material = _radial_material(kind, lam_ratio)
         robin = core.RobinSpec.shear_matched(material)
-        # the sector estimate starts from the seed's draw projected onto
-        # modes 0..floor(n/2) and runs one Krylov space per mode; their sum
-        # holds the one Krylov space of a run on the direct factor of the
-        # fully assembled S_ff started from that projection on the free
-        # dofs, so step by step its top Ritz value is at least that run's,
-        # for every seed
+        # the sector estimate starts from the seed's draw projected onto the
+        # modes it runs and runs one Krylov space per mode; their sum holds
+        # the one Krylov space of a run on the direct factor of the fully
+        # assembled S_ff started from that projection on the free dofs, so
+        # step by step its top Ritz value is at least that run's, for every
+        # seed.  The modes it certifies hold nothing above c_emp: a direct
+        # run from the projection onto all of 0..floor(n/2) finds c_emp
         for n_theta in (15, 24):
             m = build_annulus_mesh(0.5, 1.0, 3, n_theta)
-            for seed, ritz in enumerate(_direct_lanczos(m, material, robin, 2.0, range(8))):
+            direct = _direct_lanczos(m, material, robin, 2.0)
+            for seed in range(8):
                 est = fem.empirical_constant(m, material, robin, omega=2.0, seed=seed)
+                assert est.modes_certified, (n_theta, seed)
+                ritz = direct(seed, est.modes_run)
                 assert est.steps <= ritz.steps, (n_theta, seed)
                 for k in range(est.steps):
                     floor = 4.0 * math.sqrt(ritz.thetas[k]) * (1.0 - 1e-12)
                     assert est.history[k] >= floor, (n_theta, seed, k)
+                ritz = direct(seed, np.arange(n_theta // 2 + 1))
                 assert est.c_emp == pytest.approx(4.0 * math.sqrt(ritz.theta), rel=1e-10)
 
     @pytest.mark.parametrize("n_theta", [15, 24])
@@ -953,8 +974,10 @@ class TestSectorFactor:
     @pytest.mark.parametrize("order", [1, 2])
     def test_every_sweep_mesh_takes_the_sector_path(self, order, monkeypatch):
         # the benchmark's kappa_s; the direct factor of the largest is ~9x
-        # the sector factor's fill.  Lanczos runs one block per mode
-        # 0..n_theta/2
+        # the sector factor's fill.  Lanczos runs one block per mode it
+        # does not certify, and the modes run and certified make up
+        # 0..n_theta/2; at kappa_s = 32 it runs 39 of 126 modes (order 2)
+        # and 37 of 250 (order 1)
         blocks = []
         lanczos = fem._lanczos
         monkeypatch.setattr(fem, "_lanczos", lambda *a: blocks.append(a[-1]) or lanczos(*a))
@@ -965,7 +988,11 @@ class TestSectorFactor:
             m = fem.resolution_mesh(cfg, kappa)
             material = cfg.material(1.0)
             est = fem.empirical_constant(m, material, cfg.robin(material), omega=kappa)
-            assert blocks.pop() == m.n_theta // 2 + 1 and 0 <= est.top_mode <= m.n_theta // 2
+            half = m.n_theta // 2 + 1
+            assert blocks.pop() == len(est.modes_run) and est.top_mode in est.modes_run
+            assert len(est.modes_run) + len(est.modes_certified) == half
+            if kappa == 32.0:
+                assert len(est.modes_run) <= 0.4 * half
             # the mode blocks come from the element matrices of the cells
             # around sector 0 alone, through the mesh's plan
             assert counts == [4 * m.n_r] and fem._SectorPlan in m.derived
@@ -987,6 +1014,135 @@ class TestSectorFactor:
         assert all(isinstance(s.lu, fem._SectorLU) for s in systems)
         # each system's factor is made from sector 0's rows of S_ff alone
         assert len(row_shapes) == 4 and all(rows * n == cols for n, (rows, cols) in row_shapes)
+
+
+def _hermitian(block):
+    """The dense Hermitian matrix of a mode block's lower triangle, as the
+    certificate reads it."""
+    lower = np.tril(block.toarray(), -1)
+    return lower + lower.conj().T + np.diag(block.diagonal().real)
+
+
+def _row_estimate(kappa, lam_ratio):
+    """(mesh, material, robin, omega, estimate) of a shear-matched sweep row."""
+    cfg = fem.SweepConfig(kappa_s=(kappa,))
+    m = fem.resolution_mesh(cfg, kappa)
+    material = cfg.material(lam_ratio)
+    robin = cfg.robin(material)
+    omega = kappa * material.theta_s_min
+    return m, material, robin, omega, fem.empirical_constant(m, material, robin, omega)
+
+
+class TestModeCertificate:
+    """The modes the estimate skips: H_m - tau M_m proven positive definite
+    by a shifted banded Cholesky, so their constants lie below c_emp."""
+
+    @pytest.mark.parametrize("lam_ratio", [1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("kappa", [4.0, 8.0, 16.0])
+    def test_skipped_modes_against_dense_oracles(self, kappa, lam_ratio):
+        # per skipped mode: the smallest eigenvalue of the pencil (H_m, M_m)
+        # lies above tau, and omega^2 times the mode's largest singular
+        # value of L^H S_m^-1 L (M_m = L L^H) is at most c_emp
+        m, material, robin, omega, est = _row_estimate(kappa, lam_ratio)
+        assert est.modes_certified and omega**2 / est.tau <= est.c_emp
+        plan = fem._sector_plan(m)
+        parts = plan.couplings(material, robin, omega)
+        s_couplings = parts.hermitian - 1j * omega * parts.robin
+        for mode in est.modes_certified:
+            h, mass = (_hermitian(plan.blocks(c, [mode])) for c in (parts.hermitian, parts.mass))
+            assert la.eigh(h, mass, eigvals_only=True)[0] > est.tau, mode
+            chol = np.linalg.cholesky(mass)
+            s_m = plan.blocks(s_couplings, [mode]).toarray()
+            sigma = la.svdvals(chol.conj().T @ np.linalg.solve(s_m, chol))[0]
+            assert omega**2 * sigma <= est.c_emp, mode
+
+    def test_certificate_is_sharp_to_the_pencil(self, material, robin, monkeypatch):
+        # a mode passes at tau 1e-6 below its pencil's smallest eigenvalue
+        # and fails 1e-6 above it (the rounding shift costs less than that),
+        # and at its smallest eigenvalue itself
+        m = build_annulus_mesh(0.5, 1.0, 3, 24)
+        plan = fem._sector_plan(m)
+        parts = plan.couplings(material, robin, 2.0)
+        modes = np.arange(13)
+        low = np.array([
+            la.eigh(*(_hermitian(plan.blocks(c, [mode])) for c in (parts.hermitian, parts.mass)),
+                    eigvals_only=True)[0]
+            for mode in modes
+        ])
+        assert low[0] < 0.0 < low[-1]  # propagating and evanescent modes
+        for mode, gap in zip(modes, 1e-6 * np.abs(low)):
+            assert plan.certify(parts, low[mode] - gap, [mode]) == 1, mode
+            assert plan.certify(parts, low[mode], [mode]) == 0, mode
+            assert plan.certify(parts, low[mode] + gap, [mode]) == 0, mode
+        # taken from the top down, the count is that of the modes before the
+        # first that fails, across calls of the banded factorization
+        top_down = modes[::-1]
+        for chunk in (1, 2, 5, 16):
+            monkeypatch.setattr(fem, "_CERTIFY_CHUNK", chunk)
+            for tau in low:
+                fails = low[top_down] <= tau + 1e-6 * abs(tau)
+                expected = int(np.argmax(fails)) if fails.any() else modes.size
+                assert plan.certify(parts, tau, top_down) == expected, (chunk, tau)
+
+    @pytest.mark.parametrize("kappa,lam_ratio", [(1.0, 1e8), (4.0, 1.0), (16.0, 1.0), (16.0, 1e8)])
+    def test_certifying_changes_no_bit_of_the_estimate(self, kappa, lam_ratio, monkeypatch):
+        # a guard that certifies nothing runs every mode: the estimate with
+        # its certified modes left out reads the same c_emp, steps and top
+        # mode, each mode's Krylov space being the same.  At kappa_s = 1 and
+        # lambda/mu = 1e8 every mode passes at the first guard, which is
+        # halved 8 times
+        *_, est = _row_estimate(kappa, lam_ratio)
+        monkeypatch.setattr(fem, "_GUARD", 1e-12)
+        *_, every = _row_estimate(kappa, lam_ratio)
+        assert every.modes_certified == () and est.modes_certified
+        assert (est.c_emp, est.steps, est.top_mode) == (every.c_emp, every.steps, every.top_mode)
+        assert est.lu_nnz < every.lu_nnz
+
+    def test_retest_path(self, monkeypatch):
+        # a guard above c_emp: at kappa_s = 16, c_emp = 10.07 (mode 9), and
+        # mode 16 is the only one whose pencil bound omega^2 / lambda_min
+        # (41.6) lies between it and c_g = 48.  The first run takes modes
+        # 0..15, mode 16 fails the test again at tau = omega^2 / c_emp and
+        # joins a second run, and the result is that of a run with nothing
+        # certified
+        calls = []
+        lanczos = fem._lanczos
+        monkeypatch.setattr(fem, "_lanczos", lambda *a: calls.append(a[-1]) or lanczos(*a))
+        monkeypatch.setattr(fem, "_GUARD", 3.0)
+        m, material, robin, omega, est = _row_estimate(16.0, 1.0)
+        assert calls == [16, 17] and est.modes_run == tuple(range(17))
+        # the certified modes were proven at tau = omega^2 / c_emp
+        assert abs(omega**2 / est.tau - est.c_emp) <= 1e-15 * est.c_emp
+        monkeypatch.setattr(fem, "_GUARD", 1e-12)
+        *_, every = _row_estimate(16.0, 1.0)
+        assert (est.c_emp, est.steps, est.top_mode) == (every.c_emp, every.steps, every.top_mode)
+        assert est.modes_certified
+
+    def test_all_certified_path(self, monkeypatch):
+        # a guard far above every mode's constant certifies every mode: it
+        # is halved until some mode fails, and the result is that of a run
+        # with nothing certified
+        tests = []
+        certify = fem._SectorPlan.certify
+
+        def spied(self, parts, tau, modes):
+            count = certify(self, parts, tau, modes)
+            tests.append((tau, count == len(modes)))
+            return count
+
+        monkeypatch.setattr(fem._SectorPlan, "certify", spied)
+        monkeypatch.setattr(fem, "_GUARD", 1e6)
+        # at kappa_s = 1 every mode is evanescent, its bound below 0.2: the
+        # guard starts at 1e6 and halves more than 20 times
+        m, material, robin, omega, est = _row_estimate(1.0, 1.0)
+        first_failure = [passed for _, passed in tests].index(False)
+        assert first_failure > 20
+        halved = [tau for tau, _ in tests[: first_failure + 1]]
+        assert all(b == 2.0 * a for a, b in zip(halved, halved[1:]))
+        assert est.modes_certified and omega**2 / est.tau <= est.c_emp
+        monkeypatch.setattr(fem, "_GUARD", 1e-12)
+        *_, every = _row_estimate(1.0, 1.0)
+        assert (est.c_emp, est.steps, est.top_mode) == (every.c_emp, every.steps, every.top_mode)
 
 
 class TestSweep:
