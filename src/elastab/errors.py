@@ -34,9 +34,9 @@ class MeshError(ElastabError):
 
 
 class SolverError(ElastabError):
-    """A linear system could not be factored or solved: the sector checks
-    failed, the factor is singular, or a solve missed the backward-error
-    contract (its message says "residual")."""
+    """A linear system could not be factored or solved: the factor is
+    singular, or a solve missed the backward-error contract (its message
+    says "residual")."""
 
 
 class IterationError(ElastabError):

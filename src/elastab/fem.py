@@ -32,46 +32,45 @@ normal operator of mode n - m has the spectrum of mode m's, and the
 estimate needs only the modes 0..floor(n_theta/2) too: of those, only
 the ones that can hold the top value.
 
-The mode blocks are the only factor the module makes, and they have two
-producers, both of sector 0's free rows.  Every ``MaterialField`` is
-radial, every ``RobinSpec`` constant and every ``Mesh`` its polar lattice
-by construction, so those rows hold the whole system, and their local
-nodes come in one band order read off the lattice (radial index, then
-angular column, ``_band_order``), in which ``_factor`` needs no ordering
-pass of its own.  ``empirical_constant`` makes the mode blocks of S_ff
-and M_ff straight from the element matrices of the 4 n_r cells around
-sector 0, through a plan made once per mesh and kept with it
-(``_SectorPlan``): per estimate, the element matrices, one
-``np.bincount`` per matrix into the blocks B_-1, B_0, B_1 that couple
-sector 0 to itself and its neighbours, and the twiddle product
-(``_mode_blocks``).  Before it factors anything it proves most modes
-unable to hold the top value: a mode m whose Hermitian part H_m = K_m -
-omega^2 M_m satisfies H_m - tau M_m > 0 has a constant of at most
-omega^2 / tau, and a shifted banded Cholesky factorization certifies
-that (``_SectorPlan.certify``).  It runs Lanczos on the mode blocks of
-the other modes, with no FFT per step, in every one of them at once: the
-normal operator is block-diagonal over the modes.
-``AssembledSystem.lu``, behind ``solve``, takes sector 0's rows of the
-fully assembled S_ff it is given, reads B_-1, B_0, B_1 off them, checked
-for a coupling beyond the neighbouring sectors and for B_0 = B_0^T and
-B_-1 = B_1^T (``_sector_couplings``), and its factor (``_SectorLU``)
-reaches the high modes through the transposed factor.
+The mode blocks are the only factor the module makes, and they have one
+producer, which makes them from sector 0's free rows.  Every
+``MaterialField`` is radial, every ``RobinSpec`` constant and every
+``Mesh`` its polar lattice by construction, so those rows hold the whole
+system, and their local nodes come in one band order read off the
+lattice (radial index, then angular column, ``_band_order``), in which
+``_factor`` needs no ordering pass of its own.  The mode blocks of S_ff and M_ff come straight from the element
+matrices of the 4 n_r cells around sector 0, through a plan made once per
+mesh and kept with it (``_SectorPlan``): per system, the element
+matrices, one ``np.bincount`` per matrix into the blocks B_-1, B_0, B_1
+that couple sector 0 to itself and its neighbours, and the twiddle
+product (``_mode_blocks``).  ``AssembledSystem.lu``, behind ``solve``,
+factors the blocks of S_ff in the modes 0..floor(n_theta/2) from its
+system's material, impedance and omega (``_SectorLU``), and reaches the
+high modes through the transposed factor.  ``empirical_constant`` first
+proves most modes unable to hold the top value: a mode m whose Hermitian
+part H_m = K_m - omega^2 M_m satisfies H_m - tau M_m > 0 has a constant
+of at most omega^2 / tau, and a shifted banded Cholesky factorization
+certifies that (``_SectorPlan.certify``).  It factors the mode blocks of
+the other modes and runs Lanczos on them, with no FFT per step, in every
+one of them at once: the normal operator is block-diagonal over the
+modes.
 
-A system that fails these checks raises ``SolverError`` naming the
-check; one whose other sectors do not repeat sector 0's rows misses
-``solve``'s backward-error contract.  The direct LU of S_ff, made by
+The factor is not read off the assembled matrices, so ``solve``'s
+backward-error contract against the whole S_ff is what ties it to the
+system: a system whose matrices were changed after ``assemble`` misses
+it and raises ``SolverError``.  The direct LU of S_ff, made by
 ``_factor`` in the dofs' own order with the same diagonal-preferring
-pivoting, is the tests' oracle, and so are the mode blocks of the fully
-assembled system for the plan's.  Backward errors are measured on the
-system that was solved: ``solve`` on the free dofs against the whole S_ff,
-the estimate against its mode blocks, the image of S_ff under a unitary
-map (rotation, the DFT over sectors, then the band order of the nodes).
-At kappa_s = 32 (20,500 nodes, 2 vCPU on a busy host, fresh meshes) the
-plan takes 2-3 ms to make; per estimate the couplings take 1 ms, the test
-of the 126 modes 7-9 ms, the mode blocks of the 39 it runs 1-3 ms and
-their factor 5-9 ms, and the whole estimate 0.03-0.05 s (0.07-0.10 s
-when it factored and ran every mode); assembling the whole system takes
-0.16-0.24 s.
+pivoting, is the tests' oracle, and so is the modal image of the fully
+assembled S_ff and M_ff for the plan's mode blocks.  Backward errors are
+measured on the system that was solved: ``solve`` on the free dofs
+against the whole S_ff, the estimate against its mode blocks, the image
+of S_ff under a unitary map (rotation, the DFT over sectors, then the
+band order of the nodes).  At kappa_s = 32 (20,500 nodes, 2 vCPU on a
+busy host, fresh meshes) the plan takes 2-3 ms to make; per estimate the
+couplings take 1 ms, the test of the 126 modes 7-9 ms, the mode blocks
+of the 39 it runs 1-3 ms and their factor 5-9 ms, and the whole estimate
+0.03-0.05 s (0.07-0.10 s when it factored and ran every mode);
+assembling the whole system takes 0.16-0.24 s.
 """
 
 from __future__ import annotations
@@ -222,12 +221,20 @@ class AssembledSystem:
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
     robin_matrix: sp.csr_matrix
-    free: np.ndarray
-    dirichlet_dofs: np.ndarray
 
     @property
     def n_dofs(self) -> int:
         return 2 * self.mesh.n_nodes
+
+    @cached_property
+    def free(self) -> np.ndarray:
+        """The mesh's free dofs (``_free_dofs``)."""
+        return _free_dofs(self.mesh)[0]
+
+    @cached_property
+    def dirichlet_dofs(self) -> np.ndarray:
+        """The mesh's dofs on the Dirichlet circle (``_free_dofs``)."""
+        return _free_dofs(self.mesh)[1]
 
     def system_matrix(self) -> sp.csc_matrix:
         s = self.stiffness - self.omega**2 * self.mass - 1j * self.omega * self.robin_matrix
@@ -248,20 +255,14 @@ class AssembledSystem:
     @cached_property
     def lu(self) -> _SectorLU:
         """Factorization of S_ff by angular Fourier modes (``_SectorLU``),
-        made on first use from sector 0's free rows, as the estimate makes
-        its own (``_SectorPlan``), and shared by every later solve with
-        this system.  The free dofs must be whole nodes, and sector 0's
-        rows must fill an equal share of them, couple only to the
-        neighbouring sectors and be symmetric (``_sector_couplings``);
-        SolverError names the check it fails.  The other sectors' rows are
-        taken to repeat sector 0's: a system where they do not is refused
-        by ``solve``'s backward-error contract against the whole S_ff."""
-        free = self.free
-        # Dirichlet data eliminate whole nodes: free dofs pair up as (2k, 2k+1)
-        if not (np.array_equal(free[0::2] + 1, free[1::2]) and not np.any(free[0::2] % 2)):
-            raise SolverError("the free dofs are not whole nodes")
-        s_ff = self.free_blocks[0]
-        return _SectorLU(self.mesh.n_theta, self.mesh.order, s_ff[: s_ff.shape[0] // self.mesh.n_theta])
+        made on first use from the mesh's plan (``_sector_plan``) with this
+        system's material, impedance and omega, as the estimate makes its
+        mode blocks, and shared by every later solve with this system.  It
+        does not read the assembled matrices: a system whose matrices were
+        changed after ``assemble`` is refused by ``solve``'s backward-error
+        contract against the whole S_ff."""
+        plan = _sector_plan(self.mesh)
+        return _SectorLU(plan, plan.couplings(self.material, self.robin, self.omega).system(self.omega))
 
 
 def _element_matrices(geometry: tuple, material: MaterialField) -> tuple:
@@ -310,7 +311,6 @@ def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float
     ke, me = _element_matrices(_geometry(mesh, _TRI_QP), material)
     edges = _edge_quadrature(mesh, DISSIPATIVE)
     ndof, dofs = 2 * mesh.n_nodes, _dofs(mesh.conn)
-    free, dirichlet_dofs = _free_dofs(mesh)
     return AssembledSystem(
         mesh=mesh,
         material=material,
@@ -319,8 +319,6 @@ def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float
         stiffness=_scatter(dofs, ke, ndof),
         mass=_scatter(dofs, me, ndof),
         robin_matrix=_scatter(_dofs(edges.nodes), _edge_matrices(edges, robin, mesh.order), ndof),
-        free=free,
-        dirichlet_dofs=dirichlet_dofs,
     )
 
 
@@ -378,79 +376,10 @@ def _factor(s_ff: sp.csc_matrix):
         raise SolverError(f"system matrix is singular: {exc}") from exc
 
 
-# sector 0's couplings count as symmetric when they repeat their transposes
-# to this fraction of the largest entry of sector 0's rows
-_SECTOR_RTOL = 1e-12
-
-
 def _sector_cells(mesh: Mesh) -> np.ndarray:
     """The 4 n_r cells that touch a node of sector 0, ascending: sector 0's
     and sector n_theta - 1's (``Mesh``)."""
     return np.r_[: 2 * mesh.n_r, mesh.n_cells - 2 * mesh.n_r : mesh.n_cells]
-
-
-def _sector_couplings(n: int, *matrices) -> tuple:
-    """(L, pairs, couplings): the blocks B_0, B_1, B_-1 of free-dof
-    matrices that couple each angular sector to itself and its neighbours
-    (``_sector_modes``), on their union pattern.
-
-    Each matrix holds sector 0's free rows against the
-    columns of all n L free nodes.  ``pairs`` holds the union pattern's
-    (row node, column node) pairs of sector 0's L local nodes as row node *
-    L + column node, sorted; each coupling is a (3, pairs, 2, 2) array of
-    the matrix's B_0, B_1 and B_-1 2x2 node blocks on those pairs, rotated
-    into sector 0's frame.  Raises SolverError when the sectors hold
-    different node counts, a row couples beyond the neighbouring sectors
-    or the blocks are not symmetric."""
-    size = matrices[0].shape[1]
-    if n < 3 or size % (2 * n):
-        raise SolverError("sectors hold different node counts")
-    nodes = size // (2 * n)
-
-    # every matrix's 2x2 node blocks by slot: the coupling (B_0, B_1 or
-    # B_-1) and the local nodes of its row and column
-    blocks = []
-    for matrix in matrices:
-        bsr = matrix.tobsr(blocksize=(2, 2))
-        a = np.repeat(np.arange(nodes), np.diff(bsr.indptr))
-        shift, b = np.divmod(bsr.indices, nodes)  # 0, 1 or n - 1 for B_0, B_1, B_-1
-        if np.any((shift > 1) & (shift < n - 1)):
-            raise SolverError("coupling beyond neighbouring sectors")
-        slot = (np.where(shift == n - 1, 2, shift) * nodes + a) * nodes + b
-        blocks.append((slot, bsr.data.reshape(-1, 4).T))
-
-    # the union pattern of B_-1, B_0, B_1 over all matrices, one coefficient
-    # block per coupling, and each coupling's transposed partner
-    present = np.zeros(3 * nodes * nodes, dtype=bool)
-    for slot, _ in blocks:
-        present[slot] = True
-    index = np.cumsum(present) - 1
-    block, pair = np.divmod(np.flatnonzero(present), nodes * nodes)
-    pairs, where = np.unique(pair, return_inverse=True)
-    flipped = pairs % nodes * nodes + pairs // nodes
-    partner = np.minimum(np.searchsorted(pairs, flipped), pairs.size - 1)
-    if np.any(pairs[partner] != flipped):
-        raise SolverError("the couplings are not symmetric")
-    # the sector angle of each block's column node
-    angle = 2.0 * math.pi / n * np.array([0, 1, -1])[block]
-    c, s = np.cos(angle), np.sin(angle)
-
-    couplings = []
-    for slot, data in blocks:
-        # the blocks on the union pattern, entries 00, 01, 10, 11 first,
-        # turned into sector 0's frame: B F^T, F = [[cos, sin], [-sin, cos]]
-        v = np.zeros((4, block.size), dtype=data.dtype)
-        v[:, index[slot]] = data
-        v[0], v[1] = c * v[0] + s * v[1], c * v[1] - s * v[0]
-        v[2], v[3] = c * v[2] + s * v[3], c * v[3] - s * v[2]
-        tol = _SECTOR_RTOL * np.abs(v).max(initial=0.0)
-        coeffs = np.zeros((3, pairs.size, 2, 2), dtype=complex)
-        coeffs[block, where] = v.T.reshape(-1, 2, 2)
-        # B_0 = B_0^T and B_-1 = B_1^T, pair by pair
-        if np.abs(coeffs - coeffs[[0, 2, 1]][:, partner].swapaxes(-1, -2)).max(initial=0.0) > tol:
-            raise SolverError("the blocks are not symmetric")
-        couplings.append(coeffs)
-    return nodes, pairs, couplings
 
 
 def _band_order(nodes: int, p: int) -> np.ndarray:
@@ -496,44 +425,6 @@ def _mode_blocks(n: int, indices, indptr, couplings, modes) -> sp.csc_matrix:
     tiled = (indices + size * shift).ravel()
     ptr = np.append((indptr[:-1] + nnz * shift).ravel(), np.int32(count * nnz))
     return sp.csc_matrix((data.ravel(), tiled, ptr), shape=(count * size,) * 2)
-
-
-def _sector_modes(n: int, p: int, *matrices) -> tuple:
-    """Half-spectrum angular Fourier decomposition of free-dof matrices,
-    from sector 0's free rows of each (``_sector_couplings``).
-
-    The free nodes of a ``build_annulus_mesh`` system come sector by sector,
-    the same count L in each (the mesh numbers its nodes sector-major and
-    the Dirichlet circle removes the same nodes from every sector), so
-    block (2x2 node block) index k holds local node k % L of sector
-    k // L.  Rotated back by its sector angle s 2 pi / n, that node lands
-    on the same local node of sector 0.  In the coordinates of (sector,
-    local node, rotated component) a matrix A becomes T A T^T, T
-    orthogonal, and when that matrix is block-circulant with blocks B_-1,
-    B_0, B_1 coupling each sector to itself and its neighbours, the DFT
-    over sectors splits it into the mode blocks A_m = B_0 + B_1 w^m +
-    B_-1 w^-m, w = exp(2 pi i / n).  A symmetric A (B_0 = B_0^T,
-    B_-1 = B_1^T) has A_{n-m} = A_m^T, so the h = floor(n/2) + 1 modes
-    m = 0..floor(n/2) determine all n.
-
-    Returns (order, modes): the order of the L local nodes in every mode
-    block, the band order of the lattice of order ``p`` (``_band_order``),
-    and per matrix its h mode blocks as one block-diagonal CSC
-    (``_mode_blocks``), on the union pattern of the matrices' couplings."""
-    nodes, pairs, couplings = _sector_couplings(n, *matrices)
-    order = _band_order(nodes, p)
-    rank = np.argsort(order)
-    row_node, col_node = np.divmod(pairs, nodes)
-    # the couplings' entries, pair by pair, then row and column component
-    rows = ((2 * rank[row_node])[:, None] + np.array([0, 0, 1, 1])).ravel()
-    cols = ((2 * rank[col_node])[:, None] + np.array([0, 1, 0, 1])).ravel()
-    indices, indptr, where = _csc_layout(2 * nodes, rows, cols)
-    modes = []
-    for coeffs in couplings:
-        data = np.empty((3, where.size), dtype=complex)
-        data[:, where] = coeffs.reshape(3, -1)
-        modes.append(_mode_blocks(n, indices, indptr, data, np.arange(n // 2 + 1)))
-    return order, modes
 
 
 class _Scatter(NamedTuple):
@@ -584,13 +475,17 @@ def _contributions(mesh: Mesh, nodes: np.ndarray, rank: np.ndarray) -> tuple:
 
 class _Couplings(NamedTuple):
     """Sector 0's couplings B_0, B_1, B_-1 (each (3, nnz), on one mode
-    block's CSC structure) of one estimate's real symmetric matrices: the
+    block's CSC structure) of one system's real symmetric matrices: the
     cells' K - omega^2 M, the impedance matrix R of the dissipative edges
-    and the mass M.  S = K - omega^2 M - i omega R."""
+    and the mass M.  S = K - omega^2 M - i omega R (``system``)."""
 
     hermitian: np.ndarray
     robin: np.ndarray
     mass: np.ndarray
+
+    def system(self, omega: float) -> np.ndarray:
+        """The couplings of S, the ones ``solve`` and the estimate factor."""
+        return self.hermitian - 1j * omega * self.robin
 
 
 # the unit roundoff of double precision
@@ -664,13 +559,6 @@ class _SectorPlan:
         ``modes`` (``_mode_blocks``)."""
         return _mode_blocks(self.sectors, self.indices, self.indptr, couplings, modes)
 
-    def modes(self, material: MaterialField, robin: RobinSpec, omega: float) -> tuple:
-        """(S, M): the half-spectrum mode blocks of S_ff and M_ff, modes
-        0..floor(n_theta/2)."""
-        parts = self.couplings(material, robin, omega)
-        every = np.arange(self.sectors // 2 + 1)
-        return self.blocks(parts.hermitian - 1j * omega * parts.robin, every), self.blocks(parts.mass, every)
-
     def certify(self, parts: _Couplings, tau: float, modes) -> int:
         """How many of the angular ``modes``, taken in the order given, have
         H_m - tau M_m proven positive definite before the first that has
@@ -743,7 +631,9 @@ def _sector_plan(mesh: Mesh) -> _SectorPlan:
 def _to_modes(n: int, x):
     """All n angular modes (n, L, 2) of a free-dof vector: each node's
     (x, y) pair turned into its sector's frame, then an FFT over the
-    sectors (``_sector_modes``)."""
+    sectors.  The free nodes come sector by sector, L in each, so free node
+    k is local node k % L of sector k // L (``Mesh``); rotated back by its
+    sector angle, it lands on the same local node of sector 0."""
     angle = 2.0 * math.pi / n * np.arange(n)[:, None]
     c, s = np.cos(angle), np.sin(angle)
     bx, by = np.moveaxis(x.reshape(n, -1, 2), -1, 0)
@@ -760,8 +650,8 @@ def _from_modes(y):
 
 def _modal(n: int, x, order):
     """The half-spectrum coordinates (modes 0..floor(n/2), local nodes in
-    ``order``, flat) of a free-dof vector, in which the mode blocks of
-    ``_sector_modes`` act."""
+    ``order``, flat) of a free-dof vector, in which the plan's mode blocks
+    act (``_SectorPlan.blocks``)."""
     return _to_modes(n, x)[: n // 2 + 1, order].reshape(-1)
 
 
@@ -769,22 +659,19 @@ class _SectorLU:
     """S_ff^-1 by angular Fourier modes: rotate each node into its sector's
     frame, FFT over the sectors, solve the decoupled mode blocks, transform
     back (``_to_modes``, ``_from_modes``).  The free dofs come sector by
-    sector, L nodes of (x, y) pairs each (``_sector_modes``), so a free-dof
-    vector is an (n, L, 2) array.  Only the h = floor(n/2) + 1 modes
-    m = 0..floor(n/2) are factored, as one sparse LU of their
-    block-diagonal matrix, made from sector 0's rows of S_ff on a lattice
-    of order ``p`` (``_sector_modes``), whose local nodes come in the
-    blocks' band ``order``:
-    a mode m > n/2 is solved with the transposed factor of mode n - m,
-    since S_{n-m} = S_m^T."""
+    sector, L nodes of (x, y) pairs each, so a free-dof vector is an
+    (n, L, 2) array.  Only the h = floor(n/2) + 1 modes m = 0..floor(n/2)
+    are factored, as one sparse LU of their block-diagonal matrix, made by
+    the ``plan`` from the couplings of S (``_SectorPlan.blocks``), whose
+    local nodes come in the plan's band order: a mode m > n/2 is solved
+    with the transposed factor of mode n - m, since S_{n-m} = S_m^T."""
 
-    def __init__(self, n: int, p: int, s_rows):
-        self.order, [s_modes] = _sector_modes(n, p, s_rows)
-        self.modes = n
-        self.lu = _factor(s_modes)
+    def __init__(self, plan: _SectorPlan, s_couplings: np.ndarray):
+        self.order, self.sectors = plan.order, plan.sectors
+        self.lu = _factor(plan.blocks(s_couplings, np.arange(plan.sectors // 2 + 1)))
 
     def solve(self, rhs):
-        n, h = self.modes, self.modes // 2 + 1
+        n, h = self.sectors, self.sectors // 2 + 1
         y = _to_modes(n, rhs)[:, self.order]  # the mode blocks' node order
         half = (h,) + y.shape[1:]  # (h, L, 2)
         high = np.zeros(half, dtype=complex)  # row j: mode n - j
@@ -830,11 +717,12 @@ def solve(
 
     f is a nodal field (Nn, 2); extra_load is an already-assembled dual
     vector (surface data for manufactured solutions).  S_ff is factored
-    by angular modes once per system (``AssembledSystem.lu``); each solve
-    is held to the backward-error contract against S_ff (``_check_solve``),
-    and ``residual_norm`` is its relative residual on the free rows.  A
-    system that fails the sector checks, a singular system or a missed
-    contract raises SolverError.
+    by angular modes once per system, from the mesh's plan
+    (``AssembledSystem.lu``); each solve is held to the backward-error
+    contract against the whole assembled S_ff (``_check_solve``), which is
+    the one check that the factor is the system's, and ``residual_norm``
+    is its relative residual on the free rows.  Singular mode blocks or a
+    missed contract raise SolverError.
     """
     rhs = system.mass @ _flat(np.asarray(f, dtype=complex))
     if extra_load is not None:
@@ -1096,7 +984,7 @@ def empirical_constant(
     n, half = mesh.n_theta, mesh.n_theta // 2 + 1
     plan = _sector_plan(mesh)
     parts = plan.couplings(material, robin, omega)
-    s_couplings = parts.hermitian - 1j * omega * parts.robin
+    s_couplings = parts.system(omega)
     size = 2 * plan.order.size * n
     rng = np.random.default_rng(seed)
     v = _modal(n, rng.normal(size=size) + 1j * rng.normal(size=size), plan.order).reshape(half, -1)

@@ -394,8 +394,15 @@ class TestSolve:
         s = fem.assemble(m, material, robin, omega=2.0)
         zero = sp.csr_matrix((s.n_dofs, s.n_dofs))
         singular = dataclasses.replace(s, stiffness=zero, mass=zero, robin_matrix=zero)
-        with pytest.raises(SolverError, match="singular"):
+        # the factor is the plan's, of the system as assembled; the solve
+        # misses the contract against the zero S_ff
+        with pytest.raises(SolverError, match="backward error"):
             fem.solve(singular, np.zeros((m.n_nodes, 2)), extra_load=np.ones(s.n_dofs))
+
+    def test_singular_factor_raises(self):
+        singular = sp.csc_matrix(np.diag([1.0, 0.0, 2.0]).astype(complex))
+        with pytest.raises(SolverError, match="singular"):
+            fem._factor(singular)
 
     @pytest.mark.parametrize("order,min_rate", [(1, 1.7), (2, 2.7)])
     def test_manufactured_convergence(self, order, min_rate):
@@ -657,38 +664,45 @@ def _direct_lanczos(m, material, robin, omega):
     return run
 
 
-def _coo_mode_blocks(n, nodes, pairs, coeffs, order):
+def _coo_mode_blocks(n, indices, indptr, couplings):
     """The block-diagonal CSC of the h = floor(n/2) + 1 mode blocks of one
-    matrix's couplings (``fem._sector_couplings``), local nodes in
-    ``order``, built entry by entry in COO form and converted: the oracle
-    of ``fem._mode_blocks``'s tiled CSC.  The
-    entries are the same product of the twiddles (1, w^m, w^-m) with the
-    couplings, taken pair by pair."""
-    half = n // 2 + 1
+    matrix's couplings (3, nnz) on one block's CSC structure (indices,
+    indptr), built entry by entry in COO form and converted: the oracle of
+    ``fem._mode_blocks``'s tiled CSC.  The entries are the same product of
+    the twiddles (1, w^m, w^-m) with the couplings, taken entry by entry."""
+    half, size = n // 2 + 1, indptr.size - 1
     twiddle = np.exp(2j * math.pi * np.arange(half) / n)
     twiddles = np.stack([np.ones(half), twiddle, twiddle.conj()], axis=1)
-    rank = np.argsort(order)
-    nl = 2 * nodes
-    offset = nl * np.arange(half)[:, None, None, None]
-    rows = offset + (2 * rank[pairs // nodes])[:, None, None] + np.array([0, 1])[:, None]
-    cols = offset + (2 * rank[pairs % nodes])[:, None, None] + np.array([0, 1])
-    rows, cols = np.broadcast_arrays(rows, cols)
-    data = twiddles @ coeffs.reshape(3, -1)
-    return sp.csc_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(half * nl, half * nl))
+    offset = size * np.arange(half)[:, None]
+    rows = offset + indices
+    cols = offset + np.repeat(np.arange(size), np.diff(indptr))
+    data = twiddles @ couplings
+    return sp.csc_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(half * size, half * size))
 
 
-def _sector_row_shapes(monkeypatch):
-    """Record (n_theta, shape) of every matrix ``fem._sector_couplings``
-    receives."""
-    shapes = []
-    couplings = fem._sector_couplings
+def _plan_modes(m, material, robin, omega):
+    """(S, M): the mesh's plan's mode blocks of S_ff and M_ff in the modes
+    0..floor(n_theta/2), as ``solve`` and the estimate make them."""
+    plan = fem._sector_plan(m)
+    parts = plan.couplings(material, robin, omega)
+    every = np.arange(m.n_theta // 2 + 1)
+    return plan.blocks(parts.system(omega), every), plan.blocks(parts.mass, every)
 
-    def spied(n, *matrices):
-        shapes.extend((n, matrix.shape) for matrix in matrices)
-        return couplings(n, *matrices)
 
-    monkeypatch.setattr(fem, "_sector_couplings", spied)
-    return shapes
+def _modal_image(m, a_ff, order):
+    """The dense image of a free-dof matrix A_ff in the half-spectrum mode
+    coordinates, local nodes in ``order``: column (mode, j) is
+    ``fem._to_modes`` of A_ff applied to ``fem._from_modes`` of the unit
+    vector e_(mode, j), over modes 0..floor(n_theta/2)."""
+    n, half = m.n_theta, m.n_theta // 2 + 1
+    size = a_ff.shape[0] // n  # 2L
+    image = np.empty((half * size, half * size), dtype=complex)
+    for column in range(image.shape[1]):
+        unit = np.zeros((n, size // 2, 2), dtype=complex)
+        mode, j = divmod(column, size)
+        unit[mode, order[j // 2], j % 2] = 1.0
+        image[:, column] = fem._modal(n, a_ff @ fem._from_modes(unit), order)
+    return image
 
 
 def _counting_cells(monkeypatch):
@@ -745,31 +759,28 @@ class TestSectorFactor:
     @pytest.mark.parametrize("kind", ["constant", "radial-profile", "piecewise-radial"])
     @pytest.mark.parametrize("order", [1, 2])
     def test_plan_gives_the_mode_blocks_of_the_full_system(self, order, kind, lam_ratio, n_theta):
-        # the estimate's mode blocks, from the element matrices of the cells
-        # around sector 0 through the mesh's plan, against those of sector
-        # 0's rows of S_ff and M_ff assembled over the whole mesh, read off
-        # by the solve path's checked couplings; and those array for array
-        # (so the factor is bit for bit) against their COO construction
+        # the mode blocks of ``solve`` and the estimate, from the element
+        # matrices of the cells around sector 0 through the mesh's plan,
+        # against the dense modal image of S_ff and M_ff assembled over the
+        # whole mesh (which also holds nothing off the diagonal blocks); and
+        # array for array (so the factor is bit for bit) against their COO
+        # construction from the plan's CSC structure and couplings
         material = _radial_material(kind, lam_ratio)
         robin = core.RobinSpec.shear_matched(material)
         m = build_annulus_mesh(0.5, 1.0, 3, n_theta, order=order)
         s = fem.assemble(m, material, robin, omega=2.0)
-        sector = slice(s.free.size // n_theta)
-        rows = (s.free_blocks[0][sector], s.mass[s.free][:, s.free][sector])
-        order_full, full = fem._sector_modes(n_theta, order, *rows)
         plan = fem._sector_plan(m)
-        native = plan.modes(material, robin, 2.0)
-        assert np.array_equal(plan.order, order_full)
         assert np.array_equal(np.sort(plan.order), np.arange(plan.order.size))
-        nodes, pairs, couplings = fem._sector_couplings(n_theta, *rows)
-        for got, exact, coeffs in zip(native, full, couplings):
+        full = (s.free_blocks[0], s.mass[s.free][:, s.free])
+        parts = plan.couplings(material, robin, 2.0)
+        for got, a_ff, couplings in zip(_plan_modes(m, material, robin, 2.0), full, (parts.system(2.0), parts.mass)):
+            exact = _modal_image(m, a_ff, plan.order)
             assert got.shape == exact.shape
-            assert np.array_equal(got.indices, exact.indices) and np.array_equal(got.indptr, exact.indptr)
-            assert abs(got - exact).max() <= 1e-12 * abs(exact).max()
-            oracle = _coo_mode_blocks(n_theta, nodes, pairs, coeffs, plan.order)
+            assert np.abs(got.toarray() - exact).max() <= 1e-12 * np.abs(exact).max()
+            oracle = _coo_mode_blocks(n_theta, plan.indices, plan.indptr, couplings)
             for name in ("data", "indices", "indptr"):
-                exact_array, oracle_array = getattr(exact, name), getattr(oracle, name)
-                assert exact_array.dtype == oracle_array.dtype and np.array_equal(exact_array, oracle_array)
+                got_array, oracle_array = getattr(got, name), getattr(oracle, name)
+                assert got_array.dtype == oracle_array.dtype and np.array_equal(got_array, oracle_array)
 
     def test_plan_is_kept_with_its_mesh_and_freed_with_it(self, material, robin):
         m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
@@ -791,7 +802,7 @@ class TestSectorFactor:
         # and the factor keeps the band: every pivot is on the diagonal, and
         # L and U lie within the band
         m = build_annulus_mesh(0.5, 1.0, n_r, 48, order=order)
-        modes = fem._sector_plan(m).modes(material, robin, 2.0)
+        modes = _plan_modes(m, material, robin, 2.0)
         half, band = m.n_theta // 2 + 1, 2 * order * (order + 1) - 1
         for matrix in modes:
             coo = matrix.tocoo()
@@ -836,7 +847,7 @@ class TestSectorFactor:
         m = fem.resolution_mesh(cfg, kappa)
         material = cfg.material(1.0)
         robin = cfg.robin(material)
-        s_modes, _ = fem._sector_plan(m).modes(material, robin, kappa)
+        s_modes, _ = _plan_modes(m, material, robin, kappa)
         est = fem.empirical_constant(m, material, robin, omega=kappa)
         assert est.lu_nnz < 1.5 * s_modes.nnz
 
@@ -872,8 +883,7 @@ class TestSectorFactor:
         # residual measured on them is the free-dof residual against the
         # fully assembled S_ff of the vectors with those modes
         m = build_annulus_mesh(0.5, 1.0, 3, n_theta)
-        plan = fem._sector_plan(m)
-        order, (s_modes, _) = plan.order, plan.modes(material, robin, 2.0)
+        order, (s_modes, _) = fem._sector_plan(m).order, _plan_modes(m, material, robin, 2.0)
         s_ff, _ = fem.assemble(m, material, robin, omega=2.0).free_blocks
         rng = np.random.default_rng(9)
         size = s_modes.shape[0]
@@ -903,8 +913,9 @@ class TestSectorFactor:
         assert counts == [m.n_cells]
 
     def test_broken_rotation_symmetry_misses_the_contract(self, material, robin):
-        # the factor is made from sector 0's rows alone; a sector that does
-        # not repeat them is caught by the backward error against S_ff
+        # the factor is made from the mesh's plan, not from the assembled
+        # matrices; a sector that does not repeat sector 0 is caught by the
+        # backward error against S_ff
         m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
         k = 10 * 7 + 2  # lattice point (2, 10): a vertex of sector 5's first interior ring
         s = fem.assemble(m, material, robin, omega=2.0)
@@ -917,43 +928,50 @@ class TestSectorFactor:
     def test_nonsymmetric_invariant_system_raises(self, material, robin):
         # c J on every node's diagonal block, J the quarter turn, commutes
         # with every rotation: each sector repeats sector 0's entries, but
-        # B_0 != B_0^T, so S_{n-m} != S_m^T and half the modes would be wrong
+        # B_0 != B_0^T, so S_{n-m} != S_m^T and half the modes would be
+        # wrong; the factor, made from the plan, misses the contract
         m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
         s = fem.assemble(m, material, robin, omega=2.0)
         turn = 1e-3 * np.abs(s.stiffness.diagonal()).max() * np.array([[0.0, 1.0], [-1.0, 0.0]])
         s = dataclasses.replace(s, stiffness=s.stiffness + sp.kron(sp.identity(m.n_nodes), turn, format="csr"))
         f = np.random.default_rng(3).normal(size=(m.n_nodes, 2))
-        with pytest.raises(SolverError, match="the blocks are not symmetric"):
+        with pytest.raises(SolverError, match="backward error"):
             fem.solve(s, f)
 
     @pytest.mark.parametrize(
         "defect", ["opposite-sector-coupling", "extra-eliminated-node", "half-eliminated-node"]
     )
     def test_irregular_sector_layout_raises(self, defect, material, robin):
+        # the free dofs come from the mesh, so a system cannot drop dofs
+        # from them; its matrices can still break the sector layout after
+        # assembly, and the factor, made from the plan, misses the contract
         m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
         s = fem.assemble(m, material, robin, omega=2.0)
         k = 2  # lattice point (2, 0): a vertex of sector 0's first interior ring
         if defect == "opposite-sector-coupling":
-            # a symmetric coupling of node k to its image in sector n/2
+            # a symmetric coupling of node k to its image in sector n/2,
+            # which no mode block holds
             far = k + 8 * 2 * 7  # sector 8 of 16, P = 2 (2 n_r + 1) nodes each
             c = 1e-3 * abs(s.stiffness[2 * k, 2 * k])
             bump = sp.csr_matrix(([c, c], ([2 * k, 2 * far], [2 * far, 2 * k])), s.stiffness.shape)
             s = dataclasses.replace(s, stiffness=s.stiffness + bump)
-            reason = "coupling beyond neighbouring sectors"
-        elif defect == "half-eliminated-node":
-            # only node k's x dof eliminated: the free dofs no longer pair up
-            dirichlet = np.union1d(s.dirichlet_dofs, [2 * k])
-            free = np.setdiff1d(np.arange(s.n_dofs), dirichlet)
-            s = dataclasses.replace(s, free=free, dirichlet_dofs=dirichlet)
-            reason = "the free dofs are not whole nodes"
         else:
-            # node k eliminated too: the free nodes no longer fill whole sectors
-            dirichlet = np.union1d(s.dirichlet_dofs, [2 * k, 2 * k + 1])
-            free = np.setdiff1d(np.arange(s.n_dofs), dirichlet)
-            s = dataclasses.replace(s, free=free, dirichlet_dofs=dirichlet)
-            reason = "different node counts"
+            # node k's dofs (only its x dof for half-eliminated-node) held
+            # by identity rows and columns, as an eliminated dof is, in
+            # sector 0 alone
+            pinned = [2 * k] if defect == "half-eliminated-node" else [2 * k, 2 * k + 1]
+            keep = np.ones(s.n_dofs)
+            keep[pinned] = 0.0
+            cut, pin = sp.diags(keep), sp.diags(1.0 - keep)
+            s = dataclasses.replace(
+                s,
+                stiffness=(cut @ s.stiffness @ cut + pin).tocsr(),
+                mass=(cut @ s.mass @ cut).tocsr(),
+                robin_matrix=(cut @ s.robin_matrix @ cut).tocsr(),
+            )
+            assert np.array_equal(s.free, fem._free_dofs(m)[0]) and set(pinned) <= set(s.free)
         f = np.random.default_rng(3).normal(size=(m.n_nodes, 2))
-        with pytest.raises(SolverError, match=reason):
+        with pytest.raises(SolverError, match="backward error"):
             fem.solve(s, f)
 
     def test_sector_fill_uniform_in_lambda(self):
@@ -967,7 +985,7 @@ class TestSectorFactor:
         for lam_ratio in (1.0, 1e8):
             material = cfg.material(lam_ratio)
             s = fem.assemble(m, material, cfg.robin(material), omega=16.0)
-            assert isinstance(s.lu, fem._SectorLU) and s.lu.modes == m.n_theta
+            assert isinstance(s.lu, fem._SectorLU) and s.lu.sectors == m.n_theta
             nnz.append(s.lu.lu.L.nnz + s.lu.lu.U.nnz)
         assert nnz[1] <= 1.08 * nnz[0]
 
@@ -981,7 +999,6 @@ class TestSectorFactor:
         blocks = []
         lanczos = fem._lanczos
         monkeypatch.setattr(fem, "_lanczos", lambda *a: blocks.append(a[-1]) or lanczos(*a))
-        shapes = _sector_row_shapes(monkeypatch)
         counts = _counting_cells(monkeypatch)
         for kappa in (1.0, 2.0, 4.0, 16.0, 24.0, 32.0):
             cfg = fem.SweepConfig(kappa_s=(kappa,), order=order)
@@ -997,8 +1014,6 @@ class TestSectorFactor:
             # around sector 0 alone, through the mesh's plan
             assert counts == [4 * m.n_r] and fem._SectorPlan in m.derived
             counts.clear()
-        # and never from assembled rows
-        assert shapes == []
 
     def test_every_identity_check_mesh_takes_the_sector_path(self, monkeypatch):
         from elastab import cli
@@ -1006,14 +1021,17 @@ class TestSectorFactor:
         systems = []
         assemble = fem.assemble
         monkeypatch.setattr(fem, "assemble", lambda *a, **k: systems.append(assemble(*a, **k)) or systems[-1])
-        row_shapes = _sector_row_shapes(monkeypatch)
+        counts = _counting_cells(monkeypatch)
         for suite in ("garding", "morawetz", "chain"):
             cli._SUITES[suite](0)
         shapes = {(s.mesh.n_r, s.mesh.n_theta) for s in systems}
         assert {(4, 32), (6, 64)} <= shapes and len(systems) == 4
         assert all(isinstance(s.lu, fem._SectorLU) for s in systems)
-        # each system's factor is made from sector 0's rows of S_ff alone
-        assert len(row_shapes) == 4 and all(rows * n == cols for n, (rows, cols) in row_shapes)
+        # each system's factor is made through its mesh's plan, from the
+        # element matrices of the 4 n_r cells around sector 0, after the
+        # assembly of all its cells
+        assert all(fem._SectorPlan in s.mesh.derived for s in systems)
+        assert counts == [c for s in systems for c in (s.mesh.n_cells, 4 * s.mesh.n_r)]
 
 
 def _hermitian(block):
