@@ -57,20 +57,13 @@ def load_config(path) -> dict:
     if not p.exists():
         raise ConfigError(f"configuration file not found: {p}")
     text = p.read_text()
-    if p.suffix.lower() == ".json":
+    if p.suffix.lower() == ".json" or text.lstrip().startswith("{"):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed JSON configuration: {exc}") from exc
     else:
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"malformed JSON configuration: {exc}") from exc
-        else:
-            doc = parse_text_config(text)
+        doc = parse_text_config(text)
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a key-value tree")
     return doc

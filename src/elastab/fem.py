@@ -14,7 +14,7 @@ omega^2 * sup ||u||_rho / ||f||_rho: Lanczos in the rho-weighted (mass)
 inner product on the normal operator of the discrete solution map, one
 Krylov space per angular mode where the system has them, stopped on a
 Ritz-residual certificate (``_lanczos``).  Every ``solve`` with one
-assembled system shares its factorization; each estimate makes one.
+assembled system shares its factorization; each estimate makes its own.
 ``solve`` holds every solve, and an estimate its first forward solve, to
 one backward-error contract (``_check_solve``), met in double precision.
 
@@ -38,22 +38,24 @@ producer, which makes them from sector 0's free rows.  Every
 ``Mesh`` its polar lattice by construction, so those rows hold the whole
 system, and their local nodes come in one band order read off the
 lattice (radial index, then angular column, ``_band_order``), in which
-``_factor`` needs no ordering pass of its own.  The mode blocks of S_ff and M_ff come straight from the element
-matrices of the 4 n_r cells around sector 0, through a plan made once per
-mesh and kept with it (``_SectorPlan``): per system, the element
-matrices, one ``np.bincount`` per matrix into the blocks B_-1, B_0, B_1
-that couple sector 0 to itself and its neighbours, and the twiddle
-product (``_mode_blocks``).  ``AssembledSystem.lu``, behind ``solve``,
-factors the blocks of S_ff in the modes 0..floor(n_theta/2) from its
-system's material, impedance and omega (``_SectorLU``), and reaches the
-high modes through the transposed factor.  ``empirical_constant`` first
-proves most modes unable to hold the top value: a mode m whose Hermitian
-part H_m = K_m - omega^2 M_m satisfies H_m - tau M_m > 0 has a constant
-of at most omega^2 / tau, and a shifted banded Cholesky factorization
-certifies that (``_SectorPlan.certify``).  It factors the mode blocks of
-the other modes and runs Lanczos on them, with no FFT per step, in every
-one of them at once: the normal operator is block-diagonal over the
-modes.
+``_factor`` needs no ordering pass of its own.  The mode blocks of S_ff
+and M_ff come straight from the element matrices of the 4 n_r cells
+around sector 0, through a plan made once per mesh and kept with it
+(``_SectorPlan``): per system, the element matrices, one ``np.bincount``
+per matrix into the blocks B_-1, B_0, B_1 that couple sector 0 to itself
+and its neighbours, and the twiddle product (``_mode_blocks``).
+``AssembledSystem.lu``, behind ``solve``, factors the blocks of S_ff in
+the modes 0..floor(n_theta/2) from its system's material, impedance and
+omega (``_SectorLU``), and reaches the high modes through the transposed
+factor.
+
+``empirical_constant`` runs Lanczos only on the modes that can hold the
+top value: a mode m whose Hermitian part H_m = K_m - omega^2 M_m has H_m
+- tau M_m > 0 has a constant of at most omega^2 / tau, which a shifted
+banded Cholesky factorization certifies (``_SectorPlan.certify``).  One
+loop tests the modes not yet run at tau = omega^2 / c, moves those that
+fail into the run set, and factors and runs that set, every mode at once
+and with no FFT per step, until c_emp >= omega^2 / tau.
 
 The factor is not read off the assembled matrices, so ``solve``'s
 backward-error contract against the whole S_ff is what ties it to the
@@ -65,12 +67,7 @@ assembled S_ff and M_ff for the plan's mode blocks.  Backward errors are
 measured on the system that was solved: ``solve`` on the free dofs
 against the whole S_ff, the estimate against its mode blocks, the image
 of S_ff under a unitary map (rotation, the DFT over sectors, then the
-band order of the nodes).  At kappa_s = 32 (20,500 nodes, 2 vCPU on a
-busy host, fresh meshes) the plan takes 2-3 ms to make; per estimate the
-couplings take 1 ms, the test of the 126 modes 7-9 ms, the mode blocks
-of the 39 it runs 1-3 ms and their factor 5-9 ms, and the whole estimate
-0.03-0.05 s (0.07-0.10 s when it factored and ran every mode);
-assembling the whole system takes 0.16-0.24 s.
+band order of the nodes).
 """
 
 from __future__ import annotations
@@ -88,7 +85,7 @@ from scipy.linalg import lapack as _lapack
 from . import mesh as _mesh
 from .bounds import bound_obstacle_ideal, bound_obstacle_realistic, stability_simple_robin
 from .core import DomainSpec, MaterialField, RobinSpec, derive_groups, multiplier_for
-from .errors import ConfigError, IterationError, SolverError
+from .errors import ConfigError, IterationError, MeshError, SolverError
 from .mesh import _TRI_QP, _TRI_QW, DIRICHLET, DISSIPATIVE, Mesh, _grad_x, _shapes
 
 __all__ = [
@@ -236,14 +233,14 @@ class AssembledSystem:
         """The mesh's dofs on the Dirichlet circle (``_free_dofs``)."""
         return _free_dofs(self.mesh)[1]
 
-    def system_matrix(self) -> sp.csc_matrix:
-        s = self.stiffness - self.omega**2 * self.mass - 1j * self.omega * self.robin_matrix
-        return s.tocsc()
+    def system_matrix(self) -> sp.csr_matrix:
+        """S = K - omega^2 M - i omega R, in CSR like its parts."""
+        return self.stiffness - self.omega**2 * self.mass - 1j * self.omega * self.robin_matrix
 
     @cached_property
     def free_blocks(self) -> tuple:
         """(S_ff, S_fd): the free rows of S against the free and the
-        Dirichlet columns."""
+        Dirichlet columns, S_ff in CSC."""
         s_f = self.system_matrix()[self.free]
         return s_f[:, self.free].tocsc(), s_f[:, self.dirichlet_dofs]
 
@@ -909,27 +906,6 @@ class ConstantEstimate:
 _GUARD = 0.1
 
 
-def _run_modes(plan: _SectorPlan, s_couplings, m_couplings, modes, v, iters: int) -> tuple:
-    """(ritz, lu_nnz, first solve's (residual, backward error)): ``_lanczos``
-    on the mode blocks of the angular ``modes``, from their runs of v
-    (h, 2L), one Krylov space per mode."""
-    s_mat, m_mat = plan.blocks(s_couplings, modes), plan.blocks(m_couplings, modes)
-    factor = _factor(s_mat)
-    first_solve = []  # (residual, backward error)
-
-    def forward(rhs):
-        u = factor.solve(rhs)
-        if not first_solve:
-            first_solve.extend(_check_solve(s_mat, _norm1(s_mat), rhs, u))
-        return u
-
-    def adjoint(rhs):
-        return factor.solve(rhs, trans="H")
-
-    ritz = _lanczos(forward, adjoint, m_mat, v[modes].reshape(-1), iters, len(modes))
-    return ritz, factor.nnz, first_solve
-
-
 def empirical_constant(
     mesh: Mesh,
     material: MaterialField,
@@ -941,9 +917,9 @@ def empirical_constant(
     """omega^2 times the largest singular value of the discrete solution map
     f -> u = S^-1 M f in rho-weighted norms.
 
-    ``_lanczos`` on the normal operator S^-H M S^-1 M with one
-    factorization of S, stopped once the top Ritz value theta is certified
-    to ``_RITZ_TOL``; returns omega^2 sqrt(theta).  Every mesh is sector 0
+    ``_lanczos`` on the normal operator S^-H M S^-1 M, factored by angular
+    modes, stopped once the top Ritz value theta is certified to
+    ``_RITZ_TOL``; returns omega^2 sqrt(theta).  Every mesh is sector 0
     rotated, so only the element matrices of the cells around sector 0 are
     made, through the mesh's plan (``_sector_plan``), and the estimate
     works on the half-spectrum mode blocks of S_ff and M_ff, which hold the
@@ -957,20 +933,21 @@ def empirical_constant(
     Only the modes that can hold the top value are factored and run.  With
     H_m = K_m - omega^2 M_m, the Hermitian part of S_m (R_m >= 0), S_m u =
     M_m f gives u^H H_m u = Re (M_m f, u) <= ||f||_M ||u||_M: a mode with
-    H_m - tau M_m positive definite has omega^2 ||S_m^-1 M_m||_M <=
-    omega^2 / tau.  The modes are tested first (``_SectorPlan.certify``)
-    at tau = omega^2 / c_g, c_g = ``_GUARD`` kappa_s, kappa_s = omega ell /
-    theta_s_min, from the top mode down: the modes down to the first that
-    fails are certified, and c_g is halved while every mode passes.  The
-    rest are run.  If the estimate then lies below omega^2 / tau, the
-    certified modes are tested again at tau = omega^2 / c_emp, and those
-    from the first that fails down join the run, which starts over; so
-    every certified mode is at most c_emp.  The first forward solve is
-    held to the same backward-error
-    contract as ``solve`` (``_check_solve``), against the mode blocks
-    that were factored.  A backward error that small does not make c_emp
-    accurate to ``_RITZ_TOL``: near lambda/mu = 1e8 the relative residual
-    reads 3e-8 to 3e-7, and rounding moves c_emp by ~1e-7.
+    H_m - tau M_m positive definite (``_SectorPlan.certify``) has
+    omega^2 ||S_m^-1 M_m||_M <= omega^2 / tau.  One loop over a bound c,
+    tau = omega^2 / c, keeps the invariant that after each test every mode
+    not run is certified at tau, and it ends once c_emp >= omega^2 / tau:
+    every certified mode is then at most omega^2 / tau <= c_emp.  c starts
+    at c_g = ``_GUARD`` kappa_s, kappa_s = omega ell / theta_s_min, and is
+    halved while every mode passes and none has run.  Each pass tests the
+    modes not run from the top mode down; those from the first that fails
+    down join the run set, whose mode blocks are factored and run afresh,
+    and c becomes c_emp.  The first forward solve of each run is held to
+    the same backward-error contract as ``solve`` (``_check_solve``),
+    against the mode blocks that were factored.  A backward error that
+    small does not make c_emp accurate to ``_RITZ_TOL``: near lambda/mu =
+    1e8 the relative residual reads 3e-8 to 3e-7, and rounding moves c_emp
+    by ~1e-7.
 
     Returns the ``ConstantEstimate`` (constant, step count, certificate,
     history, top mode, factor fill, first-solve residual and backward
@@ -988,37 +965,49 @@ def empirical_constant(
     size = 2 * plan.order.size * n
     rng = np.random.default_rng(seed)
     v = _modal(n, rng.normal(size=size) + 1j * rng.normal(size=size), plan.order).reshape(half, -1)
-    top_down = np.arange(half)[::-1]
-    guard = _GUARD * omega * mesh.ell / material.theta_s_min
+
+    def constants(thetas):
+        return tuple(omega**2 * math.sqrt(theta) for theta in thetas)
+
+    c = _GUARD * omega * mesh.ell / material.theta_s_min
+    certified, run, ritz = np.arange(half)[::-1], np.arange(0), None
     while True:
-        tau = omega**2 / guard
-        count = plan.certify(parts, tau, top_down)
-        if count < half:
-            break
-        guard /= 2.0  # every mode lies below the guard: lower it
-    certified, run = top_down[:count], top_down[count:][::-1]
-    while True:
-        try:
-            ritz, lu_nnz, first_solve = _run_modes(plan, s_couplings, parts.mass, run, v, iters)
-        except IterationError as exc:
-            last = tuple(omega**2 * math.sqrt(theta) for theta in exc.last_iterates)
-            raise IterationError(str(exc), last_iterates=last) from None
-        history = tuple(omega**2 * math.sqrt(theta) for theta in ritz.thetas)
-        if history[-1] >= omega**2 / tau:
-            break
-        tau = omega**2 / history[-1]
+        tau = omega**2 / c
         count = plan.certify(parts, tau, certified)
         if count == certified.size:
+            if ritz is not None:
+                break
+            c /= 2.0  # every mode lies below the guard: lower it
+            continue
+        run, certified = np.union1d(run, certified[count:]), certified[:count]
+        s_mat, m_mat = plan.blocks(s_couplings, run), plan.blocks(parts.mass, run)
+        factor = _factor(s_mat)
+        first_solve = []  # (residual, backward error)
+
+        def forward(rhs):
+            u = factor.solve(rhs)
+            if not first_solve:
+                first_solve.extend(_check_solve(s_mat, _norm1(s_mat), rhs, u))
+            return u
+
+        def adjoint(rhs):
+            return factor.solve(rhs, trans="H")
+
+        try:
+            ritz = _lanczos(forward, adjoint, m_mat, v[run].reshape(-1), iters, run.size)
+        except IterationError as exc:
+            raise IterationError(str(exc), last_iterates=constants(exc.last_iterates)) from None
+        history = constants(ritz.thetas)
+        if history[-1] >= omega**2 / tau:
             break
-        run = np.union1d(run, certified[count:])
-        certified = certified[:count]
+        c = history[-1]
     return ConstantEstimate(
         c_emp=history[-1],
         steps=ritz.steps,
         ritz_residual=ritz.residual,
         history=history,
         top_mode=int(run[ritz.block]),
-        lu_nnz=lu_nnz,
+        lu_nnz=factor.nnz,
         solve_residual=first_solve[0],
         backward_error=first_solve[1],
         modes_run=tuple(run.tolist()),
@@ -1188,12 +1177,21 @@ def sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One row per (kappa_s, lambda/mu) pair, kappa_s-major, solved one
     after another; rows violating the resolution policy are refused (not
     solved) unless forced.  Row errors are recorded and the sweep continues.
-    Each kappa_s's mesh is built once, for all of its rows, which share its
-    sector plan (``_sector_plan``).  An invalid configuration raises
-    ConfigError before any row is solved."""
+    Every kappa_s's mesh is built once, before any row is solved, for all
+    of its rows, which share its sector plan (``_sector_plan``).  An
+    invalid configuration, or a geometry too thin for a kappa_s's
+    resolution mesh (an inverted cell), raises ConfigError before any row
+    is solved."""
     cfg.validate()
-    rows = []
+    meshes = []
     for kappa in cfg.kappa_s:
-        mesh = resolution_mesh(cfg, kappa)
-        rows.extend(_sweep_row(cfg, mesh, kappa, lam_ratio) for lam_ratio in cfg.lambda_over_mu)
-    return rows
+        try:
+            meshes.append(resolution_mesh(cfg, kappa))
+        except MeshError as exc:
+            n_r, n_theta = _resolution(cfg, kappa)
+            raise ConfigError(
+                f"kappa_s = {kappa!r}: the {n_r} x {n_theta} order-{cfg.order} resolution mesh "
+                f"cannot be built at r_in/ell = {cfg.r_in / cfg.ell:g} ({exc})"
+            ) from exc
+    pairs = zip(cfg.kappa_s, meshes)
+    return [_sweep_row(cfg, mesh, kappa, lam) for kappa, mesh in pairs for lam in cfg.lambda_over_mu]

@@ -644,6 +644,34 @@ class TestFemSweepCommand:
         cfg.validate()
         assert fem.resolution_mesh(cfg, 32.0).n_nodes <= fem.NODE_BUDGET
 
+    def test_thin_annulus_that_cannot_be_meshed_exits_2_before_solving(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        # at order 2 the smallest resolution mesh (2 x 24) inverts a cell for
+        # r_in/ell >= 0.95; kappa_s = 4 meshes (2 x 32), and its row is not
+        # solved before the mesh of kappa_s = 1 is refused
+        from elastab import fem
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("a row was solved")
+
+        monkeypatch.setattr(fem, "empirical_constant", no_estimate)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"kappa_s": [4.0, 1.0], "geometry": {"r_in": 0.95}}))
+        out = tmp_path / "s"
+        assert main(["fem-sweep", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert "kappa_s = 1.0: the 2 x 24 order-2 resolution mesh" in err
+        assert "r_in/ell = 0.95" in err
+
+    def test_thin_annulus_meshes_at_order_1(self, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"kappa_s": [1.0], "geometry": {"r_in": 0.95}, "order": 1}))
+        out = tmp_path / "s"
+        assert main(["fem-sweep", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert (out / "fem_sweep.csv").exists()
+
     @pytest.mark.parametrize("alpha", [0.02, 1.0])
     def test_custom_robin_rows_use_the_simple_robin_theorem(self, alpha, tmp_path):
         # alpha = 0.02 is far from pressure matching: the realistic bound
@@ -874,7 +902,7 @@ def _list_within(lo, hi):
 
 
 _SWEEP_OPTIONAL = {
-    "geometry": st.fixed_dictionaries({}, optional={"r_in": _within(0.1, 0.9), "ell": _within(1.0, 2.0)}),
+    "geometry": st.fixed_dictionaries({}, optional={"r_in": _within(0.1, 0.99), "ell": _within(1.0, 2.0)}),
     "material": st.fixed_dictionaries({}, optional={"rho": _within(0.5, 2.0), "mu": _within(0.5, 2.0)}),
     "lambda_over_mu": _list_within(0.0, 1e4),
     "robin": st.fixed_dictionaries({}, optional={
@@ -988,6 +1016,7 @@ class TestCliFuzz:
     @example(doc={"kappa_s": [2.0], "lambda_over_mu": [1e308], "robin": {"choice": "pressure"}})
     @example(doc={"kappa_s": [1.0], "geometry": {"r_in": 0.5, "ell": 0.5}})
     @example(doc={"kappa_s": [2.0], "points_per_wavelength": 0.5, "force": True, "order": 1})
+    @example(doc={"kappa_s": [1.0], "geometry": {"r_in": 0.95}})  # the mesh inverts a cell
     def test_sweep_documents(self, doc):
         # a 10,000-node budget keeps every fuzzed row cheap (kappa_s ~ 25 at
         # 10 points per wavelength); larger meshes take the over-budget exit

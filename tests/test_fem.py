@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from elastab import core, fem, fields
 from elastab import mesh as mesh_module
@@ -1252,6 +1254,30 @@ class TestSweep:
             monkeypatch.setattr(fem, "NODE_BUDGET", nodes - 1)
             with pytest.raises(ConfigError):
                 cfg.validate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        order=st.sampled_from([1, 2]),
+        r_in=st.floats(0.05, 0.95),
+        ppw=st.floats(0.3, 32.0),
+        kappa=st.floats(0.1, 63.0),
+    )
+    def test_every_buildable_resolution_mesh_meets_the_policy_with_its_margin(
+        self, order, r_in, ppw, kappa
+    ):
+        # the longest edge, the cell diagonal, is sized at the target
+        # spacing, so the measured points per wavelength keep the whole
+        # margin and a row built from a document is never refused
+        cfg = fem.SweepConfig(r_in=r_in, kappa_s=(kappa,), order=order, points_per_wavelength=ppw)
+        n_r, n_theta = fem._resolution(cfg, kappa)
+        assume((order * n_r + 1) * order * n_theta <= 20_000)  # keeps each mesh cheap
+        try:
+            m = fem.resolution_mesh(cfg, kappa)
+        except MeshError:  # a thin annulus inverts a cell of a coarse order-2 mesh
+            assume(False)
+        theta = cfg.material(1.0).theta_s_min
+        measured = m.points_per_wavelength(kappa * theta / cfg.ell, theta)
+        assert measured >= ppw * cfg.resolution_margin * (1.0 - 1e-12)
 
     def test_resolution_policy_refusal(self):
         cfg = fem.SweepConfig(
