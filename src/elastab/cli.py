@@ -374,12 +374,6 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
-
-
 # document key path -> the SweepConfig field it sets and the conversion of
 # its value; a key the document leaves out keeps the field's default
 _SWEEP_FIELDS = {
@@ -393,7 +387,6 @@ _SWEEP_FIELDS = {
     "robin.alpha_n": ("alpha_n", float),
     "order": ("order", _integer),
     "points_per_wavelength": ("points_per_wavelength", float),
-    "force": ("force", _boolean),
 }
 
 

@@ -7,7 +7,7 @@ Assembles the dissipative time-harmonic system
 with K the elastic stiffness (2 mu strain:strain + lambda div div), M the
 density-weighted mass, and R the impedance boundary matrix on the outer
 circle.  Solving S u = M f realizes the weak problem with load (rho f, v).
-Dirichlet conditions on the inner circle are imposed by elimination.
+The inner circle carries zero Dirichlet data, imposed by elimination.
 
 The module also measures the empirical stability constant
 omega^2 * sup ||u||_rho / ||f||_rho: Lanczos in the rho-weighted (mass)
@@ -92,7 +92,6 @@ __all__ = [
     "AssembledSystem",
     "SolveResult",
     "assemble",
-    "boundary_load",
     "solve",
     "evaluate_volume",
     "evaluate_boundary",
@@ -226,28 +225,21 @@ class AssembledSystem:
     @cached_property
     def free(self) -> np.ndarray:
         """The mesh's free dofs (``_free_dofs``)."""
-        return _free_dofs(self.mesh)[0]
-
-    @cached_property
-    def dirichlet_dofs(self) -> np.ndarray:
-        """The mesh's dofs on the Dirichlet circle (``_free_dofs``)."""
-        return _free_dofs(self.mesh)[1]
+        return _free_dofs(self.mesh)
 
     def system_matrix(self) -> sp.csr_matrix:
         """S = K - omega^2 M - i omega R, in CSR like its parts."""
         return self.stiffness - self.omega**2 * self.mass - 1j * self.omega * self.robin_matrix
 
     @cached_property
-    def free_blocks(self) -> tuple:
-        """(S_ff, S_fd): the free rows of S against the free and the
-        Dirichlet columns, S_ff in CSC."""
-        s_f = self.system_matrix()[self.free]
-        return s_f[:, self.free].tocsc(), s_f[:, self.dirichlet_dofs]
+    def s_ff(self) -> sp.csc_matrix:
+        """S_ff: the free rows and columns of S, in CSC."""
+        return self.system_matrix()[self.free][:, self.free].tocsc()
 
     @cached_property
     def free_norm(self) -> float:
         """||S_ff||_1 (``_norm1``), once for every solve with this system."""
-        return _norm1(self.free_blocks[0])
+        return _norm1(self.s_ff)
 
     @cached_property
     def lu(self) -> _SectorLU:
@@ -296,12 +288,12 @@ def _edge_matrices(edges: _EdgeQuadrature, robin: RobinSpec, order: int) -> np.n
     return blk.reshape(blk.shape[0], 2 * en.shape[1], -1)
 
 
-def _free_dofs(mesh: Mesh) -> tuple:
-    """(free, dirichlet): the sorted dof numbers off and on the Dirichlet
-    circle, whose nodes are eliminated whole."""
+def _free_dofs(mesh: Mesh) -> np.ndarray:
+    """The sorted dof numbers off the Dirichlet circle, whose nodes are
+    eliminated whole."""
     on = np.zeros((mesh.n_nodes, 2), dtype=bool)
     on[mesh.boundary_nodes(DIRICHLET)] = True
-    return np.flatnonzero(~on), np.flatnonzero(on)
+    return np.flatnonzero(~on)
 
 
 def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float) -> AssembledSystem:
@@ -319,27 +311,10 @@ def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float
     )
 
 
-def boundary_load(mesh: Mesh, tag: str, fn) -> np.ndarray:
-    """Assemble the surface load vector L_i = int_tag g . phi_i ds for a
-    callable g(x) -> (P, 2) complex, called once on all P = E*Qe edge
-    points x (P, 2) of the tag."""
-    edges = _edge_quadrature(mesh, tag)
-    en, _ = _edge_shapes(mesh.order, _EDGE_QP)
-    g = np.asarray(fn(edges.x.reshape(-1, 2)), dtype=complex).reshape(edges.x.shape)
-    load = np.zeros((mesh.n_nodes, 2), dtype=complex)
-    np.add.at(load, edges.nodes, np.einsum("eq,qa,eqc->eac", edges.w, en, g))
-    return load.reshape(-1)
-
-
 @dataclass(frozen=True)
 class SolveResult:
     u: np.ndarray  # (Nn, 2) complex nodal field
     residual_norm: float
-
-
-def _flat(field: np.ndarray) -> np.ndarray:
-    field = np.asarray(field)
-    return field.reshape(-1) if field.ndim > 1 else field
 
 
 def _factor(s_ff: sp.csc_matrix):
@@ -704,39 +679,28 @@ def _check_solve(s, s_norm: float, rhs, u) -> tuple:
     return residual, eta
 
 
-def solve(
-    system: AssembledSystem,
-    f,
-    dirichlet_values=None,
-    extra_load=None,
-) -> SolveResult:
-    """Solve S u = M f (+ extra_load) with Dirichlet lifting.
+def solve(system: AssembledSystem, f) -> SolveResult:
+    """Solve S_ff u_f = (M f)_f with u = 0 on the Dirichlet circle.
 
-    f is a nodal field (Nn, 2); extra_load is an already-assembled dual
-    vector (surface data for manufactured solutions).  S_ff is factored
-    by angular modes once per system, from the mesh's plan
-    (``AssembledSystem.lu``); each solve is held to the backward-error
-    contract against the whole assembled S_ff (``_check_solve``), which is
-    the one check that the factor is the system's, and ``residual_norm``
-    is its relative residual on the free rows.  Singular mode blocks or a
-    missed contract raise SolverError.
+    f is a nodal field (Nn, 2), the load of the weak problem (rho f, v).
+    S_ff is factored by angular modes once per system, from the mesh's
+    plan (``AssembledSystem.lu``); each solve is held to the
+    backward-error contract against the whole assembled S_ff
+    (``_check_solve``), which is the one check that the factor is the
+    system's, and ``residual_norm`` is its relative residual on the free
+    rows.  Singular mode blocks or a missed contract raise SolverError.
     """
-    rhs = system.mass @ _flat(np.asarray(f, dtype=complex))
-    if extra_load is not None:
-        rhs = rhs + _flat(np.asarray(extra_load, dtype=complex))
+    rhs_f = (system.mass @ np.asarray(f, dtype=complex).reshape(-1))[system.free]
     u = np.zeros(system.n_dofs, dtype=complex)
-    if dirichlet_values is not None:
-        u[system.dirichlet_dofs] = _flat(np.asarray(dirichlet_values, dtype=complex))[
-            system.dirichlet_dofs
-        ]
-    free = system.free
-    s_ff, s_fd = system.free_blocks
-    rhs_f = rhs[free] - s_fd @ u[system.dirichlet_dofs]
     if not np.any(rhs_f):
         return SolveResult(u=u.reshape(-1, 2), residual_norm=0.0)
+    # S_ff is formed before the factor: formed after it, its freed
+    # temporaries raise glibc's mmap threshold, and identity-check's peak
+    # RSS by 4 MB
+    s_ff = system.s_ff
     u_f = system.lu.solve(rhs_f)
     residual, _ = _check_solve(s_ff, system.free_norm, rhs_f, u_f)
-    u[free] = u_f
+    u[system.free] = u_f
     return SolveResult(u=u.reshape(-1, 2), residual_norm=residual)
 
 
@@ -1036,7 +1000,6 @@ class SweepConfig:
     resolution_margin: float = 1.1
     n_theta_min: int = 24
     seed: int = 0
-    force: bool = False
 
     def material(self, lam_ratio: float) -> MaterialField:
         return MaterialField.constant(self.rho, self.mu, lam_ratio * self.mu)
@@ -1060,6 +1023,8 @@ class SweepConfig:
         for i, ratio in enumerate(self.lambda_over_mu):
             if not (math.isfinite(ratio) and ratio >= 0.0):
                 raise ConfigError(f"lambda_over_mu[{i}] must be finite and >= 0, got {ratio!r}")
+        if not math.sqrt(self.mu / self.rho) > 0.0:
+            raise ConfigError(f"the shear speed sqrt(mu/rho) underflows at mu={self.mu!r}, rho={self.rho!r}")
         if not (math.isfinite(self.r_in) and 0.0 < self.r_in < self.ell):
             raise ConfigError(f"need 0 < r_in < ell, got r_in={self.r_in!r}, ell={self.ell!r}")
         if self.order not in (1, 2):
@@ -1134,10 +1099,19 @@ def _sweep_row(cfg: SweepConfig, mesh: Mesh, kappa: float, lam_ratio: float) -> 
     obstacle bound for shear-matched rows (alpha_t = alpha_n = 1), the
     realistic one for pressure-matched rows (alpha_n = sqrt(2 + lambda/mu)),
     and the simple-Robin bound for the annulus at a custom (alpha_t,
-    alpha_n)."""
-    material = cfg.material(lam_ratio)
-    omega = kappa * material.theta_s_min / cfg.ell
-    ppw = mesh.points_per_wavelength(omega, material.theta_s_min)
+    alpha_n).
+
+    Everything but ``omega`` depends on rho and mu only through kappa_s
+    and lambda/mu: scaling mu and lambda by s and rho by r scales S by s
+    and M by r at the same kappa_s, which leaves omega^2 S^-1 M and the
+    impedance ratios alone.  So the row is solved on rho = mu = 1 at
+    omega = kappa_s / ell, which keeps S and M near unit size at any
+    finite positive rho and mu (mu = 1e-249 overflows the Lanczos
+    products, and a subnormal mu rounds the stiffness away); its
+    estimate's ``tau`` is in those units."""
+    omega = kappa * math.sqrt(cfg.mu / cfg.rho) / cfg.ell
+    material = MaterialField.constant(1.0, 1.0, lam_ratio)
+    ppw = mesh.points_per_wavelength(kappa / cfg.ell, 1.0)
     ideal = bound_obstacle_ideal(kappa, d=2)
     realistic = bound_obstacle_realistic(kappa, lam_ratio)
     robin = cfg.robin(material)
@@ -1147,9 +1121,9 @@ def _sweep_row(cfg: SweepConfig, mesh: Mesh, kappa: float, lam_ratio: float) -> 
         bound = realistic
     else:
         domain = DomainSpec(d=2, ell=cfg.ell, shape="annulus", r_in=cfg.r_in)
-        groups = derive_groups(material, domain, robin, omega)
+        groups = derive_groups(material, domain, robin, kappa / cfg.ell)
         bound = stability_simple_robin(groups, multiplier_for(domain), 2).bound_value
-    refused = ppw < cfg.points_per_wavelength and not cfg.force
+    refused = ppw < cfg.points_per_wavelength
     base = dict(
         omega=omega,
         kappa_s=kappa,
@@ -1167,7 +1141,7 @@ def _sweep_row(cfg: SweepConfig, mesh: Mesh, kappa: float, lam_ratio: float) -> 
     if refused:
         return SweepRow(error="resolution policy violated", **base)
     try:
-        est = empirical_constant(mesh, material, robin, omega, seed=cfg.seed)
+        est = empirical_constant(mesh, material, robin, kappa / cfg.ell, seed=cfg.seed)
     except (SolverError, IterationError) as exc:
         return SweepRow(error=str(exc), **base)
     return SweepRow(estimate=est, **base)
@@ -1176,7 +1150,7 @@ def _sweep_row(cfg: SweepConfig, mesh: Mesh, kappa: float, lam_ratio: float) -> 
 def sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One row per (kappa_s, lambda/mu) pair, kappa_s-major, solved one
     after another; rows violating the resolution policy are refused (not
-    solved) unless forced.  Row errors are recorded and the sweep continues.
+    solved).  Row errors are recorded and the sweep continues.
     Every kappa_s's mesh is built once, before any row is solved, for all
     of its rows, which share its sector plan (``_sector_plan``).  An
     invalid configuration, or a geometry too thin for a kappa_s's

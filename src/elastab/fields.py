@@ -7,7 +7,7 @@ The identity audits consume fields through three evaluators:
     second(x) -> (Q, d, d, d) with second[q, j, k, l] = d_j d_k v_l
 
 Everything else (strain, div sigma for constant coefficients)
-derives from those.  The library ships constants, rigid rotations, general
+derives from those.  The library ships constants, linear maps, general
 polynomials (and products thereof), plane P/S waves, and compactly supported
 radial bumps.
 """
@@ -25,11 +25,9 @@ __all__ = [
     "RadialBumpField",
     "constant_field",
     "linear_field",
-    "rigid_rotation",
     "random_polynomial",
     "plane_shear_wave",
     "plane_pressure_wave",
-    "spot_check_gradient",
 ]
 
 
@@ -248,14 +246,6 @@ def linear_field(matrix, offset=None) -> PolynomialField:
     return PolynomialField(d, monos)
 
 
-def rigid_rotation(d: int, scale: complex = 1.0) -> PolynomialField:
-    """Infinitesimal rotation: (-y, x) in 2D, (-y, x, 0) in 3D."""
-    a = np.zeros((d, d), dtype=complex)
-    a[0, 1] = -scale
-    a[1, 0] = scale
-    return linear_field(a)
-
-
 def random_polynomial(d: int, degree: int, seed: int, scale: float = 1.0) -> PolynomialField:
     """Dense random complex polynomial field up to the given total degree."""
     rng = np.random.default_rng(seed)
@@ -381,18 +371,3 @@ class RadialBumpField(AnalyticField):
             c1[:, None, None] * eye - 2.0 * (p - 1) * c2[:, None, None] * (z[:, :, None] * z[:, None, :])
         )
         return hess[:, :, :, None] * self.a[None, None, None, :]
-
-
-def spot_check_gradient(field: AnalyticField, points: np.ndarray, step: float = 1e-6) -> float:
-    """Max relative error of the analytic gradient against centered
-    differences of value(); sanity guard for newly built fields."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    g = field.grad(points)
-    worst = 0.0
-    scale = np.abs(g).max() + 1e-300
-    for j in range(field.d):
-        e = np.zeros(field.d)
-        e[j] = step
-        fd = (field.value(points + e) - field.value(points - e)) / (2.0 * step)
-        worst = max(worst, float(np.abs(fd - g[:, j, :]).max()) / scale)
-    return worst

@@ -37,7 +37,6 @@ from .errors import SingularityError
 
 __all__ = [
     "WaveNumbers",
-    "hessian_radial",
     "kelvin_tensor",
     "green_tensor",
     "elastic_hessian_kernel",
@@ -109,23 +108,6 @@ def _radii(y):
     y = np.atleast_2d(y)
     r = np.linalg.norm(y, axis=-1)
     return y, r, single
-
-
-def hessian_radial(k: float, y) -> np.ndarray:
-    """Hessian of e^{i k r}/r via the radial decomposition
-    (h'/r) I + (h'' - h'/r) yhat (x) yhat."""
-    y, r, single = _radii(y)
-    if np.any(r == 0.0):
-        raise SingularityError("radial Hessian evaluated at r = 0")
-    e = np.exp(1j * k * r)
-    hp = e * (1j * k * r - 1.0) / r**2
-    hpp = e * (2.0 - 2j * k * r - (k * r) ** 2) / r**3
-    yhat = y / r[..., None]
-    eye = np.eye(3)
-    out = (hp / r)[..., None, None] * eye + (hpp - hp / r)[..., None, None] * (
-        yhat[..., :, None] * yhat[..., None, :]
-    )
-    return out[0] if single else out
 
 
 def _hessian_coefficients(r, k: WaveNumbers):

@@ -5,9 +5,14 @@ Each monomial and each of its derivatives is evaluated on its own, as
 prod_a x[:, a] ** e_a from a fresh array of ones, and added into a
 point-major (Q, ...) array in monomial order.  It shares no evaluation
 code with the package.
+
+Also here: the infinitesimal rotation, a strain-free field, and a centered
+difference check of any field's analytic gradient.
 """
 
 import numpy as np
+
+from elastab import fields
 
 
 def _eval_mono(x, exponents):
@@ -55,3 +60,26 @@ def second(field, x):
                 de[k] -= 1
                 out[:, j, k, m.component] += m.coeff * factor * _eval_mono(x, de)
     return out
+
+
+def rigid_rotation(d, scale=1.0):
+    """Infinitesimal rotation: (-y, x) in 2D, (-y, x, 0) in 3D."""
+    a = np.zeros((d, d), dtype=complex)
+    a[0, 1] = -scale
+    a[1, 0] = scale
+    return fields.linear_field(a)
+
+
+def spot_check_gradient(field, points, step=1e-6):
+    """Max relative error of the analytic gradient against centered
+    differences of value()."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    g = field.grad(points)
+    worst = 0.0
+    scale = np.abs(g).max() + 1e-300
+    for j in range(field.d):
+        e = np.zeros(field.d)
+        e[j] = step
+        fd = (field.value(points + e) - field.value(points - e)) / (2.0 * step)
+        worst = max(worst, float(np.abs(fd - g[:, j, :]).max()) / scale)
+    return worst

@@ -193,13 +193,14 @@ class TestDocumentKeys:
             ("fem-sweep", {"kappa_s": [2.0], "robin": {"choise": "pressure"}}, "robin.choise"),
             ("fem-sweep", {"kappa_s": [2.0], "geometry": {"r_in": 0.5, "el": 2.0}}, "geometry.el"),
             ("fem-sweep", {"kappa_s": [2.0], "materials": {"mu": 2.0}}, "materials"),
+            ("fem-sweep", {"kappa_s": [2.0], "force": True}, "force"),  # a key no longer read
             ("bounds", {**BOUNDS_CFG, "domian": {"d": 2}}, "domian"),
             ("bounds", {**BOUNDS_CFG, "domain": {"d": 2, "shap": "ball"}}, "domain.shap"),
             ("bounds", {**BOUNDS_CFG, "material": {"rho": 1.0, "mu": 1.0, "lamda": 2.0}},
              "material.lamda"),
             ("bounds", {**BOUNDS_CFG, "constants": {"c_genral": 2.0}}, "constants.c_genral"),
         ],
-        ids=["sweep-top", "sweep-robin", "sweep-geometry", "sweep-block",
+        ids=["sweep-top", "sweep-robin", "sweep-geometry", "sweep-block", "sweep-force",
              "bounds-top", "bounds-domain", "bounds-material", "bounds-constants"],
     )
     def test_misspelt_key_exits_2_naming_it(self, command, doc, key, tmp_path, capsys):
@@ -218,7 +219,7 @@ class TestDocumentKeys:
 
         sweep = {
             "geometry": {"r_in": 0.5, "ell": 1.0}, "material": {"rho": 1.0, "mu": 1.0},
-            "lambda_over_mu": [1.0], "order": 2, "points_per_wavelength": 10.0, "force": False,
+            "lambda_over_mu": [1.0], "order": 2, "points_per_wavelength": 10.0,
             "robin": {"choice": "custom", "alpha_t": 1.0, "alpha_n": 2.0},
         }
         for frequencies in ({"kappa_s": [1.0]}, {"omega": [1.0]}):
@@ -322,7 +323,7 @@ class TestBenchmarkTraceTargets:
     def test_every_trace_target_exists(self):
         # a renamed attribute would blank one of the benchmark's per-layer
         # metrics without failing anything; the only targets allowed absent
-        # are the two stale ones the next benchmark change removes
+        # are the three stale ones the next benchmark change removes
         tree = ast.parse((Path(__file__).resolve().parent.parent / "bench" / "tracer.py").read_text())
         found = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
                  if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
@@ -331,7 +332,12 @@ class TestBenchmarkTraceTargets:
         assert len(targets) > 20
         absent = {f"{module}.{attr}" for module, attr in targets
                   if not hasattr(importlib.import_module(module), attr)}
-        assert absent <= {"elastab.greens.quad", "elastab.fem.build_annulus_mesh"}
+        assert absent <= {
+            "elastab.greens.quad", "elastab.fem.build_annulus_mesh", "elastab.fem.boundary_load",
+        }
+        # fem.boundary_load left the package; its span keeps a present target
+        boundary = {f"{module}.{attr}" for module, attr, name in found["TARGETS"] if name == "fem.boundary"}
+        assert "elastab.fem.evaluate_boundary" in boundary - absent
 
 
 class TestGreensCommand:
@@ -607,7 +613,7 @@ class TestFemSweepCommand:
             "robin.choice = nonsense",
         ],
         ids=["kappa-negative", "kappa-nan", "order-3", "order-fraction", "order-bool",
-             "force-string", "mu-zero", "lambda-negative",
+             "force-unknown-key", "mu-zero", "lambda-negative",
              "r_in-outside", "geometry-scalar", "robin-unknown"],
     )
     def test_invalid_input_exits_2_without_output(self, line, tmp_path, capsys):
@@ -744,7 +750,6 @@ class TestFemSweepCommand:
                     "robin": {"choice": "custom", "alpha_t": 0.5, "alpha_n": 3},
                     "order": 1,
                     "points_per_wavelength": 12,
-                    "force": True,
                     "kappa_s": [1, 2],
                     "omega": [5.0],
                 },
@@ -752,7 +757,7 @@ class TestFemSweepCommand:
                     "r_in": 0.25, "ell": 2.0, "rho": 2.0, "mu": 8.0,
                     "lambda_over_mu": (1.0, 100.0), "kappa_s": (1.0, 2.0),
                     "robin_choice": "custom", "alpha_t": 0.5, "alpha_n": 3.0,
-                    "order": 1, "points_per_wavelength": 12.0, "force": True,
+                    "order": 1, "points_per_wavelength": 12.0,
                 },
             ),
         ],
@@ -911,7 +916,6 @@ _SWEEP_OPTIONAL = {
     }),
     "order": _mostly(st.sampled_from([1, 2]), _SCALAR),
     "points_per_wavelength": _within(4.0, 12.0),
-    "force": _mostly(st.booleans(), _SCALAR),
 }
 _SWEEP_DOC = st.one_of(
     st.fixed_dictionaries({"kappa_s": _list_within(0.5, 4.0)}, optional=_SWEEP_OPTIONAL),
@@ -926,7 +930,7 @@ _BOUNDS_READ = {
 _SWEEP_READ = {
     "kappa_s": None, "omega": None, "geometry": {"r_in", "ell"}, "material": {"rho", "mu"},
     "lambda_over_mu": None, "robin": {"choice", "alpha_t", "alpha_n"}, "order": None,
-    "points_per_wavelength": None, "force": None,
+    "points_per_wavelength": None,
 }
 
 
@@ -1015,8 +1019,10 @@ class TestCliFuzz:
     @example(doc={"omega": [1.0], "material": {"rho": 1e300, "mu": 1.0}})  # kappa_s = inf
     @example(doc={"kappa_s": [2.0], "lambda_over_mu": [1e308], "robin": {"choice": "pressure"}})
     @example(doc={"kappa_s": [1.0], "geometry": {"r_in": 0.5, "ell": 0.5}})
-    @example(doc={"kappa_s": [2.0], "points_per_wavelength": 0.5, "force": True, "order": 1})
+    @example(doc={"kappa_s": [2.0], "points_per_wavelength": 0.5, "order": 1})
     @example(doc={"kappa_s": [1.0], "geometry": {"r_in": 0.95}})  # the mesh inverts a cell
+    @example(doc={"kappa_s": [1.0], "material": {"rho": 1.0, "mu": 1.7714368066207214e-249}})
+    @example(doc={"omega": [1.0], "material": {"rho": 2.0, "mu": 5e-324}})  # sqrt(mu/rho) = 0
     def test_sweep_documents(self, doc):
         # a 10,000-node budget keeps every fuzzed row cheap (kappa_s ~ 25 at
         # 10 points per wavelength); larger meshes take the over-budget exit

@@ -20,6 +20,7 @@ from elastab import mesh as mesh_module
 from elastab.bounds import stability_simple_robin
 from elastab.errors import ConfigError, IterationError, MeshError, SolverError
 from elastab.mesh import DIRICHLET, DISSIPATIVE, build_annulus_mesh
+from fem_oracle import lifted_solve
 
 
 @pytest.fixture(scope="module")
@@ -279,23 +280,13 @@ class TestBoundaryQuadrature:
         r = fem.assemble(m, mat, robin, 1.3).robin_matrix.toarray()
         assert _rel(r, _robin_reference(m, robin)) <= 1e-13
 
-        def g(x):
-            return np.stack([x[:, 0] ** 2 + 1j * x[:, 1], np.sin(x[:, 0] * x[:, 1])], axis=1)
-
         rng = np.random.default_rng(n_theta)
         u = rng.normal(size=(m.n_nodes, 2)) + 1j * rng.normal(size=(m.n_nodes, 2))
         for tag in (DIRICHLET, DISSIPATIVE):
-            assert _rel(fem.boundary_load(m, tag, g), _load_reference(m, tag, g)) <= 1e-13
             x, w, normal, [(val, grad)] = fem.evaluate_boundary(m, tag, [u])
             for got, want in zip((x, w, normal, val, grad), _samples_reference(m, tag, u)):
                 assert got.shape == want.shape
                 assert _rel(got, want) <= 1e-13
-
-    def test_load_calls_its_function_once(self):
-        m = build_annulus_mesh(0.5, 1.0, 2, 12, 2)
-        shapes = []
-        fem.boundary_load(m, DISSIPATIVE, lambda x: shapes.append(x.shape) or np.ones_like(x))
-        assert shapes == [(12 * fem._EDGE_QP.size, 2)]
 
     def test_unknown_tag_raises(self):
         m = build_annulus_mesh(0.5, 1.0, 2, 8, 1)
@@ -384,7 +375,7 @@ class TestSolve:
         exact_factor = fem._factor
         monkeypatch.setattr(fem, "_factor", lambda s_ff: exact_factor((1.0 + 1e-9) * s_ff))
         s = fem.assemble(m, material, robin, omega=2.0)
-        s_ff, _ = s.free_blocks
+        s_ff = s.s_ff
         rhs_f = (s.mass @ f.reshape(-1))[s.free]
         first = s.lu.solve(rhs_f)
         assert np.linalg.norm(s_ff @ first - rhs_f) <= 1.01e-9 * np.linalg.norm(rhs_f)
@@ -395,11 +386,12 @@ class TestSolve:
         m = build_annulus_mesh(0.5, 1.0, 3, 16, order=2)
         s = fem.assemble(m, material, robin, omega=2.0)
         zero = sp.csr_matrix((s.n_dofs, s.n_dofs))
-        singular = dataclasses.replace(s, stiffness=zero, mass=zero, robin_matrix=zero)
+        singular = dataclasses.replace(s, stiffness=zero, robin_matrix=zero)
         # the factor is the plan's, of the system as assembled; the solve
-        # misses the contract against the zero S_ff
+        # misses the contract against S_ff = -omega^2 M_ff, which is not
+        # the system the plan factored
         with pytest.raises(SolverError, match="backward error"):
-            fem.solve(singular, np.zeros((m.n_nodes, 2)), extra_load=np.ones(s.n_dofs))
+            fem.solve(singular, np.ones((m.n_nodes, 2)))
 
     def test_singular_factor_raises(self):
         singular = sp.csc_matrix(np.diag([1.0, 0.0, 2.0]).astype(complex))
@@ -432,13 +424,9 @@ class TestSolve:
         for nt in meshes:
             m = build_annulus_mesh(0.5, 1.0, max(2, nt // 12), nt, order=order)
             s = fem.assemble(m, material, robin, omega)
-            res = fem.solve(
-                s,
-                f_fn(m.nodes),
-                dirichlet_values=u_star.value(m.nodes),
-                extra_load=fem.boundary_load(m, DISSIPATIVE, robin_residual),
-            )
-            _, w, [(val, _)] = fem.evaluate_volume(m, [res.u - u_star.value(m.nodes)])
+            surface = _load_reference(m, DISSIPATIVE, robin_residual)
+            u = lifted_solve(s, f_fn(m.nodes), u_star.value(m.nodes), surface)
+            _, w, [(val, _)] = fem.evaluate_volume(m, [u - u_star.value(m.nodes)])
             errs.append(math.sqrt(float(np.sum(w * np.sum(np.abs(val) ** 2, axis=1)))))
             hs.append(m.max_edge_length())
         rate = math.log(errs[0] / errs[-1]) / math.log(hs[0] / hs[-1])
@@ -630,7 +618,7 @@ def _radial_material(kind, lam_ratio):
 
 def _assert_solves_match_the_direct_factor(m, material):
     s = fem.assemble(m, material, core.RobinSpec.shear_matched(material), omega=2.0)
-    s_ff, _ = s.free_blocks
+    s_ff = s.s_ff
     assert isinstance(s.lu, fem._SectorLU)
     direct = fem._factor(s_ff)
     rng = np.random.default_rng(7)
@@ -653,7 +641,7 @@ def _direct_lanczos(m, material, robin, omega):
     assembled S_ff, started from the seed's draw on the free dofs
     projected onto the angular modes ``modes``."""
     s = fem.assemble(m, material, robin, omega)
-    s_ff, _ = s.free_blocks
+    s_ff = s.s_ff
     factor = fem._factor(s_ff)
     m_ff = s.mass[s.free][:, s.free].astype(complex).tocsr()
 
@@ -773,7 +761,7 @@ class TestSectorFactor:
         s = fem.assemble(m, material, robin, omega=2.0)
         plan = fem._sector_plan(m)
         assert np.array_equal(np.sort(plan.order), np.arange(plan.order.size))
-        full = (s.free_blocks[0], s.mass[s.free][:, s.free])
+        full = (s.s_ff, s.mass[s.free][:, s.free])
         parts = plan.couplings(material, robin, 2.0)
         for got, a_ff, couplings in zip(_plan_modes(m, material, robin, 2.0), full, (parts.system(2.0), parts.mass)):
             exact = _modal_image(m, a_ff, plan.order)
@@ -886,7 +874,7 @@ class TestSectorFactor:
         # fully assembled S_ff of the vectors with those modes
         m = build_annulus_mesh(0.5, 1.0, 3, n_theta)
         order, (s_modes, _) = fem._sector_plan(m).order, _plan_modes(m, material, robin, 2.0)
-        s_ff, _ = fem.assemble(m, material, robin, omega=2.0).free_blocks
+        s_ff = fem.assemble(m, material, robin, omega=2.0).s_ff
         rng = np.random.default_rng(9)
         size = s_modes.shape[0]
         b = rng.normal(size=size) + 1j * rng.normal(size=size)
@@ -971,7 +959,7 @@ class TestSectorFactor:
                 mass=(cut @ s.mass @ cut).tocsr(),
                 robin_matrix=(cut @ s.robin_matrix @ cut).tocsr(),
             )
-            assert np.array_equal(s.free, fem._free_dofs(m)[0]) and set(pinned) <= set(s.free)
+            assert np.array_equal(s.free, fem._free_dofs(m)) and set(pinned) <= set(s.free)
         f = np.random.default_rng(3).normal(size=(m.n_nodes, 2))
         with pytest.raises(SolverError, match="backward error"):
             fem.solve(s, f)
@@ -1279,6 +1267,17 @@ class TestSweep:
         measured = m.points_per_wavelength(kappa * theta / cfg.ell, theta)
         assert measured >= ppw * cfg.resolution_margin * (1.0 - 1e-12)
 
+    @pytest.mark.parametrize("rho, mu", [(2.0, 8.0), (1.0, 1.7714368066207214e-249), (1e-200, 1e200)])
+    def test_row_depends_on_the_material_only_through_kappa_and_ratio(self, rho, mu):
+        # scaling mu and lambda by s and rho by r scales S by s and M by r at
+        # the same kappa_s: c_emp and the bounds stay, only omega moves
+        unit = fem.SweepConfig(kappa_s=(2.0,), lambda_over_mu=(3.0,), robin_choice="pressure")
+        [base] = fem.sweep(unit)
+        [row] = fem.sweep(dataclasses.replace(unit, rho=rho, mu=mu))
+        assert row.c_emp == base.c_emp and row.applicable_bound == base.applicable_bound
+        assert row.points_per_wavelength == base.points_per_wavelength
+        assert row.omega == 2.0 * math.sqrt(mu / rho)
+
     def test_resolution_policy_refusal(self):
         cfg = fem.SweepConfig(
             kappa_s=(40.0,), lambda_over_mu=(1.0,),
@@ -1286,9 +1285,3 @@ class TestSweep:
         )
         rows = fem.sweep(cfg)
         assert rows[0].refused and rows[0].c_emp is None
-        forced = fem.SweepConfig(
-            kappa_s=(4.0,), lambda_over_mu=(1.0,),
-            points_per_wavelength=200.0, resolution_margin=0.01, force=True,
-        )
-        rows = fem.sweep(forced)
-        assert not rows[0].refused and rows[0].c_emp is not None
