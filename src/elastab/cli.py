@@ -51,17 +51,13 @@ def _fmt(x: float) -> str:
 
 
 def _canon(obj):
-    """JSON-ready copy with numpy scalars/arrays converted."""
+    """JSON-ready copy with numpy scalars converted."""
     if isinstance(obj, dict):
         return {k: _canon(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_canon(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_canon(v) for v in obj.tolist()]
-    if isinstance(obj, float):
-        return float(_fmt(obj))
     return obj
 
 

@@ -6,14 +6,16 @@ The identity audits consume fields through three evaluators:
     grad(x)   -> (Q, d, d) with grad[q, j, l] = d_j v_l
     second(x) -> (Q, d, d, d) with second[q, j, k, l] = d_j d_k v_l
 
-Everything else (strain, div sigma for constant coefficients)
-derives from those.  The library ships constants, linear maps, general
-polynomials (and products thereof), plane P/S waves, and compactly supported
-radial bumps.
+``div_sigma`` for constant coefficients derives from ``second``; the audits
+form strain and stress from ``grad`` themselves.  The library ships
+constants, general polynomials (and their products with scalar
+polynomials), plane P/S waves, and compactly supported radial bumps.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,6 @@ __all__ = [
     "PlaneWaveField",
     "RadialBumpField",
     "constant_field",
-    "linear_field",
     "random_polynomial",
     "plane_shear_wave",
     "plane_pressure_wave",
@@ -51,12 +52,6 @@ class AnalyticField:
         volume integrals of them may skip those points."""
         return None
 
-    # -- derived quantities ------------------------------------------------
-
-    def strain(self, x: np.ndarray) -> np.ndarray:
-        g = self.grad(x)
-        return 0.5 * (g + np.swapaxes(g, -2, -1))
-
     def div_sigma(self, x: np.ndarray, mu: float, lam: float) -> np.ndarray:
         """div sigma(v) = mu Lap(v) + (mu + lam) grad(div v) for constant
         Lame coefficients."""
@@ -64,44 +59,6 @@ class AnalyticField:
         lap = np.einsum("qjjl->ql", s)
         grad_div = np.einsum("qlkk->ql", s)
         return mu * lap + (mu + lam) * grad_div
-
-    def __add__(self, other: "AnalyticField") -> "AnalyticField":
-        return _SumField(self, other)
-
-    def __mul__(self, scalar: complex) -> "AnalyticField":
-        return _ScaledField(self, scalar)
-
-    __rmul__ = __mul__
-
-
-class _SumField(AnalyticField):
-    def __init__(self, a, b):
-        if a.d != b.d:
-            raise ValueError("dimension mismatch")
-        self.a, self.b, self.d = a, b, a.d
-
-    def value(self, x):
-        return self.a.value(x) + self.b.value(x)
-
-    def grad(self, x):
-        return self.a.grad(x) + self.b.grad(x)
-
-    def second(self, x):
-        return self.a.second(x) + self.b.second(x)
-
-
-class _ScaledField(AnalyticField):
-    def __init__(self, a, c):
-        self.a, self.c, self.d = a, complex(c), a.d
-
-    def value(self, x):
-        return self.c * self.a.value(x)
-
-    def grad(self, x):
-        return self.c * self.a.grad(x)
-
-    def second(self, x):
-        return self.c * self.a.second(x)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +76,11 @@ class PolynomialField(AnalyticField):
     """Multivariate vector polynomial given as (component, exponents, coeff)
     monomials; all derivatives are exact exponent bookkeeping.
 
-    The evaluators compute each power x[:, a] ** e once per point set,
-    accumulate into component-major (d, ..., Q) buffers and
-    return their transposed (Q, ...) views."""
+    ``value``, ``grad`` and ``second`` are one walk over the monomials
+    (``_derivatives``) at derivative order 0, 1 and 2.  It forms each power
+    x[:, a] ** e and each monomial product once per point set, accumulates
+    into component-major (d, ..., Q) buffers and returns their transposed
+    (Q, ...) views."""
 
     def __init__(self, d: int, monomials):
         self.d = d
@@ -129,8 +88,8 @@ class PolynomialField(AnalyticField):
             _Monomial(int(c), tuple(int(e) for e in ex), complex(a)) for c, ex, a in monomials
         ]
         for m in self.monomials:
-            if len(m.exponents) != d or m.component >= d:
-                raise ValueError("monomial shape mismatch")
+            if len(m.exponents) != d or not 0 <= m.component < d or min(m.exponents) < 0:
+                raise ValueError(f"malformed monomial: component {m.component}, exponents {m.exponents}")
 
     @property
     def degree(self) -> int:
@@ -159,42 +118,30 @@ class PolynomialField(AnalyticField):
         return self.degree + 2
 
     def value(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        mono = _monomial_table(x)
-        out = np.zeros((self.d, x.shape[0]), dtype=complex)
-        for m in self.monomials:
-            out[m.component] += m.coeff * mono(m.exponents)
-        return out.T
+        return self._derivatives(x, 0)
 
     def grad(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        mono = _monomial_table(x)
-        out = np.zeros((self.d, self.d, x.shape[0]), dtype=complex)  # [l, j, q]
-        for m in self.monomials:
-            for j, e in enumerate(m.exponents):
-                if e == 0:
-                    continue
-                de = list(m.exponents)
-                de[j] -= 1
-                out[m.component, j] += m.coeff * e * mono(de)
-        return out.T
+        return self._derivatives(x, 1)
 
     def second(self, x):
+        return self._derivatives(x, 2)
+
+    def _derivatives(self, x, order):
+        """d_j v_l, d_j d_k v_l, ... for every axis tuple (j, k, ...) of
+        length ``order``, accumulated monomial by monomial into an
+        [l, ..., k, j, q] buffer and returned as its (Q, j, k, ..., l)
+        transpose.  The integer factor of d_j d_k x^e is e_j (e_k - delta_jk)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         mono = _monomial_table(x)
-        out = np.zeros((self.d, self.d, self.d, x.shape[0]), dtype=complex)  # [l, k, j, q]
+        out = np.zeros((self.d,) * (order + 1) + (x.shape[0],), dtype=complex)
         for m in self.monomials:
-            for j, ej in enumerate(m.exponents):
-                if ej == 0:
-                    continue
-                for k in range(self.d):
-                    de = list(m.exponents)
-                    de[j] -= 1
-                    factor = ej * de[k]
-                    if factor == 0:
-                        continue
-                    de[k] -= 1
-                    out[m.component, k, j] += m.coeff * factor * mono(de)
+            for axes in itertools.product(range(self.d), repeat=order):
+                de, factor = list(m.exponents), 1
+                for a in axes:
+                    factor *= de[a]
+                    de[a] -= 1
+                if factor:
+                    out[(m.component, *axes[::-1])] += m.coeff * factor * mono(tuple(de))
         return out.T
 
     def multiply_scalar_polynomial(self, scalar_monomials) -> "PolynomialField":
@@ -202,23 +149,25 @@ class PolynomialField(AnalyticField):
         prod = []
         for m in self.monomials:
             for ex, a in scalar_monomials:
-                combined = tuple(e1 + e2 for e1, e2 in zip(m.exponents, ex))
+                combined = tuple(e1 + e2 for e1, e2 in zip(m.exponents, ex, strict=True))
                 prod.append((m.component, combined, m.coeff * complex(a)))
         return PolynomialField(self.d, prod)
 
 
 def _monomial_table(x):
-    """``mono(exponents)`` = prod_a x[:, a] ** e_a, each power x[:, a] ** e
-    computed once per point set."""
-    powers = {}
+    """``mono(exponents)`` = prod_a x[:, a] ** e_a; each power x[:, a] ** e
+    and each product is formed once per point set."""
 
+    @functools.cache
+    def power(axis, e):
+        return x[:, axis] ** e
+
+    @functools.cache
     def mono(exponents):
         out = np.ones(x.shape[0], dtype=float)
         for axis, e in enumerate(exponents):
             if e:
-                if (axis, e) not in powers:
-                    powers[axis, e] = x[:, axis] ** e
-                out = out * powers[axis, e]
+                out = out * power(axis, e)
         return out
 
     return mono
@@ -231,43 +180,17 @@ def constant_field(vec) -> PolynomialField:
     return PolynomialField(d, [(c, zero, vec[c]) for c in range(d)])
 
 
-def linear_field(matrix, offset=None) -> PolynomialField:
-    """v(x) = A x + b."""
-    a = np.asarray(matrix)
-    d = a.shape[0]
-    monos = []
-    for comp in range(d):
-        for j in range(d):
-            ex = [0] * d
-            ex[j] = 1
-            monos.append((comp, tuple(ex), a[comp, j]))
-        if offset is not None:
-            monos.append((comp, tuple([0] * d), np.asarray(offset)[comp]))
-    return PolynomialField(d, monos)
-
-
 def random_polynomial(d: int, degree: int, seed: int, scale: float = 1.0) -> PolynomialField:
-    """Dense random complex polynomial field up to the given total degree."""
+    """Dense random complex polynomial field up to the given total degree,
+    its exponents in lexicographic order."""
     rng = np.random.default_rng(seed)
+    exps = [ex for ex in itertools.product(range(degree + 1), repeat=d) if sum(ex) <= degree]
     monos = []
-    exps = _exponents_up_to(d, degree)
     for comp in range(d):
         for ex in exps:
             coeff = scale * (rng.normal() + 1j * rng.normal())
             monos.append((comp, ex, coeff))
     return PolynomialField(d, monos)
-
-
-def _exponents_up_to(d: int, degree: int):
-    if d == 2:
-        return [(i, j) for i in range(degree + 1) for j in range(degree + 1) if i + j <= degree]
-    return [
-        (i, j, k)
-        for i in range(degree + 1)
-        for j in range(degree + 1)
-        for k in range(degree + 1)
-        if i + j + k <= degree
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Per-monomial evaluator of ``fields.PolynomialField``, the oracle for its
-power-table fast path.
+derivative walk, which forms each power and monomial product once per point
+set.
 
 Each monomial and each of its derivatives is evaluated on its own, as
 prod_a x[:, a] ** e_a from a fresh array of ones, and added into a
 point-major (Q, ...) array in monomial order.  It shares no evaluation
 code with the package.
 
-Also here: the infinitesimal rotation, a strain-free field, and a centered
-difference check of any field's analytic gradient.
+Also here: linear fields A x, the infinitesimal rotation (a strain-free
+linear field), and a centered difference check of any field's analytic
+gradient.
 """
 
 import numpy as np
@@ -62,12 +64,25 @@ def second(field, x):
     return out
 
 
+def linear_field(matrix):
+    """v(x) = A x."""
+    a = np.asarray(matrix)
+    d = a.shape[0]
+    monos = []
+    for comp in range(d):
+        for j in range(d):
+            ex = [0] * d
+            ex[j] = 1
+            monos.append((comp, tuple(ex), a[comp, j]))
+    return fields.PolynomialField(d, monos)
+
+
 def rigid_rotation(d, scale=1.0):
     """Infinitesimal rotation: (-y, x) in 2D, (-y, x, 0) in 3D."""
     a = np.zeros((d, d), dtype=complex)
     a[0, 1] = -scale
     a[1, 0] = scale
-    return fields.linear_field(a)
+    return linear_field(a)
 
 
 def spot_check_gradient(field, points, step=1e-6):

@@ -214,6 +214,29 @@ class TestRadialAdmissibility:
         rep = core.check_radial_admissibility(mat, ball_domain)
         assert rep.gamma == 1.0 and rep.theta == 0.0
 
+    def test_piecewise_staircase_accepted(self, annulus_domain):
+        rho = core.piecewise_radial_profile([0.0, 0.6, 0.6001, 0.8], [1.0, 1.5, 2.0, 3.0])
+        mu = core.piecewise_radial_profile([0.0, 0.7, 0.7005, 0.9], [4.0, 3.0, 2.0, 1.0])
+        mat = core.MaterialField.radial(rho, mu, mu)
+        rep = core.check_radial_admissibility(mat, annulus_domain)
+        assert rep.gamma == 1.0 and rep.theta == 0.0
+
+    @pytest.mark.parametrize("breaks", [[0.0, 0.7, 0.7005], [0.0, 0.70001, 0.70002]],
+                             ids=["layer-5e-4", "layer-1e-5"])
+    @pytest.mark.parametrize("coefficient, values, message", [
+        ("rho", [2.0, 1.0, 2.0], "rho decreases outward"),
+        ("mu", [1.0, 2.0, 1.0], "mu increases outward"),
+        ("lam", [1.0, 2.0, 1.0], "lambda increases outward"),
+    ])
+    def test_thin_piecewise_layer_refused(self, annulus_domain, breaks, coefficient, values, message):
+        # a layer far thinner than the sample spacing still breaks monotonicity
+        one = core.piecewise_radial_profile([0.0], [1.0])
+        profiles = {"rho": one, "mu": one, "lam": one}
+        profiles[coefficient] = core.piecewise_radial_profile(breaks, values)
+        mat = core.MaterialField.radial(**profiles)
+        with pytest.raises(InadmissibleCoefficientsError, match=message):
+            core.check_radial_admissibility(mat, annulus_domain)
+
     def test_piecewise_monotonicity_violation(self, ball_domain):
         rho = core.piecewise_radial_profile([0.0, 0.5], [2.0, 1.0])  # decreasing: invalid
         mat = core.MaterialField.radial(
