@@ -50,21 +50,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _canon(obj):
-    """JSON-ready copy with numpy scalars converted."""
-    if isinstance(obj, dict):
-        return {k: _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
+def _json_scalar(obj):
+    """The Python scalar of a numpy scalar, for ``json.dumps``, which calls
+    this for every value it cannot encode itself (np.float64 is a float and
+    never reaches it)."""
+    if isinstance(obj, np.generic):
         return obj.item()
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload) -> None:
     """Write strict JSON; a non-finite value is an error and writes nothing."""
     try:
-        text = json.dumps(_canon(payload), indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_json_scalar)
     except ValueError as exc:
         raise ElastabError(f"{path.name} not written: {exc}") from exc
     path.write_text(text + "\n")
@@ -665,11 +663,13 @@ def _run_identity_check(args) -> int:
     names = _suite_names(args.suite)
     # timed apart, so no suite's stage depends on whether it ran first
     with manifest.stage("import"):
-        from . import fem, identities  # noqa: F401  (both load scipy)
+        from . import fem, fields, identities  # noqa: F401  (fem and identities load scipy)
     reports = []
-    for name in names:
-        with manifest.stage(name):
-            reports.extend(_SUITES[name](args.seed))
+    # one monomial table per point set for the whole run, released with it
+    with fields.shared_tables():
+        for name in names:
+            with manifest.stage(name):
+                reports.extend(_SUITES[name](args.seed))
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "identity_report.json"
     _write_json(out, [r.as_dict() for r in reports])

@@ -111,6 +111,10 @@ _BACKWARD_TOL = 1e-14
 # fraction of its Ritz value (``_lanczos``)
 _RITZ_TOL = 1e-8
 
+# steps of Krylov basis a Lanczos run holds at first; it doubles the basis
+# when full (certified runs take 5-6 steps)
+_BASIS_STEPS = 8
+
 # Largest resolution mesh a sweep builds: kappa_s ~ 100 at the default
 # policy (order 2, 10 points per wavelength).  Peak memory grows about
 # linearly in the node count.  On 2 vCPU one kappa_s = 64 row (80,676
@@ -296,8 +300,21 @@ def _free_dofs(mesh: Mesh) -> np.ndarray:
     return np.flatnonzero(~on)
 
 
+def _volume_geometry(mesh: Mesh) -> tuple:
+    """The ``_geometry`` of every cell on the triangle rule, made on first
+    use and kept with the mesh (``Mesh.derived``), as the sector plan is:
+    ``assemble`` and ``evaluate_volume`` read it.  Its arrays are
+    read-only."""
+    geometry = mesh.derived.get(_volume_geometry)
+    if geometry is None:
+        geometry = mesh.derived[_volume_geometry] = _geometry(mesh, _TRI_QP)
+        for array in geometry:
+            array.flags.writeable = False
+    return geometry
+
+
 def assemble(mesh: Mesh, material: MaterialField, robin: RobinSpec, omega: float) -> AssembledSystem:
-    ke, me = _element_matrices(_geometry(mesh, _TRI_QP), material)
+    ke, me = _element_matrices(_volume_geometry(mesh), material)
     edges = _edge_quadrature(mesh, DISSIPATIVE)
     ndof, dofs = 2 * mesh.n_nodes, _dofs(mesh.conn)
     return AssembledSystem(
@@ -712,17 +729,24 @@ def evaluate_volume(mesh: Mesh, nodal_fields):
     """Quadrature samples of nodal fields over the mesh.
 
     Returns (x (Q,2), w (Q,), list of (val (Q,2), grad (Q,2,2))) with
-    grad[q, j, l] = d_j v_l and w absorbing the Jacobian."""
-    n, x, det, dnx = _geometry(mesh, _TRI_QP)
+    grad[q, j, l] = d_j v_l and w absorbing the Jacobian.  The geometry is
+    the mesh's (``_volume_geometry``), and the fields are sampled together
+    by two real matmuls per cell, one with the shape values and one with
+    the shape derivatives, on the real and imaginary parts of every
+    field's two components side by side."""
+    n, x, det, dnx = _volume_geometry(mesh)
+    nc, nq, na = dnx.shape[:3]
     w = (_TRI_QW[None, :] * det).reshape(-1)
-    xq = x.reshape(-1, 2)
-    out = []
-    for f in nodal_fields:
-        fc = np.asarray(f, dtype=complex).reshape(-1, 2)[mesh.conn]  # (Nc, a, 2)
-        val = np.einsum("qa,cal->cql", n, fc).reshape(-1, 2)
-        grad = np.einsum("cqaj,cal->cqjl", dnx, fc).reshape(-1, 2, 2)
-        out.append((val, grad))
-    return xq, w, out
+    parts = np.concatenate(
+        [np.asarray(f, dtype=complex).reshape(-1, 2)[mesh.conn].view(float) for f in nodal_fields], axis=-1
+    )  # (Nc, a, 4 F)
+    val = (n @ parts).view(complex)  # (Nc, Q, 2 F)
+    grad = (dnx.swapaxes(2, 3).reshape(nc, 2 * nq, na) @ parts).view(complex)  # (Nc, 2 Q, 2 F): row 2 q + j
+    out = [
+        (val[..., k : k + 2].reshape(-1, 2), grad[..., k : k + 2].reshape(-1, 2, 2))
+        for k in range(0, val.shape[-1], 2)
+    ]
+    return x.reshape(-1, 2), w, out
 
 
 def evaluate_boundary(mesh: Mesh, tag: str, nodal_fields):
@@ -777,7 +801,8 @@ def _lanczos(forward, adjoint, m_mat, v, iters: int = 400, blocks: int = 1) -> _
     this is its residual under the whole operator.  A block whose beta_k is
     0 has found an invariant subspace and is never divided by it: its
     later vectors are 0, which keeps its Ritz values.  The top Ritz value
-    never decreases with k.  Raises
+    never decreases with k.  The basis starts with room for
+    ``_BASIS_STEPS`` steps and doubles when full, up to ``iters``.  Raises
     ``IterationError`` (its ``last_iterates`` the last two top Ritz values)
     when ``iters`` steps certify nothing."""
     size = v.size // blocks
@@ -795,12 +820,16 @@ def _lanczos(forward, adjoint, m_mat, v, iters: int = 400, blocks: int = 1) -> _
 
     steps = min(iters, size)
     # step-major, so that each step fills one contiguous slab of all blocks
-    basis = np.empty((steps, blocks, size), dtype=complex)  # [j, b]: block b's M-orthonormal v_j
+    room = min(_BASIS_STEPS, steps)
+    basis = np.empty((room, blocks, size), dtype=complex)  # [j, b]: block b's M-orthonormal v_j
     m_basis = np.empty_like(basis)  # [j, b]: M v_j
     alphas, betas, thetas = np.zeros((blocks, steps)), np.zeros((blocks, steps)), []
     v = v.reshape(blocks, size)
     _, v, mv = normalised(v, m_apply(v))
     for k in range(steps):
+        if k == basis.shape[0]:
+            more = min(k, steps - k)
+            basis, m_basis = (np.concatenate([b, np.empty_like(b[:more])]) for b in (basis, m_basis))
         basis[k], m_basis[k] = v, mv
         u = forward(mv.reshape(-1)).reshape(blocks, size)
         mu = m_apply(u)

@@ -10,10 +10,21 @@ The identity audits consume fields through three evaluators:
 form strain and stress from ``grad`` themselves.  The library ships
 constants, general polynomials (and their products with scalar
 polynomials), plane P/S waves, and compactly supported radial bumps.
+
+A polynomial keeps its derivative walk (the terms of each derivative
+order) and reads the powers and monomial products of the points from a
+monomial table.  Outside ``shared_tables`` every evaluation builds its own
+table.  Inside it, every evaluation on the same points, by any polynomial
+field and at any order, reads one table, built on first use and released
+when the block ends; ``identity-check`` runs its suites in one such block.
+A table's entries do not depend on who reads them first, so sharing moves
+no bit.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 from dataclasses import dataclass
@@ -25,6 +36,7 @@ __all__ = [
     "PolynomialField",
     "PlaneWaveField",
     "RadialBumpField",
+    "shared_tables",
     "constant_field",
     "random_polynomial",
     "plane_shear_wave",
@@ -77,10 +89,11 @@ class PolynomialField(AnalyticField):
     monomials; all derivatives are exact exponent bookkeeping.
 
     ``value``, ``grad`` and ``second`` are one walk over the monomials
-    (``_derivatives``) at derivative order 0, 1 and 2.  It forms each power
-    x[:, a] ** e and each monomial product once per point set, accumulates
-    into component-major (d, ..., Q) buffers and returns their transposed
-    (Q, ...) views."""
+    (``_derivatives``) at derivative order 0, 1 and 2, whose terms the
+    field keeps per order (``_terms``).  It reads each power x[:, a] ** e
+    and each monomial product from the points' table (``_table``),
+    accumulates into component-major (d, ..., Q) buffers and returns their
+    transposed (Q, ...) views."""
 
     def __init__(self, d: int, monomials):
         self.d = d
@@ -90,6 +103,7 @@ class PolynomialField(AnalyticField):
         for m in self.monomials:
             if len(m.exponents) != d or not 0 <= m.component < d or min(m.exponents) < 0:
                 raise ValueError(f"malformed monomial: component {m.component}, exponents {m.exponents}")
+        self._walks = {}
 
     @property
     def degree(self) -> int:
@@ -126,22 +140,35 @@ class PolynomialField(AnalyticField):
     def second(self, x):
         return self._derivatives(x, 2)
 
+    def _terms(self, order):
+        """The walk of derivative order ``order``, made once per field: for
+        each monomial and each axis tuple (j, k, ...) of length ``order``
+        whose derivative is not 0, the buffer index [l, ..., k, j], the
+        coefficient times the integer factor (e_j, then e_j (e_k - delta_jk))
+        and the exponents left."""
+        terms = self._walks.get(order)
+        if terms is None:
+            terms = self._walks[order] = []
+            for m in self.monomials:
+                for axes in itertools.product(range(self.d), repeat=order):
+                    de, factor = list(m.exponents), 1
+                    for a in axes:
+                        factor *= de[a]
+                        de[a] -= 1
+                    if factor:
+                        terms.append(((m.component, *axes[::-1]), m.coeff * factor, tuple(de)))
+        return terms
+
     def _derivatives(self, x, order):
         """d_j v_l, d_j d_k v_l, ... for every axis tuple (j, k, ...) of
-        length ``order``, accumulated monomial by monomial into an
+        length ``order``, accumulated term by term (``_terms``) into an
         [l, ..., k, j, q] buffer and returned as its (Q, j, k, ..., l)
-        transpose.  The integer factor of d_j d_k x^e is e_j (e_k - delta_jk)."""
+        transpose."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        mono = _monomial_table(x)
+        mono = _table(x)
         out = np.zeros((self.d,) * (order + 1) + (x.shape[0],), dtype=complex)
-        for m in self.monomials:
-            for axes in itertools.product(range(self.d), repeat=order):
-                de, factor = list(m.exponents), 1
-                for a in axes:
-                    factor *= de[a]
-                    de[a] -= 1
-                if factor:
-                    out[(m.component, *axes[::-1])] += m.coeff * factor * mono(tuple(de))
+        for index, coeff, exponents in self._terms(order):
+            out[index] += coeff * mono(exponents)
         return out.T
 
     def multiply_scalar_polynomial(self, scalar_monomials) -> "PolynomialField":
@@ -154,9 +181,39 @@ class PolynomialField(AnalyticField):
         return PolynomialField(self.d, prod)
 
 
+_TABLES = contextvars.ContextVar("monomial_tables", default=None)
+
+
+@contextlib.contextmanager
+def shared_tables():
+    """Share one monomial table per point set among every polynomial
+    evaluation inside the block, keyed by the points' shape and bytes; the
+    tables are released when the block ends.  A block nested in another
+    keeps its own tables."""
+    token = _TABLES.set({})
+    try:
+        yield
+    finally:
+        _TABLES.reset(token)
+
+
+def _table(x):
+    """The monomial table of the points x: the shared one inside
+    ``shared_tables``, else a new one."""
+    tables = _TABLES.get()
+    if tables is None:
+        return _monomial_table(x)
+    key = (x.shape, x.tobytes())
+    mono = tables.get(key)
+    if mono is None:
+        # built on the key's bytes, which no caller can change later
+        mono = tables[key] = _monomial_table(np.frombuffer(key[1]).reshape(x.shape))
+    return mono
+
+
 def _monomial_table(x):
     """``mono(exponents)`` = prod_a x[:, a] ** e_a; each power x[:, a] ** e
-    and each product is formed once per point set."""
+    and each product is formed once per table."""
 
     @functools.cache
     def power(axis, e):

@@ -45,7 +45,6 @@ __all__ = [
     "korn_audit",
     "robin_identity_audit",
     "estimate_chain_audit",
-    "manufactured_load",
 ]
 
 
@@ -115,13 +114,18 @@ def _inequality_report(name, lhs, rhs, terms, tol) -> IdentityReport:
 
 @dataclass(frozen=True)
 class _Vol:
-    """Samples of v and grad v; |eps(v)|^2, div v and |div v|^2 are computed
-    once per sample set."""
+    """Samples of v and grad v; the radii |x|, |eps(v)|^2, div v and
+    |div v|^2 are computed once per sample set."""
 
     x: np.ndarray
     w: np.ndarray
     val: np.ndarray
     grad: np.ndarray  # grad[q, j, l] = d_j v_l
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        """|x|, where every radial coefficient is read (``at_radius``)."""
+        return np.linalg.norm(self.x, axis=-1)
 
     @cached_property
     def eps2(self) -> np.ndarray:
@@ -252,10 +256,10 @@ def _traction_term(surf: _Surf, mu, lam) -> float:
 
 def _boundary_triple(diss: _Surf, diri: _Surf | None, material: MaterialField) -> tuple:
     """(B_diss, R_diss, B_dir); B_dir = 0 without a Dirichlet boundary."""
-    mu, lam = material.mu(diss.x), material.lam(diss.x)
+    mu, lam = material.mu.at_radius(diss.r), material.lam.at_radius(diss.r)
     b_dir = 0.0
     if diri is not None:
-        mu_d, lam_d = material.mu(diri.x), material.lam(diri.x)
+        mu_d, lam_d = material.mu.at_radius(diri.r), material.lam.at_radius(diri.r)
         b_dir = _b_boundary(diri, mu_d, lam_d) - _traction_term(diri, mu_d, lam_d)
     return _b_boundary(diss, mu, lam), _traction_term(diss, mu, lam), b_dir
 
@@ -267,8 +271,7 @@ def _surface_div_tangential(surf: _Surf) -> np.ndarray:
     d = surf.val.shape[-1]
     n = surf.normal
     p_grad = np.einsum("qjl,qjl->q", np.eye(d)[None] - n[:, :, None] * n[:, None, :], surf.grad)
-    r = np.linalg.norm(surf.x, axis=-1)
-    return p_grad - (d - 1) * surf.vn / r
+    return p_grad - (d - 1) * surf.vn / surf.r
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +296,8 @@ def rellich_audit(
     if not material.is_constant:
         raise ValueError("Rellich audit needs constant Lame coefficients")
     vol, diss, diri = _samples(v, domain, order)
-    mu = material.mu(vol.x)
-    lam = material.lam(vol.x)
+    mu = material.mu.at_radius(vol.r)
+    lam = material.lam.at_radius(vol.r)
     div_sigma = v.div_sigma(vol.x, material.mu_min, material.lam_min)
     lhs = -_x_pairing(vol, div_sigma, vol.w)
     r_omega = _r_h_omega(vol, mu, lam, 0.0, 0.0, domain.d)
@@ -325,33 +328,20 @@ def mass_identity_audit(
             = int (d + V_x(rho)) rho |v|^2 - bdry int (x.n) rho |v|^2.
     """
     vol, diss, diri = _samples(v, domain, order)
-    rho = material.rho(vol.x)
-    v_rho = material.rho.log_slope(np.linalg.norm(vol.x, axis=-1), domain.ell)
+    rho = material.rho.at_radius(vol.r)
+    v_rho = material.rho.log_slope(vol.r, domain.ell)
     lhs = -_x_pairing(vol, vol.val, vol.w * rho)
     volume_term = _mass_volume(vol, rho, v_rho, domain.d)
-    boundary_term = sum(_mass_flux(s, material.rho(s.x)) for s in (diss, diri) if s is not None)
+    boundary_term = sum(_mass_flux(s, material.rho.at_radius(s.r)) for s in (diss, diri) if s is not None)
     rhs = volume_term - boundary_term
     terms = {"volume": volume_term, "boundary": boundary_term}
     return _equality_report("mass_identity", lhs, rhs, terms, tol)
 
 
-def manufactured_load(v: AnalyticField, material: MaterialField, omega: float):
-    """f with -omega^2 rho v - div sigma(v) = rho f for constant Lame
-    coefficients (rho may vary radially)."""
-    if material.mu.kind != "constant" or material.lam.kind != "constant":
-        raise ValueError("manufactured loads need constant Lame coefficients")
-
-    def fn(x):
-        rho = material.rho(x)[:, None]
-        return -(omega**2) * v.value(x) - v.div_sigma(x, material.mu_min, material.lam_min) / rho
-
-    return fn
-
-
-def _morawetz(name, vol: _Vol, f_val, diss: _Surf, diri, material, omega, d, ell, tol) -> IdentityReport:
+def _morawetz(name, vol: _Vol, rho, f_val, diss: _Surf, diri, material, omega, d, ell, tol) -> IdentityReport:
     """The h = x multiplier identity on samples of u (volume, dissipative and,
-    unless ``diri`` is None, Dirichlet surface) and of the load f at the
-    volume points, in a domain of radius ``ell``:
+    unless ``diri`` is None, Dirichlet surface), of the density ``rho`` and
+    of the load f at the volume points, in a domain of radius ``ell``:
 
         omega^2 int (d + V_x(rho)) rho |u|^2 + B_diss + B_dir
           = 2 Re (rho f, (x.grad)u) + omega^2 bdry int (x.n) rho |u|^2
@@ -361,14 +351,13 @@ def _morawetz(name, vol: _Vol, f_val, diss: _Surf, diri, material, omega, d, ell
     plus omega^2 times the zero-order mass identity (u = 0 on the Dirichlet
     boundary), and it is assembled from their terms.
     """
-    r = np.linalg.norm(vol.x, axis=-1)
-    rho = material.rho(vol.x)
+    r = vol.r
     mass_term = omega**2 * _mass_volume(vol, rho, material.rho.log_slope(r, ell), d)
     b_diss, r_diss, b_dir = _boundary_triple(diss, diri, material)
-    mass_bdry = omega**2 * _mass_flux(diss, material.rho(diss.x))
+    mass_bdry = omega**2 * _mass_flux(diss, material.rho.at_radius(diss.r))
     work = _x_pairing(vol, f_val, vol.w * rho)
     r_omega = _r_h_omega(
-        vol, material.mu(vol.x), material.lam(vol.x),
+        vol, material.mu.at_radius(r), material.lam.at_radius(r),
         material.mu.log_slope(r, ell), material.lam.log_slope(r, ell), d,
     )
     lhs = mass_term + b_diss + b_dir
@@ -385,20 +374,20 @@ def morawetz_audit(
     domain: DomainSpec,
     material: MaterialField,
     omega: float,
-    f=None,
     order: int = 24,
     tol: float = 1e-6,
 ) -> IdentityReport:
-    """Audit of the full multiplier identity (see ``_morawetz``) for a
-    (manufactured) solution of the strong equation vanishing on the
-    Dirichlet boundary, on exact-geometry quadrature."""
+    """Audit of the full multiplier identity (see ``_morawetz``) for u
+    vanishing on the Dirichlet boundary and its manufactured load f,
+    -omega^2 rho u - div sigma(u) = rho f, formed from the volume samples
+    of u; on exact-geometry quadrature.  The load needs constant Lame
+    coefficients (rho may vary radially)."""
+    if material.mu.kind != "constant" or material.lam.kind != "constant":
+        raise ValueError("manufactured loads need constant Lame coefficients")
     vol, diss, diri = _samples(u, domain, order)
-    if f is None:
-        f = manufactured_load(u, material, omega)
-    return _morawetz(
-        "morawetz", vol, np.asarray(f(vol.x), dtype=complex), diss, diri,
-        material, omega, domain.d, domain.ell, tol,
-    )
+    rho = material.rho.at_radius(vol.r)
+    f_val = -(omega**2) * vol.val - u.div_sigma(vol.x, material.mu_min, material.lam_min) / rho[:, None]
+    return _morawetz("morawetz", vol, rho, f_val, diss, diri, material, omega, domain.d, domain.ell, tol)
 
 
 def korn_audit(
@@ -442,8 +431,8 @@ def korn_audit(
         tol,
     )
 
-    mu_vol = material.mu(vol.x)
-    mu_b = material.mu(diss.x)
+    mu_vol = material.mu.at_radius(vol.r)
+    mu_b = material.mu.at_radius(diss.r)
     eps2_mu = float(np.sum(vol.w * 2.0 * mu_vol * vol.eps2))
     norm_v_a2 = float(np.sum(diss.w * (robin.a_t * vt2 + robin.a_n * np.abs(vn) ** 2)))
     eps_mu_b = math.sqrt(float(np.sum(diss.w * mu_b * diss.eps2)))
@@ -550,8 +539,9 @@ def morawetz_audit_discrete(result, system, f, tol: float = 5e-2) -> IdentityRep
     the strong-form consistency error of u_h and shrinks under refinement."""
     mesh = system.mesh
     x, w, [(val_u, grad_u), (val_f, _)] = _fem.evaluate_volume(mesh, [result.u, f])
+    vol = _Vol(x=x, w=w, val=val_u, grad=grad_u)
     return _morawetz(
-        "morawetz_discrete", _Vol(x=x, w=w, val=val_u, grad=grad_u), val_f,
+        "morawetz_discrete", vol, system.material.rho.at_radius(vol.r), val_f,
         _fem_surf(mesh, DISSIPATIVE, result.u), _fem_surf(mesh, DIRICHLET, result.u),
         system.material, system.omega, 2, mesh.ell, tol,
     )
@@ -597,7 +587,7 @@ def estimate_chain_audit(
             _form(np.asarray(f, dtype=complex).reshape(-1), system.mass),
             _form(u, system.robin_matrix),
             float(np.sum(w * _frob2(grad_u))),
-            float(np.sum(diss.w * material.mu(diss.x) * diss.eps2)),
+            float(np.sum(diss.w * material.mu.at_radius(diss.r) * diss.eps2)),
         )
     )
     d = 2

@@ -808,6 +808,56 @@ class TestIdentityCheckCommand:
             singles.extend(one_reports)
         assert singles == reports
 
+    def test_runs_in_one_process_share_nothing(self, tmp_path):
+        # seeds 0, 1, 0: the monomial tables of a run are released with it,
+        # so the third report is the first's and a fresh process's
+        from elastab import fields
+
+        reports = []
+        for k, seed in enumerate((0, 1, 0)):
+            out = tmp_path / str(k)
+            assert main(["identity-check", "--seed", str(seed), "--out-dir", str(out)]) == 0
+            assert fields._TABLES.get() is None
+            reports.append((out / "identity_report.json").read_bytes())
+        fresh = tmp_path / "fresh"
+        src = str(Path(elastab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["identity-check", "--seed", "0", "--out-dir", str(fresh)]
+        code = f"from elastab.cli import main; raise SystemExit(main({argv!r}))"
+        result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert reports[0] == reports[2] == (fresh / "identity_report.json").read_bytes()
+        assert reports[1] != reports[0]
+
+
+class TestJsonWriter:
+    def test_numpy_scalars_and_tuples(self, tmp_path):
+        import numpy as np
+
+        from elastab.cli import _write_json
+
+        path = tmp_path / "p.json"
+        _write_json(path, {
+            "f": np.float64(0.1), "i": np.int64(-3), "b": np.bool_(True), "g": np.float32(0.5),
+            "t": (1, np.float64(2.5), (np.int64(4), np.bool_(False))), "n": [None, "s"],
+        })
+        expected = {"f": 0.1, "i": -3, "b": True, "g": 0.5, "t": [1, 2.5, [4, False]], "n": [None, "s"]}
+        assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_non_finite_or_unknown_values_write_nothing(self, tmp_path):
+        import numpy as np
+
+        from elastab.cli import _write_json
+        from elastab.errors import ElastabError
+
+        path = tmp_path / "p.json"
+        with pytest.raises(ElastabError, match="not written"):
+            _write_json(path, {"x": (np.float64("nan"),)})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _write_json(path, {"x": 1j})
+        assert not path.exists()
+
 
 class TestFormatFlag:
     @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from elastab import mesh as mesh_module
 from elastab.bounds import stability_simple_robin
 from elastab.errors import ConfigError, IterationError, MeshError, SolverError
 from elastab.mesh import DIRICHLET, DISSIPATIVE, build_annulus_mesh
-from fem_oracle import lifted_solve
+from fem_oracle import lifted_solve, volume_samples
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +147,16 @@ class TestMesh:
                     assert (n_r, n_theta) not in rejected
         assert {(3, 8), (6, 12), (19, 24)} <= rejected and (18, 24) not in rejected
 
+    def test_longest_edge_is_found_once_per_mesh(self, monkeypatch):
+        m = build_annulus_mesh(0.5, 1.0, 3, 12)
+        corners = m.nodes[m.conn[:, :3]]
+        edges = np.linalg.norm(corners - corners[:, [1, 2, 0]], axis=-1)
+        assert m.max_edge_length() == float(edges.max())
+        # a second call, and the points per wavelength, read no node again
+        monkeypatch.setattr(type(m), "nodes", property(lambda self: pytest.fail("nodes read again")))
+        assert m.max_edge_length() == float(edges.max())
+        assert m.points_per_wavelength(1.0, 1.0) == 2.0 * math.pi / (float(edges.max()) / m.order)
+
     def test_degenerate_parameters(self):
         with pytest.raises(MeshError):
             build_annulus_mesh(1.5, 1.0, 4, 16)
@@ -215,6 +226,40 @@ class TestAssembly:
             u = rng.normal(size=s.n_dofs) + 1j * rng.normal(size=s.n_dofs)
             quad = np.vdot(u, smat @ u)
             assert quad.imag <= 1e-12 * abs(quad)
+
+
+class TestVolumeSamples:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_the_einsum_oracle(self, order):
+        m = build_annulus_mesh(0.5, 1.0, 4, 32, order=order)
+        rng = np.random.default_rng(order)
+        loads = [rng.normal(size=(m.n_nodes, 2)) + 1j * rng.normal(size=(m.n_nodes, 2)) for _ in range(2)]
+        loads.append(rng.normal(size=(m.n_nodes, 2)))  # a real field
+        x, w, samples = fem.evaluate_volume(m, loads)
+        x_ref, w_ref, ref = volume_samples(m, loads)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+        for (val, grad), (val_ref, grad_ref) in zip(samples, ref, strict=True):
+            for a, b in ((val, val_ref), (grad, grad_ref)):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+    def test_assembly_and_samples_share_the_mesh_geometry(self, material, robin, monkeypatch):
+        m = build_annulus_mesh(0.5, 1.0, 3, 16)
+        made = []
+        geometry = fem._geometry
+        monkeypatch.setattr(fem, "_geometry", lambda *a: made.append(len(a)) or geometry(*a))
+        fem.assemble(m, material, robin, omega=1.0)
+        fem.assemble(m, material, robin, omega=2.0)
+        for _ in range(2):
+            fem.evaluate_volume(m, [np.ones((m.n_nodes, 2))])
+        assert len(made) == 1
+        kept = fem._volume_geometry(m)
+        with pytest.raises(ValueError, match="read-only"):
+            kept[1][0] = 0.0
+        mesh_ref, geometry_ref = weakref.ref(m), weakref.ref(kept[1])
+        del m, kept
+        gc.collect()
+        assert mesh_ref() is None and geometry_ref() is None
 
 
 def _per_edge(mesh, tag):
@@ -527,6 +572,36 @@ class TestEmpiricalConstant:
 
 
 class TestLanczos:
+    @pytest.mark.parametrize("start", [1, 3])
+    def test_growing_basis_changes_no_bit(self, start, monkeypatch):
+        # a basis that starts with room for 1 or 3 steps and must grow gives
+        # the estimate of one made for every step up front
+        material = core.MaterialField.constant(1.0, 1.0, 1.0)
+        m = build_annulus_mesh(0.5, 1.0, 3, 24, order=2)
+
+        def estimate(steps):
+            monkeypatch.setattr(fem, "_BASIS_STEPS", steps)
+            return fem.empirical_constant(m, material, core.RobinSpec.shear_matched(material), omega=2.0)
+
+        grown, preallocated = estimate(start), estimate(400)
+        assert grown.steps > start
+        assert grown == preallocated
+
+    def test_basis_holds_the_steps_it_runs(self):
+        # M = S = I: certified after one step, so the basis and its M-images
+        # hold a few steps, far from the 2 x 400 steps (256 MB here) of one
+        # made for iters = 400 up front
+        size = 20_000
+        eye = sp.identity(size, format="csr")
+        tracemalloc.start()
+        try:
+            ritz = fem._lanczos(lambda b: b, lambda b: b, eye, np.ones(size, dtype=complex), iters=400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ritz.steps == 1
+        assert peak <= 2 * 32 * size * 16
+
     def test_top_eigenvalue_matches_eigh(self):
         # top eigenvalue of S^-H M S^-1 M in the M inner product: the
         # largest eigenvalue of C^H C, C = L^H S^-1 L with M = L L^H

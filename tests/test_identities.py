@@ -136,6 +136,61 @@ class TestPolynomialFastPath:
         _assert_matches_oracle(field, self._points(field.d))
 
 
+class TestSharedTables:
+    """Inside ``fields.shared_tables`` every polynomial evaluation on the
+    same points reads one monomial table, and moves no bit."""
+
+    def test_morawetz_suite_builds_one_table_per_point_set(self, monkeypatch):
+        # 33 tables on 4 point sets when each evaluation built its own
+        from elastab import cli
+
+        built = []
+        table = fields._monomial_table
+        monkeypatch.setattr(fields, "_monomial_table", lambda x: built.append(x.tobytes()) or table(x))
+        with fields.shared_tables():
+            cli._suite_morawetz(0)
+        assert len(built) == len(set(built)) == 4
+
+    def test_shared_evaluations_match_the_oracle(self):
+        points = TestPolynomialFastPath._points(2)
+        polynomials = [
+            fields.random_polynomial(2, 4, seed=1),
+            fields.random_polynomial(2, 2, seed=2).multiply_scalar_polynomial(VANISH_INNER),
+            fields.constant_field([1.0 + 0.5j, -0.3]),
+        ]
+        with fields.shared_tables():
+            for field in polynomials:
+                _assert_matches_oracle(field, points)
+                _assert_matches_oracle(field, points.copy())
+            assert len(fields._TABLES.get()) == 1
+
+    def test_a_table_ignores_later_writes_to_its_points(self):
+        # the first evaluation forms one product; the later ones form the
+        # rest from the points as they were when the table was made
+        points = TestPolynomialFastPath._points(2)
+        kept = points.copy()
+        field = fields.random_polynomial(2, 3, seed=3)
+        with fields.shared_tables():
+            fields.PolynomialField(2, [(0, (3, 0), 1.0)]).value(points)
+            points[0] += 1.0
+            _assert_matches_oracle(field, points)
+            _assert_matches_oracle(field, kept)
+
+    def test_tables_live_for_the_block_only(self):
+        field = fields.random_polynomial(2, 1, seed=0)
+        assert fields._TABLES.get() is None
+        with fields.shared_tables():
+            outer = fields._TABLES.get()
+            field.value(TestPolynomialFastPath._points(2))
+            with fields.shared_tables():
+                assert fields._TABLES.get() == {}
+            assert fields._TABLES.get() is outer and len(outer) == 1
+        assert fields._TABLES.get() is None
+        with pytest.raises(RuntimeError), fields.shared_tables():
+            raise RuntimeError
+        assert fields._TABLES.get() is None
+
+
 class TestExactOrder:
     """``PolynomialField.exact_order`` integrates every Rellich term exactly:
     it agrees with a much finer rule to rounding."""
@@ -298,6 +353,13 @@ class TestMorawetz:
         u = fields.random_polynomial(2, 2, seed=7).multiply_scalar_polynomial(VANISH_INNER)
         rep = idn.morawetz_audit(u, annulus_domain, mat, omega=1.5, tol=1e-6)
         assert rep.passed, rep.rel_gap
+
+    def test_varying_lame_coefficients_have_no_manufactured_load(self, annulus_domain):
+        prof = core.radial_profile(lambda r: 1.0 + 0.5 * r**2, 1.0, 1.5, derivative=lambda r: r)
+        mat = core.MaterialField.radial(core.constant_profile(1.0), prof, core.constant_profile(2.0))
+        u = fields.random_polynomial(2, 2, seed=7).multiply_scalar_polynomial(VANISH_INNER)
+        with pytest.raises(ValueError, match="constant Lame"):
+            idn.morawetz_audit(u, annulus_domain, mat, omega=1.5)
 
     def test_work_is_mass_plus_rellich(self, annulus_domain, generic_material):
         # rho f = -omega^2 rho u - div sigma(u): the work term is omega^2 times
