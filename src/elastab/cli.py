@@ -149,19 +149,6 @@ _BOUNDS_KEYS = frozenset({
     "constants.c_general", "robin.choice", "robin.alpha_t", "robin.alpha_n",
 })
 
-def _robin_for(cfg_robin: dict, material: core.MaterialField) -> core.RobinSpec:
-    from . import core
-
-    choice = cfg_robin.get("choice")
-    if choice not in (None, "custom"):
-        return core.RobinSpec.for_choice(choice, material)
-    try:
-        alphas = float(cfg_robin["alpha_t"]), float(cfg_robin["alpha_n"])
-    except KeyError as exc:
-        raise ConfigError(f"robin specification needs {exc} (or a 'choice')") from exc
-    return core.RobinSpec.for_choice("custom", material, *alphas)
-
-
 def _bounds_inputs(cfg: dict):
     """(domain, multiplier, constants, [(omega, ratio, groups)]) of a
     ``bounds`` document; ConfigError unless every value is finite and in
@@ -183,7 +170,10 @@ def _bounds_inputs(cfg: dict):
         shape = dom_cfg.get("shape", "ball")
         r_in = dom_cfg.get("r_in")
         c_general = cfg.get("constants", {}).get("c_general")
+        # fem-sweep's rule: a robin block without a choice is custom
         robin_cfg = cfg.get("robin", {"choice": "shear"})
+        choice = robin_cfg.get("choice", "custom")
+        alphas = [float(robin_cfg.get(key, 1.0)) for key in ("alpha_t", "alpha_n")]
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bounds configuration invalid: {exc}") from exc
     if not (math.isfinite(rho) and rho > 0.0 and math.isfinite(mu) and mu > 0.0):
@@ -200,7 +190,7 @@ def _bounds_inputs(cfg: dict):
         for omega in omegas:
             for ratio in ratios:
                 material = core.MaterialField.constant(rho, mu, ratio * mu)
-                robin = _robin_for(robin_cfg, material)
+                robin = core.RobinSpec.for_choice(choice, material, *alphas)
                 groups = core.derive_groups(material, domain, robin, omega, mult)
                 for name, value in groups.as_dict().items():
                     if not math.isfinite(value):
@@ -649,18 +639,10 @@ _SUITES = {
 }
 
 
-def _suite_names(suite: str) -> list:
-    if suite == "all":
-        return list(_SUITES)
-    if suite not in _SUITES:
-        raise ConfigError(f"unknown suite {suite!r}")
-    return [suite]
-
-
 def _run_identity_check(args) -> int:
     out_dir = Path(args.out_dir)
     manifest = _Manifest("identity-check", {"suite": args.suite}, args.seed)
-    names = _suite_names(args.suite)
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     # timed apart, so no suite's stage depends on whether it ran first
     with manifest.stage("import"):
         from . import fem, fields, identities  # noqa: F401  (fem and identities load scipy)

@@ -25,10 +25,6 @@ class DomainEvaluationError(ElastabError):
     """A coefficient field could not be sampled where requested."""
 
 
-class SingularityError(ElastabError):
-    """Kernel evaluated at the source point r = 0, where it has no finite value."""
-
-
 class MeshError(ElastabError):
     """Degenerate mesh parameters or a singular element Jacobian."""
 

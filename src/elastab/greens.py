@@ -1,8 +1,8 @@
 """Homogeneous 3D elastodynamics by the fundamental solution.
 
-Kernel evaluation (acoustic part, elastic Hessian part, full tensor),
-midpoint-grid convolution over a ball with an analytic singular-cell rule,
-numerical verification of the whole-space stability bound 4 + 17 kappa_s,
+Kernel evaluation (acoustic part, elastic Hessian part), midpoint-grid
+convolution over a ball with an analytic singular-cell rule, numerical
+verification of the whole-space stability bound 4 + 17 kappa_s,
 and the cos-transform norm of the elastic part, sampled on a grid (a lower
 bound on its supremum, not a certificate).
 
@@ -33,13 +33,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import SingularityError
-
 __all__ = [
     "WaveNumbers",
-    "kelvin_tensor",
-    "green_tensor",
-    "elastic_hessian_kernel",
     "BallGrid",
     "ball_grid",
     "random_ball_sources",
@@ -102,14 +97,6 @@ class WaveNumbers:
         return cls(k_s=omega / theta_s, k_p=omega / theta_p, omega=omega)
 
 
-def _radii(y):
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    y = np.atleast_2d(y)
-    r = np.linalg.norm(y, axis=-1)
-    return y, r, single
-
-
 def _hessian_coefficients(r, k: WaveNumbers):
     """The radial coefficients (g'(r)/r, g''(r)) of G^E = g(|y|)/(4 pi) at
     radii r > 0, g = e^{i k_s r}/r - e^{i k_p r}/r.
@@ -148,63 +135,6 @@ def _hessian_coefficients(r, k: WaveNumbers):
         coef_i[near] = ci / rn**3
         coef_rr[near] = ce / rn**3
     return coef_i, coef_rr
-
-
-def elastic_hessian_kernel(y, k: WaveNumbers) -> np.ndarray:
-    """Hessian of the difference kernel G^E(y) = g(|y|)/(4 pi):
-
-        (1/4pi) [ g'(r)/r (I - yhat (x) yhat) + g''(r) yhat (x) yhat ],
-
-    with the coefficients of ``_hessian_coefficients``.
-    """
-    y, r, single = _radii(y)
-    if np.any(r == 0.0):
-        raise SingularityError("elastic Hessian kernel evaluated at r = 0")
-    coef_i, coef_rr = _hessian_coefficients(r, k)
-    yhat = y / r[..., None]
-    yy = yhat[..., :, None] * yhat[..., None, :]
-    out = coef_i[..., None, None] * (np.eye(3) - yy)
-    out += coef_rr[..., None, None] * yy
-    out /= 4.0 * math.pi
-    return out[0] if single else out
-
-
-def kelvin_tensor(y, rho: float, mu: float, lam: float) -> np.ndarray:
-    """Elastostatic fundamental tensor (zero-frequency limit), normalized for
-    right-hand sides rho*f:
-
-        rho/(8 pi mu) [ (1 + beta) delta_ij / r + (1 - beta) y_i y_j / r^3 ]
-
-    with beta = mu/(lam + 2 mu).
-    """
-    y, r, single = _radii(y)
-    if np.any(r == 0.0):
-        raise SingularityError("Kelvin tensor evaluated at r = 0")
-    beta = mu / (lam + 2.0 * mu)
-    yhat = y / r[..., None]
-    eye = np.eye(3)
-    out = (rho / (8.0 * math.pi * mu)) / r[..., None, None] * (
-        (1.0 + beta) * eye + (1.0 - beta) * (yhat[..., :, None] * yhat[..., None, :])
-    )
-    out = out.astype(complex)
-    return out[0] if single else out
-
-
-def green_tensor(y, rho: float, mu: float, lam: float, omega: float) -> np.ndarray:
-    """Full fundamental tensor G = g_a I + (1/omega^2) Hess(G^E).
-
-    For omega = 0 the split is singular and the Kelvin branch is returned
-    directly.
-    """
-    if omega == 0.0:
-        return kelvin_tensor(y, rho, mu, lam)
-    y_arr, r, single = _radii(y)
-    if np.any(r == 0.0):
-        raise SingularityError("Green tensor evaluated at r = 0")
-    g_a = _scalar_kernel(r, rho, mu, lam, omega)
-    hess = elastic_hessian_kernel(y_arr, WaveNumbers.from_material(rho, mu, lam, omega))
-    out = g_a[..., None, None] * np.eye(3) + hess / omega**2
-    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +244,9 @@ def _kernel_table(grid: BallGrid, rho, mu, lam, omega):
 
     The kernels are radial, so each distinct value is evaluated once, on the
     n^3 non-negative offsets, and mirrored into the other seven octants with
-    the parities of ``_TENSOR_PARITY``.  H_00 and H_01 are formed from the
-    radial coefficients with the operations of ``elastic_hessian_kernel``,
-    so they hold its bits."""
+    the parities of ``_TENSOR_PARITY``.  H_00 and H_01 are the entries of
+    Hess(G^E) = (1/4pi) [g'(r)/r (I - yhat (x) yhat) + g''(r) yhat (x) yhat],
+    formed from the radial coefficients of ``_hessian_coefficients``."""
     n = grid.n
     offs = np.arange(n) * grid.h
     zi, zj, zk = np.meshgrid(offs, offs, offs, indexing="ij")

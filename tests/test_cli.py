@@ -23,7 +23,7 @@ import elastab
 
 from elastab.cli import main
 from elastab.config import load_config, parse_text_config
-from elastab.errors import SingularityError
+from elastab.errors import ElastabError
 
 BOUNDS_CFG = {
     "material": {"rho": 1.0, "mu": 1.0},
@@ -175,6 +175,31 @@ class TestBoundsCommand:
             row = next(csv.DictReader(fh))
         assert float(row["simple_robin"]) == 0.0
 
+    def test_robin_block_without_choice_is_read_by_the_sweep_rule(self, tmp_path, monkeypatch):
+        # {"alpha_t": 2.0} is custom at (alpha_t, alpha_n) = (2, 1), as in fem-sweep
+        import elastab.cli as cli
+        from elastab import bounds as bnd, core
+
+        doc = {**BOUNDS_CFG, "robin": {"alpha_t": 2.0}}
+        sweep = cli.sweep_config_from({"kappa_s": [1.0], "robin": doc["robin"]}, 0)
+        calls, for_choice = [], core.RobinSpec.for_choice
+        monkeypatch.setattr(core.RobinSpec, "for_choice",
+                            lambda *args: calls.append(args) or for_choice(*args))
+        cfg = tmp_path / "bounds.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["bounds", "--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
+        monkeypatch.undo()
+        header, rows = cli.bounds_table(doc)
+        domain = core.DomainSpec(d=3, ell=1.0, shape="ball")
+        mult = core.multiplier_for(domain)
+        assert len(calls) == len(rows) == 4
+        for (choice, material, *alphas), row in zip(calls, rows):
+            robin = for_choice(choice, material, *alphas)
+            assert robin == sweep.robin(material) == core.RobinSpec.from_alpha(2.0, 1.0, material)
+            groups = core.derive_groups(material, domain, robin, row[0], mult)
+            want = bnd.stability_simple_robin(groups, mult, 3).bound_value
+            assert row[header.index("simple_robin")] == want
+
     def test_manifest_times_the_evaluation(self, bounds_cfg, tmp_path, monkeypatch):
         import elastab.cli as cli
 
@@ -323,7 +348,7 @@ class TestBenchmarkTraceTargets:
     def test_every_trace_target_exists(self):
         # a renamed attribute would blank one of the benchmark's per-layer
         # metrics without failing anything; the only targets allowed absent
-        # are the three stale ones the next benchmark change removes
+        # are the five stale ones the next benchmark change removes
         tree = ast.parse((Path(__file__).resolve().parent.parent / "bench" / "tracer.py").read_text())
         found = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
                  if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
@@ -334,10 +359,13 @@ class TestBenchmarkTraceTargets:
                   if not hasattr(importlib.import_module(module), attr)}
         assert absent <= {
             "elastab.greens.quad", "elastab.fem.build_annulus_mesh", "elastab.fem.boundary_load",
+            "elastab.greens.green_tensor", "elastab.greens.elastic_hessian_kernel",
         }
-        # fem.boundary_load left the package; its span keeps a present target
-        boundary = {f"{module}.{attr}" for module, attr, name in found["TARGETS"] if name == "fem.boundary"}
-        assert "elastab.fem.evaluate_boundary" in boundary - absent
+        # spans whose other targets left the package keep a present target
+        spans = {f"{module}.{attr}": name for module, attr, name in found["TARGETS"]}
+        for name, target in (("fem.boundary", "elastab.fem.evaluate_boundary"),
+                             ("greens.kernel", "elastab.greens._kernel_table")):
+            assert target not in absent and spans[target] == name
 
 
 class TestGreensCommand:
@@ -496,7 +524,7 @@ class TestGreensCommand:
     @pytest.mark.parametrize("target, error, message", [
         ("_convolve", MemoryError, "elastab: out of memory"),
         ("_kernel_spectrum", MemoryError, "elastab: out of memory"),
-        ("_convolve", SingularityError("kernel evaluated at r = 0"), "elastab: kernel evaluated at r = 0"),
+        ("_convolve", ElastabError("kernel evaluated at r = 0"), "elastab: kernel evaluated at r = 0"),
     ])
     def test_job_error_exits_1_without_report(self, target, error, message, tmp_path, capsys,
                                               monkeypatch):
